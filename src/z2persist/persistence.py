@@ -63,6 +63,9 @@ class Barcode:
 
 
 def parse_bcx(text: str) -> Barcode:
+    """Parse BCX v1.  Degrees are nonnegative integers, births finite, and
+    deaths finite or the literal `inf`; any other line is rejected with
+    its line number."""
     bars = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -71,9 +74,18 @@ def parse_bcx(text: str) -> Barcode:
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected `<dim> <birth> <death>`")
-        d = int(parts[0])
-        birth = float(parts[1])
-        death = math.inf if parts[2] == "inf" else float(parts[2])
+        try:
+            d, birth, death = int(parts[0]), float(parts[1]), float(parts[2])
+        except ValueError:
+            raise ValueError(f"line {lineno}: malformed number in `{line}`") from None
+        if d < 0:
+            raise ValueError(f"line {lineno}: negative degree {d}")
+        if not -math.inf < birth < math.inf:  # also false for nan
+            raise ValueError(f"line {lineno}: birth must be finite, got {parts[1]}")
+        if not (death < math.inf or parts[2] == "inf"):  # nan, or overflow to inf
+            raise ValueError(f"line {lineno}: death must be finite or `inf`, got {parts[2]}")
+        if not birth < death:
+            raise ValueError(f"line {lineno}: need birth < death, got {parts[1]} {parts[2]}")
         bars.append((d, Interval(birth, death)))
     return Barcode(bars)
 

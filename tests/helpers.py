@@ -1,19 +1,21 @@
 """Independent oracles and random-input generators for the test suite.
 
-Everything here deliberately avoids the library's sparse reduction path:
-dense GF(2) elimination, explicit composite-map matrices and exhaustive
-matching enumeration serve as ground truth.
+Everything here deliberately avoids the library's sparse reduction path
+and its matching search: dense GF(2) elimination, explicit composite-map
+matrices, exhaustive matching enumeration and the first padded-graph
+bottleneck search serve as ground truth.
 """
 from __future__ import annotations
 
 import math
 import random
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from z2persist import FilteredComplex, Interval, VertexFunction
+from z2persist import Barcode, FilteredComplex, Interval, VertexFunction
 from z2persist.complexes import _simplices_to_complex
+from z2persist.distances import Matching, _deletion_cost, _match_cost
 
 
 def gf2_rank(m: np.ndarray) -> int:
@@ -218,6 +220,130 @@ def exhaustive_bottleneck(left: Sequence[Interval], right: Sequence[Interval]) -
 
     rec(0, set(), 0.0)
     return best
+
+
+def _reference_feasible(
+    left: Sequence[Interval], right: Sequence[Interval], eps: float
+) -> Optional[Matching]:
+    """Perfect-matching feasibility at tolerance eps.
+
+    Each side is padded with one slot per opposite bar (deletion targets);
+    bar-bar edges need endpoint cost <= eps, bar-slot edges need the bar's
+    half-length <= eps, slot-slot edges are free.  A perfect matching on
+    the padded graph exists iff the barcodes are eps-matchable.
+    """
+    nl, nr = len(left), len(right)
+    size = nl + nr
+
+    def edges(u: int) -> list[int]:
+        out = []
+        if u < nl:
+            iv = left[u]
+            out += [v for v in range(nr) if _match_cost(iv, right[v]) <= eps]
+            if _deletion_cost(iv) <= eps:
+                out.append(nr + u)
+        else:
+            sv = u - nl
+            if _deletion_cost(right[sv]) <= eps:
+                out.append(sv)
+            out += [nr + v for v in range(nl)]
+        return out
+
+    match_r = [-1] * size
+
+    def augment(u: int, seen: list[bool]) -> bool:
+        for v in edges(u):
+            if not seen[v]:
+                seen[v] = True
+                if match_r[v] == -1 or augment(match_r[v], seen):
+                    match_r[v] = u
+                    return True
+        return False
+
+    for u in range(size):
+        if not augment(u, [False] * size):
+            return None
+    pairs = []
+    unmatched_left = []
+    unmatched_right = []
+    for v in range(size):
+        u = match_r[v]
+        if v < nr and u < nl:
+            pairs.append((u, v))
+        elif v < nr and u >= nl:
+            unmatched_right.append(v)
+        elif v >= nr and u < nl:
+            unmatched_left.append(u)
+    return Matching(tuple(pairs), tuple(unmatched_left), tuple(unmatched_right))
+
+
+def reference_bottleneck(
+    b1: Barcode, b2: Barcode, k: int
+) -> tuple[float, Optional[Matching]]:
+    """The library's first bottleneck search, kept as a second oracle:
+    binary search over the candidate values, each probe matching the
+    padded graph (with its complete slot-slot block) from scratch by
+    recursive augmenting paths.  Use it up to ~50 bars a side.
+    """
+    left, right = b1.in_dim(k), b2.in_dim(k)
+    n_inf_l = sum(1 for iv in left if iv.death == math.inf)
+    n_inf_r = sum(1 for iv in right if iv.death == math.inf)
+    if n_inf_l != n_inf_r:
+        return math.inf, None
+    if not left and not right:
+        return 0.0, Matching((), (), ())
+    candidates = {0.0}
+    for i in left:
+        for j in right:
+            c = _match_cost(i, j)
+            if c != math.inf:
+                candidates.add(c)
+    for iv in left + right:
+        if iv.death != math.inf:
+            candidates.add(_deletion_cost(iv))
+    values = sorted(candidates)
+    lo, hi = 0, len(values) - 1
+    if _reference_feasible(left, right, values[hi]) is None:
+        return math.inf, None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _reference_feasible(left, right, values[mid]) is not None:
+            hi = mid
+        else:
+            lo = mid + 1
+    return values[lo], _reference_feasible(left, right, values[lo])
+
+
+def check_matching(left: Sequence[Interval], right: Sequence[Interval],
+                   d: float, m: Matching) -> None:
+    """Assert that m is a matching witness for distance d: every bar is
+    used exactly once, each matched pair costs <= d and each deleted bar
+    has half-length <= d."""
+    assert sorted([u for u, _ in m.pairs] + list(m.unmatched_left)) == list(range(len(left)))
+    assert sorted([v for _, v in m.pairs] + list(m.unmatched_right)) == list(range(len(right)))
+    for u, v in m.pairs:
+        assert match_cost(left[u], right[v]) <= d, (left[u], right[v], d)
+    for u in m.unmatched_left:
+        assert left[u].length / 2 <= d, (left[u], d)
+    for v in m.unmatched_right:
+        assert right[v].length / 2 <= d, (right[v], d)
+
+
+def tied_intervals(rng: random.Random, n_finite: int, n_infinite: int) -> list[Interval]:
+    """Random bars with many tied endpoints and lengths, some duplicated."""
+    grid = [x / 4 for x in range(-8, 9)]
+
+    def point() -> float:
+        return rng.choice(grid) if rng.random() < 0.6 else rng.uniform(-2, 2)
+
+    out: list[Interval] = []
+    for _ in range(n_finite):
+        if out and rng.random() < 0.15:
+            out.append(rng.choice(out))
+        else:
+            b = point()
+            out.append(Interval(b, b + rng.choice([0.25, 0.5, 1.0, rng.uniform(0.01, 3.0)])))
+    return out + [Interval(point(), math.inf) for _ in range(n_infinite)]
 
 
 def random_intervals(rng: random.Random, n: int, allow_infinite: bool = True) -> list[Interval]:

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from z2persist.cli import main
+from z2persist.persistence import parse_bcx
 
 
 def run_cli(capsys, *argv):
@@ -130,6 +131,31 @@ def test_exit_code_bad_input(tmp_path, capsys):
     assert main(["persist", str(tmp_path / "missing.fcx")]) == 2
     err = capsys.readouterr().err
     assert "error" in err
+
+
+@pytest.mark.parametrize("bad_line, message", [
+    ("x 0 1", "malformed number"),
+    ("0 0 y", "malformed number"),
+    ("-1 0 1", "negative degree"),
+    ("0 nan 1", "birth must be finite"),
+    ("0 -inf 1", "birth must be finite"),
+    ("0 inf inf", "birth must be finite"),
+    ("0 0 nan", "death must be finite or `inf`"),
+    ("0 0 1e400", "death must be finite or `inf`"),
+    ("0 1 0.5", "need birth < death"),
+], ids=["dim", "death", "negative-dim", "nan-birth", "minus-inf-birth", "inf-birth",
+        "nan-death", "overflow-death", "empty-bar"])
+def test_bad_bcx_rejected_at_parser(tmp_path, capsys, bad_line, message):
+    text = "0 0 inf\n" + bad_line + "\n"
+    with pytest.raises(ValueError, match=f"^line 2: {message}"):
+        parse_bcx(text)
+    bad = tmp_path / "bad.bcx"
+    bad.write_text(text)
+    good = tmp_path / "good.bcx"
+    good.write_text("0 0 inf\n")
+    code, out, err = run_cli(capsys, "distance", str(good), str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 2: ")
 
 
 def test_console_script_entry_point(tmp_path):

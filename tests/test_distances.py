@@ -16,7 +16,18 @@ from z2persist import (
     stability_harness,
 )
 
-from helpers import exhaustive_bottleneck, perturbed, random_intervals, random_vertex_function
+from z2persist.cli import main
+
+from helpers import (
+    check_matching,
+    exhaustive_bottleneck,
+    match_cost,
+    perturbed,
+    random_intervals,
+    random_vertex_function,
+    reference_bottleneck,
+    tied_intervals,
+)
 
 INF = math.inf
 
@@ -86,6 +97,41 @@ def test_bottleneck_agrees_with_exhaustive_oracle():
         assert got == pytest.approx(want, abs=1e-12), (left, right)
 
 
+def test_bottleneck_matching_agrees_with_reference_search():
+    rng = random.Random(34)
+    for trial in range(40):
+        n_inf = rng.randint(0, 4)
+        n_inf_right = n_inf if trial % 8 else rng.randint(0, 4)
+        left = tied_intervals(rng, rng.randint(0, 46), n_inf)
+        right = tied_intervals(rng, rng.randint(0, 46), n_inf_right)
+        b1 = Barcode([(1, iv) for iv in left])
+        b2 = Barcode([(1, iv) for iv in right])
+        got, m = bottleneck_matching(b1, b2, 1)
+        want, m_ref = reference_bottleneck(b1, b2, 1)
+        assert got == want, (trial, got, want)
+        if got == INF:
+            assert m is None and m_ref is None
+            continue
+        check_matching(b1.in_dim(1), b2.in_dim(1), got, m)
+        check_matching(b1.in_dim(1), b2.in_dim(1), want, m_ref)
+
+
+def test_deep_chain_needs_no_recursion(tmp_path, capsys):
+    # every bar meets its two neighbours at cost 0.5, so an augmenting path
+    # can run the length of the chain
+    n = 1200
+    b1 = Barcode([(1, Interval(i, i + 1)) for i in range(n)])
+    b2 = Barcode([(1, Interval(i + 0.5, i + 1.5)) for i in range(n)])
+    d, m = bottleneck_matching(b1, b2, 1)
+    assert d == 0.5
+    check_matching(b1.in_dim(1), b2.in_dim(1), d, m)
+    a, b = tmp_path / "a.bcx", tmp_path / "b.bcx"
+    a.write_text(b1.to_bcx())
+    b.write_text(b2.to_bcx())
+    assert main(["distance", str(a), str(b)]) == 0
+    assert capsys.readouterr().out == "0.5\n"
+
+
 def test_pseudometric_properties():
     rng = random.Random(32)
     for _ in range(50):
@@ -105,6 +151,22 @@ def test_interleaved_decision():
     assert not interleaved(b1, b2, 0, 0.5)
     with pytest.raises(ValueError):
         interleaved(b1, b2, 0, -1.0)
+
+
+def test_interleaved_is_bottleneck_at_most_eps():
+    rng = random.Random(35)
+    for _ in range(60):
+        left = random_intervals(rng, rng.randint(0, 7))
+        right = random_intervals(rng, rng.randint(0, 7))
+        b1 = Barcode([(0, iv) for iv in left])
+        b2 = Barcode([(0, iv) for iv in right])
+        d = bottleneck(b1, b2, 0)
+        candidates = {0.0, INF} | {match_cost(i, j) for i in left for j in right}
+        candidates |= {iv.length / 2 for iv in left + right}
+        for c in candidates:
+            for eps in (c, math.nextafter(c, -INF)):
+                if eps >= 0:
+                    assert interleaved(b1, b2, 0, eps) == (d <= eps), (left, right, eps)
 
 
 def test_stability_on_klein_fixture():
