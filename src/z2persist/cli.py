@@ -7,6 +7,7 @@ Diagnostics go to stderr, data to stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from importlib import resources
@@ -84,7 +85,10 @@ EXAMPLES = {
 }
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built on first use and shared by later calls
+    (parsing keeps no state in it)."""
     p = _Parser(prog="z2persist", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
-from .z2 import SparseZ2Matrix, column
-
 
 class ComplexError(ValueError):
     """Invariant violation, pointing at the first offending cell."""
@@ -123,7 +121,10 @@ class FilteredComplex:
                     )
         for c in cells:
             if c.dim >= 1:
-                dd = column(g for f in c.boundary for g in cells[f].boundary)
+                dd = 0
+                for f in c.boundary:
+                    for g in cells[f].boundary:
+                        dd ^= 1 << g
                 if dd:
                     raise ComplexError("boundary of boundary is nonzero", c.id)
 
@@ -158,21 +159,6 @@ class FilteredComplex:
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** c.dim for c in self.cells)
-
-    def boundary_matrix(self, k: int) -> SparseZ2Matrix:
-        """Matrix of the boundary map from k-cells to (k-1)-cells.
-
-        Rows index (k-1)-cells and columns index k-cells, each in
-        filtration order.
-        """
-        rows = [c.id for c in self.cells if c.dim == k - 1]
-        row_of = {cid: i for i, cid in enumerate(rows)}
-        cols = tuple(
-            tuple(sorted(row_of[f] for f in c.boundary))
-            for c in self.cells
-            if c.dim == k
-        )
-        return SparseZ2Matrix(len(rows), cols)
 
     def num_cells(self, k: int) -> int:
         return sum(1 for c in self.cells if c.dim == k)

@@ -1,22 +1,38 @@
-"""Absolute Z/2 homology: Betti numbers, cycle generators, duality check."""
+"""Absolute Z/2 homology: Betti numbers, cycle generators, duality check.
+
+Everything here reads one boundary-matrix reduction: the k-th Betti number
+is the number of unpaired k-cells, and their cycles are the generators.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import z2
+from . import persistence
 from .complexes import FilteredComplex
+
+
+def _betti_of(fc: FilteredComplex, red: persistence.Reduction) -> list[int]:
+    """Betti numbers in degrees 0..max_dim: unpaired cells per dimension."""
+    counts = [0] * (fc.max_dim + 1)
+    for j in red.unpaired:
+        counts[fc.cells[j].dim] += 1
+    return counts
 
 
 def betti(fc: FilteredComplex, k: int) -> int:
     """dim ker of the k-th boundary map minus rank of the (k+1)-st."""
     if k < 0 or k > fc.max_dim:
         return 0
-    ker = fc.num_cells(k) - z2.rank(fc.boundary_matrix(k))
-    return ker - z2.rank(fc.boundary_matrix(k + 1))
+    return _betti_of(fc, persistence.reduce_filtration(fc))[k]
 
 
 def betti_numbers(fc: FilteredComplex) -> tuple[int, ...]:
-    return tuple(betti(fc, k) for k in range(fc.max_dim + 1))
+    return tuple(_betti_of(fc, persistence.reduce_filtration(fc)))
+
+
+def _generators_of(fc: FilteredComplex, red: persistence.Reduction,
+                   k: int) -> list[frozenset]:
+    return [frozenset(red.cycles[j]) for j in red.unpaired if fc.cells[j].dim == k]
 
 
 def generators(fc: FilteredComplex, k: int) -> list[frozenset]:
@@ -25,14 +41,7 @@ def generators(fc: FilteredComplex, k: int) -> list[frozenset]:
     Representatives come from the boundary-matrix reduction and are not
     canonical; any basis of cycles modulo boundaries is equally valid.
     """
-    from .persistence import reduce_filtration
-
-    red = reduce_filtration(fc)
-    return [
-        frozenset(red.cycles[j])
-        for j in red.unpaired
-        if fc.cells[j].dim == k
-    ]
+    return _generators_of(fc, persistence.reduce_filtration(fc, chains=True), k)
 
 
 @dataclass(frozen=True)
@@ -42,9 +51,11 @@ class HomologySummary:
 
 
 def summarize(fc: FilteredComplex) -> HomologySummary:
+    red = persistence.reduce_filtration(fc, chains=True)
+    degrees = range(fc.max_dim + 1)
     return HomologySummary(
-        betti={k: betti(fc, k) for k in range(fc.max_dim + 1)},
-        generators={k: generators(fc, k) for k in range(fc.max_dim + 1)},
+        betti=dict(zip(degrees, _betti_of(fc, red))),
+        generators={k: _generators_of(fc, red, k) for k in degrees},
     )
 
 
@@ -61,9 +72,10 @@ def duality_check(fc: FilteredComplex, n: int) -> DualityReport:
     ranks equal homology ranks, so duality reduces to this palindrome
     test.  The manifold hypothesis is the caller's responsibility.
     """
-    mismatches = []
-    for k in range(n + 1):
-        bk, bnk = betti(fc, k), betti(fc, n - k)
-        if bk != bnk:
-            mismatches.append((k, bk, bnk))
+    counts = _betti_of(fc, persistence.reduce_filtration(fc))
+
+    def b(k: int) -> int:
+        return counts[k] if 0 <= k < len(counts) else 0
+
+    mismatches = [(k, b(k), b(n - k)) for k in range(n + 1) if b(k) != b(n - k)]
     return DualityReport(ok=not mismatches, mismatches=tuple(mismatches))

@@ -11,14 +11,15 @@ from .complexes import FilteredComplex, format_value
 
 @dataclass(frozen=True, order=True)
 class Interval:
-    """Half-open interval [birth, death); death may be +inf."""
+    """Half-open interval [birth, death) with a finite birth; death may be +inf."""
 
     birth: float
     death: float
 
     def __post_init__(self):
-        if not self.birth < self.death:
-            raise ValueError(f"need birth < death, got [{self.birth}, {self.death})")
+        if not -math.inf < self.birth < self.death:  # also false for nan
+            raise ValueError(
+                f"need -inf < birth < death, got [{self.birth}, {self.death})")
 
     def __contains__(self, t: float) -> bool:
         return self.birth <= t < self.death
@@ -92,47 +93,55 @@ def parse_bcx(text: str) -> Barcode:
 
 @dataclass(frozen=True)
 class Reduction:
-    """Outcome of the column reduction: (birth, death) cell pairs, the
-    unpaired (positive, never-killed) cells, and a cycle per positive cell."""
+    """Outcome of the column reduction: (birth, death) cell pairs and the
+    unpaired (positive, never-killed) cells.  `cycles` maps each unpaired
+    cell to the sorted cell ids of a cycle it represents; it is filled only
+    when the reduction was asked for chains, and is empty otherwise."""
 
     pairs: tuple[tuple[int, int], ...]
     unpaired: tuple[int, ...]
     cycles: dict
 
 
-def reduce_filtration(fc: FilteredComplex) -> Reduction:
+def reduce_filtration(fc: FilteredComplex, *, chains: bool = False) -> Reduction:
     """Standard left-to-right reduction of the full boundary matrix.
 
     Cell ids double as row/column indices since the declaration order is
-    the filtration order.  Deterministic.
+    the filtration order.  Columns are int bitsets (`z2`): a column is
+    reduced by the earlier column sharing its low until its low is fresh
+    or it vanishes.  Only nonzero reduced columns are kept, keyed by their
+    low.  With `chains`, each column also carries the bitset of the cells
+    summed into it, and the chains of the unpaired cells are returned as
+    `cycles`.  Deterministic.
     """
-    n = len(fc.cells)
-    reduced: dict[int, tuple] = {}      # column id -> reduced column
-    chain: dict[int, tuple] = {}        # column id -> cells summed into it
-    low_to_col: dict[int, int] = {}
+    by_low: dict[int, int] = {}          # low -> reduced column with that low
+    chain_by_low: dict[int, int] = {}    # low -> chain of that column
+    positive_chain: dict[int, int] = {}  # positive cell -> its cycle, until paired
     pairs: list[tuple[int, int]] = []
     positives: list[int] = []
-    cycles: dict[int, tuple] = {}
-    for j in range(n):
-        col = fc.cells[j].boundary
-        v = (j,)
+    for j, cell in enumerate(fc.cells):
+        col = z2.bitset(cell.boundary)
+        v = 1 << j if chains else 0
         while col:
-            pivot = col[-1]
-            other = low_to_col.get(pivot)
+            low = col.bit_length() - 1
+            other = by_low.get(low)
             if other is None:
                 break
-            col = z2.add_into(col, reduced[other])
-            v = z2.add_into(v, chain[other])
-        reduced[j] = col
-        chain[j] = v
+            col ^= other
+            if chains:
+                v ^= chain_by_low[low]
         if col:
-            low_to_col[col[-1]] = j
-            pairs.append((col[-1], j))
+            by_low[low] = col
+            pairs.append((low, j))
+            if chains:
+                chain_by_low[low] = v
+                positive_chain.pop(low, None)
         else:
             positives.append(j)
-            cycles[j] = v
-    paired_rows = {i for i, _ in pairs}
-    unpaired = tuple(j for j in positives if j not in paired_rows)
+            if chains:
+                positive_chain[j] = v
+    unpaired = tuple(j for j in positives if j not in by_low)
+    cycles = {j: z2.rows(positive_chain[j]) for j in unpaired} if chains else {}
     return Reduction(pairs=tuple(pairs), unpaired=unpaired, cycles=cycles)
 
 

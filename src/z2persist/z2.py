@@ -1,85 +1,25 @@
-"""Sparse linear algebra over GF(2).
+"""Columns over GF(2) as Python int bitsets.
 
-Columns are sorted tuples of row indices holding a 1; the empty tuple is
-the zero column.  Everything is immutable and pure.
+Bit i of a column is set when row i holds a 1, and 0 is the zero column.
+Column addition is `a ^ b`, and the column's low (its largest row index
+holding a 1, the reduction's pivot) is `col.bit_length() - 1`; the
+reduction in `persistence` works on these directly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
-Z2Column = tuple  # strictly increasing row indices
-
-
-def column(rows: Iterable[int]) -> Z2Column:
-    """Build a column from row indices, cancelling duplicate pairs (1+1=0)."""
-    out: list[int] = []
-    for r in sorted(rows):
-        if out and out[-1] == r:
-            out.pop()
-        else:
-            out.append(r)
-    return tuple(out)
+Z2Column = int
 
 
-def add_into(target: Z2Column, source: Z2Column) -> Z2Column:
-    """GF(2) column addition: symmetric difference of the index sets."""
-    out: list[int] = []
-    i = j = 0
-    n, m = len(target), len(source)
-    while i < n and j < m:
-        a, b = target[i], source[j]
-        if a < b:
-            out.append(a)
-            i += 1
-        elif b < a:
-            out.append(b)
-            j += 1
-        else:
-            i += 1
-            j += 1
-    out.extend(target[i:])
-    out.extend(source[j:])
-    return tuple(out)
+def bitset(rows: Iterable[int]) -> Z2Column:
+    """Column with a 1 in each row listed an odd number of times."""
+    col = 0
+    for r in rows:
+        col ^= 1 << r
+    return col
 
 
-def low(col: Z2Column) -> Optional[int]:
-    """Largest row index with a 1, or None for the zero column."""
-    return col[-1] if col else None
-
-
-@dataclass(frozen=True)
-class SparseZ2Matrix:
-    """Column-major GF(2) matrix."""
-
-    num_rows: int
-    columns: tuple[Z2Column, ...]
-
-    def __post_init__(self):
-        for col in self.columns:
-            if col and (col[-1] >= self.num_rows or col[0] < 0):
-                raise ValueError(f"row index out of range in column {col}")
-
-    @property
-    def num_cols(self) -> int:
-        return len(self.columns)
-
-
-def rank(m: SparseZ2Matrix) -> int:
-    """GF(2) rank by deterministic left-to-right column reduction.
-
-    A column is repeatedly reduced by the earlier column sharing its low
-    index until its low is fresh or the column vanishes.
-    """
-    low_to_col: dict[int, Z2Column] = {}
-    r = 0
-    for col in m.columns:
-        while col:
-            pivot = col[-1]
-            other = low_to_col.get(pivot)
-            if other is None:
-                low_to_col[pivot] = col
-                r += 1
-                break
-            col = add_into(col, other)
-    return r
+def rows(col: Z2Column) -> tuple[int, ...]:
+    """Increasing row indices holding a 1."""
+    return tuple(i for i, bit in enumerate(reversed(bin(col))) if bit == "1")

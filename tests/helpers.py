@@ -1,21 +1,160 @@
 """Independent oracles and random-input generators for the test suite.
 
-Everything here deliberately avoids the library's sparse reduction path
-and its matching search: dense GF(2) elimination, explicit composite-map
-matrices, exhaustive matching enumeration and the first padded-graph
-bottleneck search serve as ground truth.
+Everything here deliberately avoids the library's bitset reduction and
+its matching search: dense GF(2) elimination, explicit composite-map
+matrices, the first sorted-tuple column reduction, exhaustive matching
+enumeration and the first padded-graph bottleneck search serve as ground
+truth.
 """
 from __future__ import annotations
 
 import math
 import random
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from z2persist import Barcode, FilteredComplex, Interval, VertexFunction
 from z2persist.complexes import _simplices_to_complex
 from z2persist.distances import Matching, _deletion_cost, _match_cost
+from z2persist.persistence import Reduction
+
+
+# ---------------------------------------------------------------------------
+# the library's first sparse GF(2) engine: columns are sorted tuples of row
+# indices holding a 1, and the empty tuple is the zero column
+
+Z2Column = tuple  # strictly increasing row indices
+
+
+def column(rows: Iterable[int]) -> Z2Column:
+    """Build a column from row indices, cancelling duplicate pairs (1+1=0)."""
+    out: list[int] = []
+    for r in sorted(rows):
+        if out and out[-1] == r:
+            out.pop()
+        else:
+            out.append(r)
+    return tuple(out)
+
+
+def add_into(target: Z2Column, source: Z2Column) -> Z2Column:
+    """GF(2) column addition: symmetric difference of the index sets."""
+    out: list[int] = []
+    i = j = 0
+    n, m = len(target), len(source)
+    while i < n and j < m:
+        a, b = target[i], source[j]
+        if a < b:
+            out.append(a)
+            i += 1
+        elif b < a:
+            out.append(b)
+            j += 1
+        else:
+            i += 1
+            j += 1
+    out.extend(target[i:])
+    out.extend(source[j:])
+    return tuple(out)
+
+
+def low(col: Z2Column) -> Optional[int]:
+    """Largest row index with a 1, or None for the zero column."""
+    return col[-1] if col else None
+
+
+@dataclass(frozen=True)
+class SparseZ2Matrix:
+    """Column-major GF(2) matrix."""
+
+    num_rows: int
+    columns: tuple[Z2Column, ...]
+
+    def __post_init__(self):
+        for col in self.columns:
+            if col and (col[-1] >= self.num_rows or col[0] < 0):
+                raise ValueError(f"row index out of range in column {col}")
+
+    @property
+    def num_cols(self) -> int:
+        return len(self.columns)
+
+
+def rank(m: SparseZ2Matrix) -> int:
+    """GF(2) rank by deterministic left-to-right column reduction.
+
+    A column is repeatedly reduced by the earlier column sharing its low
+    index until its low is fresh or the column vanishes.
+    """
+    low_to_col: dict[int, Z2Column] = {}
+    r = 0
+    for col in m.columns:
+        while col:
+            pivot = col[-1]
+            other = low_to_col.get(pivot)
+            if other is None:
+                low_to_col[pivot] = col
+                r += 1
+                break
+            col = add_into(col, other)
+    return r
+
+
+def boundary_matrix(fc: FilteredComplex, k: int) -> SparseZ2Matrix:
+    """Matrix of the boundary map from k-cells to (k-1)-cells.
+
+    Rows index (k-1)-cells and columns index k-cells, each in
+    filtration order.
+    """
+    rows = [c.id for c in fc.cells if c.dim == k - 1]
+    row_of = {cid: i for i, cid in enumerate(rows)}
+    cols = tuple(
+        tuple(sorted(row_of[f] for f in c.boundary))
+        for c in fc.cells
+        if c.dim == k
+    )
+    return SparseZ2Matrix(len(rows), cols)
+
+
+def reference_reduction(fc: FilteredComplex) -> Reduction:
+    """The library's first reduction, kept as an oracle: the same
+    left-to-right order and pivot rule on sorted-tuple columns, with a
+    chain kept for every column and a cycle for every positive cell.
+    """
+    n = len(fc.cells)
+    reduced: dict[int, tuple] = {}      # column id -> reduced column
+    chain: dict[int, tuple] = {}        # column id -> cells summed into it
+    low_to_col: dict[int, int] = {}
+    pairs: list[tuple[int, int]] = []
+    positives: list[int] = []
+    cycles: dict[int, tuple] = {}
+    for j in range(n):
+        col = fc.cells[j].boundary
+        v = (j,)
+        while col:
+            pivot = col[-1]
+            other = low_to_col.get(pivot)
+            if other is None:
+                break
+            col = add_into(col, reduced[other])
+            v = add_into(v, chain[other])
+        reduced[j] = col
+        chain[j] = v
+        if col:
+            low_to_col[col[-1]] = j
+            pairs.append((col[-1], j))
+        else:
+            positives.append(j)
+            cycles[j] = v
+    paired_rows = {i for i, _ in pairs}
+    unpaired = tuple(j for j in positives if j not in paired_rows)
+    return Reduction(pairs=tuple(pairs), unpaired=unpaired, cycles=cycles)
+
+
+# ---------------------------------------------------------------------------
+# dense GF(2) oracles
 
 
 def gf2_rank(m: np.ndarray) -> int:

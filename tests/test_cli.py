@@ -38,6 +38,19 @@ def test_persist_golden(klein_fcx, capsys):
     assert out == "0 -2 inf\n1 -1 inf\n1 2 inf\n2 2 inf\n"
 
 
+def test_repeated_main_calls_share_no_state(klein_fcx, tmp_path, capsys):
+    assert run_cli(capsys, "persist")[0] == 1  # missing file argument
+    code, out, _ = run_cli(capsys, "persist", str(klein_fcx))
+    assert (code, out) == (0, "0 -2 inf\n1 -1 inf\n1 2 inf\n2 2 inf\n")
+    picture = tmp_path / "bars.svg"
+    assert run_cli(capsys, "persist", str(klein_fcx), "--svg", str(picture))[0] == 0
+    picture.unlink()
+    assert run_cli(capsys, "persist", str(klein_fcx))[0] == 0
+    assert not picture.exists()  # --svg of the previous call is not reused
+    assert run_cli(capsys, "persist", str(klein_fcx), "--bogus")[0] == 1
+    assert run_cli(capsys, "homology", str(klein_fcx))[0] == 0
+
+
 def test_persist_is_deterministic(klein_fcx, capsys):
     _, out1, _ = run_cli(capsys, "persist", str(klein_fcx))
     _, out2, _ = run_cli(capsys, "persist", str(klein_fcx))

@@ -49,7 +49,27 @@ def test_boundary_squared_checked():
             Cell(3, 2, 0.0, boundary=(2,)),
         ]
     )
-    with pytest.raises(ComplexError, match="boundary of boundary"):
+    with pytest.raises(ComplexError, match="boundary of boundary") as err:
+        fc.validate()
+    assert err.value.cell_id == 3
+
+
+def test_boundary_squared_names_first_bad_cell():
+    # a triangle whose faces' boundaries cancel, then a 2-cell that does not
+    fc = FilteredComplex(
+        [
+            Cell(0, 0, 0.0),
+            Cell(1, 0, 0.0),
+            Cell(2, 0, 0.0),
+            Cell(3, 1, 0.0, boundary=(0, 1)),
+            Cell(4, 1, 0.0, boundary=(0, 2)),
+            Cell(5, 1, 0.0, boundary=(1, 2)),
+            Cell(6, 2, 0.0, boundary=(3, 4, 5)),
+            Cell(7, 2, 0.0, boundary=(3, 4)),
+            Cell(8, 2, 0.0, boundary=(3,)),
+        ]
+    )
+    with pytest.raises(ComplexError, match="^cell 7: boundary of boundary is nonzero$"):
         fc.validate()
 
 

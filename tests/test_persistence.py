@@ -245,3 +245,13 @@ def test_characteristic_identities_random():
 def test_bcx_round_trip():
     b = barcode(klein_height(2.0, 1.0))
     assert parse_bcx(b.to_bcx()) == b
+
+
+@pytest.mark.parametrize("birth, death", [
+    (-INF, 1.0), (-INF, INF), (math.nan, 1.0), (INF, INF), (1.0, math.nan), (1.0, 1.0),
+], ids=["minus-inf-birth", "minus-inf-essential", "nan-birth", "inf-birth",
+        "nan-death", "empty"])
+def test_interval_needs_finite_birth_before_death(birth, death):
+    with pytest.raises(ValueError, match=r"need -inf < birth < death"):
+        Interval(birth, death)
+

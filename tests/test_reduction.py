@@ -1,0 +1,190 @@
+"""The bitset reduction against the sorted-tuple oracle, and the number of
+reductions each consumer runs."""
+import random
+import sys
+
+import pytest
+
+from z2persist import (
+    BifiltrationSpec,
+    PointCloud,
+    RipsParams,
+    betti,
+    betti_numbers,
+    build_cone_filtration,
+    duality_check,
+    extended_barcode,
+    generators,
+    klein_delta,
+    klein_height,
+    klein_height_skeleton,
+    lower_star,
+    ng_cw,
+    rips_filtration,
+    summarize,
+    torus_delta,
+)
+from z2persist import persistence
+from z2persist.cli import main
+from z2persist.complexes import _simplices_to_complex, generate, write_fcx
+from z2persist.persistence import barcode, reduce_filtration
+
+from helpers import (
+    column,
+    dense_betti,
+    random_skeleton,
+    random_vertex_function,
+    reference_reduction,
+)
+
+
+def grid_surface(m: int, twist: bool) -> dict:
+    """Triangulated m x m grid with opposite sides glued: a torus, or a
+    Klein bottle when one gluing is reversed."""
+    def v(i, j):
+        if i == m:
+            i, j = 0, ((m - 1 - j) % m if twist else j)
+        return i * m + j % m
+
+    simplices = {}
+    for i in range(m):
+        for j in range(m):
+            a, b, c, d = v(i, j), v(i + 1, j), v(i + 1, j + 1), v(i, j + 1)
+            simplices[tuple(sorted((a, b, c)))] = 0.0
+            simplices[tuple(sorted((a, d, c)))] = 0.0
+    return simplices
+
+
+def _lower_star_surfaces(rng):
+    for m in (3, 4, 5):
+        for twist in (False, True):
+            sk = _simplices_to_complex(grid_surface(m, twist))
+            yield lower_star(sk, random_vertex_function(rng, sk))
+    yield klein_height(2.0, 1.0)
+    yield generate("torus_height", 2.0, 1.0)
+
+
+def _rips_clouds(rng):
+    for n, threshold in ((8, 1.2), (12, 0.9), (16, 0.7)):
+        pts = tuple(
+            (rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)
+        )
+        yield rips_filtration(PointCloud(pts), RipsParams(max_dim=2, threshold=threshold))
+
+
+def _cones(rng):
+    sk, f = klein_height_skeleton(2.0, 1.0)
+    yield build_cone_filtration(BifiltrationSpec(sk, f, M=2.0, lam=1.0)).complex
+    for _ in range(10):
+        sk = random_skeleton(rng)
+        f = random_vertex_function(rng, sk)
+        yield build_cone_filtration(BifiltrationSpec(sk, f, lam=0.5)).complex
+
+
+def _complexes(seed):
+    rng = random.Random(seed)
+    for _ in range(20):
+        sk = random_skeleton(rng)
+        yield sk
+        yield lower_star(sk, random_vertex_function(rng, sk))
+    yield from _lower_star_surfaces(rng)
+    yield from _rips_clouds(rng)
+    yield from _cones(rng)
+    yield klein_delta()
+    yield ng_cw(3)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bitset_reduction_matches_tuple_oracle(seed):
+    for fc in _complexes(seed):
+        fc.validate()
+        ref = reference_reduction(fc)
+        red = reduce_filtration(fc)
+        assert red.pairs == ref.pairs
+        assert red.unpaired == ref.unpaired
+        assert red.cycles == {}
+        red = reduce_filtration(fc, chains=True)
+        assert red.pairs == ref.pairs
+        assert red.unpaired == ref.unpaired
+        assert red.cycles == {j: ref.cycles[j] for j in ref.unpaired}
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_generator_cycles_are_mod2_cycles(seed):
+    for fc in _complexes(seed):
+        red = reduce_filtration(fc, chains=True)
+        assert sorted(red.cycles) == sorted(red.unpaired)
+        for j, cycle in red.cycles.items():
+            assert list(cycle) == sorted(set(cycle)) and cycle[-1] == j
+            assert all(fc.cells[c].dim == fc.cells[j].dim for c in cycle)
+            assert column(f for c in cycle for f in fc.cells[c].boundary) == ()
+
+
+def test_grid_surfaces_have_surface_betti_numbers():
+    for twist in (False, True):
+        fc = _simplices_to_complex(grid_surface(4, twist))
+        assert betti_numbers(fc) == (1, 2, 1)
+        assert tuple(dense_betti(fc, k) for k in range(3)) == (1, 2, 1)
+
+
+@pytest.fixture
+def reductions(monkeypatch):
+    """Record the `chains` keyword of every reduce_filtration call, through
+    every module that binds the function."""
+    real = persistence.reduce_filtration
+    calls = []
+
+    def counted(fc, *, chains=False):
+        calls.append(chains)
+        return real(fc, chains=chains)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "z2persist" or name.startswith("z2persist."):
+            for key, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
+@pytest.mark.parametrize("fc", [klein_delta(), ng_cw(4), klein_height(2.0, 1.0)],
+                         ids=["klein_delta", "ng4", "klein_height"])
+def test_homology_consumers_reduce_once(reductions, fc):
+    summary = summarize(fc)
+    assert reductions == [True]
+    reductions.clear()
+    assert betti_numbers(fc) == tuple(summary.betti.values())
+    assert reductions == [False]
+    reductions.clear()
+    assert duality_check(fc, 2).ok
+    assert reductions == [False]
+    reductions.clear()
+    assert betti(fc, 1) == summary.betti[1]
+    assert reductions == [False]
+    reductions.clear()
+    assert generators(fc, 1) == summary.generators[1]
+    assert reductions == [True]
+
+
+def test_cli_homology_reduces_once(reductions, tmp_path, capsys):
+    path = tmp_path / "ng3.fcx"
+    path.write_text(write_fcx(ng_cw(3)))
+    assert main(["homology", str(path)]) == 0
+    assert "betti 1 3" in capsys.readouterr().out
+    assert reductions == [True]
+
+
+def test_barcodes_never_request_chains(reductions):
+    barcode(klein_height(2.0, 1.0))
+    sk, f = klein_height_skeleton(2.0, 1.0)
+    extended_barcode(BifiltrationSpec(sk, f, M=2.0, lam=1.0))
+    assert reductions == [False, False]
+
+
+def test_betti_against_dense_oracle():
+    rng = random.Random(17)
+    fixtures = [klein_delta(), torus_delta(), ng_cw(3)]
+    fixtures += [random_skeleton(rng) for _ in range(25)]
+    for fc in fixtures:
+        for k in range(-1, fc.max_dim + 3):
+            assert betti(fc, k) == (dense_betti(fc, k) if k >= 0 else 0)
+        assert betti_numbers(fc) == tuple(dense_betti(fc, k) for k in range(fc.max_dim + 1))

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from z2persist.z2 import SparseZ2Matrix, add_into, column, low, rank
-
-from helpers import gf2_rank
+from helpers import SparseZ2Matrix, add_into, column, gf2_rank, low, rank
 
 cols = st.lists(st.integers(0, 30), max_size=12).map(lambda xs: column(xs))
 
