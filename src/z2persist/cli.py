@@ -139,8 +139,7 @@ def run(argv: Sequence[str]) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "homology":
-        fc = _load_complex(args.file, args.format)
-        fc.validate()
+        fc = _load_complex(args.file, args.format)  # validated by the parser
         summary = homology.summarize(fc)
         for k in sorted(summary.betti):
             print(f"betti {k} {summary.betti[k]}")
@@ -151,8 +150,7 @@ def run(argv: Sequence[str]) -> int:
         return 0
 
     if args.command == "persist":
-        fc = _load_complex(args.file, args.format)
-        fc.validate()
+        fc = _load_complex(args.file, args.format)  # validated by the parser
         _emit_barcode(persistence.barcode(fc), args.svg)
         return 0
 

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat, tee
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 
 class ComplexError(ValueError):
@@ -20,7 +23,7 @@ class ComplexError(ValueError):
         self.cell_id = cell_id
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cell:
     id: int
     dim: int
@@ -167,6 +170,141 @@ class FilteredComplex:
         return tuple(sorted({c.value for c in self.cells}))
 
 
+# ---------------------------------------------------------------------------
+# the simplex builder shared by Rips and SPX
+
+# Rows turned into Python objects at a time, so list and int temporaries
+# stay small next to the cells they build.
+_CHUNK = 1 << 11
+
+_new_cell = object.__new__
+_set_fields = tuple(
+    Cell.__dict__[f].__set__ for f in ("id", "dim", "value", "boundary", "vertices", "name")
+)
+
+
+def _presorted_cell(cid, dim, value, boundary, vertices, name):
+    """A Cell whose boundary and vertices are already sorted tuples; skips
+    the normalising __post_init__, which would more than double its cost."""
+    c = _new_cell(Cell)
+    s_id, s_dim, s_value, s_boundary, s_vertices, s_name = _set_fields
+    s_id(c, cid)
+    s_dim(c, dim)
+    s_value(c, value)
+    s_boundary(c, boundary)
+    s_vertices(c, vertices)
+    s_name(c, name)
+    return c
+
+
+def _lookup(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Positions of `wanted` in the increasing array `keys`; every one must
+    be present."""
+    pos = np.searchsorted(keys, wanted)
+    if len(wanted) and (pos.max() >= len(keys) or not np.array_equal(keys[pos], wanted)):
+        raise ComplexError("a face of a simplex is not in the complex")
+    return pos
+
+
+def simplicial_filtration(simplices: Sequence[np.ndarray], values: Sequence[np.ndarray],
+                          labels: Sequence[str]) -> FilteredComplex:
+    """The filtered complex of a simplicial complex given by dimension.
+
+    simplices[k] is an (m_k, k+1) integer array of vertex indices, each
+    row increasing and the rows in lexicographic order; simplices[0] is
+    the column 0..n-1 with n = len(labels), and every face of a row is a
+    row one dimension down.  values[k] holds the rows' entry values, which
+    must not decrease from face to coface.  Cells are numbered by (value,
+    dim, vertex tuple); a cell is named by its vertex labels joined by
+    '-', and each Cell is built once.
+    """
+    n = len(labels)
+    if len(simplices) and not np.array_equal(simplices[0][:, 0], np.arange(n)):
+        raise ValueError("simplices[0] must list the vertices 0..n-1")
+    # A row of dimension k is keyed by (row of its prefix face, last
+    # vertex) as prefix * n + last; rows in lexicographic order give
+    # increasing keys, so a face is found by binary search.  faces[k][r, i]
+    # is the row of row r's face without its vertex i.
+    keys: list[np.ndarray] = []
+    faces: list[np.ndarray] = []
+    for k, s in enumerate(simplices):
+        if s.ndim != 2 or s.shape[1] != k + 1 or len(values[k]) != len(s):
+            raise ValueError(f"simplices[{k}] must be an (m, {k + 1}) array with m values")
+        prefix = np.zeros(len(s), dtype=np.int64)
+        for c in range(k):
+            prefix = _lookup(keys[c], prefix * n + s[:, c])
+        key = prefix * n + s[:, k]
+        if np.any(key[1:] <= key[:-1]) or np.any(s[:, 1:] <= s[:, :-1]):
+            raise ValueError(f"rows of simplices[{k}] must increase and be in lexicographic order")
+        keys.append(key)
+        if k == 0:
+            faces.append(np.zeros((len(s), 1), dtype=np.int64))  # the empty face
+            continue
+        face = np.empty_like(s)
+        face[:, k] = prefix
+        for i in range(k):
+            face[:, i] = _lookup(keys[k - 1], faces[k - 1][prefix, i] * n + s[:, k])
+        faces.append(face)
+    sizes = [len(s) for s in simplices]
+    offsets = np.cumsum([0] + sizes)
+    total = int(offsets[-1])
+    flat = np.concatenate([np.asarray(v, dtype=float) for v in values]) if total else np.empty(0)
+    if np.isnan(flat).any():
+        raise ValueError("NaN entry value")
+    # Rows are laid out by (dim, lexicographic row), so a stable sort by
+    # value orders them by (value, dim, vertex tuple).
+    order = np.argsort(flat, kind="stable")
+    id_of = np.empty(total, dtype=np.int64)
+    id_of[order] = np.arange(total)
+    # Equal values share one float object: a Rips simplex takes the length
+    # of one of its edges.  Bits are compared, so -0.0 stays apart from 0.0.
+    sorted_values = flat[order]
+    starts = np.ones(total, dtype=bool)
+    bits = sorted_values.view(np.int64)
+    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+    distinct = sorted_values[starts].tolist()
+    value_of = np.cumsum(starts) - 1
+    dim_of = np.repeat(np.arange(len(sizes)), sizes)
+    del flat, sorted_values, starts, bits
+
+    # Cells are built in id order, each with its tuples, so the cells that
+    # later passes walk in id order also lie in memory in that order.
+    ids = list(range(total))  # the one int object of each id, shared
+    shared = ids.__getitem__
+    label = labels.__getitem__
+    cells: list[Cell] = []
+    for lo in range(0, total, _CHUNK):
+        hi = lo + _CHUNK
+        rows = order[lo:hi]
+        dims = dim_of[rows]
+        boundaries, vertices, names = [], [], []
+        for k, s in enumerate(simplices):
+            sel = rows[dims == k] - offsets[k]  # this chunk's rows of dim k, by id
+            verts = np.sort(id_of[s[sel]], axis=1)
+            verts = zip(*[map(shared, col) for col in verts.T.tolist()])
+            if k == 1:  # an edge's faces are its vertices: one tuple serves both
+                bnd, verts = tee(verts)
+            elif k:
+                bnd = np.sort(id_of[offsets[k - 1] + faces[k][sel]], axis=1)
+                bnd = zip(*[map(shared, col) for col in bnd.T.tolist()])
+            else:
+                bnd = repeat(())
+            boundaries.append(bnd)
+            vertices.append(verts)
+            names.append(map("-".join, zip(*[map(label, col) for col in s[sel].T.tolist()])))
+        pick = dims.tolist()
+        cells.extend(map(
+            _presorted_cell,
+            ids[lo:hi],
+            pick,
+            map(distinct.__getitem__, value_of[lo:hi].tolist()),
+            map(next, map(boundaries.__getitem__, pick)),
+            map(next, map(vertices.__getitem__, pick)),
+            map(next, map(names.__getitem__, pick)),
+        ))
+    return FilteredComplex(cells)
+
+
 def sort_filtration(cells: Sequence[Cell]) -> FilteredComplex:
     """Re-sort cells by (value, dim, id) and renumber ids accordingly."""
     order = sorted(cells, key=lambda c: (c.value, c.dim, c.id))
@@ -240,17 +378,8 @@ def klein_delta() -> FilteredComplex:
 
 def torus_delta() -> FilteredComplex:
     """Delta-complex torus; over Z/2 its chain complex coincides with the
-    Klein bottle's (orientation signs vanish)."""
-    return FilteredComplex(
-        [
-            Cell(0, 0, 0.0, name="v"),
-            Cell(1, 1, 0.0, vertices=(0,), name="a"),
-            Cell(2, 1, 0.0, vertices=(0,), name="b"),
-            Cell(3, 1, 0.0, vertices=(0,), name="c"),
-            Cell(4, 2, 0.0, boundary=(1, 2, 3), vertices=(0,), name="U"),
-            Cell(5, 2, 0.0, boundary=(1, 2, 3), vertices=(0,), name="L"),
-        ]
-    )
+    Klein bottle's (orientation signs vanish), cell for cell."""
+    return klein_delta()
 
 
 def klein_height_skeleton(M: float, A: float) -> tuple[FilteredComplex, VertexFunction]:
@@ -365,6 +494,10 @@ def parse_fcx(text: str) -> FilteredComplex:
             faces = tuple(int(p) for p in parts[4:])
         except ValueError:
             raise ComplexError(f"line {lineno}: malformed number") from None
+        if min(cid, dim, *faces) < 0:
+            raise ComplexError(f"line {lineno}: ids, dimensions and faces must be nonnegative")
+        if not math.isfinite(value):
+            raise ComplexError(f"line {lineno}: value must be finite")
         if len(set(faces)) != len(faces):
             raise ComplexError(f"line {lineno}: repeated face id")
         cells.append(Cell(cid, dim, value, boundary=faces))
@@ -374,11 +507,12 @@ def parse_fcx(text: str) -> FilteredComplex:
 
 
 def _simplices_to_complex(valued: dict, vertex_values: Optional[dict] = None) -> FilteredComplex:
-    """Close a set of valued simplices and build the filtered complex.
+    """Close a set of valued simplices (increasing tuples of vertex labels)
+    and build the filtered complex.
 
     Missing faces get the minimum value over the declared cofaces that
-    contain them; with vertex_values the filtration is the lower-star one
-    instead.
+    contain them; with vertex_values each simplex enters at the maximum of
+    the function over its vertices instead (the lower-star filtration).
     """
     simplices = dict(valued)
     for simplex in sorted(valued, key=len, reverse=True):
@@ -393,33 +527,36 @@ def _simplices_to_complex(valued: dict, vertex_values: Optional[dict] = None) ->
                 if face not in simplices or simplices[face] > v:
                     simplices[face] = v
                     stack.append(face)
-    cells = []
-    ids: dict[tuple, int] = {}
-    order = sorted(simplices.items(), key=lambda kv: (kv[1], len(kv[0]), kv[0]))
-    for simplex, value in order:
-        cid = len(cells)
-        ids[simplex] = cid
-        bdry = ()
-        if len(simplex) > 1:
-            bdry = tuple(
-                ids[simplex[:i] + simplex[i + 1 :]] for i in range(len(simplex))
-            )
-        verts = tuple(ids[(v,)] for v in simplex)
-        cells.append(
-            Cell(cid, len(simplex) - 1, value, boundary=bdry, vertices=verts,
-                 name="-".join(str(v) for v in simplex))
-        )
-    fc = FilteredComplex(cells)
+    by_dim: list[list[tuple]] = [[] for _ in range(max(map(len, simplices), default=0))]
+    for simplex in simplices:
+        by_dim[len(simplex) - 1].append(simplex)
+    if not by_dim:
+        return FilteredComplex(())
+    # Vertex labels become their ranks 0..n-1, which keeps their order.
+    vertices = np.sort(np.array(by_dim[0], dtype=np.int64).ravel())
+    rows, values = [], []
+    for k, group in enumerate(by_dim):
+        ranks = np.searchsorted(vertices, np.array(group, dtype=np.int64).reshape(-1, k + 1))
+        lex = np.lexsort(ranks.T[::-1])
+        rows.append(ranks[lex])
+        if vertex_values is None:
+            values.append(np.fromiter(map(simplices.__getitem__, group), float, len(group))[lex])
+    labels = vertices.tolist()
     if vertex_values is not None:
-        f = VertexFunction(
-            {ids[(v,)]: x for v, x in vertex_values.items() if (v,) in ids},
-            bound_M=max((abs(x) for x in vertex_values.values()), default=1.0) + 1.0,
-        )
-        fc = lower_star(fc, f)
-    else:
-        fc = sort_filtration(fc.cells)
+        try:
+            f = np.array([vertex_values[v] for v in labels], dtype=float)
+        except KeyError as e:
+            raise ComplexError("no function value for vertex", e.args[0]) from None
+        bad = np.flatnonzero(~np.isfinite(f))
+        if len(bad):
+            raise ComplexError("non-finite function value for vertex", labels[bad[0]])
+        values = [f[r].max(axis=1) for r in rows]
+    fc = simplicial_filtration(rows, values, [str(v) for v in labels])
     fc.validate()
     return fc
+
+
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
 def parse_spx(text: str, vertex_values: Optional[dict] = None) -> FilteredComplex:
@@ -434,23 +571,22 @@ def parse_spx(text: str, vertex_values: Optional[dict] = None) -> FilteredComple
         try:
             if vertex_values is None:
                 value = float(parts[0])
-                verts = tuple(sorted(int(p) for p in parts[1:]))
+                verts = tuple(sorted(map(int, parts[1:])))
             else:
                 value = 0.0
-                verts = tuple(sorted(int(p) for p in parts))
+                verts = tuple(sorted(map(int, parts)))
         except (ValueError, IndexError):
             raise ComplexError(f"line {lineno}: malformed simplex line") from None
         if not verts or len(set(verts)) != len(verts):
             raise ComplexError(f"line {lineno}: bad vertex list")
+        if verts[0] < _INT64_MIN or verts[-1] > _INT64_MAX:
+            raise ComplexError(f"line {lineno}: vertex id out of range")
+        if not math.isfinite(value):
+            raise ComplexError(f"line {lineno}: value must be finite")
         if verts not in valued or valued[verts] > value:
             valued[verts] = value
     if not valued:
         raise ComplexError("no simplices in input")
-    if vertex_values is not None:
-        for verts in valued:
-            for v in verts:
-                if v not in vertex_values:
-                    raise ComplexError("no function value for vertex", v)
     return _simplices_to_complex(valued, vertex_values)
 
 
@@ -463,7 +599,10 @@ def parse_vertex_values(text: str) -> dict:
             continue
         parts = line.split()
         try:
-            out[int(parts[0])] = float(parts[1])
+            vertex, value = int(parts[0]), float(parts[1])
         except (ValueError, IndexError):
             raise ComplexError(f"line {lineno}: expected `<vertex-id> <value>`") from None
+        if not math.isfinite(value):
+            raise ComplexError(f"line {lineno}: value must be finite")
+        out[vertex] = value
     return out

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .complexes import Cell, ComplexError, FilteredComplex, VertexFunction
-from .persistence import Barcode, Interval, reduce_filtration
+from .persistence import Barcode, Interval, persistent_betti, reduce_filtration
 
 
 @dataclass(frozen=True)
@@ -145,10 +145,8 @@ def extended_barcode(spec: BifiltrationSpec) -> Barcode:
 
 def extended_rank(b: Barcode, k: int, a: float, p: float) -> int:
     """Rank of the extended persistence map: bars born no later than a
-    that survive past a + p (same counting rule as persistent_betti)."""
-    if p < 0:
-        raise ValueError("lifespan p must be nonnegative")
-    return sum(1 for iv in b.in_dim(k) if iv.birth <= a and iv.death > a + p)
+    that survive past a + p, counted as persistent_betti counts them."""
+    return persistent_betti(b, k, a, p)
 
 
 def single_interval_rank(s: float, t: float, a: float, p: float) -> int:

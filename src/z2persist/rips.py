@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .complexes import Cell, FilteredComplex
+from .complexes import FilteredComplex, simplicial_filtration
 from .persistence import Barcode
 
 
@@ -77,60 +77,64 @@ class RipsParams:
         return math.inf
 
 
-def _snap_up(value: float, step: float) -> float:
-    k = math.ceil(value / step - 1e-12)
-    return k * step
+# Candidate masks are built for this many (row, vertex) entries at a time.
+_MASK_ENTRIES = 1 << 18
+
+
+def _cofaces(adj: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every extension of a row by a larger vertex adjacent to all of its
+    vertices, as (row, new vertex) in lexicographic order.  adj is the
+    strictly upper-triangular adjacency of the threshold graph."""
+    n = adj.shape[0]
+    block = max(1, _MASK_ENTRIES // max(n, 1))
+    parents, lasts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for lo in range(0, len(rows), block):
+        chunk = rows[lo:lo + block]
+        mask = adj[chunk[:, 0]]
+        for c in range(1, chunk.shape[1]):
+            mask &= adj[chunk[:, c]]
+        parent, last = np.nonzero(mask)
+        parents.append(parent + lo)
+        lasts.append(last)
+    return np.concatenate(parents), np.concatenate(lasts)
 
 
 def rips_filtration(pc: PointCloud, params: RipsParams) -> FilteredComplex:
     """Build the Rips filtration up to max_dim and the scale limit.
 
     Vertices at 0; every higher simplex enters at its diameter (snapped up
-    to the next step boundary in stepped mode).  Simplices are enumerated
-    by expanding cliques of the threshold graph in vertex order, so the
-    output is deterministic.
+    to the next step boundary in stepped mode).  Simplices are the cliques
+    of the threshold graph, expanded a dimension at a time in lexicographic
+    order, so the output is deterministic.
     """
     dist = pc.distance_matrix()
     n = len(pc)
     limit = params.scale_limit
     if limit == math.inf:
         raise ValueError("need a threshold or steps to bound the scale")
-    nbrs = [
-        [j for j in range(i + 1, n) if dist[i, j] <= limit] for i in range(n)
-    ]
-    simplices: list[tuple[tuple[int, ...], float]] = [((i,), 0.0) for i in range(n)]
-    frontier = [((i,), 0.0, nbrs[i]) for i in range(n)]
+    adj = np.triu(dist <= limit, 1)
+    simplices = [np.arange(n, dtype=np.int64).reshape(n, 1)]
+    values = [np.zeros(n)]
     for _ in range(params.max_dim):
-        nxt = []
-        for simplex, diam, cands in frontier:
-            for idx, j in enumerate(cands):
-                d = float(max(diam, max(dist[v, j] for v in simplex)))
-                if d > limit:
-                    continue
-                ext = [u for u in cands[idx + 1 :] if dist[j, u] <= limit]
-                nxt.append((simplex + (j,), d, ext))
-        simplices.extend((s, d) for s, d, _ in nxt)
-        frontier = nxt
+        parent, last = _cofaces(adj, simplices[-1])
+        rows = np.column_stack((simplices[-1][parent], last))
+        diam = values[-1][parent]
+        for c in range(rows.shape[1] - 1):
+            diam = np.maximum(diam, dist[rows[:, c], last])
+        simplices.append(rows)
+        values.append(diam)
+    del adj, dist
     if params.step_size is not None:
-        simplices = [
-            (s, _snap_up(d, params.step_size) if len(s) > 1 else 0.0)
-            for s, d in simplices
-        ]
-        simplices = [(s, d) for s, d in simplices if d <= limit]
-    simplices.sort(key=lambda sd: (sd[1], len(sd[0]), sd[0]))
-    ids = {s: i for i, (s, _) in enumerate(simplices)}
-    cells = []
-    for s, d in simplices:
-        cid = ids[s]
-        bdry = ()
-        if len(s) > 1:
-            bdry = tuple(ids[s[:i] + s[i + 1 :]] for i in range(len(s)))
-        verts = tuple(ids[(v,)] for v in s)
-        cells.append(
-            Cell(cid, len(s) - 1, d, boundary=bdry, vertices=verts,
-                 name="-".join(str(v) for v in s))
-        )
-    return FilteredComplex(cells)
+        step = params.step_size
+        # `+ 0.0` turns the -0.0 that np.ceil gives for a zero diameter
+        # into 0.0, as math.ceil does.
+        values[1:] = [np.ceil(v / step - 1e-12) * step + 0.0 for v in values[1:]]
+        keep = [v <= limit for v in values]
+        simplices = [s[k] for s, k in zip(simplices, keep)]
+        values = [v[k] for v, k in zip(values, keep)]
+    # Stepped mode with a negative limit keeps no vertex, hence not range(n).
+    return simplicial_filtration(
+        simplices, values, [str(v) for v in range(len(simplices[0]))])
 
 
 def betti_curve(b: Barcode, k: int, grid: Sequence[float]) -> list[int]:

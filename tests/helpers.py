@@ -1,10 +1,10 @@
 """Independent oracles and random-input generators for the test suite.
 
-Everything here deliberately avoids the library's bitset reduction and
-its matching search: dense GF(2) elimination, explicit composite-map
-matrices, the first sorted-tuple column reduction, exhaustive matching
-enumeration and the first padded-graph bottleneck search serve as ground
-truth.
+Everything here deliberately avoids the library's bitset reduction, its
+matching search and its numpy simplex builder: dense GF(2) elimination,
+explicit composite-map matrices, the first sorted-tuple column reduction,
+exhaustive matching enumeration, the first padded-graph bottleneck search
+and the first per-simplex Rips and SPX builders serve as ground truth.
 """
 from __future__ import annotations
 
@@ -15,10 +15,122 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from z2persist import Barcode, FilteredComplex, Interval, VertexFunction
-from z2persist.complexes import _simplices_to_complex
+from z2persist import Barcode, Cell, FilteredComplex, Interval, VertexFunction
+from z2persist.complexes import _simplices_to_complex, lower_star, sort_filtration
 from z2persist.distances import Matching, _deletion_cost, _match_cost
 from z2persist.persistence import Reduction
+from z2persist.rips import PointCloud, RipsParams
+
+
+# ---------------------------------------------------------------------------
+# the library's first simplex builders: the SPX closure with a Cell loop and
+# the lower-star / sort_filtration round trip, and the Rips clique expansion
+# with scalar distance lookups; the numpy builder must give the same cells
+
+
+def reference_simplices_to_complex(valued: dict, vertex_values: Optional[dict] = None) -> FilteredComplex:
+    """Close a set of valued simplices and build the filtered complex.
+
+    Missing faces get the minimum value over the declared cofaces that
+    contain them; with vertex_values the filtration is the lower-star one
+    instead.
+    """
+    simplices = dict(valued)
+    for simplex in sorted(valued, key=len, reverse=True):
+        stack = [simplex]
+        while stack:
+            s = stack.pop()
+            if len(s) == 1:
+                continue
+            for i in range(len(s)):
+                face = s[:i] + s[i + 1 :]
+                v = simplices[s]
+                if face not in simplices or simplices[face] > v:
+                    simplices[face] = v
+                    stack.append(face)
+    cells = []
+    ids: dict[tuple, int] = {}
+    order = sorted(simplices.items(), key=lambda kv: (kv[1], len(kv[0]), kv[0]))
+    for simplex, value in order:
+        cid = len(cells)
+        ids[simplex] = cid
+        bdry = ()
+        if len(simplex) > 1:
+            bdry = tuple(
+                ids[simplex[:i] + simplex[i + 1 :]] for i in range(len(simplex))
+            )
+        verts = tuple(ids[(v,)] for v in simplex)
+        cells.append(
+            Cell(cid, len(simplex) - 1, value, boundary=bdry, vertices=verts,
+                 name="-".join(str(v) for v in simplex))
+        )
+    fc = FilteredComplex(cells)
+    if vertex_values is not None:
+        f = VertexFunction(
+            {ids[(v,)]: x for v, x in vertex_values.items() if (v,) in ids},
+            bound_M=max((abs(x) for x in vertex_values.values()), default=1.0) + 1.0,
+        )
+        fc = lower_star(fc, f)
+    else:
+        fc = sort_filtration(fc.cells)
+    fc.validate()
+    return fc
+
+
+def reference_snap_up(value: float, step: float) -> float:
+    k = math.ceil(value / step - 1e-12)
+    return k * step
+
+
+def reference_rips_filtration(pc: PointCloud, params: RipsParams) -> FilteredComplex:
+    """Build the Rips filtration up to max_dim and the scale limit.
+
+    Vertices at 0; every higher simplex enters at its diameter (snapped up
+    to the next step boundary in stepped mode).  Simplices are enumerated
+    by expanding cliques of the threshold graph in vertex order, so the
+    output is deterministic.
+    """
+    dist = pc.distance_matrix()
+    n = len(pc)
+    limit = params.scale_limit
+    if limit == math.inf:
+        raise ValueError("need a threshold or steps to bound the scale")
+    nbrs = [
+        [j for j in range(i + 1, n) if dist[i, j] <= limit] for i in range(n)
+    ]
+    simplices: list[tuple[tuple[int, ...], float]] = [((i,), 0.0) for i in range(n)]
+    frontier = [((i,), 0.0, nbrs[i]) for i in range(n)]
+    for _ in range(params.max_dim):
+        nxt = []
+        for simplex, diam, cands in frontier:
+            for idx, j in enumerate(cands):
+                d = float(max(diam, max(dist[v, j] for v in simplex)))
+                if d > limit:
+                    continue
+                ext = [u for u in cands[idx + 1 :] if dist[j, u] <= limit]
+                nxt.append((simplex + (j,), d, ext))
+        simplices.extend((s, d) for s, d, _ in nxt)
+        frontier = nxt
+    if params.step_size is not None:
+        simplices = [
+            (s, reference_snap_up(d, params.step_size) if len(s) > 1 else 0.0)
+            for s, d in simplices
+        ]
+        simplices = [(s, d) for s, d in simplices if d <= limit]
+    simplices.sort(key=lambda sd: (sd[1], len(sd[0]), sd[0]))
+    ids = {s: i for i, (s, _) in enumerate(simplices)}
+    cells = []
+    for s, d in simplices:
+        cid = ids[s]
+        bdry = ()
+        if len(s) > 1:
+            bdry = tuple(ids[s[:i] + s[i + 1 :]] for i in range(len(s)))
+        verts = tuple(ids[(v,)] for v in s)
+        cells.append(
+            Cell(cid, len(s) - 1, d, boundary=bdry, vertices=verts,
+                 name="-".join(str(v) for v in s))
+        )
+    return FilteredComplex(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +629,23 @@ def random_skeleton(rng: random.Random, max_cells: int = 30) -> FilteredComplex:
             break
         simplices[t] = 0.0
     return _simplices_to_complex(simplices)
+
+
+def grid_surface(m: int, twist: bool) -> dict:
+    """Triangulated m x m grid with opposite sides glued: a torus, or a
+    Klein bottle when one gluing is reversed."""
+    def v(i, j):
+        if i == m:
+            i, j = 0, ((m - 1 - j) % m if twist else j)
+        return i * m + j % m
+
+    simplices = {}
+    for i in range(m):
+        for j in range(m):
+            a, b, c, d = v(i, j), v(i + 1, j), v(i + 1, j + 1), v(i, j + 1)
+            simplices[tuple(sorted((a, b, c)))] = 0.0
+            simplices[tuple(sorted((a, d, c)))] = 0.0
+    return simplices
 
 
 def random_vertex_function(rng: random.Random, fc: FilteredComplex,

@@ -1,0 +1,170 @@
+"""The numpy simplex builder against the first per-simplex builders kept in
+helpers.py: Rips and SPX complexes must agree cell for cell."""
+import math
+import random
+
+import numpy as np
+import pytest
+
+from z2persist import ComplexError, PointCloud, RipsParams, rips_filtration
+from z2persist.complexes import _simplices_to_complex, parse_spx, simplicial_filtration
+
+from helpers import grid_surface, reference_rips_filtration, reference_simplices_to_complex
+
+
+def cell_rows(fc):
+    """Every field of every cell; values by repr, so a -0.0 or an int
+    where the oracle has 0.0 or a float shows."""
+    return [(c.id, c.dim, repr(c.value), c.boundary, c.vertices, c.name) for c in fc.cells]
+
+
+def assert_same_cells(fc, ref):
+    assert cell_rows(fc) == cell_rows(ref)
+
+
+def tied_cloud(rng, n):
+    """Points on a coarse integer grid, so many distances tie, with some
+    points repeated."""
+    pts = [(float(rng.randint(0, 4)), float(rng.randint(0, 4))) for _ in range(n)]
+    pts += rng.sample(pts, n // 4)
+    return PointCloud(tuple(pts))
+
+
+def random_cloud(rng, n, d=2):
+    return PointCloud(tuple(tuple(rng.uniform(-1, 1) for _ in range(d)) for _ in range(n)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rips_matches_oracle_on_tied_and_duplicate_points(seed):
+    rng = random.Random(seed)
+    for pc in (tied_cloud(rng, 14), random_cloud(rng, 18), random_cloud(rng, 12, d=3)):
+        for threshold in (0.0, 1.0, 1.5, 2.5):
+            params = RipsParams(max_dim=2, threshold=threshold)
+            assert_same_cells(rips_filtration(pc, params), reference_rips_filtration(pc, params))
+
+
+@pytest.mark.parametrize("max_dim", range(5))
+def test_rips_matches_oracle_at_every_max_dim(max_dim):
+    rng = random.Random(40 + max_dim)
+    for pc in (tied_cloud(rng, 9), random_cloud(rng, 11)):
+        params = RipsParams(max_dim=max_dim, threshold=1.6)
+        assert_same_cells(rips_filtration(pc, params), reference_rips_filtration(pc, params))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rips_matches_oracle_in_stepped_mode(seed):
+    rng = random.Random(100 + seed)
+    for pc in (tied_cloud(rng, 12), random_cloud(rng, 14)):
+        for params in (
+            RipsParams(max_dim=2, steps=10, step_size=0.12),
+            RipsParams(max_dim=3, steps=4, step_size=0.5),
+            RipsParams(max_dim=2, steps=3, step_size=0.25, threshold=0.6),
+            RipsParams(max_dim=1, steps=2, step_size=0.5, threshold=-1.0),  # nothing kept
+        ):
+            fc = rips_filtration(pc, params)
+            assert_same_cells(fc, reference_rips_filtration(pc, params))
+            fc.validate()
+
+
+def test_rips_single_point_and_threshold_below_every_distance():
+    one = PointCloud(((0.5, -2.0),))
+    for max_dim in (0, 2, 4):
+        params = RipsParams(max_dim=max_dim, threshold=1.0)
+        fc = rips_filtration(one, params)
+        assert_same_cells(fc, reference_rips_filtration(one, params))
+        assert cell_rows(fc) == [(0, 0, "0.0", (), (0,), "0")]
+    pc = random_cloud(random.Random(7), 10)
+    params = RipsParams(max_dim=3, threshold=1e-9)
+    fc = rips_filtration(pc, params)
+    assert_same_cells(fc, reference_rips_filtration(pc, params))
+    assert [c.dim for c in fc.cells] == [0] * 10
+
+
+def random_simplices(rng, labels, count, max_size=4):
+    """Distinct increasing label tuples of 1..max_size vertices."""
+    out = set()
+    while len(out) < count:
+        k = rng.randint(1, min(max_size, len(labels)))
+        out.add(tuple(sorted(rng.sample(labels, k))))
+    return sorted(out, key=lambda s: rng.random())
+
+
+LABEL_POOLS = {
+    "small": list(range(12)),
+    "negative": list(range(-9, 4)),
+    "large": [10**15 + 7 * i for i in range(6)] + [-(2**62), 2**63 - 1, 0, 3],
+}
+
+
+@pytest.mark.parametrize("pool", sorted(LABEL_POOLS))
+@pytest.mark.parametrize("seed", range(5))
+def test_spx_plain_matches_oracle(pool, seed):
+    rng = random.Random(seed)
+    labels = rng.sample(LABEL_POOLS[pool], min(8, len(LABEL_POOLS[pool])))
+    # top simplices only, so most faces are missing and closed by the parser
+    valued = {s: rng.choice([0.0, 1.0, 2.5, -1.0, rng.uniform(-3, 3)])
+              for s in random_simplices(rng, labels, rng.randint(1, 9))}
+    text = "".join(f"{v!r} {' '.join(map(str, s))}\n" for s, v in valued.items())
+    assert_same_cells(parse_spx(text), reference_simplices_to_complex(valued))
+
+
+@pytest.mark.parametrize("pool", sorted(LABEL_POOLS))
+@pytest.mark.parametrize("seed", range(5))
+def test_spx_vertex_values_match_oracle(pool, seed):
+    rng = random.Random(50 + seed)
+    labels = rng.sample(LABEL_POOLS[pool], min(8, len(LABEL_POOLS[pool])))
+    simplices = random_simplices(rng, labels, rng.randint(1, 9))
+    used = sorted({v for s in simplices for v in s})
+    # ties on purpose: several vertices share a height
+    vv = {v: rng.choice([-1.0, 0.0, 0.5, rng.uniform(-2, 2)]) for v in used}
+    vv[max(LABEL_POOLS[pool]) + 1] = 9.0  # a value for a vertex the complex lacks
+    text = "".join(" ".join(map(str, s)) + "\n" for s in simplices)
+    fc = parse_spx(text, vv)
+    assert_same_cells(fc, reference_simplices_to_complex(dict.fromkeys(simplices, 0.0), vv))
+
+
+def test_spx_duplicate_lines_keep_the_smallest_value():
+    text = "3 0 1 2\n1 2 1\n2 1 2\n"
+    ref = reference_simplices_to_complex({(0, 1, 2): 3.0, (1, 2): 1.0})
+    assert_same_cells(parse_spx(text), ref)
+
+
+def test_grid_surfaces_match_oracle():
+    for m in (3, 5):
+        for twist in (False, True):
+            valued = grid_surface(m, twist)
+            assert_same_cells(_simplices_to_complex(valued),
+                              reference_simplices_to_complex(valued))
+            vv = {v: float((v * 7) % 5) - 2.0 for v in range(m * m)}
+            assert_same_cells(_simplices_to_complex(valued, vv),
+                              reference_simplices_to_complex(valued, vv))
+
+
+def test_builder_rejects_missing_faces_and_unsorted_rows():
+    verts = np.arange(3).reshape(3, 1)
+    zeros = np.zeros(3)
+    with pytest.raises(ComplexError, match="face"):
+        simplicial_filtration([verts, np.array([[0, 1]]), np.array([[0, 1, 2]])],
+                              [zeros, [1.0], [2.0]], ["a", "b", "c"])
+    with pytest.raises(ValueError, match="lexicographic"):
+        simplicial_filtration([verts, np.array([[1, 2], [0, 1]])], [zeros, [1.0, 1.0]],
+                              ["a", "b", "c"])
+    with pytest.raises(ValueError, match="NaN"):
+        simplicial_filtration([verts], [[0.0, math.nan, 1.0]], ["a", "b", "c"])
+
+
+def test_builder_names_cells_by_labels():
+    fc = simplicial_filtration(
+        [np.arange(3).reshape(3, 1), np.array([[0, 1], [0, 2], [1, 2]]), np.array([[0, 1, 2]])],
+        [[0.0, 0.0, 0.0], [2.0, 1.0, 1.0], [2.0]], ["x", "y", "z"])
+    fc.validate()
+    assert [c.name for c in fc.cells] == ["x", "y", "z", "x-z", "y-z", "x-y", "x-y-z"]
+    assert fc.cells[6].boundary == (3, 4, 5)
+    assert fc.cells[6].vertices == (0, 1, 2)
+
+
+def test_spx_vertex_values_must_cover_the_complex_and_be_finite():
+    with pytest.raises(ComplexError, match="^cell 2: no function value for vertex"):
+        parse_spx("0 1\n1 2\n", {0: 0.0, 1: 1.0})
+    with pytest.raises(ComplexError, match="^cell -3: non-finite function value"):
+        parse_spx("-3 1\n", {-3: math.inf, 1: 0.0})

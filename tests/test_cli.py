@@ -185,3 +185,64 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "betti 1 3" in proc.stdout
+
+
+def test_each_cli_job_validates_each_complex_once(klein_fcx, tmp_path, capsys, monkeypatch):
+    from z2persist.complexes import FilteredComplex
+
+    calls = []
+    validate = FilteredComplex.validate
+    monkeypatch.setattr(FilteredComplex, "validate",
+                        lambda self: calls.append(len(self)) or validate(self))
+    spx = tmp_path / "square.spx"
+    spx.write_text("0 1 2\n0 2 3\n")
+    vals = tmp_path / "f.txt"
+    vals.write_text("0 0\n1 1\n2 2\n3 1\n")
+    valued = tmp_path / "valued.spx"
+    valued.write_text("2 0 1 2\n1 0 3\n")
+    jobs = [
+        (("homology", str(klein_fcx)), 1),
+        (("persist", str(klein_fcx)), 1),
+        (("homology", str(valued), "--format", "spx"), 1),
+        (("persist", str(valued), "--format", "spx"), 1),
+        (("extended", str(spx), "--vertex-values", str(vals)), 2),  # skeleton and cone
+    ]
+    for argv, expected in jobs:
+        calls.clear()
+        assert run_cli(capsys, *argv)[0] == 0
+        assert len(calls) == expected, argv
+
+
+@pytest.mark.parametrize("fmt, text, message", [
+    ("fcx", "cell 0 0 0\ncell 1 0 nan\n", "line 2: value must be finite"),
+    ("fcx", "cell 0 0 0\ncell 1 0 inf\n", "line 2: value must be finite"),
+    ("fcx", "cell 0 0 0\ncell 1 0 0\ncell 2 1 1 0 -1\n", "line 3: ids, dimensions and faces"),
+    ("fcx", "cell -1 0 0\n", "line 1: ids, dimensions and faces"),
+    ("fcx", "cell 0 -1 0\n", "line 1: ids, dimensions and faces"),
+    ("spx", "0 0\nnan 0 1\n", "line 2: value must be finite"),
+    ("spx", "inf 0 1\n", "line 1: value must be finite"),
+    ("spx", "-inf 0 1\n", "line 1: value must be finite"),
+    ("spx", "0 0\n0 1 9223372036854775808\n", "line 2: vertex id out of range"),
+], ids=["fcx-nan", "fcx-inf", "fcx-negative-face", "fcx-negative-id", "fcx-negative-dim",
+        "spx-nan", "spx-inf", "spx-minus-inf", "spx-huge-vertex"])
+def test_bad_complex_rejected_at_parser(tmp_path, capsys, fmt, text, message):
+    from z2persist.complexes import ComplexError, parse_fcx, parse_spx
+
+    with pytest.raises(ComplexError, match=f"^{message}"):
+        (parse_fcx if fmt == "fcx" else parse_spx)(text)
+    path = tmp_path / f"bad.{fmt}"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "persist", str(path), "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("line", ["0 nan", "0 inf", "0 -inf"])
+def test_bad_vertex_value_rejected_at_parser(tmp_path, capsys, line):
+    spx = tmp_path / "edge.spx"
+    spx.write_text("0 1\n")
+    vals = tmp_path / "f.txt"
+    vals.write_text("1 0.5\n" + line + "\n")
+    code, out, err = run_cli(capsys, "extended", str(spx), "--vertex-values", str(vals))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 2: value must be finite")

@@ -13,6 +13,7 @@ from z2persist import (
     klein_height_skeleton,
     lower_star,
     ng_cw,
+    torus_delta,
 )
 from z2persist.complexes import parse_fcx, parse_spx, parse_vertex_values, write_fcx
 
@@ -21,6 +22,11 @@ from helpers import random_skeleton, random_vertex_function
 
 def test_klein_delta_validates():
     klein_delta().validate()
+
+
+def test_torus_delta_is_the_klein_chain_complex():
+    # orientation signs vanish mod 2, so the two are equal cell for cell
+    assert torus_delta().cells == klein_delta().cells
 
 
 def test_dimension_violation_reported():

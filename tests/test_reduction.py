@@ -32,27 +32,11 @@ from z2persist.persistence import barcode, reduce_filtration
 from helpers import (
     column,
     dense_betti,
+    grid_surface,
     random_skeleton,
     random_vertex_function,
     reference_reduction,
 )
-
-
-def grid_surface(m: int, twist: bool) -> dict:
-    """Triangulated m x m grid with opposite sides glued: a torus, or a
-    Klein bottle when one gluing is reversed."""
-    def v(i, j):
-        if i == m:
-            i, j = 0, ((m - 1 - j) % m if twist else j)
-        return i * m + j % m
-
-    simplices = {}
-    for i in range(m):
-        for j in range(m):
-            a, b, c, d = v(i, j), v(i + 1, j), v(i + 1, j + 1), v(i, j + 1)
-            simplices[tuple(sorted((a, b, c)))] = 0.0
-            simplices[tuple(sorted((a, d, c)))] = 0.0
-    return simplices
 
 
 def _lower_star_surfaces(rng):
