@@ -45,10 +45,21 @@ def _load_complex(path: str, fmt: str,
     return complexes.parse_fcx(text)
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as e:
+        raise ComplexError(f"cannot write {path}: {e}") from None
+
+
 def _emit_barcode(b: persistence.Barcode, svg_path: Optional[str]) -> None:
     sys.stdout.write(b.to_bcx())
     if svg_path:
-        Path(svg_path).write_text(svg.barcode_svg(b))
+        _write(svg_path, svg.barcode_svg(b))
+
+
+# Most values a Betti-curve grid may have.
+_MAX_GRID = 100_000
 
 
 def _parse_grid(spec: str) -> list[float]:
@@ -56,15 +67,14 @@ def _parse_grid(spec: str) -> list[float]:
         start, stop, step = (float(x) for x in spec.split(":"))
     except ValueError:
         raise UsageError("grid must be <start>:<stop>:<step>") from None
-    if step <= 0 or stop < start:
-        raise UsageError("grid needs stop >= start and step > 0")
-    out = []
-    t = start
-    i = 0
-    while t <= stop + 1e-12:
+    if not (math.isfinite(start) and start <= stop < math.inf and 0 < step < math.inf):
+        raise UsageError("grid needs finite start <= stop and finite step > 0")
+    if (stop - start) / step >= _MAX_GRID:
+        raise UsageError(f"grid would have more than {_MAX_GRID} values")
+    out, i = [], 0
+    while start + i * step <= stop + 1e-12:
         out.append(round(start + i * step, 12))
         i += 1
-        t = start + i * step
     return out
 
 
@@ -174,7 +184,9 @@ def run(argv: Sequence[str]) -> int:
         )
         if params.scale_limit == math.inf:
             raise UsageError("give --threshold or --steps/--step-size")
-        b = persistence.barcode(rips_filtration_checked(pc, params))
+        fc = rips.rips_filtration(pc, params)
+        fc.validate()
+        b = persistence.barcode(fc)
         if args.radius_axis:
             b = persistence.Barcode(
                 (d, persistence.Interval(iv.birth / 2, iv.death / 2))
@@ -184,6 +196,8 @@ def run(argv: Sequence[str]) -> int:
         return 0
 
     if args.command == "distance":
+        if args.dim is not None and args.dim < 0:
+            raise UsageError("--dim must be nonnegative")
         b1 = persistence.parse_bcx(_read(args.left))
         b2 = persistence.parse_bcx(_read(args.right))
         print(format_value(distances.bottleneck(b1, b2, args.dim)))
@@ -196,18 +210,12 @@ def run(argv: Sequence[str]) -> int:
         return 0
 
     if args.command == "example":
-        out = Path(args.out if args.out else args.name)
-        out.write_text(EXAMPLES[args.name]())
+        out = args.out if args.out else args.name
+        _write(out, EXAMPLES[args.name]())
         print(f"wrote {out}", file=sys.stderr)
         return 0
 
     raise UsageError(f"unknown command {args.command}")
-
-
-def rips_filtration_checked(pc, params):
-    fc = rips.rips_filtration(pc, params)
-    fc.validate()
-    return fc
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -8,7 +8,7 @@ boundaries, which is exact for honest simplicial cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat, tee
 from typing import Iterable, Optional, Sequence
 
@@ -305,44 +305,51 @@ def simplicial_filtration(simplices: Sequence[np.ndarray], values: Sequence[np.n
     return FilteredComplex(cells)
 
 
-def sort_filtration(cells: Sequence[Cell]) -> FilteredComplex:
-    """Re-sort cells by (value, dim, id) and renumber ids accordingly."""
-    order = sorted(cells, key=lambda c: (c.value, c.dim, c.id))
-    new_id = {c.id: i for i, c in enumerate(order)}
-    out = [
-        replace(
-            c,
-            id=i,
-            boundary=tuple(new_id[f] for f in c.boundary),
-            vertices=None
-            if c.vertices is None
-            else tuple(new_id[v] for v in c.vertices),
-        )
-        for i, c in enumerate(order)
-    ]
-    return FilteredComplex(out)
+def _reorder(rows: Sequence[tuple], values: Sequence[float]) -> tuple[FilteredComplex, list[int]]:
+    """Number provisional rows as a filtration and build their cells.
+
+    Row r is (dim, boundary, vertices, name), its faces and vertices given
+    as row indices, and enters at values[r].  Rows are numbered by (value,
+    dim, row index); boundaries and vertices are remapped, each Cell is
+    built once, and the new id of every row is returned with the complex.
+    """
+    key = np.asarray(values, dtype=float)
+    if np.isnan(key).any():
+        raise ComplexError("NaN entry value")
+    order = np.lexsort((np.fromiter((r[0] for r in rows), np.int64, len(rows)), key))
+    new_id = np.empty(len(rows), dtype=np.int64)
+    new_id[order] = np.arange(len(rows))
+    new_id = new_id.tolist()
+    remap = new_id.__getitem__
+    cells = []
+    for r in order.tolist():
+        dim, boundary, vertices, name = rows[r]
+        cells.append(_presorted_cell(
+            new_id[r], dim, values[r], tuple(sorted(map(remap, boundary))),
+            None if vertices is None else tuple(sorted(map(remap, vertices))), name))
+    return FilteredComplex(cells), new_id
+
+
+def _star_values(skeleton: FilteredComplex, f: VertexFunction) -> tuple[list, list]:
+    """Minimum and maximum of f over each cell's vertices, by cell id."""
+    lows, highs = [], []
+    for c in skeleton.cells:
+        verts = skeleton.cell_vertices(c.id)
+        if not verts:
+            raise ComplexError("cell has no vertices in its closure", c.id)
+        values = [f(v) for v in verts]
+        lows.append(min(values))
+        highs.append(max(values))
+    return lows, highs
 
 
 def lower_star(skeleton: FilteredComplex, f: VertexFunction) -> FilteredComplex:
     """Sublevel filtration of a vertex function: each cell enters at the
     maximum of f over its vertices."""
-    valued = []
-    for c in skeleton.cells:
-        verts = skeleton.cell_vertices(c.id)
-        if not verts:
-            raise ComplexError("cell has no vertices in its closure", c.id)
-        valued.append(replace(c, value=max(f(v) for v in verts)))
-    fc = sort_filtration(valued)
+    fc, _ = _reorder([(c.dim, c.boundary, c.vertices, c.name) for c in skeleton.cells],
+                     _star_values(skeleton, f)[1])
     fc.validate()
     return fc
-
-
-def upper_star_entry(skeleton: FilteredComplex, f: VertexFunction, cell_id: int) -> float:
-    """Minimum of f over a cell's vertices (superlevel entry height)."""
-    verts = skeleton.cell_vertices(cell_id)
-    if not verts:
-        raise ComplexError("cell has no vertices in its closure", cell_id)
-    return min(f(v) for v in verts)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .complexes import Cell, ComplexError, FilteredComplex, VertexFunction
-from .persistence import Barcode, Interval, persistent_betti, reduce_filtration
+from .complexes import ComplexError, FilteredComplex, VertexFunction, _reorder, _star_values
+from .persistence import Barcode, barcode, persistent_betti
 
 
 @dataclass(frozen=True)
@@ -30,24 +30,21 @@ class BifiltrationSpec:
     lam: float = 1.0
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("spacing lambda must be positive")
+        if not 0 < self.lam < math.inf:  # also false for nan
+            raise ValueError("spacing lambda must be positive and finite")
         sup = max(abs(x) for x in self.f.values.values())
         if self.M is None:
             object.__setattr__(self, "M", sup + 1.0)
-        elif self.M < sup:
-            raise ValueError(f"|f| reaches {sup}, above the bound M={self.M}")
+        elif not sup <= self.M < math.inf:
+            raise ValueError(f"the bound M={self.M} must be finite and at least max|f| = {sup}")
 
 
 @dataclass(frozen=True)
 class ConeFiltration:
-    """Cone filtration with bookkeeping: which cells are original, which
-    are cones, and the apex id."""
+    """Cone filtration and the id of its apex."""
 
     complex: FilteredComplex
     apex: int
-    cone_of: dict  # original new-id -> cone new-id
-    original: frozenset
 
 
 def build_cone_filtration(spec: BifiltrationSpec) -> ConeFiltration:
@@ -61,62 +58,25 @@ def build_cone_filtration(spec: BifiltrationSpec) -> ConeFiltration:
     single artifact discarded later.  Descending phase: the cone over a
     cell enters at 2M + lambda - min f over its vertices, mirroring the
     superlevel complement, and everything is coned by a = 3M + lambda.
+    Ties are broken by dimension, then by phase (apex, cell, cone), then by
+    the skeleton's cell id.
     """
     skeleton, f = spec.complex, spec.f
     M, lam = spec.M, spec.lam
     n = len(skeleton.cells)
     if n == 0:
         raise ComplexError("empty complex")
-    asc = []
-    desc = []
-    for c in skeleton.cells:
-        verts = skeleton.cell_vertices(c.id)
-        if not verts:
-            raise ComplexError("cell has no vertices in its closure", c.id)
-        asc.append(max(f(v) for v in verts))
-        desc.append(2 * M + lam - min(f(v) for v in verts))
-    # sort keys: (value, dim, phase, original id); apex first via seq -1
-    entries = [(-M, 0, -1, -1)]
-    entries += [(asc[c.id], c.dim, 0, c.id) for c in skeleton.cells]
-    entries += [(desc[c.id], c.dim + 1, 1, c.id) for c in skeleton.cells]
-    entries.sort()
-    new_orig: dict[int, int] = {}
-    new_cone: dict[int, int] = {}
-    apex_id = -1
-    for i, (_, _, phase, cid) in enumerate(entries):
-        if phase == -1:
-            apex_id = i
-        elif phase == 0:
-            new_orig[cid] = i
-        else:
-            new_cone[cid] = i
-    cells = []
-    for i, (value, dim, phase, cid) in enumerate(entries):
-        if phase == -1:
-            cells.append(Cell(i, 0, value, name="apex"))
-        elif phase == 0:
-            c = skeleton.cells[cid]
-            cells.append(
-                Cell(i, c.dim, value,
-                     boundary=tuple(new_orig[b] for b in c.boundary),
-                     name=c.label())
-            )
-        else:
-            c = skeleton.cells[cid]
-            if c.dim == 0:
-                bdry = (apex_id, new_orig[cid])
-            else:
-                bdry = tuple([new_orig[cid]] + [new_cone[b] for b in c.boundary])
-            cells.append(Cell(i, c.dim + 1, value, boundary=bdry,
-                              name=f"cone({c.label()})"))
-    fc = FilteredComplex(cells)
+    lows, highs = _star_values(skeleton, f)
+    # Provisional rows: the apex at 0, cell c at 1 + c, its cone at 1 + n + c.
+    rows = [(0, (), None, "apex")]
+    rows += [(c.dim, tuple(1 + b for b in c.boundary), None, c.label()) for c in skeleton.cells]
+    rows += [(c.dim + 1,
+              (0, 1 + c.id) if c.dim == 0 else (1 + c.id, *(1 + n + b for b in c.boundary)),
+              None, f"cone({c.label()})") for c in skeleton.cells]
+    fc, new_id = _reorder(rows, [-M, *highs, *(2 * M + lam - x for x in lows)])
+    del rows
     fc.validate()
-    return ConeFiltration(
-        complex=fc,
-        apex=apex_id,
-        cone_of={new_orig[c]: new_cone[c] for c in new_orig},
-        original=frozenset(new_orig.values()),
-    )
+    return ConeFiltration(complex=fc, apex=new_id[0])
 
 
 def extended_barcode(spec: BifiltrationSpec) -> Barcode:
@@ -126,21 +86,14 @@ def extended_barcode(spec: BifiltrationSpec) -> Barcode:
     complex, i.e. the dimension of the cell whose arrival created it.  For
     classes born in the descending phase that is the dimension of a cone
     cell, which matches the degree of the corresponding relative-homology
-    class of the pair.
+    class of the pair.  The cone is contractible, so the apex's bar is the
+    one infinite bar of its barcode, and it is dropped.
     """
-    cone = build_cone_filtration(spec)
-    fc = cone.complex
-    red = reduce_filtration(fc)
-    bars = []
-    for i, j in red.pairs:
-        b, d = fc.cells[i].value, fc.cells[j].value
-        if b >= d:
-            continue
-        bars.append((fc.cells[i].dim, Interval(b, d)))
-    leftovers = set(red.unpaired) - {cone.apex}
-    if leftovers:
-        raise AssertionError(f"cone filtration left non-apex cells unpaired: {leftovers}")
-    return Barcode(bars)
+    b = barcode(build_cone_filtration(spec).complex)
+    finite = [bar for bar in b if bar[1].death < math.inf]
+    if len(b) - len(finite) != 1:
+        raise AssertionError(f"the cone has {len(b) - len(finite)} infinite bars, not the apex's one")
+    return Barcode(finite)
 
 
 def extended_rank(b: Barcode, k: int, a: float, p: float) -> int:

@@ -39,12 +39,21 @@ class PointCloud:
 
     @classmethod
     def from_csv(cls, text: str) -> "PointCloud":
+        """One comma-separated point per line; a bad line is named by number."""
         pts = []
-        for raw in text.splitlines():
+        for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            pts.append(tuple(float(x) for x in line.split(",")))
+            try:
+                p = tuple(float(x) for x in line.split(","))
+            except ValueError:
+                raise ValueError(f"line {lineno}: malformed number in `{line}`") from None
+            if pts and len(p) != len(pts[0]):
+                raise ValueError(f"line {lineno}: {len(p)} coordinates, expected {len(pts[0])}")
+            if not all(map(math.isfinite, p)):
+                raise ValueError(f"line {lineno}: non-finite coordinate")
+            pts.append(p)
         return cls(tuple(pts))
 
     def to_csv(self) -> str:
@@ -63,8 +72,10 @@ class RipsParams:
             raise ValueError("max_dim must be nonnegative")
         if self.steps is not None and self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.step_size is not None and self.step_size <= 0:
-            raise ValueError("step_size must be positive")
+        if self.step_size is not None and not 0 < self.step_size < math.inf:
+            raise ValueError("step_size must be positive and finite")
+        if self.threshold is not None and not math.isfinite(self.threshold):
+            raise ValueError("threshold must be finite")
         if (self.steps is None) != (self.step_size is None):
             raise ValueError("steps and step_size go together")
 

@@ -3,28 +3,173 @@
 Everything here deliberately avoids the library's bitset reduction, its
 matching search and its numpy simplex builder: dense GF(2) elimination,
 explicit composite-map matrices, the first sorted-tuple column reduction,
-exhaustive matching enumeration, the first padded-graph bottleneck search
-and the first per-simplex Rips and SPX builders serve as ground truth.
+exhaustive matching enumeration, the first padded-graph bottleneck search,
+the first per-simplex Rips and SPX builders and the first lower-star and
+cone builders serve as ground truth.
 """
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from z2persist import Barcode, Cell, FilteredComplex, Interval, VertexFunction
-from z2persist.complexes import _simplices_to_complex, lower_star, sort_filtration
+from z2persist.complexes import ComplexError, _simplices_to_complex
 from z2persist.distances import Matching, _deletion_cost, _match_cost
-from z2persist.persistence import Reduction
+from z2persist.extended import BifiltrationSpec
+from z2persist.persistence import Reduction, reduce_filtration
 from z2persist.rips import PointCloud, RipsParams
 
 
 # ---------------------------------------------------------------------------
+# the library's first derived filtrations: lower_star through sort_filtration,
+# and the cone built by its own sort and two Cell loops; the shared
+# renumbering must give the same cells
+
+
+def reference_sort_filtration(cells: Sequence[Cell]) -> FilteredComplex:
+    """Re-sort cells by (value, dim, id) and renumber ids accordingly."""
+    order = sorted(cells, key=lambda c: (c.value, c.dim, c.id))
+    new_id = {c.id: i for i, c in enumerate(order)}
+    out = [
+        replace(
+            c,
+            id=i,
+            boundary=tuple(new_id[f] for f in c.boundary),
+            vertices=None
+            if c.vertices is None
+            else tuple(new_id[v] for v in c.vertices),
+        )
+        for i, c in enumerate(order)
+    ]
+    return FilteredComplex(out)
+
+
+def reference_lower_star(skeleton: FilteredComplex, f: VertexFunction) -> FilteredComplex:
+    """Sublevel filtration of a vertex function: each cell enters at the
+    maximum of f over its vertices."""
+    valued = []
+    for c in skeleton.cells:
+        verts = skeleton.cell_vertices(c.id)
+        if not verts:
+            raise ComplexError("cell has no vertices in its closure", c.id)
+        valued.append(replace(c, value=max(f(v) for v in verts)))
+    fc = reference_sort_filtration(valued)
+    fc.validate()
+    return fc
+
+
+@dataclass(frozen=True)
+class ReferenceConeFiltration:
+    """Cone filtration with bookkeeping: which cells are original, which
+    are cones, and the apex id."""
+
+    complex: FilteredComplex
+    apex: int
+    cone_of: dict  # original new-id -> cone new-id
+    original: frozenset
+
+
+def reference_build_cone_filtration(spec: BifiltrationSpec) -> ReferenceConeFiltration:
+    """Assemble the cone filtration of a bifiltration.
+
+    Ascending phase: each cell enters at max f over its vertices, so the
+    whole complex is present by a = M.  The apex is placed at the very
+    start of the filtration (value -M, before every other cell): the elder
+    rule then makes components die into the apex component, which is what
+    matches the relative-pair homology; the apex's own infinite bar is the
+    single artifact discarded later.  Descending phase: the cone over a
+    cell enters at 2M + lambda - min f over its vertices, mirroring the
+    superlevel complement, and everything is coned by a = 3M + lambda.
+    """
+    skeleton, f = spec.complex, spec.f
+    M, lam = spec.M, spec.lam
+    n = len(skeleton.cells)
+    if n == 0:
+        raise ComplexError("empty complex")
+    asc = []
+    desc = []
+    for c in skeleton.cells:
+        verts = skeleton.cell_vertices(c.id)
+        if not verts:
+            raise ComplexError("cell has no vertices in its closure", c.id)
+        asc.append(max(f(v) for v in verts))
+        desc.append(2 * M + lam - min(f(v) for v in verts))
+    # sort keys: (value, dim, phase, original id); apex first via seq -1
+    entries = [(-M, 0, -1, -1)]
+    entries += [(asc[c.id], c.dim, 0, c.id) for c in skeleton.cells]
+    entries += [(desc[c.id], c.dim + 1, 1, c.id) for c in skeleton.cells]
+    entries.sort()
+    new_orig: dict[int, int] = {}
+    new_cone: dict[int, int] = {}
+    apex_id = -1
+    for i, (_, _, phase, cid) in enumerate(entries):
+        if phase == -1:
+            apex_id = i
+        elif phase == 0:
+            new_orig[cid] = i
+        else:
+            new_cone[cid] = i
+    cells = []
+    for i, (value, dim, phase, cid) in enumerate(entries):
+        if phase == -1:
+            cells.append(Cell(i, 0, value, name="apex"))
+        elif phase == 0:
+            c = skeleton.cells[cid]
+            cells.append(
+                Cell(i, c.dim, value,
+                     boundary=tuple(new_orig[b] for b in c.boundary),
+                     name=c.label())
+            )
+        else:
+            c = skeleton.cells[cid]
+            if c.dim == 0:
+                bdry = (apex_id, new_orig[cid])
+            else:
+                bdry = tuple([new_orig[cid]] + [new_cone[b] for b in c.boundary])
+            cells.append(Cell(i, c.dim + 1, value, boundary=bdry,
+                              name=f"cone({c.label()})"))
+    fc = FilteredComplex(cells)
+    fc.validate()
+    return ReferenceConeFiltration(
+        complex=fc,
+        apex=apex_id,
+        cone_of={new_orig[c]: new_cone[c] for c in new_orig},
+        original=frozenset(new_orig.values()),
+    )
+
+
+def reference_extended_barcode(spec: BifiltrationSpec) -> Barcode:
+    """Extended barcode: all bars finite, contained in [-M, 3M+lambda).
+
+    Bars are reported in the homological degree of the class in the cone
+    complex, i.e. the dimension of the cell whose arrival created it.  For
+    classes born in the descending phase that is the dimension of a cone
+    cell, which matches the degree of the corresponding relative-homology
+    class of the pair.
+    """
+    cone = reference_build_cone_filtration(spec)
+    fc = cone.complex
+    red = reduce_filtration(fc)
+    bars = []
+    for i, j in red.pairs:
+        b, d = fc.cells[i].value, fc.cells[j].value
+        if b >= d:
+            continue
+        bars.append((fc.cells[i].dim, Interval(b, d)))
+    leftovers = set(red.unpaired) - {cone.apex}
+    if leftovers:
+        raise AssertionError(f"cone filtration left non-apex cells unpaired: {leftovers}")
+    return Barcode(bars)
+
+
+
+# ---------------------------------------------------------------------------
 # the library's first simplex builders: the SPX closure with a Cell loop and
-# the lower-star / sort_filtration round trip, and the Rips clique expansion
+# the reference lower-star / sort_filtration round trip, and the Rips clique expansion
 # with scalar distance lookups; the numpy builder must give the same cells
 
 
@@ -70,9 +215,9 @@ def reference_simplices_to_complex(valued: dict, vertex_values: Optional[dict] =
             {ids[(v,)]: x for v, x in vertex_values.items() if (v,) in ids},
             bound_M=max((abs(x) for x in vertex_values.values()), default=1.0) + 1.0,
         )
-        fc = lower_star(fc, f)
+        fc = reference_lower_star(fc, f)
     else:
-        fc = sort_filtration(fc.cells)
+        fc = reference_sort_filtration(fc.cells)
     fc.validate()
     return fc
 
