@@ -69,7 +69,7 @@ def _parse_grid(spec: str) -> list[float]:
         raise UsageError("grid must be <start>:<stop>:<step>") from None
     if not (math.isfinite(start) and start <= stop < math.inf and 0 < step < math.inf):
         raise UsageError("grid needs finite start <= stop and finite step > 0")
-    if (stop - start) / step >= _MAX_GRID:
+    if (stop + 1e-12 - start) / step >= _MAX_GRID:  # the same slack as the loop below
         raise UsageError(f"grid would have more than {_MAX_GRID} values")
     out, i = [], 0
     while start + i * step <= stop + 1e-12:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat, tee
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -476,6 +476,16 @@ def format_value(x: float) -> str:
     return repr(x)
 
 
+def text_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, content) of each line of an input text, numbered from
+    1, with `#` comments and surrounding blanks stripped and empty lines
+    skipped; every text format reads its lines through this."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def write_fcx(fc: FilteredComplex) -> str:
     """FCX v1: one `cell <id> <dim> <value> [<face>...]` line per cell."""
     lines = []
@@ -488,10 +498,7 @@ def write_fcx(fc: FilteredComplex) -> str:
 
 def parse_fcx(text: str) -> FilteredComplex:
     cells = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in text_lines(text):
         parts = line.split()
         if parts[0] != "cell" or len(parts) < 4:
             raise ComplexError(f"line {lineno}: expected `cell <id> <dim> <value> ...`")
@@ -570,10 +577,7 @@ def parse_spx(text: str, vertex_values: Optional[dict] = None) -> FilteredComple
     """SPX v1: one `<value> <v1> ... <vk>` top simplex per line; in vertexfn
     mode lines hold bare vertex lists and values come from vertex_values."""
     valued: dict[tuple, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in text_lines(text):
         parts = line.split()
         try:
             if vertex_values is None:
@@ -600,10 +604,7 @@ def parse_spx(text: str, vertex_values: Optional[dict] = None) -> FilteredComple
 def parse_vertex_values(text: str) -> dict:
     """`<vertex-id> <value>` lines."""
     out: dict[int, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in text_lines(text):
         parts = line.split()
         try:
             vertex, value = int(parts[0]), float(parts[1])

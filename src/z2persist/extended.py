@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .complexes import ComplexError, FilteredComplex, VertexFunction, _reorder, _star_values
-from .persistence import Barcode, barcode, persistent_betti
+from .persistence import Barcode, Interval, barcode, persistent_betti
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,6 @@ def extended_rank(b: Barcode, k: int, a: float, p: float) -> int:
 
 def single_interval_rank(s: float, t: float, a: float, p: float) -> int:
     """Extended rank of a single characteristic interval [s, t)."""
-    if not s < t or t == math.inf:
+    if t == math.inf:
         raise ValueError("need s < t with t finite")
-    if p < 0:
-        raise ValueError("lifespan p must be nonnegative")
-    return 1 if s <= a and a + p < t else 0
+    return persistent_betti(Barcode([(0, Interval(s, t))]), 0, a, p)

@@ -21,9 +21,7 @@ def _betti_of(fc: FilteredComplex, red: persistence.Reduction) -> list[int]:
 
 def betti(fc: FilteredComplex, k: int) -> int:
     """dim ker of the k-th boundary map minus rank of the (k+1)-st."""
-    if k < 0 or k > fc.max_dim:
-        return 0
-    return _betti_of(fc, persistence.reduce_filtration(fc))[k]
+    return dict(enumerate(betti_numbers(fc))).get(k, 0)
 
 
 def betti_numbers(fc: FilteredComplex) -> tuple[int, ...]:
@@ -72,10 +70,6 @@ def duality_check(fc: FilteredComplex, n: int) -> DualityReport:
     ranks equal homology ranks, so duality reduces to this palindrome
     test.  The manifold hypothesis is the caller's responsibility.
     """
-    counts = _betti_of(fc, persistence.reduce_filtration(fc))
-
-    def b(k: int) -> int:
-        return counts[k] if 0 <= k < len(counts) else 0
-
-    mismatches = [(k, b(k), b(n - k)) for k in range(n + 1) if b(k) != b(n - k)]
+    b = (*betti_numbers(fc), *(0,) * (n + 1))  # 0 past the top dimension
+    mismatches = [(k, b[k], b[n - k]) for k in range(n + 1) if b[k] != b[n - k]]
     return DualityReport(ok=not mismatches, mismatches=tuple(mismatches))

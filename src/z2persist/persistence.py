@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import z2
-from .complexes import FilteredComplex, format_value
+from .complexes import FilteredComplex, format_value, text_lines
 
 
 @dataclass(frozen=True, order=True)
@@ -68,10 +69,7 @@ def parse_bcx(text: str) -> Barcode:
     deaths finite or the literal `inf`; any other line is rejected with
     its line number."""
     bars = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in text_lines(text):
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected `<dim> <birth> <death>`")
@@ -160,36 +158,36 @@ def barcode(fc: FilteredComplex) -> Barcode:
 
 def persistent_betti(b: Barcode, k: int, a: float, p: float) -> int:
     """Rank of the map induced by inclusion of level a into level a+p:
-    bars born no later than a and still alive at a+p."""
+    bars born no later than a and still alive at a+p, i.e. the bars
+    alive at a among those that outlive a+p."""
     if p < 0:
         raise ValueError("lifespan p must be nonnegative")
-    return sum(1 for iv in b.in_dim(k) if iv.birth <= a and iv.death > a + p)
+    return dimension_function([iv for iv in b.in_dim(k) if iv.death > a + p])(a)
 
 
 @dataclass(frozen=True)
 class DimensionFunction:
     """Piecewise-constant bar count: dims[i] holds on
-    [critical_values[i-1], critical_values[i]) with half-open pieces."""
+    [critical_values[i-1], critical_values[i]) with half-open pieces.
+    No bar is alive at +inf or at NaN."""
 
     critical_values: tuple[float, ...]
     dims: tuple[int, ...]
 
     def __call__(self, t: float) -> int:
-        i = 0
-        while i < len(self.critical_values) and t >= self.critical_values[i]:
-            i += 1
-        return self.dims[i]
+        if not t < math.inf:  # +inf or nan
+            return 0
+        return self.dims[bisect_right(self.critical_values, t)]
 
 
 def dimension_function(intervals: Sequence[Interval]) -> DimensionFunction:
-    critical = tuple(
-        sorted(
-            {iv.birth for iv in intervals}
-            | {iv.death for iv in intervals if iv.death != math.inf}
-        )
-    )
-    dims = [0] + [sum(1 for iv in intervals if c in iv) for c in critical]
-    return DimensionFunction(critical, tuple(dims))
+    """Number of intervals alive at t, the one count of bars alive: births
+    <= t minus deaths <= t, read off the sorted endpoints."""
+    births = sorted(iv.birth for iv in intervals)
+    deaths = sorted(iv.death for iv in intervals if iv.death < math.inf)
+    critical = tuple(sorted({*births, *deaths}))
+    dims = [bisect_right(births, c) - bisect_right(deaths, c) for c in critical]
+    return DimensionFunction(critical, (0, *dims))
 
 
 def barcode_dimension_function(b: Barcode, k: int) -> DimensionFunction:
@@ -203,22 +201,9 @@ def characteristic_sum_identity_check(
 
     The splice and union/intersection identities for characteristic
     diagrams hold at this level (not as diagram isomorphisms: the internal
-    maps across the seam differ).
+    maps across the seam differ).  Both functions are 0 below every
+    endpoint and constant between endpoints, so comparing them at the
+    endpoints decides equality.
     """
-    points = sorted(
-        {iv.birth for iv in lhs} | {iv.birth for iv in rhs}
-        | {iv.death for iv in lhs if iv.death != math.inf}
-        | {iv.death for iv in rhs if iv.death != math.inf}
-    )
-    if not points:
-        return len(lhs) == len(rhs) == 0
-    samples = [points[0] - 1.0]
-    for i, t in enumerate(points):
-        samples.append(t)
-        if i + 1 < len(points):
-            samples.append((t + points[i + 1]) / 2)
-    samples.append(points[-1] + 1.0)
-    return all(
-        sum(1 for iv in lhs if t in iv) == sum(1 for iv in rhs if t in iv)
-        for t in samples
-    )
+    f, g = dimension_function(lhs), dimension_function(rhs)
+    return all(f(t) == g(t) for t in {*f.critical_values, *g.critical_values})

@@ -11,8 +11,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .complexes import FilteredComplex, simplicial_filtration
-from .persistence import Barcode
+from .complexes import FilteredComplex, simplicial_filtration, text_lines
+from .persistence import Barcode, dimension_function
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,7 @@ class PointCloud:
     def from_csv(cls, text: str) -> "PointCloud":
         """One comma-separated point per line; a bad line is named by number."""
         pts = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for lineno, line in text_lines(text):
             try:
                 p = tuple(float(x) for x in line.split(","))
             except ValueError:
@@ -128,6 +125,8 @@ def rips_filtration(pc: PointCloud, params: RipsParams) -> FilteredComplex:
     values = [np.zeros(n)]
     for _ in range(params.max_dim):
         parent, last = _cofaces(adj, simplices[-1])
+        if not len(parent):  # no clique extends: every higher dimension is empty
+            break
         rows = np.column_stack((simplices[-1][parent], last))
         diam = values[-1][parent]
         for c in range(rows.shape[1] - 1):
@@ -152,8 +151,7 @@ def betti_curve(b: Barcode, k: int, grid: Sequence[float]) -> list[int]:
     """Number of degree-k bars alive at each grid value."""
     if any(grid[i] > grid[i + 1] for i in range(len(grid) - 1)):
         raise ValueError("grid must be sorted")
-    bars = b.in_dim(k)
-    return [sum(1 for iv in bars if t in iv) for t in grid]
+    return list(map(dimension_function(b.in_dim(k)), grid))
 
 
 def betti_curve_csv(b: Barcode, grid: Sequence[float], max_k: Optional[int] = None) -> str:

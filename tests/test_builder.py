@@ -1,12 +1,15 @@
 """The numpy simplex builder against the first per-simplex builders kept in
-helpers.py: Rips and SPX complexes must agree cell for cell."""
+helpers.py: Rips and SPX complexes must agree cell for cell.  Their
+barcodes must also not change when the points are permuted or the vertex
+ids relabelled."""
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from z2persist import ComplexError, PointCloud, RipsParams, rips_filtration
+from z2persist import ComplexError, PointCloud, RipsParams, barcode, rips, rips_filtration
 from z2persist.complexes import _simplices_to_complex, parse_spx, simplicial_filtration
 
 from helpers import grid_surface, reference_rips_filtration, reference_simplices_to_complex
@@ -64,6 +67,30 @@ def test_rips_matches_oracle_in_stepped_mode(seed):
             fc = rips_filtration(pc, params)
             assert_same_cells(fc, reference_rips_filtration(pc, params))
             fc.validate()
+
+
+def test_rips_stops_expanding_at_the_first_empty_dimension():
+    pc = PointCloud(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
+    with mock.patch.object(rips, "simplicial_filtration",
+                           wraps=rips.simplicial_filtration) as build:
+        fc = rips_filtration(pc, RipsParams(max_dim=500, threshold=2.0))
+    assert [len(s) for s in build.call_args.args[0]] == [3, 3, 1]
+    assert [c.dim for c in fc.cells] == [0, 0, 0, 1, 1, 1, 2]
+
+
+@pytest.mark.parametrize("mode", ["threshold", "stepped"])
+def test_rips_barcode_is_unchanged_by_permuting_the_points(mode):
+    rng = random.Random(60 if mode == "threshold" else 61)
+    for _ in range(60):
+        n = rng.randint(1, 10)
+        pc = tied_cloud(rng, n) if rng.random() < 0.7 else random_cloud(rng, n)
+        if mode == "threshold":
+            params = RipsParams(max_dim=rng.randint(0, 3), threshold=rng.choice([0.0, 1.0, 1.5, 2.5]))
+        else:
+            params = RipsParams(max_dim=rng.randint(0, 3), steps=rng.randint(1, 6),
+                                step_size=rng.choice([0.25, 0.5, 0.7]))
+        shuffled = PointCloud(tuple(rng.sample(pc.points, len(pc))))
+        assert barcode(rips_filtration(pc, params)) == barcode(rips_filtration(shuffled, params))
 
 
 def test_rips_single_point_and_threshold_below_every_distance():
@@ -127,6 +154,27 @@ def test_spx_duplicate_lines_keep_the_smallest_value():
     text = "3 0 1 2\n1 2 1\n2 1 2\n"
     ref = reference_simplices_to_complex({(0, 1, 2): 3.0, (1, 2): 1.0})
     assert_same_cells(parse_spx(text), ref)
+
+
+@pytest.mark.parametrize("vertex_values", [False, True], ids=["valued", "vertex-values"])
+def test_spx_barcode_is_unchanged_by_relabelling_the_vertices(vertex_values):
+    rng = random.Random(70 + vertex_values)
+    for _ in range(200):
+        labels = list(range(rng.randint(4, 8)))
+        simplices = random_simplices(rng, labels, rng.randint(1, 9))
+        # ties on purpose: most values come from a short list
+        heights, values = ([rng.choice([0.0, 1.0, 2.5, -1.0, rng.uniform(-3, 3)]) for _ in xs]
+                           for xs in (labels, simplices))
+        relabel = dict(zip(labels, rng.sample(range(-10**6, 10**6), len(labels))))
+        barcodes = []
+        for name in (dict(zip(labels, labels)), relabel):
+            lines = [" ".join(str(name[v]) for v in s) for s in simplices]
+            if vertex_values:
+                vv = {name[v]: h for v, h in zip(labels, heights)}
+            else:
+                vv, lines = None, [f"{x!r} {line}" for x, line in zip(values, lines)]
+            barcodes.append(barcode(parse_spx("\n".join(lines), vv)))
+        assert barcodes[0] == barcodes[1]
 
 
 def test_grid_surfaces_match_oracle():

@@ -73,6 +73,7 @@ def test_distance_rejects_negative_dim(files, capsys):
     ("0:1e308:1e-308", "grid would have more than 100000 values"),
     ("-1e308:1e308:1", "grid would have more than 100000 values"),
     ("0:100000:1", "grid would have more than 100000 values"),
+    ("0:0:2.225073858507203e-309", "grid would have more than 100000 values"),
     ("0:inf:1", "grid needs finite"),
 ])
 def test_betti_curve_grid_is_bounded(files, grid, message):
@@ -150,7 +151,8 @@ def _argv(draw):
     }[command]
     required = {
         "homology": [a], "persist": [a], "extended": [a, "--vertex-values", b],
-        "rips": [a, "--max-dim", draw(st.sampled_from(["-1", "0", "1", "2", "x"]))],
+        "rips": [a, "--max-dim", draw(st.one_of(st.sampled_from(["-1", "x"]),
+                                                st.integers(0, 1000).map(str)))],
         "distance": [a, b],
         "betti-curve": [a, "--grid", ":".join(draw(st.lists(_number, min_size=3, max_size=3)))],
         "example": [draw(st.sampled_from(sorted(cli.EXAMPLES) + ["nope"])), "--out", out],

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -6,6 +7,7 @@ from z2persist import (
     Cell,
     ComplexError,
     FilteredComplex,
+    PointCloud,
     VertexFunction,
     generate,
     klein_delta,
@@ -13,6 +15,7 @@ from z2persist import (
     klein_height_skeleton,
     lower_star,
     ng_cw,
+    parse_bcx,
     torus_delta,
 )
 from z2persist.complexes import parse_fcx, parse_spx, parse_vertex_values, write_fcx
@@ -166,6 +169,23 @@ def test_fcx_repeated_face_rejected():
 def test_fcx_comments_and_blanks():
     fc = parse_fcx("# a point\n\ncell 0 0 0.5\n")
     assert len(fc) == 1 and fc.cells[0].value == 0.5
+
+
+@pytest.mark.parametrize("parse, good, bad, message", [
+    (parse_bcx, "0 0 1", "0 1", "expected `<dim> <birth> <death>`"),
+    (parse_fcx, "cell 0 0 0", "cell 1 0", "expected `cell <id> <dim> <value> ...`"),
+    (parse_spx, "0.5 1 2", "x 1", "malformed simplex line"),
+    (parse_vertex_values, "1 0.5", "1", "expected `<vertex-id> <value>`"),
+    (PointCloud.from_csv, "0,0", "0,x", "malformed number in `0,x`"),
+], ids=["bcx", "fcx", "spx", "vertex-values", "csv"])
+def test_text_formats_skip_comments_and_blank_lines(parse, good, bad, message):
+    def same(x):
+        return getattr(x, "cells", x)
+
+    commented = f"# header {bad}\n\n  {good}  # {bad}\n \t\n#\n"
+    assert same(parse(commented)) == same(parse(good))
+    with pytest.raises(ValueError, match=f"^line 6: {re.escape(message)}$"):
+        parse(commented + bad)
 
 
 def test_spx_closure_completion():

@@ -4,11 +4,13 @@ import random
 import pytest
 
 from z2persist import (
+    Barcode,
     Cell,
     FilteredComplex,
     Interval,
     barcode,
     barcode_dimension_function,
+    betti_curve,
     characteristic_sum_identity_check,
     dimension_function,
     klein_delta,
@@ -27,6 +29,7 @@ from helpers import (
     random_skeleton,
     random_vertex_function,
     reference_sort_filtration,
+    tied_intervals,
 )
 
 INF = math.inf
@@ -138,14 +141,22 @@ def test_persistent_betti_examples():
 
 
 def test_persistent_betti_p0_is_dimension_function():
+    """dimension_function, betti_curve and persistent_betti at p = 0 all
+    count the bars containing t: at every endpoint, between endpoints, at
+    random points and at -inf, and they count 0 at +inf and at NaN."""
     rng = random.Random(2)
-    for _ in range(50):
-        ivs = random_intervals(rng, rng.randint(0, 6))
+    for n in range(100):
+        # every other case has shared endpoints and repeated bars
+        ivs = (random_intervals(rng, rng.randint(0, 6)) if n % 2 else
+               tied_intervals(rng, rng.randint(0, 6), rng.randint(0, 3)))
+        b = Barcode((0, iv) for iv in ivs)
         df = dimension_function(ivs)
-        for _ in range(5):
-            a = rng.uniform(-5, 9)
-            alive = sum(1 for iv in ivs if a in iv)
-            assert df(a) == alive
+        ends = sorted({iv.birth for iv in ivs} | {iv.death for iv in ivs})
+        for t in [*ends, *((s + u) / 2 for s, u in zip(ends, ends[1:])),
+                  *(rng.uniform(-5, 9) for _ in range(5)), -INF, INF, math.nan]:
+            alive = sum(t in iv for iv in ivs)
+            assert df(t) == betti_curve(b, 0, [t])[0] == persistent_betti(b, 0, t, 0) == alive
+        assert df(INF) == df(math.nan) == 0
 
 
 def test_persistent_betti_nonincreasing_in_p():
@@ -214,6 +225,8 @@ def test_characteristic_splice_identity():
     lhs = [Interval(0, 1), Interval(1, 2)]
     assert characteristic_sum_identity_check(lhs, [Interval(0, 2)])
     assert not characteristic_sum_identity_check([Interval(0, 1)], [Interval(0, 2)])
+    # the two sides differ only past every left-hand endpoint
+    assert not characteristic_sum_identity_check([Interval(0, 2)], [Interval(0, 2), Interval(3, 4)])
 
 
 def test_characteristic_union_intersection_identity():
