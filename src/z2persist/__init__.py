@@ -6,7 +6,6 @@ from .complexes import (
     ComplexError,
     FilteredComplex,
     VertexFunction,
-    generate,
     klein_delta,
     klein_height,
     klein_height_skeleton,

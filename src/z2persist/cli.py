@@ -37,12 +37,10 @@ def _read(path: str) -> str:
 def _load_complex(path: str, fmt: str,
                   vertex_values: Optional[str] = None) -> FilteredComplex:
     text = _read(path)
-    if fmt == "spx":
-        vv = complexes.parse_vertex_values(_read(vertex_values)) if vertex_values else None
-        return complexes.parse_spx(text, vv)
-    if vertex_values is not None:
-        raise UsageError("--vertex-values requires --format spx")
-    return complexes.parse_fcx(text)
+    if fmt == "fcx":
+        return complexes.parse_fcx(text)
+    vv = None if vertex_values is None else complexes.parse_vertex_values(_read(vertex_values))
+    return complexes.parse_spx(text, vv)
 
 
 def _write(path: str, text: str) -> None:
@@ -165,13 +163,8 @@ def run(argv: Sequence[str]) -> int:
         return 0
 
     if args.command == "extended":
-        vv = complexes.parse_vertex_values(_read(args.vertex_values))
-        skeleton = complexes.parse_spx(_read(args.file), vv)
-        f = complexes.VertexFunction(
-            {c.id: c.value for c in skeleton.cells if c.dim == 0},
-            bound_M=(args.bound if args.bound is not None
-                     else max(abs(x) for x in vv.values()) + 1.0),
-        )
+        skeleton = _load_complex(args.file, "spx", args.vertex_values)
+        f = complexes.VertexFunction({c.id: c.value for c in skeleton.cells if c.dim == 0})
         spec = extended.BifiltrationSpec(skeleton, f, M=args.bound, lam=args.spacing)
         _emit_barcode(extended.extended_barcode(spec), args.svg)
         return 0

@@ -43,21 +43,10 @@ class Cell:
 
 @dataclass(frozen=True)
 class VertexFunction:
-    """Real values on vertex ids, bounded by bound_M (|f| <= M).
-
-    The fixtures attain the bound at the extreme heights, so the check is
-    non-strict.
-    """
+    """Real values on vertex ids; the bound M that extended persistence
+    needs belongs to `extended.BifiltrationSpec`."""
 
     values: dict
-    bound_M: float
-
-    def __post_init__(self):
-        if self.bound_M <= 0:
-            raise ValueError("bound_M must be positive")
-        for v, x in self.values.items():
-            if abs(x) > self.bound_M:
-                raise ValueError(f"|f({v})| = {abs(x)} exceeds bound {self.bound_M}")
 
     def __call__(self, vertex: int) -> float:
         try:
@@ -135,7 +124,8 @@ class FilteredComplex:
         """Vertex ids in the closure of a cell.
 
         Uses the explicit vertex list when present, otherwise the
-        transitive boundary closure (exact for simplicial cells).
+        transitive boundary closure (exact for simplicial cells), which
+        stops at each face that has its own vertex list.
         """
         c = self.cells[cell_id]
         if c.vertices is not None:
@@ -148,6 +138,9 @@ class FilteredComplex:
         while stack:
             f = stack.pop()
             fc = self.cells[f]
+            if fc.vertices is not None:  # a face's own list closes its branch
+                out.update(fc.vertices)
+                continue
             if fc.dim == 0:
                 out.add(f)
             for g in fc.boundary:
@@ -411,7 +404,7 @@ def klein_height_skeleton(M: float, A: float) -> tuple[FilteredComplex, VertexFu
         Cell(8, 2, 0.0, boundary=(4, 5, 6, 7), vertices=(1, 2), name="U"),
         Cell(9, 2, 0.0, boundary=(4, 5, 6, 7), vertices=(0, 1, 2), name="L"),
     ]
-    f = VertexFunction({0: -M, 1: -A, 2: M}, bound_M=M)
+    f = VertexFunction({0: -M, 1: -A, 2: M})
     return FilteredComplex(cells), f
 
 
@@ -439,29 +432,8 @@ def torus_height_skeleton(M: float, A: float) -> tuple[FilteredComplex, VertexFu
         Cell(8, 1, 0.0, boundary=(2, 3), vertices=(2, 3), name="p23"),
         Cell(9, 2, 0.0, vertices=(0, 1, 2, 3), name="T"),
     ]
-    f = VertexFunction({0: -M, 1: -A, 2: A, 3: M}, bound_M=M)
+    f = VertexFunction({0: -M, 1: -A, 2: A, 3: M})
     return FilteredComplex(cells), f
-
-
-GENERATORS = ("ng_cw", "klein_delta", "torus_delta", "klein_height", "torus_height")
-
-
-def generate(name: str, *params: float) -> FilteredComplex:
-    """Dispatch to a named fixture generator."""
-    if name == "ng_cw":
-        return ng_cw(int(params[0]))
-    if name == "klein_delta":
-        return klein_delta()
-    if name == "torus_delta":
-        return torus_delta()
-    if name == "klein_height":
-        M, A = params
-        return klein_height(M, A)
-    if name == "torus_height":
-        M, A = params
-        skeleton, f = torus_height_skeleton(M, A)
-        return lower_star(skeleton, f)
-    raise ValueError(f"unknown fixture {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -612,5 +584,7 @@ def parse_vertex_values(text: str) -> dict:
             raise ComplexError(f"line {lineno}: expected `<vertex-id> <value>`") from None
         if not math.isfinite(value):
             raise ComplexError(f"line {lineno}: value must be finite")
+        if vertex in out:
+            raise ComplexError(f"line {lineno}: repeated vertex id {vertex}")
         out[vertex] = value
     return out

@@ -272,9 +272,7 @@ def stability_harness(
     elif mode == "extended":
         from .extended import BifiltrationSpec, extended_barcode
 
-        sup = max(max(abs(x) for x in f.values.values()),
-                  max(abs(x) for x in g.values.values()))
-        M = sup + 1.0
+        M = max(BifiltrationSpec(skeleton, f).M, BifiltrationSpec(skeleton, g).M)
         lhs = bottleneck(
             extended_barcode(BifiltrationSpec(skeleton, f, M=M)),
             extended_barcode(BifiltrationSpec(skeleton, g, M=M)),

@@ -20,8 +20,9 @@ from .persistence import Barcode, Interval, barcode, persistent_betti
 class BifiltrationSpec:
     """Skeleton plus vertex function, bound M and spacing lambda.
 
-    The bound may be attained (|f| <= M); the spacing separates the
-    ascending phase from the descending one.
+    M is the one bound of f: it defaults to max|f| + 1, and any finite
+    M >= max|f| is accepted, so it may be attained (M = 0 for f = 0).
+    The spacing separates the ascending phase from the descending one.
     """
 
     complex: FilteredComplex

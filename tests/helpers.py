@@ -211,10 +211,7 @@ def reference_simplices_to_complex(valued: dict, vertex_values: Optional[dict] =
         )
     fc = FilteredComplex(cells)
     if vertex_values is not None:
-        f = VertexFunction(
-            {ids[(v,)]: x for v, x in vertex_values.items() if (v,) in ids},
-            bound_M=max((abs(x) for x in vertex_values.values()), default=1.0) + 1.0,
-        )
+        f = VertexFunction({ids[(v,)]: x for v, x in vertex_values.items() if (v,) in ids})
         fc = reference_lower_star(fc, f)
     else:
         fc = reference_sort_filtration(fc.cells)
@@ -796,9 +793,9 @@ def grid_surface(m: int, twist: bool) -> dict:
 def random_vertex_function(rng: random.Random, fc: FilteredComplex,
                            lo: float = -1.0, hi: float = 1.0) -> VertexFunction:
     vals = {c.id: rng.uniform(lo, hi) for c in fc.cells if c.dim == 0}
-    return VertexFunction(vals, bound_M=max(abs(lo), abs(hi)) + 1.0)
+    return VertexFunction(vals)
 
 
 def perturbed(rng: random.Random, f: VertexFunction, radius: float) -> VertexFunction:
     vals = {v: x + rng.uniform(-radius, radius) for v, x in f.values.items()}
-    return VertexFunction(vals, bound_M=f.bound_M + radius)
+    return VertexFunction(vals)

@@ -112,8 +112,7 @@ def test_criterion_5_extended_rank_spot_checks(criterion):
 def test_criterion_6_stability_attained(criterion):
     with criterion(6, "shifting the height function by 0.25 moves barcodes by exactly 0.25"):
         sk, f = klein_height_skeleton(2.0, 1.0)
-        g = VertexFunction({v: x + 0.25 for v, x in f.values.items()},
-                           bound_M=f.bound_M + 0.25)
+        g = VertexFunction({v: x + 0.25 for v, x in f.values.items()})
         b1 = barcode(lower_star(sk, f))
         b2 = barcode(lower_star(sk, g))
         for k in (0, 1, 2):

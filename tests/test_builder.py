@@ -109,11 +109,23 @@ def test_rips_single_point_and_threshold_below_every_distance():
 
 def random_simplices(rng, labels, count, max_size=4):
     """Distinct increasing label tuples of 1..max_size vertices."""
+    available = sum(math.comb(len(labels), k) for k in range(1, max_size + 1))
+    if count > available:
+        raise ValueError(f"{count} distinct simplices asked of {available} possible")
     out = set()
     while len(out) < count:
         k = rng.randint(1, min(max_size, len(labels)))
         out.add(tuple(sorted(rng.sample(labels, k))))
     return sorted(out, key=lambda s: rng.random())
+
+
+def test_random_simplices_refuses_more_than_the_labels_allow():
+    rng = random.Random(0)
+    assert sorted(random_simplices(rng, [1, 2], 3)) == [(1,), (1, 2), (2,)]
+    with pytest.raises(ValueError, match="9 distinct simplices asked of 1 possible"):
+        random_simplices(rng, [5], 9)
+    with pytest.raises(ValueError):
+        random_simplices(rng, list(range(3)), 4, max_size=1)
 
 
 LABEL_POOLS = {

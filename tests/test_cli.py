@@ -3,7 +3,9 @@ import sys
 
 import pytest
 
+from z2persist import BifiltrationSpec, VertexFunction, extended_barcode
 from z2persist.cli import main
+from z2persist.complexes import parse_spx, parse_vertex_values
 from z2persist.persistence import parse_bcx
 
 
@@ -71,6 +73,33 @@ def test_extended_on_simplicial_input(tmp_path, capsys):
     # the component is born at min f and dies when the first cone vertex
     # arrives at 2M + lambda - max f = 4
     assert ["0", "0", "4"] in rows
+
+
+def test_extended_bound_may_equal_max_abs_f(tmp_path, capsys):
+    # f = 0 everywhere, so M = 0 is a valid bound; the output is the
+    # library's extended barcode for the same spec
+    spx = tmp_path / "t.spx"
+    vals = tmp_path / "zeros.vv"
+    spx.write_text("0 1 2\n2 3\n")
+    vals.write_text("".join(f"{v} 0\n" for v in range(4)))
+    code, out, err = run_cli(capsys, "extended", str(spx), "--vertex-values", str(vals),
+                             "--bound", "0")
+    assert (code, err) == (0, "")
+    sk = parse_spx(spx.read_text(), parse_vertex_values(vals.read_text()))
+    f = VertexFunction({c.id: c.value for c in sk.cells if c.dim == 0})
+    assert out == extended_barcode(BifiltrationSpec(sk, f, M=0.0)).to_bcx()
+    assert out == "0 0 1\n"
+
+
+def test_extended_bound_below_max_abs_f_names_m(tmp_path, capsys):
+    spx = tmp_path / "t.spx"
+    vals = tmp_path / "zeros.vv"
+    spx.write_text("0 1\n")
+    vals.write_text("0 0\n1 0\n")
+    code, out, err = run_cli(capsys, "extended", str(spx), "--vertex-values", str(vals),
+                             "--bound", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: the bound M=-1.0 must be finite and at least max|f| = 0.0\n"
 
 
 def test_distance_of_barcode_with_itself(klein_fcx, tmp_path, capsys):
@@ -237,12 +266,17 @@ def test_bad_complex_rejected_at_parser(tmp_path, capsys, fmt, text, message):
     assert err.startswith(f"error: {message}")
 
 
-@pytest.mark.parametrize("line", ["0 nan", "0 inf", "0 -inf"])
-def test_bad_vertex_value_rejected_at_parser(tmp_path, capsys, line):
+@pytest.mark.parametrize("line, message", [
+    ("0 nan", "value must be finite"),
+    ("0 inf", "value must be finite"),
+    ("0 -inf", "value must be finite"),
+    ("1 2", "repeated vertex id 1"),
+], ids=["0 nan", "0 inf", "0 -inf", "repeated-id"])
+def test_bad_vertex_value_rejected_at_parser(tmp_path, capsys, line, message):
     spx = tmp_path / "edge.spx"
     spx.write_text("0 1\n")
     vals = tmp_path / "f.txt"
     vals.write_text("1 0.5\n" + line + "\n")
     code, out, err = run_cli(capsys, "extended", str(spx), "--vertex-values", str(vals))
     assert (code, out) == (2, "")
-    assert err.startswith("error: line 2: value must be finite")
+    assert err.startswith(f"error: line 2: {message}")

@@ -4,12 +4,13 @@ import re
 import pytest
 
 from z2persist import (
+    BifiltrationSpec,
     Cell,
     ComplexError,
     FilteredComplex,
     PointCloud,
     VertexFunction,
-    generate,
+    extended_barcode,
     klein_delta,
     klein_height,
     klein_height_skeleton,
@@ -17,6 +18,7 @@ from z2persist import (
     ng_cw,
     parse_bcx,
     torus_delta,
+    torus_height_skeleton,
 )
 from z2persist.complexes import parse_fcx, parse_spx, parse_vertex_values, write_fcx
 
@@ -86,7 +88,7 @@ def test_lower_star_max_rule():
     sk = FilteredComplex(
         [Cell(0, 0, 0.0), Cell(1, 0, 0.0), Cell(2, 1, 0.0, boundary=(0, 1))]
     )
-    f = VertexFunction({0: 0.0, 1: 1.0}, bound_M=2.0)
+    f = VertexFunction({0: 0.0, 1: 1.0})
     fc = lower_star(sk, f)
     edge = next(c for c in fc.cells if c.dim == 1)
     assert edge.value == 1.0
@@ -94,14 +96,14 @@ def test_lower_star_max_rule():
 
 def test_lower_star_constant_function():
     sk, _ = klein_height_skeleton(2.0, 1.0)
-    f = VertexFunction({0: 0.0, 1: 0.0, 2: 0.0}, bound_M=1.0)
+    f = VertexFunction({0: 0.0, 1: 0.0, 2: 0.0})
     fc = lower_star(sk, f)
     assert all(c.value == 0.0 for c in fc.cells)
 
 
 def test_lower_star_missing_vertex_value():
     sk = FilteredComplex([Cell(0, 0, 0.0), Cell(1, 0, 0.0)])
-    f = VertexFunction({0: 0.0}, bound_M=1.0)
+    f = VertexFunction({0: 0.0})
     with pytest.raises(ComplexError):
         lower_star(sk, f)
 
@@ -144,13 +146,27 @@ def test_sublevel_nesting():
         assert ids_a <= ids_b
 
 
-def test_generate_dispatch():
-    assert len(generate("ng_cw", 2)) == 4
-    assert len(generate("klein_delta")) == 6
-    generate("klein_height", 2.0, 1.0).validate()
-    generate("torus_height", 2.0, 1.0).validate()
-    with pytest.raises(ValueError):
-        generate("mystery")
+def test_fixture_sizes_and_height_filtrations():
+    assert len(ng_cw(2)) == 4
+    assert len(klein_delta()) == 6
+    klein_height(2.0, 1.0).validate()
+    lower_star(*torus_height_skeleton(2.0, 1.0)).validate()
+
+
+def test_cell_vertices_stops_at_a_face_with_its_own_vertex_list():
+    # a loop with no boundary but a vertex list, and a disk on it that has
+    # neither: the disk's vertices are the loop's
+    fc = FilteredComplex([
+        Cell(0, 0, 0.0, name="v"),
+        Cell(1, 1, 0.0, vertices=(0,), name="a"),
+        Cell(2, 2, 0.0, boundary=(1,), name="D"),
+    ])
+    fc.validate()
+    assert fc.cell_vertices(2) == frozenset({0})
+    f = VertexFunction({0: 0.5})
+    assert [c.value for c in lower_star(fc, f).cells] == [0.5, 0.5, 0.5]
+    b = extended_barcode(BifiltrationSpec(fc, f))
+    assert [(d, iv.birth, iv.death) for d, iv in b] == [(0, 0.5, 3.5)]
 
 
 def test_fcx_round_trip():
@@ -208,6 +224,11 @@ def test_spx_vertexfn_mode():
     fc.validate()
     tri = next(c for c in fc.cells if c.dim == 2)
     assert tri.value == 2.0
+
+
+def test_vertex_values_reject_a_repeated_vertex_id():
+    with pytest.raises(ComplexError, match=r"^line 4: repeated vertex id 0$"):
+        parse_vertex_values("0 1.0\n1 2.0\n# f(0) again\n0 5.0\n")
 
 
 def test_cell_vertices_closure_fallback():

@@ -38,7 +38,7 @@ def test_spec_validation():
 
 def test_cone_single_vertex():
     sk = FilteredComplex([Cell(0, 0, 0.0)])
-    f = VertexFunction({0: 0.0}, bound_M=1.0)
+    f = VertexFunction({0: 0.0})
     cone = build_cone_filtration(BifiltrationSpec(sk, f, M=1.0, lam=1.0))
     cells = cone.complex.cells
     # apex leads the filtration; the vertex is coned at 2M + lambda - f

@@ -23,10 +23,11 @@ from z2persist import (
     rips_filtration,
     summarize,
     torus_delta,
+    torus_height_skeleton,
 )
 from z2persist import persistence
 from z2persist.cli import main
-from z2persist.complexes import _simplices_to_complex, generate, write_fcx
+from z2persist.complexes import _simplices_to_complex, write_fcx
 from z2persist.persistence import barcode, reduce_filtration
 
 from helpers import (
@@ -45,7 +46,7 @@ def _lower_star_surfaces(rng):
             sk = _simplices_to_complex(grid_surface(m, twist))
             yield lower_star(sk, random_vertex_function(rng, sk))
     yield klein_height(2.0, 1.0)
-    yield generate("torus_height", 2.0, 1.0)
+    yield lower_star(*torus_height_skeleton(2.0, 1.0))
 
 
 def _rips_clouds(rng):

@@ -39,7 +39,7 @@ def _cells(fc):
 def _tied_function(rng, fc):
     """Heights on a 1/16 grid, so many cells share a value."""
     values = {c.id: rng.randint(-16, 16) / 16 for c in fc.cells if c.dim == 0}
-    return VertexFunction(values, bound_M=1.0)
+    return VertexFunction(values)
 
 
 def _cases():
@@ -58,8 +58,8 @@ def _cases():
         yield f"random{i}", sk, f
     yield ("klein-height",) + klein_height_skeleton(2.0, 1.0)
     yield ("torus-height",) + torus_height_skeleton(2.0, 1.0)
-    yield "ng3", ng_cw(3), VertexFunction({0: 0.5}, bound_M=1.0)
-    yield "int-values", ng_cw(1), VertexFunction({0: 1}, bound_M=2)
+    yield "ng3", ng_cw(3), VertexFunction({0: 0.5})
+    yield "int-values", ng_cw(1), VertexFunction({0: 1})
 
 
 CASES = list(_cases())
@@ -83,12 +83,12 @@ def test_cone_and_extended_barcode_match_reference(name, sk, f):
 
 def test_derived_filtrations_reject_missing_vertices_and_nan():
     sk = FilteredComplex([Cell(0, 0, 0.0), Cell(1, 1, 0.0)])  # an edge with no vertex
-    f = VertexFunction({0: 0.0}, bound_M=1.0)
+    f = VertexFunction({0: 0.0})
     with pytest.raises(ComplexError, match="^cell 1: cell has no vertices"):
         lower_star(sk, f)
     with pytest.raises(ComplexError, match="^cell 1: cell has no vertices"):
         build_cone_filtration(BifiltrationSpec(sk, f))
-    nan = VertexFunction({0: float("nan")}, bound_M=1.0)
+    nan = VertexFunction({0: float("nan")})
     with pytest.raises(ComplexError, match="NaN entry value"):
         lower_star(ng_cw(1), nan)
 
