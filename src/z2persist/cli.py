@@ -39,8 +39,18 @@ def _load_complex(path: str, fmt: str,
     text = _read(path)
     if fmt == "fcx":
         return complexes.parse_fcx(text)
-    vv = None if vertex_values is None else complexes.parse_vertex_values(_read(vertex_values))
-    return complexes.parse_spx(text, vv)
+    if vertex_values is None:
+        return complexes.parse_spx(text)
+    vv_text = _read(vertex_values)
+    vv = complexes.parse_vertex_values(vv_text)
+    fc = complexes.parse_spx(text, vv)
+    # parse_spx needs a value for each vertex and takes more; a file pair
+    # that gives a value to a vertex the complex lacks does not match.
+    present = {int(c.name) for c in fc.cells if c.dim == 0}
+    for (lineno, _), vertex in zip(complexes.text_lines(vv_text), vv):  # a value per line
+        if vertex not in present:
+            raise ComplexError(f"line {lineno}: vertex {vertex} is not in the complex")
+    return fc
 
 
 def _write(path: str, text: str) -> None:

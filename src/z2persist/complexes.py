@@ -78,47 +78,42 @@ class FilteredComplex:
         return max((c.dim for c in self.cells), default=-1)
 
     def validate(self) -> None:
-        """Raise ComplexError on the first violated invariant."""
-        cells = self.cells
-        for i, c in enumerate(cells):
-            if c.id != i:
+        """Raise ComplexError at the first offending cell in id order: one
+        walk checks each cell against the cells before it (its id, dimension,
+        finite value and (value, dim) order; each face distinct, declared
+        earlier, one dimension down and no later; boundary of boundary 0)."""
+        cells, inf = self.cells, math.inf
+        last_value, last_dim = -inf, -1
+        for cid, c in enumerate(cells):
+            dim, value, boundary = c.dim, c.value, c.boundary
+            if c.id != cid:
                 raise ComplexError(f"id {c.id} out of declaration order", c.id)
-            if c.dim < 0:
-                raise ComplexError("negative dimension", c.id)
-        for i in range(1, len(cells)):
-            a, b = cells[i - 1], cells[i]
-            if (b.value, b.dim) < (a.value, a.dim):
-                raise ComplexError(
-                    f"ordering violation: value {b.value} dim {b.dim} after "
-                    f"value {a.value} dim {a.dim}",
-                    b.id,
-                )
-        for c in cells:
-            prev = None
-            for f in c.boundary:
+            if dim < 0:
+                raise ComplexError("negative dimension", cid)
+            if not -inf < value < inf:
+                raise ComplexError(f"value {value} is not finite", cid)
+            if value <= last_value and (value < last_value or dim < last_dim):
+                raise ComplexError(f"ordering violation: value {value} dim {dim} after "
+                                   f"value {last_value} dim {last_dim}", cid)
+            last_value, last_dim = value, dim
+            if not boundary:
+                continue
+            prev, dd, face_dim = -1, 0, dim - 1
+            for f in boundary:
+                if not 0 <= f < cid:
+                    raise ComplexError(f"face {f} not previously declared", cid)
                 if f == prev:
-                    raise ComplexError(f"repeated face {f}", c.id)
-                prev = f
-                if f >= c.id:
-                    raise ComplexError(f"face {f} not previously declared", c.id)
-                face = cells[f]
-                if face.dim != c.dim - 1:
+                    raise ComplexError(f"repeated face {f}", cid)
+                prev, face = f, cells[f]
+                if face.dim != face_dim:
+                    raise ComplexError(f"face {f} has dim {face.dim}, expected {face_dim}", cid)
+                if face.value > value:
                     raise ComplexError(
-                        f"face {f} has dim {face.dim}, expected {c.dim - 1}", c.id
-                    )
-                if face.value > c.value:
-                    raise ComplexError(
-                        f"face {f} enters at {face.value} after cell value {c.value}",
-                        c.id,
-                    )
-        for c in cells:
-            if c.dim >= 1:
-                dd = 0
-                for f in c.boundary:
-                    for g in cells[f].boundary:
-                        dd ^= 1 << g
-                if dd:
-                    raise ComplexError("boundary of boundary is nonzero", c.id)
+                        f"face {f} enters at {face.value} after cell value {value}", cid)
+                for g in face.boundary:
+                    dd ^= 1 << g
+            if dd:
+                raise ComplexError("boundary of boundary is nonzero", cid)
 
     def cell_vertices(self, cell_id: int) -> frozenset:
         """Vertex ids in the closure of a cell.
@@ -500,33 +495,27 @@ def _simplices_to_complex(valued: dict, vertex_values: Optional[dict] = None) ->
     contain them; with vertex_values each simplex enters at the maximum of
     the function over its vertices instead (the lower-star filtration).
     """
-    simplices = dict(valued)
-    for simplex in sorted(valued, key=len, reverse=True):
-        stack = [simplex]
-        while stack:
-            s = stack.pop()
-            if len(s) == 1:
-                continue
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1 :]
-                v = simplices[s]
-                if face not in simplices or simplices[face] > v:
-                    simplices[face] = v
-                    stack.append(face)
-    by_dim: list[list[tuple]] = [[] for _ in range(max(map(len, simplices), default=0))]
-    for simplex in simplices:
-        by_dim[len(simplex) - 1].append(simplex)
-    if not by_dim:
-        return FilteredComplex(())
+    # One walk down the dimensions: each face of a k-simplex takes the
+    # smaller of its value and the simplex's, and a new face joins k-1.
+    by_dim: list[dict] = [{} for _ in range(max(map(len, valued), default=0))]
+    for simplex, value in valued.items():
+        by_dim[len(simplex) - 1][simplex] = value
+    for k in range(len(by_dim) - 1, 0, -1):
+        below = by_dim[k - 1]
+        for simplex, value in by_dim[k].items():
+            for i in range(k + 1):
+                face = simplex[:i] + simplex[i + 1 :]
+                if face not in below or below[face] > value:
+                    below[face] = value
     # Vertex labels become their ranks 0..n-1, which keeps their order.
-    vertices = np.sort(np.array(by_dim[0], dtype=np.int64).ravel())
+    vertices = np.sort(np.array(list(by_dim[0]), dtype=np.int64).ravel())
     rows, values = [], []
     for k, group in enumerate(by_dim):
-        ranks = np.searchsorted(vertices, np.array(group, dtype=np.int64).reshape(-1, k + 1))
+        ranks = np.searchsorted(vertices, np.array(list(group), dtype=np.int64).reshape(-1, k + 1))
         lex = np.lexsort(ranks.T[::-1])
         rows.append(ranks[lex])
         if vertex_values is None:
-            values.append(np.fromiter(map(simplices.__getitem__, group), float, len(group))[lex])
+            values.append(np.fromiter(group.values(), float, len(group))[lex])
     labels = vertices.tolist()
     if vertex_values is not None:
         try:

@@ -33,7 +33,10 @@ class BifiltrationSpec:
     def __post_init__(self):
         if not 0 < self.lam < math.inf:  # also false for nan
             raise ValueError("spacing lambda must be positive and finite")
-        sup = max(abs(x) for x in self.f.values.values())
+        values = self.f.values.values()
+        if not values or not all(map(math.isfinite, values)):
+            raise ValueError("the vertex function f must have at least one value, all finite")
+        sup = max(map(abs, values))
         if self.M is None:
             object.__setattr__(self, "M", sup + 1.0)
         elif not sup <= self.M < math.inf:

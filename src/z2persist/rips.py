@@ -139,10 +139,11 @@ def rips_filtration(pc: PointCloud, params: RipsParams) -> FilteredComplex:
         # `+ 0.0` turns the -0.0 that np.ceil gives for a zero diameter
         # into 0.0, as math.ceil does.
         values[1:] = [np.ceil(v / step - 1e-12) * step + 0.0 for v in values[1:]]
-        keep = [v <= limit for v in values]
-        simplices = [s[k] for s, k in zip(simplices, keep)]
-        values = [v[k] for v, k in zip(values, keep)]
-    # Stepped mode with a negative limit keeps no vertex, hence not range(n).
+    # No cell enters above the limit, so a negative one keeps no vertex;
+    # an array kept whole is not copied.
+    keep = [v <= limit for v in values]
+    simplices = [s if k.all() else s[k] for s, k in zip(simplices, keep)]
+    values = [v if k.all() else v[k] for v, k in zip(values, keep)]
     return simplicial_filtration(
         simplices, values, [str(v) for v in range(len(simplices[0]))])
 

@@ -7,13 +7,15 @@ import math
 from .persistence import Barcode
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
+_WIDTH = 640  # pixels
+_ROW_HEIGHT = 14  # pixels per bar
 
 
-def barcode_svg(b: Barcode, width: int = 640, row_height: int = 14) -> str:
+def barcode_svg(b: Barcode) -> str:
     bars = list(b.bars)
     if not bars:
         return (
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="20">'
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="20">'
             "<text x='4' y='14' font-size='10'>empty barcode</text></svg>"
         )
     finite = [iv.birth for _, iv in bars] + [
@@ -27,26 +29,20 @@ def barcode_svg(b: Barcode, width: int = 640, row_height: int = 14) -> str:
 
     def x(t: float) -> float:
         if t == math.inf:
-            return width - 2
-        return margin + (t - lo) / (hi - lo) * (width - margin - 10)
+            return _WIDTH - 2
+        return margin + (t - lo) / (hi - lo) * (_WIDTH - margin - 10)
 
-    height = row_height * (len(bars) + 1)
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">'
-    ]
-    row = 0
-    for dim in sorted({d for d, _ in bars}):
-        first_row_y = row_height * (row + 1)
-        out.append(f'<text x="4" y="{first_row_y + 4}" font-size="10">H{dim}</text>')
-        color = _COLORS[dim % len(_COLORS)]
-        for d, iv in bars:
-            if d != dim:
-                continue
-            y = row_height * (row + 1)
-            out.append(
-                f'<line x1="{x(iv.birth):.2f}" y1="{y}" x2="{x(iv.death):.2f}" '
-                f'y2="{y}" stroke="{color}" stroke-width="4"/>'
-            )
-            row += 1
+    height = _ROW_HEIGHT * (len(bars) + 1)
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{height}">']
+    labelled = None
+    for row, (dim, iv) in enumerate(bars, start=1):
+        y = _ROW_HEIGHT * row
+        if dim != labelled:  # bars are sorted by degree: label the first of each
+            out.append(f'<text x="4" y="{y + 4}" font-size="10">H{dim}</text>')
+            labelled = dim
+        out.append(
+            f'<line x1="{x(iv.birth):.2f}" y1="{y}" x2="{x(iv.death):.2f}" '
+            f'y2="{y}" stroke="{_COLORS[dim % len(_COLORS)]}" stroke-width="4"/>'
+        )
     out.append("</svg>")
     return "\n".join(out)

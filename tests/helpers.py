@@ -1,11 +1,12 @@
 """Independent oracles and random-input generators for the test suite.
 
 Everything here deliberately avoids the library's bitset reduction, its
-matching search and its numpy simplex builder: dense GF(2) elimination,
-explicit composite-map matrices, the first sorted-tuple column reduction,
-exhaustive matching enumeration, the first padded-graph bottleneck search,
-the first per-simplex Rips and SPX builders and the first lower-star and
-cone builders serve as ground truth.
+matching search, its numpy simplex builder and its one-walk validate:
+dense GF(2) elimination, explicit composite-map matrices, the first
+sorted-tuple column reduction, exhaustive matching enumeration, the first
+padded-graph bottleneck search, the first per-simplex Rips and SPX
+builders, the first lower-star and cone builders and the four-pass
+validate serve as ground truth.
 """
 from __future__ import annotations
 
@@ -22,6 +23,56 @@ from z2persist.distances import Matching, _deletion_cost, _match_cost
 from z2persist.extended import BifiltrationSpec
 from z2persist.persistence import Reduction, reduce_filtration
 from z2persist.rips import PointCloud, RipsParams
+
+
+# ---------------------------------------------------------------------------
+# the library's first validate: four passes over the cells, each invariant
+# checked for every cell before the next; the one-walk validate must raise
+# the same message wherever a single cell offends
+
+
+def reference_validate(fc: FilteredComplex) -> None:
+    """Raise ComplexError on the first violated invariant, in pass order."""
+    cells = fc.cells
+    for i, c in enumerate(cells):
+        if c.id != i:
+            raise ComplexError(f"id {c.id} out of declaration order", c.id)
+        if c.dim < 0:
+            raise ComplexError("negative dimension", c.id)
+    for i in range(1, len(cells)):
+        a, b = cells[i - 1], cells[i]
+        if (b.value, b.dim) < (a.value, a.dim):
+            raise ComplexError(
+                f"ordering violation: value {b.value} dim {b.dim} after "
+                f"value {a.value} dim {a.dim}",
+                b.id,
+            )
+    for c in cells:
+        prev = None
+        for f in c.boundary:
+            if f == prev:
+                raise ComplexError(f"repeated face {f}", c.id)
+            prev = f
+            if f >= c.id:
+                raise ComplexError(f"face {f} not previously declared", c.id)
+            face = cells[f]
+            if face.dim != c.dim - 1:
+                raise ComplexError(
+                    f"face {f} has dim {face.dim}, expected {c.dim - 1}", c.id
+                )
+            if face.value > c.value:
+                raise ComplexError(
+                    f"face {f} enters at {face.value} after cell value {c.value}",
+                    c.id,
+                )
+    for c in cells:
+        if c.dim >= 1:
+            dd = 0
+            for f in c.boundary:
+                for g in cells[f].boundary:
+                    dd ^= 1 << g
+            if dd:
+                raise ComplexError("boundary of boundary is nonzero", c.id)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +309,7 @@ def reference_rips_filtration(pc: PointCloud, params: RipsParams) -> FilteredCom
             (s, reference_snap_up(d, params.step_size) if len(s) > 1 else 0.0)
             for s, d in simplices
         ]
-        simplices = [(s, d) for s, d in simplices if d <= limit]
+    simplices = [(s, d) for s, d in simplices if d <= limit]  # a negative limit keeps nothing
     simplices.sort(key=lambda sd: (sd[1], len(sd[0]), sd[0]))
     ids = {s: i for i, (s, _) in enumerate(simplices)}
     cells = []

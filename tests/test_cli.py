@@ -102,6 +102,17 @@ def test_extended_bound_below_max_abs_f_names_m(tmp_path, capsys):
     assert err == "error: the bound M=-1.0 must be finite and at least max|f| = 0.0\n"
 
 
+def test_extended_rejects_a_value_for_a_vertex_the_complex_lacks(tmp_path, capsys):
+    spx = tmp_path / "e.spx"
+    vals = tmp_path / "e.vv"
+    spx.write_text("0 1\n")
+    vals.write_text("0 1\n1 2\n# vertex 7 is in no simplex\n7 100\n")
+    code, out, err = run_cli(capsys, "extended", str(spx), "--vertex-values", str(vals))
+    assert (code, out, err) == (2, "", "error: line 4: vertex 7 is not in the complex\n")
+    # the library still takes a superset of the values it needs
+    assert len(parse_spx(spx.read_text(), parse_vertex_values(vals.read_text()))) == 3
+
+
 def test_distance_of_barcode_with_itself(klein_fcx, tmp_path, capsys):
     bcx = tmp_path / "a.bcx"
     code, out, _ = run_cli(capsys, "persist", str(klein_fcx))

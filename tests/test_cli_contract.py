@@ -14,7 +14,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from z2persist import BifiltrationSpec, PointCloud, RipsParams, klein_height_skeleton
+from z2persist import (
+    BifiltrationSpec, PointCloud, RipsParams, klein_height_skeleton, rips_filtration,
+)
 from z2persist import cli
 from z2persist.cli import main
 
@@ -53,6 +55,16 @@ def test_rips_rejects_non_finite_scales(files, capsys, flags):
     code, out, err = run_cli(capsys, "rips", files / "p.csv", "--max-dim", "1", *flags)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "finite" in err
+
+
+def test_rips_negative_threshold_keeps_no_cell(files, capsys):
+    # no cell enters above the scale limit, vertices included, in either mode
+    pc = PointCloud(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
+    for params in (RipsParams(max_dim=1, threshold=-1.0),
+                   RipsParams(max_dim=1, steps=2, step_size=0.5, threshold=-1.0)):
+        assert len(rips_filtration(pc, params)) == 0
+    code, out, err = run_cli(capsys, "rips", files / "p.csv", "--max-dim", "1", "--threshold", "-1")
+    assert (code, out, err) == (0, "", "")
 
 
 def test_rips_params_reject_non_finite_scales():

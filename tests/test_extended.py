@@ -36,6 +36,14 @@ def test_spec_validation():
     assert BifiltrationSpec(sk, f).M == 3.0  # default max|f| + 1
 
 
+@pytest.mark.parametrize("values", [{}, {0: INF}, {0: 0.5, 1: -INF}, {0: math.nan, 1: 1.0}],
+                         ids=["empty", "inf", "minus-inf", "nan"])
+def test_spec_rejects_an_empty_or_non_finite_f(values):
+    sk = FilteredComplex([Cell(0, 0, 0.0), Cell(1, 0, 0.0)])
+    with pytest.raises(ValueError, match="^the vertex function f must have at least one value"):
+        BifiltrationSpec(sk, VertexFunction(values))
+
+
 def test_cone_single_vertex():
     sk = FilteredComplex([Cell(0, 0, 0.0)])
     f = VertexFunction({0: 0.0})
