@@ -1,15 +1,15 @@
 """Filtered cell complexes with explicit mod-2 boundaries.
 
 Cells carry a dimension, a filtration value and the set of (dim-1)-cells
-appearing in their boundary with odd degree.  A cell may also carry the
-vertex ids of its closure; when absent they are recovered by following
-boundaries, which is exact for honest simplicial cells.
+appearing in their boundary with odd degree.  The boundary is the one
+record of a cell's vertices; a CW cell whose mod-2 boundary cannot say
+them (a loop, a disk glued along loops) carries its own vertex list.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat, tee
+from itertools import repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -52,7 +52,7 @@ class VertexFunction:
         try:
             return self.values[vertex]
         except KeyError:
-            raise ComplexError("no function value for vertex", vertex) from None
+            raise ComplexError(f"vertex {vertex} has no function value") from None
 
     def sup_distance(self, other: "VertexFunction") -> float:
         if set(self.values) != set(other.values):
@@ -81,7 +81,8 @@ class FilteredComplex:
         """Raise ComplexError at the first offending cell in id order: one
         walk checks each cell against the cells before it (its id, dimension,
         finite value and (value, dim) order; each face distinct, declared
-        earlier, one dimension down and no later; boundary of boundary 0)."""
+        earlier and one dimension down; boundary of boundary 0).  A face
+        then enters no later than its cell, since values do not decrease."""
         cells, inf = self.cells, math.inf
         last_value, last_dim = -inf, -1
         for cid, c in enumerate(cells):
@@ -107,42 +108,10 @@ class FilteredComplex:
                 prev, face = f, cells[f]
                 if face.dim != face_dim:
                     raise ComplexError(f"face {f} has dim {face.dim}, expected {face_dim}", cid)
-                if face.value > value:
-                    raise ComplexError(
-                        f"face {f} enters at {face.value} after cell value {value}", cid)
                 for g in face.boundary:
                     dd ^= 1 << g
             if dd:
                 raise ComplexError("boundary of boundary is nonzero", cid)
-
-    def cell_vertices(self, cell_id: int) -> frozenset:
-        """Vertex ids in the closure of a cell.
-
-        Uses the explicit vertex list when present, otherwise the
-        transitive boundary closure (exact for simplicial cells), which
-        stops at each face that has its own vertex list.
-        """
-        c = self.cells[cell_id]
-        if c.vertices is not None:
-            return frozenset(c.vertices)
-        if c.dim == 0:
-            return frozenset((c.id,))
-        out: set[int] = set()
-        stack = list(c.boundary)
-        seen = set(stack)
-        while stack:
-            f = stack.pop()
-            fc = self.cells[f]
-            if fc.vertices is not None:  # a face's own list closes its branch
-                out.update(fc.vertices)
-                continue
-            if fc.dim == 0:
-                out.add(f)
-            for g in fc.boundary:
-                if g not in seen:
-                    seen.add(g)
-                    stack.append(g)
-        return frozenset(out)
 
     def sublevel(self, a: float) -> "FilteredComplex":
         """Subcomplex of cells with value <= a (a prefix, by the ordering)."""
@@ -204,7 +173,8 @@ def simplicial_filtration(simplices: Sequence[np.ndarray], values: Sequence[np.n
     row one dimension down.  values[k] holds the rows' entry values, which
     must not decrease from face to coface.  Cells are numbered by (value,
     dim, vertex tuple); a cell is named by its vertex labels joined by
-    '-', and each Cell is built once.
+    '-', its boundary is its one record of its vertices, and each Cell is
+    built once.
     """
     n = len(labels)
     if len(simplices) and not np.array_equal(simplices[0][:, 0], np.arange(n)):
@@ -265,20 +235,15 @@ def simplicial_filtration(simplices: Sequence[np.ndarray], values: Sequence[np.n
         hi = lo + _CHUNK
         rows = order[lo:hi]
         dims = dim_of[rows]
-        boundaries, vertices, names = [], [], []
+        boundaries, names = [], []
         for k, s in enumerate(simplices):
             sel = rows[dims == k] - offsets[k]  # this chunk's rows of dim k, by id
-            verts = np.sort(id_of[s[sel]], axis=1)
-            verts = zip(*[map(shared, col) for col in verts.T.tolist()])
-            if k == 1:  # an edge's faces are its vertices: one tuple serves both
-                bnd, verts = tee(verts)
-            elif k:
+            if k:
                 bnd = np.sort(id_of[offsets[k - 1] + faces[k][sel]], axis=1)
                 bnd = zip(*[map(shared, col) for col in bnd.T.tolist()])
             else:
                 bnd = repeat(())
             boundaries.append(bnd)
-            vertices.append(verts)
             names.append(map("-".join, zip(*[map(label, col) for col in s[sel].T.tolist()])))
         pick = dims.tolist()
         cells.extend(map(
@@ -287,7 +252,7 @@ def simplicial_filtration(simplices: Sequence[np.ndarray], values: Sequence[np.n
             pick,
             map(distinct.__getitem__, value_of[lo:hi].tolist()),
             map(next, map(boundaries.__getitem__, pick)),
-            map(next, map(vertices.__getitem__, pick)),
+            repeat(None),
             map(next, map(names.__getitem__, pick)),
         ))
     return FilteredComplex(cells)
@@ -319,13 +284,26 @@ def _reorder(rows: Sequence[tuple], values: Sequence[float]) -> tuple[FilteredCo
 
 
 def _star_values(skeleton: FilteredComplex, f: VertexFunction) -> tuple[list, list]:
-    """Minimum and maximum of f over each cell's vertices, by cell id."""
+    """Minimum and maximum of f over each cell's vertices, by cell id, in
+    one pass: a cell with its own vertex list reads it, a vertex reads
+    itself, and any other cell combines its faces' entries, which come
+    before it."""
     lows, highs = [], []
-    for c in skeleton.cells:
-        verts = skeleton.cell_vertices(c.id)
-        if not verts:
-            raise ComplexError("cell has no vertices in its closure", c.id)
-        values = [f(v) for v in verts]
+    low_of, high_of = lows.__getitem__, highs.__getitem__
+    for cid, c in enumerate(skeleton.cells):
+        boundary, vertices = c.boundary, c.vertices
+        if vertices is None and c.dim and boundary:
+            if boundary[0] < 0 or boundary[-1] >= cid:  # boundaries are sorted
+                bad = boundary[0] if boundary[0] < 0 else boundary[-1]
+                raise ComplexError(f"face {bad} not previously declared", cid)
+            lows.append(min(map(low_of, boundary)))
+            highs.append(max(map(high_of, boundary)))
+            continue
+        if vertices is None:
+            vertices = () if c.dim else (c.id,)
+        if not vertices:
+            raise ComplexError("cell has no vertices in its closure", cid)
+        values = [f(v) for v in vertices]
         lows.append(min(values))
         highs.append(max(values))
     return lows, highs
@@ -521,10 +499,10 @@ def _simplices_to_complex(valued: dict, vertex_values: Optional[dict] = None) ->
         try:
             f = np.array([vertex_values[v] for v in labels], dtype=float)
         except KeyError as e:
-            raise ComplexError("no function value for vertex", e.args[0]) from None
+            raise ComplexError(f"vertex {e.args[0]} has no function value") from None
         bad = np.flatnonzero(~np.isfinite(f))
         if len(bad):
-            raise ComplexError("non-finite function value for vertex", labels[bad[0]])
+            raise ComplexError(f"vertex {labels[bad[0]]} has a non-finite function value")
         values = [f[r].max(axis=1) for r in rows]
     fc = simplicial_filtration(rows, values, [str(v) for v in labels])
     fc.validate()

@@ -245,6 +245,10 @@ def interleaved(b1: Barcode, b2: Barcode, k: int, eps: float) -> bool:
     return g.augment(eps, [-1] * g.size, [-1] * g.size)
 
 
+# Slack for float rounding in the stability bound's two sides.
+_STABILITY_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class StabilityReport:
     lhs: float
@@ -258,7 +262,6 @@ def stability_harness(
     g: VertexFunction,
     k: Optional[int] = None,
     mode: str = "ordinary",
-    tol: float = 1e-9,
 ) -> StabilityReport:
     """Check the stability bound: barcode distance <= sup|f - g|.
 
@@ -280,4 +283,4 @@ def stability_harness(
         )
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return StabilityReport(lhs=lhs, rhs=rhs, ok=lhs <= rhs + tol)
+    return StabilityReport(lhs=lhs, rhs=rhs, ok=lhs <= rhs + _STABILITY_TOL)

@@ -75,6 +75,14 @@ class RipsParams:
             raise ValueError("threshold must be finite")
         if (self.steps is None) != (self.step_size is None):
             raise ValueError("steps and step_size go together")
+        if self.steps is not None:
+            try:
+                product = self.steps * self.step_size
+            except OverflowError:  # an int steps too large for a float
+                product = math.inf
+            if product == math.inf:
+                raise ValueError(f"steps * step_size = {self.steps} * {self.step_size!r} "
+                                 "is not finite")
 
     @property
     def scale_limit(self) -> float:

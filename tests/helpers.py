@@ -1,12 +1,13 @@
 """Independent oracles and random-input generators for the test suite.
 
 Everything here deliberately avoids the library's bitset reduction, its
-matching search, its numpy simplex builder and its one-walk validate:
+matching search, its numpy simplex builder, its one-pass star values and
+its one-walk validate:
 dense GF(2) elimination, explicit composite-map matrices, the first
 sorted-tuple column reduction, exhaustive matching enumeration, the first
 padded-graph bottleneck search, the first per-simplex Rips and SPX
-builders, the first lower-star and cone builders and the four-pass
-validate serve as ground truth.
+builders, the closure walk for a cell's vertices, the first lower-star
+and cone builders and the four-pass validate serve as ground truth.
 """
 from __future__ import annotations
 
@@ -76,9 +77,40 @@ def reference_validate(fc: FilteredComplex) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the library's first derived filtrations: lower_star through sort_filtration,
-# and the cone built by its own sort and two Cell loops; the shared
+# the library's first derived filtrations: each cell's vertex set by a walk
+# of its closure, lower_star through sort_filtration, and the cone built by
+# its own sort and two Cell loops; the one-pass star values and the shared
 # renumbering must give the same cells
+
+
+def reference_cell_vertices(fc: FilteredComplex, cell_id: int) -> frozenset:
+    """Vertex ids in the closure of a cell.
+
+    Uses the explicit vertex list when present, otherwise the
+    transitive boundary closure (exact for simplicial cells), which
+    stops at each face that has its own vertex list.
+    """
+    c = fc.cells[cell_id]
+    if c.vertices is not None:
+        return frozenset(c.vertices)
+    if c.dim == 0:
+        return frozenset((c.id,))
+    out: set[int] = set()
+    stack = list(c.boundary)
+    seen = set(stack)
+    while stack:
+        f = stack.pop()
+        face = fc.cells[f]
+        if face.vertices is not None:  # a face's own list closes its branch
+            out.update(face.vertices)
+            continue
+        if face.dim == 0:
+            out.add(f)
+        for g in face.boundary:
+            if g not in seen:
+                seen.add(g)
+                stack.append(g)
+    return frozenset(out)
 
 
 def reference_sort_filtration(cells: Sequence[Cell]) -> FilteredComplex:
@@ -104,7 +136,7 @@ def reference_lower_star(skeleton: FilteredComplex, f: VertexFunction) -> Filter
     maximum of f over its vertices."""
     valued = []
     for c in skeleton.cells:
-        verts = skeleton.cell_vertices(c.id)
+        verts = reference_cell_vertices(skeleton, c.id)
         if not verts:
             raise ComplexError("cell has no vertices in its closure", c.id)
         valued.append(replace(c, value=max(f(v) for v in verts)))
@@ -144,7 +176,7 @@ def reference_build_cone_filtration(spec: BifiltrationSpec) -> ReferenceConeFilt
     asc = []
     desc = []
     for c in skeleton.cells:
-        verts = skeleton.cell_vertices(c.id)
+        verts = reference_cell_vertices(skeleton, c.id)
         if not verts:
             raise ComplexError("cell has no vertices in its closure", c.id)
         asc.append(max(f(v) for v in verts))
@@ -573,10 +605,10 @@ def pair_rank(skeleton: FilteredComplex, f: VertexFunction, M: float,
     assert a <= b
 
     def asc(c):
-        return max(f(v) for v in skeleton.cell_vertices(c.id))
+        return max(f(v) for v in reference_cell_vertices(skeleton, c.id))
 
     def desc(c):
-        return 2 * M + lam - min(f(v) for v in skeleton.cell_vertices(c.id))
+        return 2 * M + lam - min(f(v) for v in reference_cell_vertices(skeleton, c.id))
 
     k_ids = [c.id for c in skeleton.cells if c.dim == k]
     if not k_ids:

@@ -113,6 +113,16 @@ def test_extended_rejects_a_value_for_a_vertex_the_complex_lacks(tmp_path, capsy
     assert len(parse_spx(spx.read_text(), parse_vertex_values(vals.read_text()))) == 3
 
 
+def test_extended_names_a_vertex_with_no_value(tmp_path, capsys):
+    # the complex has cells 0-2; the vertex without a value is 20
+    spx = tmp_path / "a.spx"
+    vals = tmp_path / "a.vv"
+    spx.write_text("10 20\n")
+    vals.write_text("10 1.0\n")
+    code, out, err = run_cli(capsys, "extended", str(spx), "--vertex-values", str(vals))
+    assert (code, out, err) == (2, "", "error: vertex 20 has no function value\n")
+
+
 def test_distance_of_barcode_with_itself(klein_fcx, tmp_path, capsys):
     bcx = tmp_path / "a.bcx"
     code, out, _ = run_cli(capsys, "persist", str(klein_fcx))

@@ -57,6 +57,19 @@ def test_rips_rejects_non_finite_scales(files, capsys, flags):
     assert err.startswith("error: ") and "finite" in err
 
 
+@pytest.mark.parametrize("steps, step_size, shown", [
+    ("3", "1e308", "3 * 1e+308"),
+    ("1" + "0" * 400, "1", "1" + "0" * 400 + " * 1.0"),  # too large an int for a float
+], ids=["float-overflow", "int-overflow"])
+def test_rips_rejects_a_step_product_that_overflows(files, capsys, steps, step_size, shown):
+    # both flags are given, so this is bad input, not a missing-flag usage error
+    code, out, err = run_cli(capsys, "rips", files / "p.csv", "--max-dim", "1",
+                             "--steps", steps, "--step-size", step_size)
+    assert (code, out, err) == (2, "", f"error: steps * step_size = {shown} is not finite\n")
+    with pytest.raises(ValueError, match=r"^steps \* step_size = 3 \* 1e\+308 is not finite$"):
+        RipsParams(max_dim=1, steps=3, step_size=1e308, threshold=1.0)
+
+
 def test_rips_negative_threshold_keeps_no_cell(files, capsys):
     # no cell enters above the scale limit, vertices included, in either mode
     pc = PointCloud(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))

@@ -10,6 +10,7 @@ from z2persist import (
     FilteredComplex,
     PointCloud,
     VertexFunction,
+    build_cone_filtration,
     extended_barcode,
     klein_delta,
     klein_height,
@@ -20,9 +21,18 @@ from z2persist import (
     torus_delta,
     torus_height_skeleton,
 )
-from z2persist.complexes import parse_fcx, parse_spx, parse_vertex_values, write_fcx
+from z2persist.complexes import _star_values, parse_fcx, parse_spx, parse_vertex_values, write_fcx
 
-from helpers import random_skeleton, random_vertex_function
+from helpers import (
+    random_skeleton,
+    random_vertex_function,
+    reference_cell_vertices,
+    reference_lower_star,
+)
+
+
+def star_rows(fc):
+    return [(c.id, c.dim, repr(c.value), c.boundary, c.vertices, c.name) for c in fc.cells]
 
 
 def test_klein_delta_validates():
@@ -162,9 +172,10 @@ def test_cell_vertices_stops_at_a_face_with_its_own_vertex_list():
         Cell(2, 2, 0.0, boundary=(1,), name="D"),
     ])
     fc.validate()
-    assert fc.cell_vertices(2) == frozenset({0})
+    assert reference_cell_vertices(fc, 2) == frozenset({0})
     f = VertexFunction({0: 0.5})
     assert [c.value for c in lower_star(fc, f).cells] == [0.5, 0.5, 0.5]
+    assert star_rows(lower_star(fc, f)) == star_rows(reference_lower_star(fc, f))
     b = extended_barcode(BifiltrationSpec(fc, f))
     assert [(d, iv.birth, iv.death) for d, iv in b] == [(0, 0.5, 3.5)]
 
@@ -244,6 +255,37 @@ def test_cell_vertices_closure_fallback():
             Cell(6, 2, 0.0, boundary=(3, 4, 5)),
         ]
     )
-    assert fc.cell_vertices(6) == {0, 1, 2}
-    assert fc.cell_vertices(3) == {0, 1}
-    assert fc.cell_vertices(0) == {0}
+    assert reference_cell_vertices(fc, 6) == {0, 1, 2}
+    assert reference_cell_vertices(fc, 3) == {0, 1}
+    assert reference_cell_vertices(fc, 0) == {0}
+    # the one-pass star values read the same closures through the faces
+    f = VertexFunction({0: 2.0, 1: -1.0, 2: 0.5})
+    lows, highs = _star_values(fc, f)
+    for c in fc.cells:
+        values = [f(v) for v in reference_cell_vertices(fc, c.id)]
+        assert (lows[c.id], highs[c.id]) == (min(values), max(values))
+    assert [(c.dim, c.value) for c in lower_star(fc, f).cells] == [
+        (0, -1.0), (0, 0.5), (1, 0.5), (0, 2.0), (1, 2.0), (1, 2.0), (2, 2.0)]
+    assert star_rows(lower_star(fc, f)) == star_rows(reference_lower_star(fc, f))
+
+
+def test_lower_star_names_a_vertex_with_no_value():
+    sk = FilteredComplex([Cell(0, 0, 0.0), Cell(1, 0, 0.0), Cell(2, 1, 0.0, boundary=(0, 1))])
+    with pytest.raises(ComplexError, match="^vertex 1 has no function value$"):
+        lower_star(sk, VertexFunction({0: 0.0}))
+
+
+@pytest.mark.parametrize("cells, cell, face", [
+    ([Cell(0, 0, 0.0), Cell(1, 1, 0.0, boundary=(0, 2)), Cell(2, 0, 0.0)], 1, 2),
+    ([Cell(0, 0, 0.0), Cell(1, 0, 0.0), Cell(2, 1, 0.0, boundary=(1, 2))], 2, 2),
+    ([Cell(0, 0, 0.0), Cell(1, 0, 0.0), Cell(2, 1, 0.0, boundary=(-1, 0))], 2, -1),
+], ids=["later-face", "own-id", "negative-face"])
+def test_derived_filtrations_need_faces_before_their_cells(cells, cell, face):
+    # star values read each face's entry, so a face at or after its cell, or
+    # with a negative id, is named instead of read out of order or wrapped
+    f = VertexFunction({0: 0.0, 1: 1.0, 2: 2.0})
+    message = f"^cell {cell}: face {face} not previously declared$"
+    with pytest.raises(ComplexError, match=message):
+        lower_star(FilteredComplex(cells), f)
+    with pytest.raises(ComplexError, match=message):
+        build_cone_filtration(BifiltrationSpec(FilteredComplex(cells), f))
