@@ -14,6 +14,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import complexes, distances, extended, homology, persistence, rips, svg
 from .complexes import ComplexError, FilteredComplex, format_value
 
@@ -46,10 +48,11 @@ def _load_complex(path: str, fmt: str,
     fc = complexes.parse_spx(text, vv)
     # parse_spx needs a value for each vertex and takes more; a file pair
     # that gives a value to a vertex the complex lacks does not match.
-    present = {int(c.name) for c in fc.cells if c.dim == 0}
-    for (lineno, _), vertex in zip(complexes.text_lines(vv_text), vv):  # a value per line
-        if vertex not in present:
-            raise ComplexError(f"line {lineno}: vertex {vertex} is not in the complex")
+    if len(vv) > fc.num_cells(0):
+        present = {int(fc.label(j)) for j in np.flatnonzero(fc.dims == 0).tolist()}
+        for (lineno, _), vertex in zip(complexes.text_lines(vv_text), vv):  # a value per line
+            if vertex not in present:
+                raise ComplexError(f"line {lineno}: vertex {vertex} is not in the complex")
     return fc
 
 
@@ -163,7 +166,7 @@ def run(argv: Sequence[str]) -> int:
             print(f"betti {k} {summary.betti[k]}")
         for k in sorted(summary.generators):
             for cyc in summary.generators[k]:
-                names = "+".join(sorted(fc.cells[c].label() for c in cyc))
+                names = "+".join(sorted(map(fc.label, cyc)))
                 print(f"generator {k} {names}")
         return 0
 
@@ -174,7 +177,8 @@ def run(argv: Sequence[str]) -> int:
 
     if args.command == "extended":
         skeleton = _load_complex(args.file, "spx", args.vertex_values)
-        f = complexes.VertexFunction({c.id: c.value for c in skeleton.cells if c.dim == 0})
+        vertices = np.flatnonzero(skeleton.dims == 0).tolist()
+        f = complexes.VertexFunction(dict(zip(vertices, skeleton.values[vertices].tolist())))
         spec = extended.BifiltrationSpec(skeleton, f, M=args.bound, lam=args.spacing)
         _emit_barcode(extended.extended_barcode(spec), args.svg)
         return 0

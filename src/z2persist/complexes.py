@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import chain, repeat
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -60,32 +60,115 @@ class VertexFunction:
         return max(abs(self.values[v] - other.values[v]) for v in self.values)
 
 
+def _indptr(counts: np.ndarray) -> np.ndarray:
+    """CSR row pointers of rows with these lengths."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+def _owners(indptr: np.ndarray) -> np.ndarray:
+    """The row of each CSR entry."""
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+
+
+def _gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Positions starts[i], ..., starts[i] + counts[i] - 1, run after run."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
+
+
+# The boundary-of-boundary check sorts this many face-of-face entries at a time.
+_BLOCK = 1 << 16
+
+
 class FilteredComplex:
     """Ordered cells forming a filtration: faces precede cofaces, values
-    monotone along boundaries, ties broken by (value, dim, id)."""
+    monotone along boundaries, ties broken by (value, dim, id).
+
+    Arrays are the record: `dims` (int64), `values` (float64, or object if
+    a vertex function gave values that are not all floats, so each cell
+    keeps its value) and the boundaries in CSR form, the faces of cell j
+    being `indices[indptr[j]:indptr[j + 1]]`, sorted.  `name_of(j)` is
+    cell j's name or None, and `vertex_lists[j]` a CW cell's own vertex
+    list or None; either is None when no cell has one.  `cells` is built
+    on first use, and a complex made from cells keeps them.
+    """
 
     def __init__(self, cells: Iterable[Cell]):
-        self.cells: tuple[Cell, ...] = tuple(cells)
+        """Convert the cells once, checking nothing: `validate` reports them."""
+        cells = tuple(cells)
+        n = len(cells)
+        counts = np.fromiter(map(len, (c.boundary for c in cells)), np.int64, n)
+        dims = np.fromiter((c.dim for c in cells), np.int64, n)
+        values = np.fromiter((c.value for c in cells), float, n)
+        indices = np.fromiter(chain.from_iterable(c.boundary for c in cells), np.int64,
+                              int(counts.sum()))
+        names, vertex_lists = [c.name for c in cells], [c.vertices for c in cells]
+        self._keep(dims, values, _indptr(counts), indices,
+                   names.__getitem__ if any(x is not None for x in names) else None,
+                   vertex_lists if any(v is not None for v in vertex_lists) else None, cells)
+
+    @classmethod
+    def from_arrays(cls, dims: np.ndarray, values: np.ndarray, indptr: np.ndarray,
+                    indices: np.ndarray, name_of: Optional[Callable] = None,
+                    vertex_lists: Optional[list] = None) -> "FilteredComplex":
+        """The complex these arrays describe, kept as they are."""
+        fc = cls.__new__(cls)
+        fc._keep(dims, values, indptr, indices, name_of, vertex_lists, None)
+        return fc
+
+    def _keep(self, dims, values, indptr, indices, name_of, vertex_lists, cells):
+        self.dims, self.values, self.indptr, self.indices = dims, values, indptr, indices
+        self.name_of, self.vertex_lists, self._cells = name_of, vertex_lists, cells
+        # the first cell whose id is not its position
+        self._misnumbered = next((i for i, c in enumerate(cells or ()) if c.id != i), len(dims))
+
+    @property
+    def cells(self) -> tuple[Cell, ...]:
+        if self._cells is None:
+            self._cells = self._build_cells()
+        return self._cells
+
+    def _build_cells(self) -> tuple[Cell, ...]:
+        ptr, flat, ids = self.indptr.tolist(), self.indices.tolist(), range(len(self))
+        return tuple(map(Cell, ids, self.dims.tolist(), self.values.tolist(),
+                         [tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:])],
+                         self.vertex_lists or repeat(None),
+                         map(self.name_of, ids) if self.name_of else repeat(None)))
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self.dims)
 
     def __iter__(self):
         return iter(self.cells)
 
+    def label(self, j: int) -> str:
+        """Cell j's name, or its id when it has none."""
+        name = self.name_of(j) if self.name_of else None
+        return str(j) if name is None else name
+
     @property
     def max_dim(self) -> int:
-        return max((c.dim for c in self.cells), default=-1)
+        return int(self.dims.max()) if len(self) else -1
 
     def validate(self) -> None:
-        """Raise ComplexError at the first offending cell in id order: one
-        walk checks each cell against the cells before it (its id, dimension,
-        finite value and (value, dim) order; each face distinct, declared
-        earlier and one dimension down; boundary of boundary 0).  A face
-        then enters no later than its cell, since values do not decrease."""
-        cells, inf = self.cells, math.inf
+        """Raise ComplexError at the first offending cell in id order.  A
+        walk checks each cell against the cells before it: its id,
+        dimension, finite value and (value, dim) order; each face distinct,
+        declared earlier and one dimension down; boundary of boundary 0.  A
+        face then enters no later than its cell, since values do not
+        decrease.  Array masks find the lowest id that breaks a rule and the
+        walk starts there, so a valid complex builds no cell."""
+        start, n, inf = min(self._misnumbered, self._first_fault()), len(self), math.inf
+        if start == n:
+            return
+        cells = self.cells
         last_value, last_dim = -inf, -1
-        for cid, c in enumerate(cells):
+        if start:
+            last_value, last_dim = cells[start - 1].value, cells[start - 1].dim
+        for cid in range(start, n):
+            c = cells[cid]
             dim, value, boundary = c.dim, c.value, c.boundary
             if c.id != cid:
                 raise ComplexError(f"id {c.id} out of declaration order", c.id)
@@ -97,8 +180,6 @@ class FilteredComplex:
                 raise ComplexError(f"ordering violation: value {value} dim {dim} after "
                                    f"value {last_value} dim {last_dim}", cid)
             last_value, last_dim = value, dim
-            if not boundary:
-                continue
             prev, dd, face_dim = -1, 0, dim - 1
             for f in boundary:
                 if not 0 <= f < cid:
@@ -113,45 +194,59 @@ class FilteredComplex:
             if dd:
                 raise ComplexError("boundary of boundary is nonzero", cid)
 
+    def _first_fault(self) -> int:
+        """The lowest id at which an array mask finds a broken rule, or n."""
+        dims, indptr, indices = self.dims, self.indptr, self.indices
+        values, n, owner = np.asarray(self.values, dtype=float), len(dims), _owners(indptr)
+        bad = (dims < 0) | ~np.isfinite(values)
+        step, tie = values[1:] < values[:-1], values[1:] == values[:-1]
+        bad[1:] |= step | (tie & (dims[1:] < dims[:-1]))
+        wrong = (indices < 0) | (indices >= owner)
+        safe = np.where(wrong, 0, indices)
+        # a face repeated, or out of order, within its row
+        wrong[1:] |= (owner[1:] == owner[:-1]) & (indices[1:] <= indices[:-1])
+        wrong |= dims[safe] != dims[owner] - 1
+        bad[owner[wrong]] = True
+        first = int(np.argmax(bad)) if bad.any() else n
+        # Boundary of boundary below `first`, where all faces are in range,
+        # a block of cells at a time: the keys (cell, face of a face) must
+        # pair up once sorted.
+        counts = np.diff(indptr)
+        below = _indptr(counts[safe])[indptr]  # face-of-face entries before each cell
+        lo = 0
+        while lo < first:
+            hi = int(np.searchsorted(below, below[lo] + _BLOCK, "right")) - 1
+            hi = min(first, max(lo + 1, hi))
+            faces = indices[indptr[lo]:indptr[hi]]
+            keys = np.repeat(owner[indptr[lo]:indptr[hi]] - lo, counts[faces]) * n
+            keys = np.sort(keys + indices[_gather(indptr[faces], counts[faces])])
+            if len(keys) % 2:
+                keys = np.append(keys, keys[-1] + 1)
+            odd = np.flatnonzero(keys[0::2] != keys[1::2])
+            if len(odd):
+                return lo + int(keys[2 * odd[0]] // n)
+            lo = hi
+        return first
+
     def sublevel(self, a: float) -> "FilteredComplex":
         """Subcomplex of cells with value <= a (a prefix, by the ordering)."""
-        return FilteredComplex(c for c in self.cells if c.value <= a)
+        k, vl = int(np.count_nonzero(self.values <= a)), self.vertex_lists
+        return FilteredComplex.from_arrays(self.dims[:k], self.values[:k], self.indptr[:k + 1],
+                                           self.indices[:self.indptr[k]], self.name_of,
+                                           vl and vl[:k])
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** c.dim for c in self.cells)
+        return len(self) - 2 * int(np.count_nonzero(self.dims % 2))
 
     def num_cells(self, k: int) -> int:
-        return sum(1 for c in self.cells if c.dim == k)
+        return int(np.count_nonzero(self.dims == k))
 
     def critical_values(self) -> tuple[float, ...]:
-        return tuple(sorted({c.value for c in self.cells}))
+        return tuple(sorted(set(self.values.tolist())))
 
 
 # ---------------------------------------------------------------------------
 # the simplex builder shared by Rips and SPX
-
-# Rows turned into Python objects at a time, so list and int temporaries
-# stay small next to the cells they build.
-_CHUNK = 1 << 11
-
-_new_cell = object.__new__
-_set_fields = tuple(
-    Cell.__dict__[f].__set__ for f in ("id", "dim", "value", "boundary", "vertices", "name")
-)
-
-
-def _presorted_cell(cid, dim, value, boundary, vertices, name):
-    """A Cell whose boundary and vertices are already sorted tuples; skips
-    the normalising __post_init__, which would more than double its cost."""
-    c = _new_cell(Cell)
-    s_id, s_dim, s_value, s_boundary, s_vertices, s_name = _set_fields
-    s_id(c, cid)
-    s_dim(c, dim)
-    s_value(c, value)
-    s_boundary(c, boundary)
-    s_vertices(c, vertices)
-    s_name(c, name)
-    return c
 
 
 def _lookup(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
@@ -173,8 +268,7 @@ def simplicial_filtration(simplices: Sequence[np.ndarray], values: Sequence[np.n
     row one dimension down.  values[k] holds the rows' entry values, which
     must not decrease from face to coface.  Cells are numbered by (value,
     dim, vertex tuple); a cell is named by its vertex labels joined by
-    '-', its boundary is its one record of its vertices, and each Cell is
-    built once.
+    '-', on first use, and its boundary is its one record of its vertices.
     """
     n = len(labels)
     if len(simplices) and not np.array_equal(simplices[0][:, 0], np.arange(n)):
@@ -214,106 +308,111 @@ def simplicial_filtration(simplices: Sequence[np.ndarray], values: Sequence[np.n
     order = np.argsort(flat, kind="stable")
     id_of = np.empty(total, dtype=np.int64)
     id_of[order] = np.arange(total)
-    # Equal values share one float object: a Rips simplex takes the length
-    # of one of its edges.  Bits are compared, so -0.0 stays apart from 0.0.
-    sorted_values = flat[order]
-    starts = np.ones(total, dtype=bool)
-    bits = sorted_values.view(np.int64)
-    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
-    distinct = sorted_values[starts].tolist()
-    value_of = np.cumsum(starts) - 1
-    dim_of = np.repeat(np.arange(len(sizes)), sizes)
-    del flat, sorted_values, starts, bits
-
-    # Cells are built in id order, each with its tuples, so the cells that
-    # later passes walk in id order also lie in memory in that order.
-    ids = list(range(total))  # the one int object of each id, shared
-    shared = ids.__getitem__
+    dims = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)[order]
+    indptr = _indptr(np.where(dims > 0, dims + 1, 0))
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    for k in range(1, len(simplices)):
+        ids = id_of[offsets[k]:offsets[k + 1]]
+        indices[indptr[ids, None] + np.arange(k + 1)] = np.sort(
+            id_of[offsets[k - 1] + faces[k]], axis=1)
     label = labels.__getitem__
-    cells: list[Cell] = []
-    for lo in range(0, total, _CHUNK):
-        hi = lo + _CHUNK
-        rows = order[lo:hi]
-        dims = dim_of[rows]
-        boundaries, names = [], []
-        for k, s in enumerate(simplices):
-            sel = rows[dims == k] - offsets[k]  # this chunk's rows of dim k, by id
-            if k:
-                bnd = np.sort(id_of[offsets[k - 1] + faces[k][sel]], axis=1)
-                bnd = zip(*[map(shared, col) for col in bnd.T.tolist()])
-            else:
-                bnd = repeat(())
-            boundaries.append(bnd)
-            names.append(map("-".join, zip(*[map(label, col) for col in s[sel].T.tolist()])))
-        pick = dims.tolist()
-        cells.extend(map(
-            _presorted_cell,
-            ids[lo:hi],
-            pick,
-            map(distinct.__getitem__, value_of[lo:hi].tolist()),
-            map(next, map(boundaries.__getitem__, pick)),
-            repeat(None),
-            map(next, map(names.__getitem__, pick)),
-        ))
-    return FilteredComplex(cells)
+
+    def name_of(j):
+        k = dims[j]
+        return "-".join(map(label, simplices[k][order[j] - offsets[k]].tolist()))
+
+    return FilteredComplex.from_arrays(dims, flat[order], indptr, indices, name_of)
 
 
-def _reorder(rows: Sequence[tuple], values: Sequence[float]) -> tuple[FilteredComplex, list[int]]:
-    """Number provisional rows as a filtration and build their cells.
+def _reorder(dims: np.ndarray, values: np.ndarray, rows: np.ndarray, faces: np.ndarray,
+             name_of: Optional[Callable], vertex_lists: Optional[list] = None
+             ) -> tuple[FilteredComplex, np.ndarray]:
+    """Number provisional rows as a filtration.
 
-    Row r is (dim, boundary, vertices, name), its faces and vertices given
-    as row indices, and enters at values[r].  Rows are numbered by (value,
-    dim, row index); boundaries and vertices are remapped, each Cell is
-    built once, and the new id of every row is returned with the complex.
+    Row r has dimension dims[r] and enters at values[r]; entry e makes row
+    faces[e] a face of row rows[e].  Rows are numbered by (value, dim, row
+    index), faces and vertex lists are remapped and sorted, names are read
+    by row, and the new id of every row is returned with the complex.
     """
-    key = np.asarray(values, dtype=float)
-    if np.isnan(key).any():
+    if (values != values).any():
         raise ComplexError("NaN entry value")
-    order = np.lexsort((np.fromiter((r[0] for r in rows), np.int64, len(rows)), key))
-    new_id = np.empty(len(rows), dtype=np.int64)
-    new_id[order] = np.arange(len(rows))
-    new_id = new_id.tolist()
-    remap = new_id.__getitem__
-    cells = []
-    for r in order.tolist():
-        dim, boundary, vertices, name = rows[r]
-        cells.append(_presorted_cell(
-            new_id[r], dim, values[r], tuple(sorted(map(remap, boundary))),
-            None if vertices is None else tuple(sorted(map(remap, vertices))), name))
-    return FilteredComplex(cells), new_id
+    order = np.lexsort((dims, values))
+    n = len(order)
+    new_id = np.empty(n, dtype=np.int64)
+    new_id[order] = np.arange(n)
+    cell = new_id[rows]
+    indices = np.sort(cell * n + new_id[faces]) % max(n, 1)
+    old = order.tolist()
+    if vertex_lists is not None:
+        remap = new_id.tolist().__getitem__
+        vertex_lists = [None if v is None else tuple(sorted(map(remap, v)))
+                        for v in map(vertex_lists.__getitem__, old)]
+    fc = FilteredComplex.from_arrays(
+        dims[order], values[order], _indptr(np.bincount(cell, minlength=n)), indices,
+        None if name_of is None else (lambda j: name_of(old[j])), vertex_lists)
+    return fc, new_id
 
 
-def _star_values(skeleton: FilteredComplex, f: VertexFunction) -> tuple[list, list]:
-    """Minimum and maximum of f over each cell's vertices, by cell id, in
-    one pass: a cell with its own vertex list reads it, a vertex reads
-    itself, and any other cell combines its faces' entries, which come
-    before it."""
+def _star_values(skeleton: FilteredComplex, f: VertexFunction) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum and maximum of f over each cell's vertices, by cell id: a
+    cell with its own vertex list reads it, a vertex reads itself, and any
+    other cell combines its faces' entries, a dimension at a time.  So its
+    faces must come before it, one dimension down; the first cell in id
+    order that breaks this, has no vertices or has a vertex without a
+    value is named."""
+    dims, indptr, indices = skeleton.dims, skeleton.indptr, skeleton.indices
+    n = len(dims)
+    counts = np.diff(indptr)
+    own = skeleton.vertex_lists
+    combine = dims != 0
+    if own is not None:
+        combine &= np.fromiter((v is None for v in own), bool, n)
+    owner = _owners(indptr)
+    wrong = (indices < 0) | (indices >= owner)
+    wrong |= dims[np.where(wrong, 0, indices)] != dims[owner] - 1
+    fault = combine & (counts == 0)
+    fault[owner[wrong & combine[owner]]] = True
+    if own is not None:
+        fault |= np.fromiter((v == () for v in own), bool, n)
+    first = int(np.argmax(fault)) if fault.any() else n
+    reads = np.flatnonzero(~combine[:first])
     lows, highs = [], []
-    low_of, high_of = lows.__getitem__, highs.__getitem__
-    for cid, c in enumerate(skeleton.cells):
-        boundary, vertices = c.boundary, c.vertices
-        if vertices is None and c.dim and boundary:
-            if boundary[0] < 0 or boundary[-1] >= cid:  # boundaries are sorted
-                bad = boundary[0] if boundary[0] < 0 else boundary[-1]
-                raise ComplexError(f"face {bad} not previously declared", cid)
-            lows.append(min(map(low_of, boundary)))
-            highs.append(max(map(high_of, boundary)))
-            continue
-        if vertices is None:
-            vertices = () if c.dim else (c.id,)
-        if not vertices:
-            raise ComplexError("cell has no vertices in its closure", cid)
-        values = [f(v) for v in vertices]
-        lows.append(min(values))
-        highs.append(max(values))
-    return lows, highs
+    for j in reads.tolist():
+        vals = [f(v) for v in (own[j] if own and own[j] is not None else (j,))]
+        lows.append(min(vals))
+        highs.append(max(vals))
+    if first < n:
+        raise _star_fault(skeleton, first)
+    dtype = float if all(type(x) is float for x in chain(lows, highs)) else object
+    out = np.empty(n, dtype), np.empty(n, dtype)
+    out[0][reads], out[1][reads] = lows, highs
+    for k in sorted(set(dims[combine].tolist())):
+        sel = np.flatnonzero(combine & (dims == k))
+        at = indices[_gather(indptr[sel], counts[sel])]
+        starts = _indptr(counts[sel])[:-1]
+        out[0][sel] = np.minimum.reduceat(out[0][at], starts)
+        out[1][sel] = np.maximum.reduceat(out[1][at], starts)
+    return out
+
+
+def _star_fault(skeleton: FilteredComplex, j: int) -> ComplexError:
+    """Why cell j's star values cannot be read."""
+    faces = skeleton.indices[skeleton.indptr[j]:skeleton.indptr[j + 1]].tolist()
+    if (skeleton.vertex_lists and skeleton.vertex_lists[j] is not None) or not faces:
+        return ComplexError("cell has no vertices in its closure", j)
+    if faces[0] < 0 or faces[-1] >= j:
+        bad = faces[0] if faces[0] < 0 else faces[-1]
+        return ComplexError(f"face {bad} not previously declared", j)
+    dims = skeleton.dims.tolist()
+    f = next(f for f in faces if dims[f] != dims[j] - 1)
+    return ComplexError(f"face {f} has dim {dims[f]}, expected {dims[j] - 1}", j)
 
 
 def lower_star(skeleton: FilteredComplex, f: VertexFunction) -> FilteredComplex:
     """Sublevel filtration of a vertex function: each cell enters at the
     maximum of f over its vertices."""
-    fc, _ = _reorder([(c.dim, c.boundary, c.vertices, c.name) for c in skeleton.cells],
-                     _star_values(skeleton, f)[1])
+    fc, _ = _reorder(skeleton.dims, _star_values(skeleton, f)[1], _owners(skeleton.indptr),
+                     skeleton.indices, skeleton.name_of, skeleton.vertex_lists)
     fc.validate()
     return fc
 
@@ -441,6 +540,9 @@ def write_fcx(fc: FilteredComplex) -> str:
     return "\n".join(lines) + "\n"
 
 
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
 def parse_fcx(text: str) -> FilteredComplex:
     cells = []
     for lineno, line in text_lines(text):
@@ -453,8 +555,9 @@ def parse_fcx(text: str) -> FilteredComplex:
             faces = tuple(int(p) for p in parts[4:])
         except ValueError:
             raise ComplexError(f"line {lineno}: malformed number") from None
-        if min(cid, dim, *faces) < 0:
-            raise ComplexError(f"line {lineno}: ids, dimensions and faces must be nonnegative")
+        if min(cid, dim, *faces) < 0 or max(cid, dim, *faces) > _INT64_MAX:
+            raise ComplexError(
+                f"line {lineno}: ids, dimensions and faces must be nonnegative 64-bit integers")
         if not math.isfinite(value):
             raise ComplexError(f"line {lineno}: value must be finite")
         if len(set(faces)) != len(faces):
@@ -507,9 +610,6 @@ def _simplices_to_complex(valued: dict, vertex_values: Optional[dict] = None) ->
     fc = simplicial_filtration(rows, values, [str(v) for v in labels])
     fc.validate()
     return fc
-
-
-_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
 def parse_spx(text: str, vertex_values: Optional[dict] = None) -> FilteredComplex:

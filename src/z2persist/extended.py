@@ -12,7 +12,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .complexes import ComplexError, FilteredComplex, VertexFunction, _reorder, _star_values
+import numpy as np
+
+from .complexes import (
+    ComplexError, FilteredComplex, VertexFunction, _owners, _reorder, _star_values,
+)
 from .persistence import Barcode, Interval, barcode, persistent_betti
 
 
@@ -67,20 +71,31 @@ def build_cone_filtration(spec: BifiltrationSpec) -> ConeFiltration:
     """
     skeleton, f = spec.complex, spec.f
     M, lam = spec.M, spec.lam
-    n = len(skeleton.cells)
+    n = len(skeleton)
     if n == 0:
         raise ComplexError("empty complex")
     lows, highs = _star_values(skeleton, f)
+    dims, faces, owner = skeleton.dims, skeleton.indices, _owners(skeleton.indptr)
     # Provisional rows: the apex at 0, cell c at 1 + c, its cone at 1 + n + c.
-    rows = [(0, (), None, "apex")]
-    rows += [(c.dim, tuple(1 + b for b in c.boundary), None, c.label()) for c in skeleton.cells]
-    rows += [(c.dim + 1,
-              (0, 1 + c.id) if c.dim == 0 else (1 + c.id, *(1 + n + b for b in c.boundary)),
-              None, f"cone({c.label()})") for c in skeleton.cells]
-    fc, new_id = _reorder(rows, [-M, *highs, *(2 * M + lam - x for x in lows)])
-    del rows
+    # The cone's faces are c and the apex (c a vertex) or the cones of c's faces.
+    cell, vertex = 1 + np.arange(n), dims == 0
+    up = ~vertex[owner]  # the entries of the cells that are not vertices
+    label = skeleton.label
+
+    def name_of(r):
+        if r == 0:
+            return "apex"
+        return label(r - 1) if r <= n else f"cone({label(r - 1 - n)})"
+
+    fc, new_id = _reorder(
+        np.concatenate([np.zeros(1, np.int64), dims, dims + 1]),
+        np.concatenate([np.array([-M], highs.dtype), highs, 2 * M + lam - lows]),
+        np.concatenate([1 + owner, n + cell, n + cell[vertex], 1 + n + owner[up]]),
+        np.concatenate([1 + faces, cell, np.zeros(np.count_nonzero(vertex), np.int64),
+                        1 + n + faces[up]]),
+        name_of)
     fc.validate()
-    return ConeFiltration(complex=fc, apex=new_id[0])
+    return ConeFiltration(complex=fc, apex=int(new_id[0]))
 
 
 def extended_barcode(spec: BifiltrationSpec) -> Barcode:

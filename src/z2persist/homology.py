@@ -15,7 +15,7 @@ def _betti_of(fc: FilteredComplex, red: persistence.Reduction) -> list[int]:
     """Betti numbers in degrees 0..max_dim: unpaired cells per dimension."""
     counts = [0] * (fc.max_dim + 1)
     for j in red.unpaired:
-        counts[fc.cells[j].dim] += 1
+        counts[fc.dims[j]] += 1
     return counts
 
 
@@ -30,7 +30,7 @@ def betti_numbers(fc: FilteredComplex) -> tuple[int, ...]:
 
 def _generators_of(fc: FilteredComplex, red: persistence.Reduction,
                    k: int) -> list[frozenset]:
-    return [frozenset(red.cycles[j]) for j in red.unpaired if fc.cells[j].dim == k]
+    return [frozenset(red.cycles[j]) for j in red.unpaired if fc.dims[j] == k]
 
 
 def generators(fc: FilteredComplex, k: int) -> list[frozenset]:

@@ -94,11 +94,15 @@ class Reduction:
     """Outcome of the column reduction: (birth, death) cell pairs and the
     unpaired (positive, never-killed) cells.  `cycles` maps each unpaired
     cell to the sorted cell ids of a cycle it represents; it is filled only
-    when the reduction was asked for chains, and is empty otherwise."""
+    when the reduction was asked for chains, and is empty otherwise.
+    `column_additions` counts the columns added into others, and
+    `max_column` is the most entries of any reduced column."""
 
     pairs: tuple[tuple[int, int], ...]
     unpaired: tuple[int, ...]
     cycles: dict
+    column_additions: int
+    max_column: int
 
 
 def reduce_filtration(fc: FilteredComplex, *, chains: bool = False) -> Reduction:
@@ -117,8 +121,10 @@ def reduce_filtration(fc: FilteredComplex, *, chains: bool = False) -> Reduction
     positive_chain: dict[int, int] = {}  # positive cell -> its cycle, until paired
     pairs: list[tuple[int, int]] = []
     positives: list[int] = []
-    for j, cell in enumerate(fc.cells):
-        col = z2.bitset(cell.boundary)
+    additions = longest = 0
+    ptr, flat = fc.indptr.tolist(), fc.indices.tolist()
+    for j, (start, end) in enumerate(zip(ptr, ptr[1:])):
+        col = z2.bitset(flat[start:end])
         v = 1 << j if chains else 0
         while col:
             low = col.bit_length() - 1
@@ -126,11 +132,15 @@ def reduce_filtration(fc: FilteredComplex, *, chains: bool = False) -> Reduction
             if other is None:
                 break
             col ^= other
+            additions += 1
             if chains:
                 v ^= chain_by_low[low]
         if col:
             by_low[low] = col
             pairs.append((low, j))
+            size = col.bit_count()
+            if size > longest:
+                longest = size
             if chains:
                 chain_by_low[low] = v
                 positive_chain.pop(low, None)
@@ -140,19 +150,17 @@ def reduce_filtration(fc: FilteredComplex, *, chains: bool = False) -> Reduction
                 positive_chain[j] = v
     unpaired = tuple(j for j in positives if j not in by_low)
     cycles = {j: z2.rows(positive_chain[j]) for j in unpaired} if chains else {}
-    return Reduction(pairs=tuple(pairs), unpaired=unpaired, cycles=cycles)
+    return Reduction(pairs=tuple(pairs), unpaired=unpaired, cycles=cycles,
+                     column_additions=additions, max_column=longest)
 
 
 def barcode(fc: FilteredComplex) -> Barcode:
     """Barcode of the filtration; zero-length pairs are dropped."""
     red = reduce_filtration(fc)
-    bars = []
-    for i, j in red.pairs:
-        b, d = fc.cells[i].value, fc.cells[j].value
-        if b < d:
-            bars.append((fc.cells[i].dim, Interval(b, d)))
-    for j in red.unpaired:
-        bars.append((fc.cells[j].dim, Interval(fc.cells[j].value, math.inf)))
+    dims, values = fc.dims.tolist(), fc.values.tolist()
+    bars = [(dims[i], Interval(values[i], values[j]))
+            for i, j in red.pairs if values[i] < values[j]]
+    bars += [(dims[j], Interval(values[j], math.inf)) for j in red.unpaired]
     return Barcode(bars)
 
 

@@ -458,7 +458,8 @@ def boundary_matrix(fc: FilteredComplex, k: int) -> SparseZ2Matrix:
 def reference_reduction(fc: FilteredComplex) -> Reduction:
     """The library's first reduction, kept as an oracle: the same
     left-to-right order and pivot rule on sorted-tuple columns, with a
-    chain kept for every column and a cycle for every positive cell.
+    chain kept for every column and a cycle for every positive cell.  It
+    counts its column additions and its longest reduced column.
     """
     n = len(fc.cells)
     reduced: dict[int, tuple] = {}      # column id -> reduced column
@@ -467,6 +468,7 @@ def reference_reduction(fc: FilteredComplex) -> Reduction:
     pairs: list[tuple[int, int]] = []
     positives: list[int] = []
     cycles: dict[int, tuple] = {}
+    additions = longest = 0
     for j in range(n):
         col = fc.cells[j].boundary
         v = (j,)
@@ -477,7 +479,9 @@ def reference_reduction(fc: FilteredComplex) -> Reduction:
                 break
             col = add_into(col, reduced[other])
             v = add_into(v, chain[other])
+            additions += 1
         reduced[j] = col
+        longest = max(longest, len(col))
         chain[j] = v
         if col:
             low_to_col[col[-1]] = j
@@ -487,7 +491,8 @@ def reference_reduction(fc: FilteredComplex) -> Reduction:
             cycles[j] = v
     paired_rows = {i for i, _ in pairs}
     unpaired = tuple(j for j in positives if j not in paired_rows)
-    return Reduction(pairs=tuple(pairs), unpaired=unpaired, cycles=cycles)
+    return Reduction(pairs=tuple(pairs), unpaired=unpaired, cycles=cycles,
+                     column_additions=additions, max_column=longest)
 
 
 # ---------------------------------------------------------------------------

@@ -273,8 +273,14 @@ def test_each_cli_job_validates_each_complex_once(klein_fcx, tmp_path, capsys, m
     ("spx", "inf 0 1\n", "line 1: value must be finite"),
     ("spx", "-inf 0 1\n", "line 1: value must be finite"),
     ("spx", "0 0\n0 1 9223372036854775808\n", "line 2: vertex id out of range"),
+    # past int64 no array can record them; a dimension there used to pass
+    ("fcx", "cell 0 9223372036854775808 0\n",
+     "line 1: ids, dimensions and faces must be nonnegative 64-bit integers"),
+    ("fcx", "cell 9223372036854775808 0 0\n", "line 1: ids, dimensions and faces"),
+    ("fcx", "cell 0 0 0\ncell 1 1 0 0 9223372036854775808\n", "line 2: ids, dimensions and faces"),
 ], ids=["fcx-nan", "fcx-inf", "fcx-negative-face", "fcx-negative-id", "fcx-negative-dim",
-        "spx-nan", "spx-inf", "spx-minus-inf", "spx-huge-vertex"])
+        "spx-nan", "spx-inf", "spx-minus-inf", "spx-huge-vertex", "fcx-huge-dim", "fcx-huge-id",
+        "fcx-huge-face"])
 def test_bad_complex_rejected_at_parser(tmp_path, capsys, fmt, text, message):
     from z2persist.complexes import ComplexError, parse_fcx, parse_spx
 

@@ -289,3 +289,16 @@ def test_derived_filtrations_need_faces_before_their_cells(cells, cell, face):
         lower_star(FilteredComplex(cells), f)
     with pytest.raises(ComplexError, match=message):
         build_cone_filtration(BifiltrationSpec(FilteredComplex(cells), f))
+
+
+def test_derived_filtrations_need_faces_one_dimension_down():
+    # star values are combined a dimension at a time, so an edge whose face
+    # is an edge is named in the skeleton's ids, before any renumbering
+    cells = [Cell(0, 0, 0.0), Cell(1, 0, 0.0), Cell(2, 1, 0.0, boundary=(0, 1)),
+             Cell(3, 1, 0.0, boundary=(2,)), Cell(4, 0, 0.0)]
+    f = VertexFunction({0: 0.0, 1: 0.0, 4: -1.0})
+    message = "^cell 3: face 2 has dim 1, expected 0$"
+    with pytest.raises(ComplexError, match=message):
+        lower_star(FilteredComplex(cells), f)
+    with pytest.raises(ComplexError, match=message):
+        build_cone_filtration(BifiltrationSpec(FilteredComplex(cells), f))

@@ -30,6 +30,7 @@ from z2persist.cli import main
 from z2persist.complexes import _simplices_to_complex, write_fcx
 from z2persist.persistence import barcode, reduce_filtration
 
+import helpers
 from helpers import (
     column,
     dense_betti,
@@ -92,6 +93,32 @@ def test_bitset_reduction_matches_tuple_oracle(seed):
         assert red.pairs == ref.pairs
         assert red.unpaired == ref.unpaired
         assert red.cycles == {j: ref.cycles[j] for j in ref.unpaired}
+
+
+@pytest.mark.parametrize("fc, additions, longest", [
+    (klein_delta(), 1, 3),              # L's boundary a+b+c is U's: one addition empties it
+    (klein_height(2.0, 1.0), 2, 4),     # the 2-cells' boundary a+q+b+c is the longest column
+], ids=["klein_delta", "klein_height"])
+def test_reduction_counters_on_fixtures(fc, additions, longest):
+    for chains in (False, True):
+        red = reduce_filtration(fc, chains=chains)
+        assert (red.column_additions, red.max_column) == (additions, longest)
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_column_additions_are_the_oracle_column_additions(seed, monkeypatch):
+    # reference_reduction adds a column, then its chain: every other call
+    # to add_into is a column addition
+    calls = []
+    add_into = helpers.add_into
+    monkeypatch.setattr(helpers, "add_into", lambda a, b: calls.append(a) or add_into(a, b))
+    for fc in _complexes(seed):
+        calls.clear()
+        ref = reference_reduction(fc)
+        red = reduce_filtration(fc)
+        assert len(calls) % 2 == 0
+        assert red.column_additions == len(calls[0::2]) == ref.column_additions
+        assert red.max_column == ref.max_column
 
 
 @pytest.mark.parametrize("seed", [3, 4])
