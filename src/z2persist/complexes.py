@@ -357,9 +357,9 @@ def _star_values(skeleton: FilteredComplex, f: VertexFunction) -> tuple[np.ndarr
     """Minimum and maximum of f over each cell's vertices, by cell id: a
     cell with its own vertex list reads it, a vertex reads itself, and any
     other cell combines its faces' entries, a dimension at a time.  So its
-    faces must come before it, one dimension down; the first cell in id
-    order that breaks this, has no vertices or has a vertex without a
-    value is named."""
+    faces must come before it, one dimension down, and a vertex list may
+    name only 0-cells; the first cell in id order that breaks this, has no
+    vertices or has a vertex without a value is named."""
     dims, indptr, indices = skeleton.dims, skeleton.indptr, skeleton.indices
     n = len(dims)
     counts = np.diff(indptr)
@@ -373,7 +373,9 @@ def _star_values(skeleton: FilteredComplex, f: VertexFunction) -> tuple[np.ndarr
     fault = combine & (counts == 0)
     fault[owner[wrong & combine[owner]]] = True
     if own is not None:
-        fault |= np.fromiter((v == () for v in own), bool, n)
+        vertices = set(np.flatnonzero(dims == 0).tolist())
+        fault |= np.fromiter((v is not None and not (v and vertices.issuperset(v))
+                              for v in own), bool, n)
     first = int(np.argmax(fault)) if fault.any() else n
     reads = np.flatnonzero(~combine[:first])
     lows, highs = [], []
@@ -398,12 +400,16 @@ def _star_values(skeleton: FilteredComplex, f: VertexFunction) -> tuple[np.ndarr
 def _star_fault(skeleton: FilteredComplex, j: int) -> ComplexError:
     """Why cell j's star values cannot be read."""
     faces = skeleton.indices[skeleton.indptr[j]:skeleton.indptr[j + 1]].tolist()
-    if (skeleton.vertex_lists and skeleton.vertex_lists[j] is not None) or not faces:
+    own = skeleton.vertex_lists[j] if skeleton.vertex_lists else None
+    dims = skeleton.dims.tolist()
+    if own:
+        v = next(v for v in own if not (0 <= v < len(dims) and dims[v] == 0))
+        return ComplexError(f"vertex {v} is not a vertex of the complex", j)
+    if own is not None or not faces:
         return ComplexError("cell has no vertices in its closure", j)
     if faces[0] < 0 or faces[-1] >= j:
         bad = faces[0] if faces[0] < 0 else faces[-1]
         return ComplexError(f"face {bad} not previously declared", j)
-    dims = skeleton.dims.tolist()
     f = next(f for f in faces if dims[f] != dims[j] - 1)
     return ComplexError(f"face {f} has dim {dims[f]}, expected {dims[j] - 1}", j)
 

@@ -7,16 +7,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import persistence
-from .complexes import FilteredComplex
+from .complexes import ComplexError, FilteredComplex
+
+_MAX_DIM = 10_000  # the top degree a Betti table lists
 
 
 def _betti_of(fc: FilteredComplex, red: persistence.Reduction) -> list[int]:
     """Betti numbers in degrees 0..max_dim: unpaired cells per dimension."""
-    counts = [0] * (fc.max_dim + 1)
-    for j in red.unpaired:
-        counts[fc.dims[j]] += 1
-    return counts
+    if fc.max_dim > _MAX_DIM:
+        raise ComplexError(f"dimension {fc.max_dim} is above {_MAX_DIM}, the top of a Betti table")
+    return np.bincount(fc.dims[list(red.unpaired)], minlength=fc.max_dim + 1).tolist()
 
 
 def betti(fc: FilteredComplex, k: int) -> int:

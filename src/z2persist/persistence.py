@@ -6,8 +6,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from . import z2
-from .complexes import FilteredComplex, format_value, text_lines
+from .complexes import FilteredComplex, _indptr, _owners, format_value, text_lines
 
 
 @dataclass(frozen=True, order=True)
@@ -91,12 +93,13 @@ def parse_bcx(text: str) -> Barcode:
 
 @dataclass(frozen=True)
 class Reduction:
-    """Outcome of the column reduction: (birth, death) cell pairs and the
-    unpaired (positive, never-killed) cells.  `cycles` maps each unpaired
-    cell to the sorted cell ids of a cycle it represents; it is filled only
-    when the reduction was asked for chains, and is empty otherwise.
-    `column_additions` counts the columns added into others, and
-    `max_column` is the most entries of any reduced column."""
+    """Outcome of the column reduction: (birth, death) cell pairs in death
+    order and the unpaired (positive, never-killed) cells in increasing id.
+    `cycles` maps each unpaired cell to the sorted cell ids of a cycle it
+    represents; it is filled only when the reduction was asked for chains,
+    and is empty otherwise.  `column_additions` counts the columns added
+    into others, and `max_column` is the most entries of any nonzero
+    reduced column."""
 
     pairs: tuple[tuple[int, int], ...]
     unpaired: tuple[int, ...]
@@ -105,53 +108,89 @@ class Reduction:
     max_column: int
 
 
+def _reduce(ptr: list, flat: list, groups: Iterable[list], chains: bool):
+    """The one column reduction, with clearing (Chen & Kerber 2011).
+
+    Column j holds the increasing rows `flat[ptr[j]:ptr[j + 1]]`, at least
+    one, and its pivot is the last of them.  The groups are reduced in
+    turn, each in its listed order.  A column whose id is already the pivot
+    of an earlier column would vanish, and is skipped.  Any other column
+    gets the earlier column with its pivot added until its pivot is fresh
+    or it vanishes.  A column is made an int bitset (`z2`) only when it
+    takes part in an addition; with `chains`, it carries the bitset of the
+    columns summed into it.  Returns {pivot: column} for the nonzero
+    columns, {column: chain} for the vanished ones, the number of additions
+    and the most entries of a nonzero reduced column.
+    """
+    pivots: dict[int, int] = {}   # pivot -> the column with that pivot
+    reduced: dict[int, int] = {}  # column -> its reduced bitset, once made
+    chain: dict[int, int] = {}    # column -> its chain, unless just itself
+    zeros: dict[int, int] = {}    # vanished column -> its chain
+    additions = longest = 0
+    for group in groups:
+        for j in group:
+            if j in pivots:
+                continue
+            start, end = ptr[j], ptr[j + 1]
+            low, size = flat[end - 1], end - start
+            other = pivots.get(low)
+            if other is not None:
+                col = z2.bitset(flat[start:end])
+                v = 1 << j if chains else 0
+                while other is not None:
+                    if other not in reduced:
+                        reduced[other] = z2.bitset(flat[ptr[other]:ptr[other + 1]])
+                    col ^= reduced[other]
+                    additions += 1
+                    if chains:
+                        v ^= chain.get(other, 1 << other)
+                    low = col.bit_length() - 1
+                    other = pivots.get(low)
+                if not col:
+                    zeros[j] = v
+                    continue
+                reduced[j], chain[j], size = col, v, col.bit_count()
+            pivots[low] = j
+            longest = max(longest, size)
+    return pivots, zeros, additions, longest
+
+
 def reduce_filtration(fc: FilteredComplex, *, chains: bool = False) -> Reduction:
-    """Standard left-to-right reduction of the full boundary matrix.
+    """Persistence pairs of the filtration, by the one reduction `_reduce`.
 
     Cell ids double as row/column indices since the declaration order is
-    the filtration order.  Columns are int bitsets (`z2`): a column is
-    reduced by the earlier column sharing its low until its low is fresh
-    or it vanishes.  Only nonzero reduced columns are kept, keyed by their
-    low.  With `chains`, each column also carries the bitset of the cells
-    summed into it, and the chains of the unpaired cells are returned as
-    `cycles`.  Deterministic.
+    the filtration order.  Without `chains` the coboundary matrix is
+    reduced, anti-transposed: column n-1-i holds the rows n-1-c of the
+    cofaces c of cell i, and dimensions go upward, so a pivot n-1-c pairs
+    cell i with c and clears the column of c (de Silva, Morozov &
+    Vejdemo-Johansson 2011).  With `chains` the boundary matrix is reduced,
+    dimensions downward (the twist), and the chains of the unpaired cells
+    are their `cycles`.  Both sides give the pairs of the standard
+    left-to-right reduction.  A column with no entries vanishes unless it
+    is cleared, which is decided outside the loop.
     """
-    by_low: dict[int, int] = {}          # low -> reduced column with that low
-    chain_by_low: dict[int, int] = {}    # low -> chain of that column
-    positive_chain: dict[int, int] = {}  # positive cell -> its cycle, until paired
-    pairs: list[tuple[int, int]] = []
-    positives: list[int] = []
-    additions = longest = 0
-    ptr, flat = fc.indptr.tolist(), fc.indices.tolist()
-    for j, (start, end) in enumerate(zip(ptr, ptr[1:])):
-        col = z2.bitset(flat[start:end])
-        v = 1 << j if chains else 0
-        while col:
-            low = col.bit_length() - 1
-            other = by_low.get(low)
-            if other is None:
-                break
-            col ^= other
-            additions += 1
-            if chains:
-                v ^= chain_by_low[low]
-        if col:
-            by_low[low] = col
-            pairs.append((low, j))
-            size = col.bit_count()
-            if size > longest:
-                longest = size
-            if chains:
-                chain_by_low[low] = v
-                positive_chain.pop(low, None)
-        else:
-            positives.append(j)
-            if chains:
-                positive_chain[j] = v
-    unpaired = tuple(j for j in positives if j not in by_low)
-    cycles = {j: z2.rows(positive_chain[j]) for j in unpaired} if chains else {}
-    return Reduction(pairs=tuple(pairs), unpaired=unpaired, cycles=cycles,
-                     column_additions=additions, max_column=longest)
+    n, dims = len(fc), fc.dims
+    order = sorted(set(dims.tolist()), reverse=chains)
+    if chains:
+        ptr, flat = fc.indptr, fc.indices
+    else:
+        flat = n - 1 - _owners(fc.indptr)[np.argsort(fc.indices, kind="stable")[::-1]]
+        ptr, dims = _indptr(np.bincount(fc.indices, minlength=n)[::-1]), dims[::-1]
+    full = ptr[1:] > ptr[:-1]
+    pivots, zeros, additions, longest = _reduce(
+        ptr.tolist(), flat.tolist(),
+        (np.flatnonzero(full & (dims == k)).tolist() for k in order), chains)
+    low = np.fromiter(pivots, np.int64, len(pivots))
+    col = np.fromiter(pivots.values(), np.int64, len(pivots))
+    free = ~full
+    free[low] = False
+    unpaired = np.concatenate([np.fromiter(zeros, np.int64, len(zeros)), np.flatnonzero(free)])
+    if not chains:  # back from the anti-transpose
+        low, col, unpaired = n - 1 - col, n - 1 - low, n - 1 - unpaired
+    by_death, unpaired = np.argsort(col), np.sort(unpaired).tolist()
+    cycles = {j: z2.rows(zeros[j]) if j in zeros else (j,) for j in unpaired} if chains else {}
+    return Reduction(tuple(zip(low[by_death].tolist(), col[by_death].tolist())),
+                     tuple(unpaired), cycles, additions, longest)
 
 
 def barcode(fc: FilteredComplex) -> Barcode:

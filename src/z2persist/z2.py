@@ -7,6 +7,7 @@ reduction in `persistence` works on these directly.
 """
 from __future__ import annotations
 
+import re
 from typing import Iterable
 
 Z2Column = int
@@ -22,4 +23,4 @@ def bitset(rows: Iterable[int]) -> Z2Column:
 
 def rows(col: Z2Column) -> tuple[int, ...]:
     """Increasing row indices holding a 1."""
-    return tuple(i for i, bit in enumerate(reversed(bin(col))) if bit == "1")
+    return tuple(m.start() for m in re.finditer("1", bin(col)[:1:-1]))

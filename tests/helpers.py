@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's bitset reduction, its
 matching search, its numpy simplex builder, its one-pass star values and
 its one-walk validate:
 dense GF(2) elimination, explicit composite-map matrices, the first
-sorted-tuple column reduction, exhaustive matching enumeration, the first
+sorted-tuple column reduction and a sorted-tuple reduction with clearing,
+exhaustive matching enumeration, the first
 padded-graph bottleneck search, the first per-simplex Rips and SPX
 builders, the closure walk for a cell's vertices, the first lower-star
 and cone builders and the four-pass validate serve as ground truth.
@@ -492,6 +493,59 @@ def reference_reduction(fc: FilteredComplex) -> Reduction:
     paired_rows = {i for i, _ in pairs}
     unpaired = tuple(j for j in positives if j not in paired_rows)
     return Reduction(pairs=tuple(pairs), unpaired=unpaired, cycles=cycles,
+                     column_additions=additions, max_column=longest)
+
+
+def reference_clearing(fc: FilteredComplex, cohomology: bool) -> Reduction:
+    """The library's reduction with clearing, kept as an oracle of its work
+    counters, on sorted-tuple columns indexed by cell id.
+
+    With `cohomology` a cell's column is its coboundary, the cells are
+    taken a dimension at a time upward, in decreasing id within one, and a
+    column's pivot is its lowest coface: pivot c pairs cell i with c.
+    Otherwise the column is the boundary, dimensions go downward, ids
+    increase, the pivot is the highest face and chains are kept (the
+    twist).  A cell that is already a pivot is skipped.  Pairs come back
+    in death order and unpaired cells in increasing id.
+    """
+    cells = fc.cells
+    if cohomology:
+        columns: dict[int, tuple] = {c.id: () for c in cells}
+        for c in cells:
+            for face in c.boundary:
+                columns[face] += (c.id,)
+        order = [c.id for k in sorted({c.dim for c in cells})
+                 for c in reversed(cells) if c.dim == k]
+    else:
+        columns = {c.id: c.boundary for c in cells}
+        order = [c.id for k in sorted({c.dim for c in cells}, reverse=True)
+                 for c in cells if c.dim == k]
+    pivot_at = 0 if cohomology else -1
+    owner: dict[int, int] = {}         # pivot -> column with that pivot
+    reduced: dict[int, tuple] = {}
+    chain: dict[int, tuple] = {}
+    zeros: list[int] = []
+    additions = longest = 0
+    for j in order:
+        if j in owner:
+            continue
+        col, v = columns[j], (j,)
+        while col and col[pivot_at] in owner:
+            other = owner[col[pivot_at]]
+            col = add_into(col, reduced[other])
+            if not cohomology:
+                v = add_into(v, chain[other])
+            additions += 1
+        reduced[j], chain[j] = col, v
+        if col:
+            owner[col[pivot_at]] = j
+            longest = max(longest, len(col))
+        else:
+            zeros.append(j)
+    pairs = [(j, p) if cohomology else (p, j) for p, j in owner.items()]
+    unpaired = tuple(sorted(zeros))
+    return Reduction(pairs=tuple(sorted(pairs, key=lambda pair: pair[1])), unpaired=unpaired,
+                     cycles={} if cohomology else {j: chain[j] for j in unpaired},
                      column_additions=additions, max_column=longest)
 
 

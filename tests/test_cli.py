@@ -293,6 +293,20 @@ def test_bad_complex_rejected_at_parser(tmp_path, capsys, fmt, text, message):
     assert err.startswith(f"error: {message}")
 
 
+def test_huge_dimension_persists_but_has_no_betti_table(tmp_path, capsys):
+    # the reduction visits only the dimensions that have cells
+    path = tmp_path / "huge.fcx"
+    path.write_text("cell 0 1000000000000 0\n")
+    assert run_cli(capsys, "persist", str(path)) == (0, "1000000000000 0 inf\n", "")
+    code, out, err = run_cli(capsys, "homology", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: dimension 1000000000000 is above 10000, the top of a Betti table\n"
+    path.write_text("cell 0 10000 0\n")
+    code, out, err = run_cli(capsys, "homology", str(path))
+    assert code == 0
+    assert out.splitlines()[-2:] == ["betti 10000 1", "generator 10000 0"]
+
+
 @pytest.mark.parametrize("line, message", [
     ("0 nan", "value must be finite"),
     ("0 inf", "value must be finite"),

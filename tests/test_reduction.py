@@ -2,8 +2,12 @@
 reductions each consumer runs."""
 import random
 import sys
+from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from z2persist import (
     BifiltrationSpec,
@@ -25,7 +29,7 @@ from z2persist import (
     torus_delta,
     torus_height_skeleton,
 )
-from z2persist import persistence
+from z2persist import VertexFunction, persistence
 from z2persist.cli import main
 from z2persist.complexes import _simplices_to_complex, write_fcx
 from z2persist.persistence import barcode, reduce_filtration
@@ -37,6 +41,7 @@ from helpers import (
     grid_surface,
     random_skeleton,
     random_vertex_function,
+    reference_clearing,
     reference_reduction,
 )
 
@@ -95,30 +100,73 @@ def test_bitset_reduction_matches_tuple_oracle(seed):
         assert red.cycles == {j: ref.cycles[j] for j in ref.unpaired}
 
 
-@pytest.mark.parametrize("fc, additions, longest", [
-    (klein_delta(), 1, 3),              # L's boundary a+b+c is U's: one addition empties it
-    (klein_height(2.0, 1.0), 2, 4),     # the 2-cells' boundary a+q+b+c is the longest column
+# (column additions, longest column) on the coboundary side, then on the
+# boundary side.  klein_delta: v; a, b, c with coboundary U+L each; U, L.
+# Coboundary side, dimension 1 in decreasing id: c pairs with its lowest
+# coface U, then b and a each add c's column and vanish: (2, 2).  Boundary
+# side, dimension 2 first: U = a+b+c pairs with c, L adds U and vanishes;
+# then c is cleared and a, b, v have no entries: (1, 3).
+# klein_height(2, 1) is v0 < v1 < p < a < v2 < q < b < c < U < L, with
+# p = v0+v1, q = c = v1+v2 and U = L = a+q+b+c.  Coboundary side, dimension
+# 0 in decreasing id: v2 = q+c pairs with q, v1 = p+q+c with p, and v0 = p
+# adds v1's column, then v2's, and vanishes; dimension 1: c = U+L pairs with
+# U, b and a each add it and vanish, q and p are cleared: (4, 3), v1's
+# column the longest.  Boundary side: U pairs with c, L adds U and
+# vanishes; p pairs with v1, q with v2, c is cleared: (1, 4).
+@pytest.mark.parametrize("fc, cohomology, boundary", [
+    (klein_delta(), (2, 2), (1, 3)),
+    (klein_height(2.0, 1.0), (4, 3), (1, 4)),
 ], ids=["klein_delta", "klein_height"])
-def test_reduction_counters_on_fixtures(fc, additions, longest):
-    for chains in (False, True):
+def test_reduction_counters_on_fixtures(fc, cohomology, boundary):
+    for chains, expected in ((False, cohomology), (True, boundary)):
         red = reduce_filtration(fc, chains=chains)
-        assert (red.column_additions, red.max_column) == (additions, longest)
+        assert (red.column_additions, red.max_column) == expected
 
 
 @pytest.mark.parametrize("seed", [5, 6])
 def test_column_additions_are_the_oracle_column_additions(seed, monkeypatch):
-    # reference_reduction adds a column, then its chain: every other call
-    # to add_into is a column addition
+    # reference_clearing adds a column, then on the boundary side its
+    # chain: every call to add_into, or every other, is a column addition
     calls = []
     add_into = helpers.add_into
     monkeypatch.setattr(helpers, "add_into", lambda a, b: calls.append(a) or add_into(a, b))
     for fc in _complexes(seed):
-        calls.clear()
+        for chains in (False, True):
+            calls.clear()
+            ref = reference_clearing(fc, cohomology=not chains)
+            red = reduce_filtration(fc, chains=chains)
+            assert red == ref
+            assert len(calls) == ref.column_additions * (2 if chains else 1)
+
+
+@st.composite
+def _valued_skeletons(draw):
+    """A simplicial complex on at most six vertices, with entry values and
+    vertex heights drawn from a few integers, so that ties are common."""
+    value = st.integers(0, 3).map(float)
+    nv = draw(st.integers(1, 6))
+    simplices = {(v,): draw(value) for v in range(nv)}
+    for k in (2, 3, 4):
+        for s in combinations(range(nv), k):
+            if all(f in simplices for f in combinations(s, k - 1)) and draw(st.booleans()):
+                simplices[s] = draw(value)
+    sk = _simplices_to_complex(simplices)
+    vertices = np.flatnonzero(sk.dims == 0).tolist()
+    return sk, VertexFunction({v: float(draw(st.integers(-2, 2))) for v in vertices})
+
+
+@settings(max_examples=60, deadline=None)
+@given(_valued_skeletons())
+def test_coboundary_and_boundary_pairs_equal_the_oracle_pairs(skeleton):
+    # de Silva, Morozov & Vejdemo-Johansson 2011: cohomology and homology
+    # give the same persistence pairs
+    sk, f = skeleton
+    cone = build_cone_filtration(BifiltrationSpec(sk, f, lam=0.5)).complex
+    for fc in (sk, lower_star(sk, f), cone):
         ref = reference_reduction(fc)
-        red = reduce_filtration(fc)
-        assert len(calls) % 2 == 0
-        assert red.column_additions == len(calls[0::2]) == ref.column_additions
-        assert red.max_column == ref.max_column
+        for chains in (False, True):
+            red = reduce_filtration(fc, chains=chains)
+            assert (red.pairs, red.unpaired) == (ref.pairs, ref.unpaired)
 
 
 @pytest.mark.parametrize("seed", [3, 4])

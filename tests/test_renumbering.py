@@ -93,6 +93,18 @@ def test_derived_filtrations_reject_missing_vertices_and_nan():
         lower_star(ng_cw(1), nan)
 
 
+@pytest.mark.parametrize("vertices, bad", [((-1,), -1), ((0, 3), 3), ((0, 2), 2)],
+                         ids=["negative", "past-the-last-cell", "an-edge"])
+def test_derived_filtrations_reject_a_vertex_list_naming_no_vertex(vertices, bad):
+    sk = FilteredComplex([Cell(0, 0, 0.0), Cell(1, 0, 0.0), Cell(2, 1, 0.0, vertices=vertices)])
+    f = VertexFunction({0: 0.0, 1: 2.0, -1: 1.0, 3: 1.0})
+    message = f"^cell 2: vertex {bad} is not a vertex of the complex$"
+    with pytest.raises(ComplexError, match=message):
+        lower_star(sk, f)
+    with pytest.raises(ComplexError, match=message):
+        build_cone_filtration(BifiltrationSpec(sk, f))
+
+
 def test_extended_barcode_raises_unless_only_the_apex_is_essential(monkeypatch):
     sk, f = klein_height_skeleton(2.0, 1.0)
     spec = BifiltrationSpec(sk, f, M=2.0)
