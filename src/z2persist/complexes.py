@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -526,14 +526,14 @@ def format_value(x: float) -> str:
     return repr(x)
 
 
-def text_lines(text: str) -> Iterator[tuple[int, str]]:
+def text_lines(text: str) -> list[tuple[int, str]]:
     """(line number, content) of each line of an input text, numbered from
     1, with `#` comments and surrounding blanks stripped and empty lines
     skipped; every text format reads its lines through this."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+    raw = text.splitlines()
+    if "#" in text:
+        raw = [r.split("#", 1)[0] for r in raw]
+    return [(i, line) for i, line in enumerate(map(str.strip, raw), start=1) if line]
 
 
 def write_fcx(fc: FilteredComplex) -> str:
@@ -547,6 +547,8 @@ def write_fcx(fc: FilteredComplex) -> str:
 
 
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+# An SPX simplex of w vertices closes to 2^w - 1 cells, 65,535 at this limit.
+_MAX_VERTICES = 16
 
 
 def parse_fcx(text: str) -> FilteredComplex:
@@ -575,34 +577,34 @@ def parse_fcx(text: str) -> FilteredComplex:
 
 
 def _simplices_to_complex(valued: dict, vertex_values: Optional[dict] = None) -> FilteredComplex:
-    """Close a set of valued simplices (increasing tuples of vertex labels)
-    and build the filtered complex.
+    """`_close_simplices` of a dict from increasing label tuples to values."""
+    return _close_simplices(np.fromiter(chain.from_iterable(valued), np.int64),
+                            np.fromiter(map(len, valued), np.int64),
+                            np.fromiter(valued.values(), float), vertex_values)
 
-    Missing faces get the minimum value over the declared cofaces that
-    contain them; with vertex_values each simplex enters at the maximum of
-    the function over its vertices instead (the lower-star filtration).
-    """
-    # One walk down the dimensions: each face of a k-simplex takes the
-    # smaller of its value and the simplex's, and a new face joins k-1.
-    by_dim: list[dict] = [{} for _ in range(max(map(len, valued), default=0))]
-    for simplex, value in valued.items():
-        by_dim[len(simplex) - 1][simplex] = value
-    for k in range(len(by_dim) - 1, 0, -1):
-        below = by_dim[k - 1]
-        for simplex, value in by_dim[k].items():
-            for i in range(k + 1):
-                face = simplex[:i] + simplex[i + 1 :]
-                if face not in below or below[face] > value:
-                    below[face] = value
+
+def _close_simplices(labels: np.ndarray, widths: np.ndarray, values: np.ndarray,
+                     vertex_values: Optional[dict] = None) -> FilteredComplex:
+    """The filtered complex of valued simplices and their faces: simplex i
+    is the next widths[i] of `labels`, increasing, at values[i].  A simplex
+    takes its smallest value over repeats and cofaces, or with
+    vertex_values the maximum of the function over its vertices."""
+    starts, top = _indptr(widths)[:-1], int(widths.max())
+    rows, vals = [None] * top, [None] * top
+    for w in range(top, 0, -1):
+        sel = np.flatnonzero(widths == w)
+        r, v = labels[_gather(starts[sel], widths[sel])].reshape(-1, w), values[sel]
+        if w < top:  # with the faces of the simplices above, each missing a vertex
+            drop = [[j for j in range(w + 1) if j != i] for i in range(w + 1)]
+            r = np.concatenate([r, rows[w][:, drop].reshape(-1, w)])
+            v = np.concatenate([v, np.repeat(vals[w], w + 1)])
+        order = np.lexsort((v, *r.T[::-1]))  # by (row, value): a run's first is its minimum
+        r, v = r[order], v[order]
+        first = np.append(True, (r[1:] != r[:-1]).any(axis=1))
+        rows[w - 1], vals[w - 1] = r[first], v[first]
     # Vertex labels become their ranks 0..n-1, which keeps their order.
-    vertices = np.sort(np.array(list(by_dim[0]), dtype=np.int64).ravel())
-    rows, values = [], []
-    for k, group in enumerate(by_dim):
-        ranks = np.searchsorted(vertices, np.array(list(group), dtype=np.int64).reshape(-1, k + 1))
-        lex = np.lexsort(ranks.T[::-1])
-        rows.append(ranks[lex])
-        if vertex_values is None:
-            values.append(np.fromiter(group.values(), float, len(group))[lex])
+    vertices = rows[0][:, 0]
+    rows = [np.searchsorted(vertices, r) for r in rows]
     labels = vertices.tolist()
     if vertex_values is not None:
         try:
@@ -612,38 +614,51 @@ def _simplices_to_complex(valued: dict, vertex_values: Optional[dict] = None) ->
         bad = np.flatnonzero(~np.isfinite(f))
         if len(bad):
             raise ComplexError(f"vertex {labels[bad[0]]} has a non-finite function value")
-        values = [f[r].max(axis=1) for r in rows]
-    fc = simplicial_filtration(rows, values, [str(v) for v in labels])
+        vals = [f[r].max(axis=1) for r in rows]
+    fc = simplicial_filtration(rows, vals, [str(v) for v in labels])
     fc.validate()
     return fc
 
 
 def parse_spx(text: str, vertex_values: Optional[dict] = None) -> FilteredComplex:
     """SPX v1: one `<value> <v1> ... <vk>` top simplex per line; in vertexfn
-    mode lines hold bare vertex lists and values come from vertex_values."""
-    valued: dict[tuple, float] = {}
-    for lineno, line in text_lines(text):
+    mode lines hold bare vertex lists and values come from vertex_values.
+    Array masks look for faults, and a walk from the top names the first."""
+    lines = text_lines(text)
+    if not lines:
+        raise ComplexError("no simplices in input")
+    parts = [line.split() for _, line in lines]
+    lead, n = int(vertex_values is None), len(parts)  # a valued line's value comes first
+    try:  # and is popped off, leaving the vertex list
+        values = np.fromiter(map(float, [p.pop(0) for p in parts]), float, n) if lead \
+            else np.zeros(n)
+        labels = np.fromiter(map(int, chain.from_iterable(parts)), np.int64)
+    except (ValueError, OverflowError):
+        pass
+    else:
+        widths = np.fromiter(map(len, parts), np.int64, n)
+        owner = np.repeat(np.arange(n), widths)
+        labels = labels[np.lexsort((labels, owner))]  # increasing within each line
+        bad = (widths < 1) | (widths > _MAX_VERTICES) | ~np.isfinite(values)
+        bad[owner[1:][(labels[1:] == labels[:-1]) & (owner[1:] == owner[:-1])]] = True
+        if not bad.any():
+            return _close_simplices(labels, widths, values, vertex_values)
+    for lineno, line in lines:
         parts = line.split()
         try:
-            if vertex_values is None:
-                value = float(parts[0])
-                verts = tuple(sorted(map(int, parts[1:])))
-            else:
-                value = 0.0
-                verts = tuple(sorted(map(int, parts)))
-        except (ValueError, IndexError):
+            value = float(parts[0]) if lead else 0.0
+            verts = sorted(map(int, parts[lead:]))
+        except ValueError:
             raise ComplexError(f"line {lineno}: malformed simplex line") from None
         if not verts or len(set(verts)) != len(verts):
             raise ComplexError(f"line {lineno}: bad vertex list")
         if verts[0] < _INT64_MIN or verts[-1] > _INT64_MAX:
             raise ComplexError(f"line {lineno}: vertex id out of range")
+        if len(verts) > _MAX_VERTICES:
+            raise ComplexError(f"line {lineno}: simplex has {len(verts)} vertices, "
+                               f"above the limit of {_MAX_VERTICES}")
         if not math.isfinite(value):
             raise ComplexError(f"line {lineno}: value must be finite")
-        if verts not in valued or valued[verts] > value:
-            valued[verts] = value
-    if not valued:
-        raise ComplexError("no simplices in input")
-    return _simplices_to_complex(valued, vertex_values)
 
 
 def parse_vertex_values(text: str) -> dict:

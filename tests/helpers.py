@@ -7,7 +7,7 @@ dense GF(2) elimination, explicit composite-map matrices, the first
 sorted-tuple column reduction and a sorted-tuple reduction with clearing,
 exhaustive matching enumeration, the first
 padded-graph bottleneck search, the first per-simplex Rips and SPX
-builders, the closure walk for a cell's vertices, the first lower-star
+builders, the first line-at-a-time SPX reader, the closure walk for a cell's vertices, the first lower-star
 and cone builders and the four-pass validate serve as ground truth.
 """
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from z2persist import Barcode, Cell, FilteredComplex, Interval, VertexFunction
-from z2persist.complexes import ComplexError, _simplices_to_complex
+from z2persist.complexes import _MAX_VERTICES, ComplexError, _simplices_to_complex
 from z2persist.distances import Matching, _deletion_cost, _match_cost
 from z2persist.extended import BifiltrationSpec
 from z2persist.persistence import Reduction, reduce_filtration
@@ -301,6 +301,42 @@ def reference_simplices_to_complex(valued: dict, vertex_values: Optional[dict] =
         fc = reference_sort_filtration(fc.cells)
     fc.validate()
     return fc
+
+
+def reference_parse_spx(text: str, vertex_values: Optional[dict] = None) -> FilteredComplex:
+    """The first SPX reader: each line is checked and read on its own into
+    a dict of sorted vertex tuples, a repeated simplex keeping its smallest
+    value, and the dict is closed by reference_simplices_to_complex.  The
+    library must name the same first faulty line with the same message."""
+    valued: dict[tuple, float] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        try:
+            if vertex_values is None:
+                value = float(parts[0])
+                verts = tuple(sorted(map(int, parts[1:])))
+            else:
+                value = 0.0
+                verts = tuple(sorted(map(int, parts)))
+        except (ValueError, IndexError):
+            raise ComplexError(f"line {lineno}: malformed simplex line") from None
+        if not verts or len(set(verts)) != len(verts):
+            raise ComplexError(f"line {lineno}: bad vertex list")
+        if verts[0] < -(2**63) or verts[-1] > 2**63 - 1:
+            raise ComplexError(f"line {lineno}: vertex id out of range")
+        if len(verts) > _MAX_VERTICES:
+            raise ComplexError(f"line {lineno}: simplex has {len(verts)} vertices, "
+                               f"above the limit of {_MAX_VERTICES}")
+        if not math.isfinite(value):
+            raise ComplexError(f"line {lineno}: value must be finite")
+        if verts not in valued or valued[verts] > value:
+            valued[verts] = value
+    if not valued:
+        raise ComplexError("no simplices in input")
+    return reference_simplices_to_complex(valued, vertex_values)
 
 
 def reference_snap_up(value: float, step: float) -> float:

@@ -8,13 +8,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from z2persist import ComplexError, PointCloud, RipsParams, barcode, rips, rips_filtration
-from z2persist.complexes import _simplices_to_complex, parse_spx, simplicial_filtration
+from z2persist.complexes import _MAX_VERTICES, _simplices_to_complex, parse_spx, simplicial_filtration
 
 from helpers import (
     grid_surface,
     reference_cell_vertices,
+    reference_parse_spx,
     reference_rips_filtration,
     reference_simplices_to_complex,
 )
@@ -175,6 +178,80 @@ def test_spx_duplicate_lines_keep_the_smallest_value():
     text = "3 0 1 2\n1 2 1\n2 1 2\n"
     ref = reference_simplices_to_complex({(0, 1, 2): 3.0, (1, 2): 1.0})
     assert_same_cells(parse_spx(text), ref)
+
+
+# Lines the SPX reader must reject, as templates of a value x and labels
+# a and b; vertexfn mode drops a leading "{x} " and the valued-only lines.
+BAD_SPX_LINES = {
+    "malformed value": "{x}z {a}",
+    "malformed vertex": "{x} {a} 1.5",
+    "repeated vertex": "{x} {a} {b} {a}",
+    "id past int64": f"{{x}} {{a}} {2**63}",
+    "id below int64": f"{{x}} {-(2**63) - 1}",
+    "nan value": "nan {a}",
+    "inf value": "-inf {a} {b}",
+    "empty vertex list": "{x}",
+    "oversize simplex": "{x} " + " ".join(map(str, range(-8, _MAX_VERTICES - 7))),
+}
+VALUED_ONLY = {"nan value", "inf value", "empty vertex list"}
+
+
+@st.composite
+def spx_inputs(draw):
+    """A random SPX text in either mode with comments, blank lines, tabs,
+    mixed widths and repeated simplices, sometimes with bad lines, and the
+    vertex values of vertexfn mode."""
+    valued = draw(st.booleans())
+    pool = LABEL_POOLS[draw(st.sampled_from(sorted(LABEL_POOLS)))]
+    labels = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8, unique=True))
+    value = st.sampled_from(["0", "1.0", "2.5", "-1", "1e0", "+2.50"]) | st.floats(-3, 3).map(repr)
+    simplex = st.lists(st.sampled_from(labels), min_size=1, max_size=min(6, len(labels)),
+                       unique=True)
+    lines, declared = [], []
+    for kind in draw(st.lists(st.sampled_from(["simplex"] * 4 + ["repeat", "comment", "blank"]),
+                              max_size=12)):
+        if kind == "simplex" or (kind == "repeat" and declared):
+            verts = draw(st.permutations(draw(st.sampled_from(declared)))) if kind == "repeat" \
+                else draw(simplex)
+            declared.append(verts)
+            sep = draw(st.sampled_from([" ", "  ", "\t"]))
+            line = sep.join(([draw(value)] if valued else []) + [str(v) for v in verts])
+            lines.append(line + draw(st.sampled_from(["", " # a comment", "\t"])))
+        else:
+            lines.append(draw(st.sampled_from(["# comment", "   ", ""])))
+    names = sorted(BAD_SPX_LINES.keys() - (set() if valued else VALUED_ONLY))
+    for name in draw(st.lists(st.sampled_from(names), max_size=2)):
+        a, b = draw(st.permutations(labels + [max(labels) + 1]))[:2]
+        bad = BAD_SPX_LINES[name] if valued else BAD_SPX_LINES[name].replace("{x} ", "")
+        lines.insert(draw(st.integers(0, len(lines))), bad.format(x=draw(value), a=a, b=b))
+    vertex_values = None if valued else {v: draw(st.sampled_from([-1.0, 0.0, 0.5, 2.0]))
+                                         for v in labels + [max(labels) + 1]}
+    return "\n".join(lines), vertex_values
+
+
+@settings(max_examples=200, deadline=None)
+@given(spx_inputs())
+def test_spx_reader_matches_the_line_at_a_time_oracle(case):
+    text, vertex_values = case
+    try:
+        expected = reference_parse_spx(text, vertex_values)
+    except ComplexError as e:
+        with pytest.raises(ComplexError) as got:
+            parse_spx(text, vertex_values)
+        assert str(got.value) == str(e)
+    else:
+        assert_same_cells(parse_spx(text, vertex_values), expected)
+
+
+def test_spx_simplex_size_limit():
+    # the largest simplex accepted still closes, to 2^16 - 1 cells
+    top = " ".join(map(str, range(_MAX_VERTICES)))
+    fc = parse_spx(f"1 {top}\n")
+    assert (len(fc), fc.max_dim, fc.euler_characteristic()) == (2**_MAX_VERTICES - 1, 15, 1)
+    with pytest.raises(ComplexError, match="^line 3: simplex has 17 vertices, above the limit of 16$"):
+        parse_spx(f"1 {top}\n# one vertex more\n2 {top} 99\n")
+    with pytest.raises(ComplexError, match="^line 1: simplex has 17 vertices"):
+        parse_spx(f"{top} 99\n", dict.fromkeys(range(100), 0.0))
 
 
 @pytest.mark.parametrize("vertex_values", [False, True], ids=["valued", "vertex-values"])

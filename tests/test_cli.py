@@ -307,6 +307,22 @@ def test_huge_dimension_persists_but_has_no_betti_table(tmp_path, capsys):
     assert out.splitlines()[-2:] == ["betti 10000 1", "generator 10000 0"]
 
 
+@pytest.mark.parametrize("command", ["persist", "homology", "extended"])
+def test_oversize_simplex_is_bad_input(tmp_path, capsys, command):
+    # its closure would have 2^17 - 1 cells, and a line of 30 vertices
+    # would ask for about 10^9
+    spx, vals = tmp_path / "big.spx", tmp_path / "f.txt"
+    vals.write_text("".join(f"{v} 0.5\n" for v in range(17)))
+    if command == "extended":
+        spx.write_text("0 1\n" + " ".join(map(str, range(17))) + "\n")
+        argv = (command, str(spx), "--vertex-values", str(vals))
+    else:
+        spx.write_text("0 0 1\n1 " + " ".join(map(str, range(17))) + "\n")
+        argv = (command, str(spx), "--format", "spx")
+    assert run_cli(capsys, *argv) == (
+        2, "", "error: line 2: simplex has 17 vertices, above the limit of 16\n")
+
+
 @pytest.mark.parametrize("line, message", [
     ("0 nan", "value must be finite"),
     ("0 inf", "value must be finite"),
