@@ -196,9 +196,7 @@ def run(argv: Sequence[str]) -> int:
         b = persistence.barcode(fc)
         if args.radius_axis:
             b = persistence.Barcode(
-                (d, persistence.Interval(iv.birth / 2, iv.death / 2))
-                for d, iv in b
-            )
+                (d, persistence.Interval(s / 2, e / 2)) for d, (s, e) in b)
         _emit_barcode(b, args.svg)
         return 0
 

@@ -109,10 +109,10 @@ def extended_barcode(spec: BifiltrationSpec) -> Barcode:
     one infinite bar of its barcode, and it is dropped.
     """
     b = barcode(build_cone_filtration(spec).complex)
-    finite = [bar for bar in b if bar[1].death < math.inf]
+    finite = tuple(bar for bar in b if bar[1].death < math.inf)
     if len(b) - len(finite) != 1:
         raise AssertionError(f"the cone has {len(b) - len(finite)} infinite bars, not the apex's one")
-    return Barcode(finite)
+    return Barcode._ordered(finite)
 
 
 def extended_rank(b: Barcode, k: int, a: float, p: float) -> int:

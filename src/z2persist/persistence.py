@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -12,17 +14,17 @@ from . import z2
 from .complexes import FilteredComplex, _indptr, _owners, format_value, text_lines
 
 
-@dataclass(frozen=True, order=True)
-class Interval:
-    """Half-open interval [birth, death) with a finite birth; death may be +inf."""
+class Interval(namedtuple("Interval", "birth death")):
+    """Half-open [birth, death), -inf < birth < death: a validated (birth, death) tuple."""
 
-    birth: float
-    death: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not -math.inf < self.birth < self.death:  # also false for nan
-            raise ValueError(
-                f"need -inf < birth < death, got [{self.birth}, {self.death})")
+    def __new__(cls, birth: float, death: float):
+        if not -math.inf < birth < death:  # also false for nan
+            raise ValueError(f"need -inf < birth < death, got [{birth}, {death})")
+        return super().__new__(cls, birth, death)
+
+    _make = classmethod(lambda cls, pair: cls(*pair))  # so `_replace` checks too
 
     def __contains__(self, t: float) -> bool:
         return self.birth <= t < self.death
@@ -36,9 +38,13 @@ class Barcode:
     """Multiset of (dimension, interval) bars, kept in sorted order."""
 
     def __init__(self, bars: Iterable[tuple[int, Interval]]):
-        self.bars: tuple[tuple[int, Interval], ...] = tuple(
-            sorted(bars, key=lambda b: (b[0], b[1].birth, b[1].death))
-        )
+        self.bars: tuple[tuple[int, Interval], ...] = tuple(sorted(bars))
+
+    @classmethod
+    def _ordered(cls, bars: tuple) -> "Barcode":  # bars already in sorted order
+        b = cls.__new__(cls)
+        b.bars = bars
+        return b
 
     def __len__(self) -> int:
         return len(self.bars)
@@ -60,10 +66,7 @@ class Barcode:
 
     def to_bcx(self) -> str:
         """BCX v1: `<dim> <birth> <death|inf>` lines, sorted."""
-        return "".join(
-            f"{d} {format_value(iv.birth)} {format_value(iv.death)}\n"
-            for d, iv in self.bars
-        )
+        return "".join(f"{d} {format_value(s)} {format_value(e)}\n" for d, (s, e) in self.bars)
 
 
 def parse_bcx(text: str) -> Barcode:
@@ -194,13 +197,26 @@ def reduce_filtration(fc: FilteredComplex, *, chains: bool = False) -> Reduction
 
 
 def barcode(fc: FilteredComplex) -> Barcode:
-    """Barcode of the filtration; zero-length pairs are dropped."""
+    """Barcode of the filtration, zero-length pairs dropped: bars are kept and
+    sorted on int value ranks and checked on the endpoint arrays at once."""
     red = reduce_filtration(fc)
-    dims, values = fc.dims.tolist(), fc.values.tolist()
-    bars = [(dims[i], Interval(values[i], values[j]))
-            for i, j in red.pairs if values[i] < values[j]]
-    bars += [(dims[j], Interval(values[j], math.inf)) for j in red.unpaired]
-    return Barcode(bars)
+    n, values, m = len(fc), fc.values, len(red.pairs)
+    if (values[1:] < values[:-1]).any():
+        raise ValueError("cell values decrease: the complex is not in filtration order")
+    rank = np.arange(n + 1)  # a value's rank is the first id holding it; +inf's is n
+    rank[1:n][values[1:] == values[:-1]] = 0
+    rank = np.maximum.accumulate(rank)
+    ids = np.fromiter(chain(chain.from_iterable(red.pairs), red.unpaired), np.int64)
+    births = np.concatenate([ids[:2 * m:2], ids[2 * m:]])
+    deaths = np.concatenate([ids[1:2 * m:2], np.full(len(ids) - 2 * m, n)])
+    order = np.lexsort((rank[deaths], rank[births], fc.dims[births]))
+    order = order[rank[births[order]] < rank[deaths[order]]]
+    births, ends = births[order], np.append(values, math.inf)
+    lo, hi = ends[births], ends[deaths[order]]
+    if not ((lo > -math.inf) & (lo < hi)).all():
+        list(map(Interval, lo.tolist(), hi.tolist()))  # raises for the first bad bar
+    bars = map(tuple.__new__, repeat(Interval), zip(lo.tolist(), hi.tolist()))  # ints stay ints
+    return Barcode._ordered(tuple(zip(fc.dims[births].tolist(), bars)))
 
 
 def persistent_betti(b: Barcode, k: int, a: float, p: float) -> int:

@@ -34,8 +34,10 @@ class PointCloud:
 
     def distance_matrix(self) -> np.ndarray:
         pts = np.asarray(self.points, dtype=float)
-        diff = pts[:, None, :] - pts[None, :, :]
-        return np.sqrt((diff**2).sum(axis=-1))
+        out = np.zeros((len(pts), len(pts)))
+        for x in pts.T:  # a coordinate at a time: no n x n x d array
+            out += np.square(x[:, None] - x)
+        return np.sqrt(out, out=out)
 
     @classmethod
     def from_csv(cls, text: str) -> "PointCloud":

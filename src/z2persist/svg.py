@@ -18,9 +18,7 @@ def barcode_svg(b: Barcode) -> str:
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="20">'
             "<text x='4' y='14' font-size='10'>empty barcode</text></svg>"
         )
-    finite = [iv.birth for _, iv in bars] + [
-        iv.death for _, iv in bars if iv.death != math.inf
-    ]
+    finite = [t for _, iv in bars for t in iv if t != math.inf]
     lo, hi = min(finite), max(finite)
     span = hi - lo if hi > lo else 1.0
     pad = 0.05 * span

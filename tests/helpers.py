@@ -1,14 +1,16 @@
 """Independent oracles and random-input generators for the test suite.
 
 Everything here deliberately avoids the library's bitset reduction, its
-matching search, its numpy simplex builder, its one-pass star values and
-its one-walk validate:
-dense GF(2) elimination, explicit composite-map matrices, the first
-sorted-tuple column reduction and a sorted-tuple reduction with clearing,
-exhaustive matching enumeration, the first
-padded-graph bottleneck search, the first per-simplex Rips and SPX
-builders, the first line-at-a-time SPX reader, the closure walk for a cell's vertices, the first lower-star
-and cone builders and the four-pass validate serve as ground truth.
+matching search, its numpy simplex builder, its one-pass star values, its
+one-walk validate and its array bar extraction: dense GF(2) elimination,
+explicit composite-map matrices, the first sorted-tuple column reduction
+and a sorted-tuple reduction with clearing, exhaustive matching
+enumeration, the first padded-graph bottleneck search, the first
+per-simplex Rips and SPX builders, the first distance matrix, the first
+line-at-a-time SPX reader, the closure walk for a cell's vertices, the
+first lower-star and cone builders, the four-pass validate and the first
+bar walk serve as ground truth.  (The bar walk and the first extended
+barcode read the library's reduction, which has its own oracles.)
 """
 from __future__ import annotations
 
@@ -252,6 +254,25 @@ def reference_extended_barcode(spec: BifiltrationSpec) -> Barcode:
 
 
 # ---------------------------------------------------------------------------
+# the library's first bar extraction: a Python walk over the reduction's
+# pairs and unpaired cells, one check per bar and a key sort; `barcode`
+# must give the same bars, in the same order, with endpoints of the same type
+
+
+def reference_barcode(fc: FilteredComplex) -> list[tuple]:
+    """(dim, birth, death) of every bar, zero-length pairs dropped, sorted
+    by (dim, birth, death)."""
+    red = reduce_filtration(fc)
+    dims, values = fc.dims.tolist(), fc.values.tolist()
+    bars = [(dims[i], values[i], values[j]) for i, j in red.pairs if values[i] < values[j]]
+    bars += [(dims[j], values[j], math.inf) for j in red.unpaired]
+    for _, birth, death in bars:
+        if not -math.inf < birth < death:  # also false for nan
+            raise ValueError(f"need -inf < birth < death, got [{birth}, {death})")
+    return sorted(bars, key=lambda bar: (bar[0], bar[1], bar[2]))
+
+
+# ---------------------------------------------------------------------------
 # the library's first simplex builders: the SPX closure with a Cell loop and
 # the reference lower-star / sort_filtration round trip, and the Rips clique expansion
 # with scalar distance lookups; the numpy builder must give the same cells
@@ -344,6 +365,13 @@ def reference_snap_up(value: float, step: float) -> float:
     return k * step
 
 
+def reference_distance_matrix(pc: PointCloud) -> np.ndarray:
+    """The first distance matrix: one n x n x d array of differences."""
+    pts = np.asarray(pc.points, dtype=float)
+    diff = pts[:, None, :] - pts[None, :, :]
+    return np.sqrt((diff**2).sum(axis=-1))
+
+
 def reference_rips_filtration(pc: PointCloud, params: RipsParams) -> FilteredComplex:
     """Build the Rips filtration up to max_dim and the scale limit.
 
@@ -352,7 +380,7 @@ def reference_rips_filtration(pc: PointCloud, params: RipsParams) -> FilteredCom
     by expanding cliques of the threshold graph in vertex order, so the
     output is deterministic.
     """
-    dist = pc.distance_matrix()
+    dist = reference_distance_matrix(pc)
     n = len(pc)
     limit = params.scale_limit
     if limit == math.inf:

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -19,6 +21,7 @@ from z2persist import (
     parse_bcx,
     persistent_betti,
     reduce_filtration,
+    single_interval_rank,
 )
 from z2persist.homology import betti
 
@@ -260,11 +263,50 @@ def test_bcx_round_trip():
     assert parse_bcx(b.to_bcx()) == b
 
 
-@pytest.mark.parametrize("birth, death", [
-    (-INF, 1.0), (-INF, INF), (math.nan, 1.0), (INF, INF), (1.0, math.nan), (1.0, 1.0),
+@pytest.mark.parametrize("birth, death, shown", [
+    (-INF, 1.0, "[-inf, 1.0)"), (-INF, INF, "[-inf, inf)"), (math.nan, 1.0, "[nan, 1.0)"),
+    (INF, INF, "[inf, inf)"), (1.0, math.nan, "[1.0, nan)"), (1.0, 1.0, "[1.0, 1.0)"),
+    (2, 1, "[2, 1)"),
 ], ids=["minus-inf-birth", "minus-inf-essential", "nan-birth", "inf-birth",
-        "nan-death", "empty"])
-def test_interval_needs_finite_birth_before_death(birth, death):
-    with pytest.raises(ValueError, match=r"need -inf < birth < death"):
+        "nan-death", "empty", "reversed"])
+def test_interval_needs_finite_birth_before_death(birth, death, shown):
+    with pytest.raises(ValueError) as e:
         Interval(birth, death)
+    assert str(e.value) == f"need -inf < birth < death, got {shown}"
+    # namedtuple's other constructors check the rule too
+    with pytest.raises(ValueError, match=r"need -inf < birth < death"):
+        Interval._make((birth, death))
+    with pytest.raises(ValueError, match=r"need -inf < birth < death"):
+        Interval(-5.0, 5.0)._replace(birth=birth, death=death)
 
+
+def test_interval_is_a_birth_death_tuple():
+    iv = Interval(0, 1)
+    assert repr(iv) == "Interval(birth=0, death=1)"
+    assert iv == (0, 1) and (0, 1) == iv and iv != (0, 2)
+    assert iv == Interval(birth=0, death=1) == Interval(0.0, 1.0)
+    assert hash(iv) == hash((0, 1)) == hash(Interval(0.0, 1.0))
+    birth, death = iv
+    assert (birth, death) == (0, 1) and type(birth) is int
+    assert sorted([Interval(1, 2), Interval(0, 3), Interval(0, 1), Interval(-1, INF)]) == [
+        (-1, INF), (0, 1), (0, 3), (1, 2)]
+    assert Interval(0, 1) < Interval(0, 2) < Interval(1, 1.5)
+    assert 0 in iv and 0.5 in iv and 1 not in iv and -0.5 not in iv
+    assert 1e300 in Interval(0, INF) and INF not in Interval(0, INF)
+    assert Interval(1, 4).length == 3 and Interval(0.5, INF).length == INF
+    assert pickle.loads(pickle.dumps(iv)) == iv and type(copy.copy(iv)) is Interval
+
+
+def test_interval_is_immutable():
+    iv = Interval(0.0, 1.0)
+    with pytest.raises(AttributeError):
+        iv.birth = 0.5
+    with pytest.raises(AttributeError):
+        iv.label = "x"
+
+
+def test_one_at_a_time_builders_still_reject_bad_bars():
+    with pytest.raises(ValueError, match="line 2: need birth < death"):
+        parse_bcx("0 0 1\n0 1 1\n")
+    with pytest.raises(ValueError, match=r"need -inf < birth < death, got \[2, 2\)"):
+        single_interval_rank(2, 2, 0, 1)

@@ -1,7 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from z2persist import (
     PointCloud,
@@ -12,6 +15,8 @@ from z2persist import (
     betti_numbers,
     rips_filtration,
 )
+
+from helpers import reference_distance_matrix
 
 
 def circle_points(n, radius=1.0, noise=0.0, seed=None):
@@ -173,3 +178,18 @@ def test_klein_betti_window():
     fc = rips_filtration(pc, RipsParams(max_dim=3, threshold=0.7))
     sub = fc.sublevel(0.7)
     assert betti_numbers(sub)[:3] == (1, 2, 1)
+
+
+# Coordinates of mixed magnitude: tiny, unit-sized, integral and huge.
+_COORDINATE = st.one_of(
+    st.floats(-1e-6, 1e-6), st.floats(-2.0, 2.0), st.integers(-3, 3).map(float),
+    st.floats(-1e150, 1e150))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda d: st.lists(st.tuples(*[_COORDINATE] * d), min_size=1, max_size=9)),
+    st.integers(0, 4))
+def test_distance_matrix_equals_the_broadcast_formula(points, repeats):
+    pc = PointCloud(tuple(points + points[:repeats]))  # repeated points: zero distances
+    assert np.array_equal(pc.distance_matrix(), reference_distance_matrix(pc))
