@@ -153,59 +153,64 @@ class FilteredComplex:
         return int(self.dims.max()) if len(self) else -1
 
     def validate(self) -> None:
-        """Raise ComplexError at the first offending cell in id order.  A
-        walk checks each cell against the cells before it: its id,
-        dimension, finite value and (value, dim) order; each face distinct,
-        declared earlier and one dimension down; boundary of boundary 0.  A
-        face then enters no later than its cell, since values do not
-        decrease.  Array masks find the lowest id that breaks a rule and the
-        walk starts there, so a valid complex builds no cell."""
-        start, n, inf = min(self._misnumbered, self._first_fault()), len(self), math.inf
-        if start == n:
-            return
-        cells = self.cells
-        last_value, last_dim = -inf, -1
-        if start:
-            last_value, last_dim = cells[start - 1].value, cells[start - 1].dim
-        for cid in range(start, n):
-            c = cells[cid]
-            dim, value, boundary = c.dim, c.value, c.boundary
-            if c.id != cid:
-                raise ComplexError(f"id {c.id} out of declaration order", c.id)
-            if dim < 0:
-                raise ComplexError("negative dimension", cid)
-            if not -inf < value < inf:
-                raise ComplexError(f"value {value} is not finite", cid)
-            if value <= last_value and (value < last_value or dim < last_dim):
-                raise ComplexError(f"ordering violation: value {value} dim {dim} after "
-                                   f"value {last_value} dim {last_dim}", cid)
-            last_value, last_dim = value, dim
-            prev, dd, face_dim = -1, 0, dim - 1
-            for f in boundary:
-                if not 0 <= f < cid:
-                    raise ComplexError(f"face {f} not previously declared", cid)
-                if f == prev:
-                    raise ComplexError(f"repeated face {f}", cid)
-                prev, face = f, cells[f]
-                if face.dim != face_dim:
-                    raise ComplexError(f"face {f} has dim {face.dim}, expected {face_dim}", cid)
-                for g in face.boundary:
-                    dd ^= 1 << g
-            if dd:
-                raise ComplexError("boundary of boundary is nonzero", cid)
+        """Raise ComplexError at the first offending cell in id order.  Array
+        masks find it, and `_fault` reads that one cell to name the rule it
+        breaks, so no cell is built.  A face then enters no later than its
+        cell, since values do not decrease."""
+        j = min(self._misnumbered, self._first_fault())
+        if j < len(self):
+            raise self._fault(j)
+
+    def _fault(self, j: int) -> ComplexError:
+        """The first rule that cell j, found by the masks, breaks: id, dim,
+        finite value, (value, dim) order, faces, else boundary of boundary."""
+        if j == self._misnumbered:
+            cid = self._cells[j].id
+            return ComplexError(f"id {cid} out of declaration order", cid)
+        dim, last_dim = self.dims[[j, j - 1]].tolist()  # cell j - 1 is read only if j > 0
+        if dim < 0:
+            return ComplexError("negative dimension", j)
+        value, last = self.values[[j, j - 1]].tolist()  # Python scalars: an int stays an int
+        if not -math.inf < value < math.inf:
+            return ComplexError(f"value {value} is not finite", j)
+        if j and (value, dim) < (last, last_dim):
+            return ComplexError(f"ordering violation: value {value} dim {dim} after "
+                                f"value {last} dim {last_dim}", j)
+        return self._face_fault(j) or ComplexError("boundary of boundary is nonzero", j)
+
+    def _face_fault(self, j: int) -> Optional[ComplexError]:
+        """The first face of cell j, in row order, that is not declared
+        before it, above the face before it and one dimension down, if any."""
+        dims, prev = self.dims, -1
+        for f in self.indices[self.indptr[j]:self.indptr[j + 1]].tolist():
+            if not 0 <= f < j:
+                return ComplexError(f"face {f} not previously declared", j)
+            if f <= prev:
+                return ComplexError(f"repeated face {f}" if f == prev else
+                                    f"face {f} listed after face {prev}", j)
+            if dims[f] != dims[j] - 1:
+                return ComplexError(f"face {f} has dim {dims[f]}, expected {dims[j] - 1}", j)
+            prev = f
+        return None
+
+    def _misplaced_faces(self) -> tuple[np.ndarray, np.ndarray]:
+        """The cell of each CSR entry, and whether its face is outside [0,
+        cell) or not one dimension down."""
+        dims, indices, owner = self.dims, self.indices, _owners(self.indptr)
+        wrong = (indices < 0) | (indices >= owner)
+        return owner, wrong | (dims[np.where(wrong, 0, indices)] != dims[owner] - 1)
 
     def _first_fault(self) -> int:
         """The lowest id at which an array mask finds a broken rule, or n."""
         dims, indptr, indices = self.dims, self.indptr, self.indices
-        values, n, owner = np.asarray(self.values, dtype=float), len(dims), _owners(indptr)
+        values, n = np.asarray(self.values, dtype=float), len(dims)
         bad = (dims < 0) | ~np.isfinite(values)
         step, tie = values[1:] < values[:-1], values[1:] == values[:-1]
         bad[1:] |= step | (tie & (dims[1:] < dims[:-1]))
-        wrong = (indices < 0) | (indices >= owner)
+        owner, wrong = self._misplaced_faces()
         safe = np.where(wrong, 0, indices)
         # a face repeated, or out of order, within its row
         wrong[1:] |= (owner[1:] == owner[:-1]) & (indices[1:] <= indices[:-1])
-        wrong |= dims[safe] != dims[owner] - 1
         bad[owner[wrong]] = True
         first = int(np.argmax(bad)) if bad.any() else n
         # Boundary of boundary below `first`, where all faces are in range,
@@ -276,9 +281,12 @@ def simplicial_filtration(simplices: Sequence[np.ndarray], values: Sequence[np.n
     # A row of dimension k is keyed by (row of its prefix face, last
     # vertex) as prefix * n + last; rows in lexicographic order give
     # increasing keys, so a face is found by binary search.  faces[k][r, i]
-    # is the row of row r's face without its vertex i.
+    # is the row of row r's face without its vertex i.  The rows are laid
+    # out by (dim, lexicographic row), dimension k's from start[k].
+    start = np.cumsum([0] + [len(s) for s in simplices])
     keys: list[np.ndarray] = []
     faces: list[np.ndarray] = []
+    face_rows = [np.empty(0, np.int64)]
     for k, s in enumerate(simplices):
         if s.ndim != 2 or s.shape[1] != k + 1 or len(values[k]) != len(s):
             raise ValueError(f"simplices[{k}] must be an (m, {k + 1}) array with m values")
@@ -297,31 +305,16 @@ def simplicial_filtration(simplices: Sequence[np.ndarray], values: Sequence[np.n
         for i in range(k):
             face[:, i] = _lookup(keys[k - 1], faces[k - 1][prefix, i] * n + s[:, k])
         faces.append(face)
-    sizes = [len(s) for s in simplices]
-    offsets = np.cumsum([0] + sizes)
-    total = int(offsets[-1])
-    flat = np.concatenate([np.asarray(v, dtype=float) for v in values]) if total else np.empty(0)
-    if np.isnan(flat).any():
-        raise ValueError("NaN entry value")
-    # Rows are laid out by (dim, lexicographic row), so a stable sort by
-    # value orders them by (value, dim, vertex tuple).
-    order = np.argsort(flat, kind="stable")
-    id_of = np.empty(total, dtype=np.int64)
-    id_of[order] = np.arange(total)
-    dims = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)[order]
-    indptr = _indptr(np.where(dims > 0, dims + 1, 0))
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    for k in range(1, len(simplices)):
-        ids = id_of[offsets[k]:offsets[k + 1]]
-        indices[indptr[ids, None] + np.arange(k + 1)] = np.sort(
-            id_of[offsets[k - 1] + faces[k]], axis=1)
-    label = labels.__getitem__
+        face_rows.append(start[k - 1] + face.ravel())
+    dims = np.repeat(np.arange(len(simplices), dtype=np.int64), np.diff(start))
+    rows = np.repeat(np.arange(start[-1]), np.where(dims > 0, dims + 1, 0))
 
-    def name_of(j):
-        k = dims[j]
-        return "-".join(map(label, simplices[k][order[j] - offsets[k]].tolist()))
+    def name_of(r):
+        k = dims[r]
+        return "-".join(map(labels.__getitem__, simplices[k][r - start[k]].tolist()))
 
-    return FilteredComplex.from_arrays(dims, flat[order], indptr, indices, name_of)
+    return _reorder(dims, np.concatenate([np.empty(0), *values], dtype=float), rows,
+                    np.concatenate(face_rows), name_of)[0]
 
 
 def _reorder(dims: np.ndarray, values: np.ndarray, rows: np.ndarray, faces: np.ndarray,
@@ -342,14 +335,13 @@ def _reorder(dims: np.ndarray, values: np.ndarray, rows: np.ndarray, faces: np.n
     new_id[order] = np.arange(n)
     cell = new_id[rows]
     indices = np.sort(cell * n + new_id[faces]) % max(n, 1)
-    old = order.tolist()
     if vertex_lists is not None:
         remap = new_id.tolist().__getitem__
         vertex_lists = [None if v is None else tuple(sorted(map(remap, v)))
-                        for v in map(vertex_lists.__getitem__, old)]
+                        for v in map(vertex_lists.__getitem__, order.tolist())]
     fc = FilteredComplex.from_arrays(
         dims[order], values[order], _indptr(np.bincount(cell, minlength=n)), indices,
-        None if name_of is None else (lambda j: name_of(old[j])), vertex_lists)
+        None if name_of is None else (lambda j: name_of(int(order[j]))), vertex_lists)
     return fc, new_id
 
 
@@ -367,9 +359,7 @@ def _star_values(skeleton: FilteredComplex, f: VertexFunction) -> tuple[np.ndarr
     combine = dims != 0
     if own is not None:
         combine &= np.fromiter((v is None for v in own), bool, n)
-    owner = _owners(indptr)
-    wrong = (indices < 0) | (indices >= owner)
-    wrong |= dims[np.where(wrong, 0, indices)] != dims[owner] - 1
+    owner, wrong = skeleton._misplaced_faces()
     fault = combine & (counts == 0)
     fault[owner[wrong & combine[owner]]] = True
     if own is not None:
@@ -398,20 +388,15 @@ def _star_values(skeleton: FilteredComplex, f: VertexFunction) -> tuple[np.ndarr
 
 
 def _star_fault(skeleton: FilteredComplex, j: int) -> ComplexError:
-    """Why cell j's star values cannot be read."""
-    faces = skeleton.indices[skeleton.indptr[j]:skeleton.indptr[j + 1]].tolist()
+    """Why cell j's star values cannot be read: its vertex list, or `validate`'s face rule."""
     own = skeleton.vertex_lists[j] if skeleton.vertex_lists else None
-    dims = skeleton.dims.tolist()
+    dims = skeleton.dims
     if own:
         v = next(v for v in own if not (0 <= v < len(dims) and dims[v] == 0))
         return ComplexError(f"vertex {v} is not a vertex of the complex", j)
-    if own is not None or not faces:
+    if own is not None or skeleton.indptr[j] == skeleton.indptr[j + 1]:
         return ComplexError("cell has no vertices in its closure", j)
-    if faces[0] < 0 or faces[-1] >= j:
-        bad = faces[0] if faces[0] < 0 else faces[-1]
-        return ComplexError(f"face {bad} not previously declared", j)
-    f = next(f for f in faces if dims[f] != dims[j] - 1)
-    return ComplexError(f"face {f} has dim {dims[f]}, expected {dims[j] - 1}", j)
+    return skeleton._face_fault(j)
 
 
 def lower_star(skeleton: FilteredComplex, f: VertexFunction) -> FilteredComplex:

@@ -122,20 +122,20 @@ def _reduce(ptr: list, flat: list, groups: Iterable[list], chains: bool):
     or it vanishes.  A column is made an int bitset (`z2`) only when it
     takes part in an addition; with `chains`, it carries the bitset of the
     columns summed into it.  Returns {pivot: column} for the nonzero
-    columns, {column: chain} for the vanished ones, the number of additions
-    and the most entries of a nonzero reduced column.
+    columns, {column: chain} for the vanished ones, {column: bitset} for
+    the nonzero columns made bitsets, and the number of additions.
     """
     pivots: dict[int, int] = {}   # pivot -> the column with that pivot
     reduced: dict[int, int] = {}  # column -> its reduced bitset, once made
     chain: dict[int, int] = {}    # column -> its chain, unless just itself
     zeros: dict[int, int] = {}    # vanished column -> its chain
-    additions = longest = 0
+    additions = 0
     for group in groups:
         for j in group:
             if j in pivots:
                 continue
             start, end = ptr[j], ptr[j + 1]
-            low, size = flat[end - 1], end - start
+            low = flat[end - 1]
             other = pivots.get(low)
             if other is not None:
                 col = z2.bitset(flat[start:end])
@@ -152,10 +152,9 @@ def _reduce(ptr: list, flat: list, groups: Iterable[list], chains: bool):
                 if not col:
                     zeros[j] = v
                     continue
-                reduced[j], chain[j], size = col, v, col.bit_count()
+                reduced[j], chain[j] = col, v
             pivots[low] = j
-            longest = max(longest, size)
-    return pivots, zeros, additions, longest
+    return pivots, zeros, reduced, additions
 
 
 def reduce_filtration(fc: FilteredComplex, *, chains: bool = False) -> Reduction:
@@ -180,11 +179,14 @@ def reduce_filtration(fc: FilteredComplex, *, chains: bool = False) -> Reduction
         flat = n - 1 - _owners(fc.indptr)[np.argsort(fc.indices, kind="stable")[::-1]]
         ptr, dims = _indptr(np.bincount(fc.indices, minlength=n)[::-1]), dims[::-1]
     full = ptr[1:] > ptr[:-1]
-    pivots, zeros, additions, longest = _reduce(
+    pivots, zeros, reduced, additions = _reduce(
         ptr.tolist(), flat.tolist(),
         (np.flatnonzero(full & (dims == k)).tolist() for k in order), chains)
     low = np.fromiter(pivots, np.int64, len(pivots))
     col = np.fromiter(pivots.values(), np.int64, len(pivots))
+    size = np.diff(ptr)  # a kept column's entries: its row count, or its bitset's
+    size[np.fromiter(reduced, np.int64, len(reduced))] = [*map(int.bit_count, reduced.values())]
+    longest = int(size[col].max()) if len(col) else 0
     free = ~full
     free[low] = False
     unpaired = np.concatenate([np.fromiter(zeros, np.int64, len(zeros)), np.flatnonzero(free)])

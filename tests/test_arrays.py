@@ -24,7 +24,7 @@ from z2persist import (
     torus_height_skeleton,
 )
 from z2persist.cli import main
-from z2persist.complexes import _simplices_to_complex, write_fcx
+from z2persist.complexes import _simplices_to_complex, parse_spx, write_fcx
 
 from helpers import (
     grid_surface,
@@ -81,6 +81,54 @@ def test_rips_validate_and_barcode_build_no_cells(monkeypatch):
             fc = rips_filtration(pc, params)
             fc.validate()
             assert barcode(fc) == expected
+
+
+def broken_copies(fc):
+    """From-arrays copies of fc with one broken cell each: a value below
+    the cell before, a face not yet declared, and a vertex as a face of
+    the first triangle."""
+    dims, values, ptr, indices = fc.dims, fc.values, fc.indptr, fc.indices
+    j = len(fc) // 2
+    lowered = values.copy()
+    lowered[j] = values[j - 1] - 1.0
+    yield lowered, indices
+    edge = int(np.argmax(dims == 1))
+    undeclared = indices.copy()
+    undeclared[ptr[edge + 1] - 1] = len(fc)
+    yield values, undeclared
+    tri = int(np.argmax(dims == 2))
+    wrong_dim = indices.copy()
+    wrong_dim[ptr[tri]] = 0
+    wrong_dim[ptr[tri]:ptr[tri + 1]].sort()
+    yield values, wrong_dim
+
+
+def test_validate_builds_no_cells_on_valid_or_broken_complexes(monkeypatch):
+    circle = PointCloud(tuple((np.cos(t), np.sin(t)) for t in np.linspace(0, 6, 9)))
+    builds = [lambda: rips_filtration(circle, RipsParams(max_dim=2, threshold=1.5)),
+              lambda: parse_spx("1 0 1 2\n2 1 2 3\n3 0 3\n")]
+    for build in builds:
+        fc = build()
+        broken = list(broken_copies(fc))
+
+        def copy(values, indices):
+            return FilteredComplex.from_arrays(fc.dims, values, fc.indptr, indices)
+
+        expected = []
+        for values, indices in broken:
+            with pytest.raises(ComplexError) as err:
+                reference_validate(copy(values, indices))
+            expected.append(str(err.value))
+        assert "ordering violation" in expected[0]
+        assert expected[1].endswith(f"face {len(fc)} not previously declared")
+        assert expected[2].endswith("face 0 has dim 0, expected 1")
+        with monkeypatch.context() as m:
+            refuse_cells(m)
+            build().validate()
+            for (values, indices), text in zip(broken, expected):
+                with pytest.raises(ComplexError) as err:
+                    copy(values, indices).validate()
+                assert str(err.value) == text
 
 
 def test_cli_extended_and_spx_persist_build_no_cells(monkeypatch, tmp_path, capsys):

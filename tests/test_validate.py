@@ -5,6 +5,7 @@ import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from z2persist import (
@@ -14,7 +15,9 @@ from z2persist import (
     FilteredComplex,
     PointCloud,
     RipsParams,
+    VertexFunction,
     build_cone_filtration,
+    lower_star,
     rips_filtration,
 )
 
@@ -127,3 +130,49 @@ def test_validate_rejects_a_negative_face_id():
     reference_validate(fc)
     with pytest.raises(ComplexError, match=r"^cell 2: face -3 not previously declared$"):
         fc.validate()
+
+
+def test_star_values_name_a_face_fault_as_validate_does():
+    # lower_star and the cone read a cell's star values from its faces, and
+    # a face they cannot read is named by validate's own face rule
+    rng = random.Random(19)
+    checked = 0
+    for fc in valid_complexes():
+        for i, c in enumerate(fc.cells):
+            if c.dim < 1 or c.vertices is not None:
+                continue
+            for kind, cell in mutations(fc, i, rng).items():
+                if kind not in ("undeclared-face", "wrong-dim-face"):
+                    continue
+                broken = mutated(fc, (i, cell))
+                expected = message(broken, FilteredComplex.validate)
+                f = random_vertex_function(rng, broken)
+                assert message(broken, lambda sk: lower_star(sk, f)) == expected, kind
+                assert message(broken, lambda sk: build_cone_filtration(
+                    BifiltrationSpec(sk, f))) == expected, kind
+                checked += 1
+    assert checked > 0
+
+
+def test_object_values_name_a_non_finite_value():
+    # int heights make the values an object array, read as Python scalars
+    edge = FilteredComplex([Cell(0, 0, 0.0), Cell(1, 0, 0.0), Cell(2, 1, 0.0, boundary=(0, 1))])
+    with pytest.raises(ComplexError, match=r"^cell 1: value inf is not finite$"):
+        lower_star(edge, VertexFunction({0: 0, 1: math.inf}))
+
+
+@pytest.mark.parametrize("dims, rows, text", [
+    ([0, 0, 0, 1, 1, 1, 2], [[], [], [], [0, 1], [0, 2], [1, 2], [5, 3, 4]],
+     "face 3 listed after face 5"),
+    ([0, 0, 1], [[], [], [1, 0]], "face 0 listed after face 1"),
+], ids=["triangle", "edge"])
+def test_validate_rejects_a_face_row_out_of_order(dims, rows, text):
+    # the reduction takes a column's last row as its pivot, so the triangle
+    # would be paired with edge 4 instead of edge 5
+    cell = len(dims) - 1
+    fc = FilteredComplex.from_arrays(
+        np.array(dims), np.array(dims, dtype=float), np.cumsum([0] + [len(r) for r in rows]),
+        np.array([f for r in rows for f in r], dtype=np.int64))
+    with pytest.raises(ComplexError, match=f"^cell {cell}: {text}$") as err:
+        fc.validate()
+    assert err.value.cell_id == cell
