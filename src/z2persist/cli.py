@@ -195,8 +195,8 @@ def run(argv: Sequence[str]) -> int:
         fc.validate()
         b = persistence.barcode(fc)
         if args.radius_axis:
-            b = persistence.Barcode(
-                (d, persistence.Interval(s / 2, e / 2)) for d, (s, e) in b)
+            b = persistence.Barcode(columns=(  # halving keeps the bar order
+                b.degrees, [s / 2 for s in b.births], [e / 2 for e in b.deaths]))
         _emit_barcode(b, args.svg)
         return 0
 

@@ -333,14 +333,17 @@ def _reorder(dims: np.ndarray, values: np.ndarray, rows: np.ndarray, faces: np.n
     n = len(order)
     new_id = np.empty(n, dtype=np.int64)
     new_id[order] = np.arange(n)
-    cell = new_id[rows]
-    indices = np.sort(cell * n + new_id[faces]) % max(n, 1)
+    keys = new_id[rows]  # cell * n + face, sorted in place, then mod n: the faces by cell
+    keys *= n
+    keys += new_id[faces]
+    keys.sort()
+    keys %= max(n, 1)
     if vertex_lists is not None:
         remap = new_id.tolist().__getitem__
         vertex_lists = [None if v is None else tuple(sorted(map(remap, v)))
                         for v in map(vertex_lists.__getitem__, order.tolist())]
     fc = FilteredComplex.from_arrays(
-        dims[order], values[order], _indptr(np.bincount(cell, minlength=n)), indices,
+        dims[order], values[order], _indptr(np.bincount(rows, minlength=n)[order]), keys,
         None if name_of is None else (lambda j: name_of(int(order[j]))), vertex_lists)
     return fc, new_id
 
@@ -559,13 +562,6 @@ def parse_fcx(text: str) -> FilteredComplex:
     fc = FilteredComplex(cells)
     fc.validate()
     return fc
-
-
-def _simplices_to_complex(valued: dict, vertex_values: Optional[dict] = None) -> FilteredComplex:
-    """`_close_simplices` of a dict from increasing label tuples to values."""
-    return _close_simplices(np.fromiter(chain.from_iterable(valued), np.int64),
-                            np.fromiter(map(len, valued), np.int64),
-                            np.fromiter(valued.values(), float), vertex_values)
 
 
 def _close_simplices(labels: np.ndarray, widths: np.ndarray, values: np.ndarray,

@@ -109,10 +109,10 @@ def extended_barcode(spec: BifiltrationSpec) -> Barcode:
     one infinite bar of its barcode, and it is dropped.
     """
     b = barcode(build_cone_filtration(spec).complex)
-    finite = tuple(bar for bar in b if bar[1].death < math.inf)
-    if len(b) - len(finite) != 1:
-        raise AssertionError(f"the cone has {len(b) - len(finite)} infinite bars, not the apex's one")
-    return Barcode._ordered(finite)
+    if (essential := b.deaths.count(math.inf)) != 1:
+        raise AssertionError(f"the cone has {essential} infinite bars, not the apex's one")
+    i = b.deaths.index(math.inf)
+    return Barcode(columns=[c[:i] + c[i + 1:] for c in (b.degrees, b.births, b.deaths)])
 
 
 def extended_rank(b: Barcode, k: int, a: float, p: float) -> int:

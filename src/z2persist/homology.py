@@ -19,7 +19,7 @@ def _betti_of(fc: FilteredComplex, red: persistence.Reduction) -> list[int]:
     """Betti numbers in degrees 0..max_dim: unpaired cells per dimension."""
     if fc.max_dim > _MAX_DIM:
         raise ComplexError(f"dimension {fc.max_dim} is above {_MAX_DIM}, the top of a Betti table")
-    return np.bincount(fc.dims[list(red.unpaired)], minlength=fc.max_dim + 1).tolist()
+    return np.bincount(fc.dims[red.unpaired_ids], minlength=fc.max_dim + 1).tolist()
 
 
 def betti(fc: FilteredComplex, k: int) -> int:
@@ -33,7 +33,7 @@ def betti_numbers(fc: FilteredComplex) -> tuple[int, ...]:
 
 def _generators_of(fc: FilteredComplex, red: persistence.Reduction,
                    k: int) -> list[frozenset]:
-    return [frozenset(red.cycles[j]) for j in red.unpaired if fc.dims[j] == k]
+    return [frozenset(red.cycles[j]) for j in red.unpaired_ids.tolist() if fc.dims[j] == k]
 
 
 def generators(fc: FilteredComplex, k: int) -> list[frozenset]:

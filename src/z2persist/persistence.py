@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import chain, repeat
+from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,38 +36,40 @@ class Interval(namedtuple("Interval", "birth death")):
 
 
 class Barcode:
-    """Multiset of (dimension, interval) bars, kept in sorted order."""
+    """Multiset of (dimension, interval) bars, made from bars in any order or
+    from `columns`: three lists `degrees`, `births` and `deaths` in sorted bar
+    order.  Iterating streams the (dimension, Interval) pairs, unchecked."""
 
-    def __init__(self, bars: Iterable[tuple[int, Interval]]):
-        self.bars: tuple[tuple[int, Interval], ...] = tuple(sorted(bars))
-
-    @classmethod
-    def _ordered(cls, bars: tuple) -> "Barcode":  # bars already in sorted order
-        b = cls.__new__(cls)
-        b.bars = bars
-        return b
+    def __init__(self, bars: Iterable[tuple[int, Interval]] = (), *, columns=None):
+        self.degrees, self.births, self.deaths = columns or (
+            [*map(list, zip(*sorted((d, *iv) for d, iv in bars)))] or [[], [], []])
 
     def __len__(self) -> int:
-        return len(self.bars)
+        return len(self.degrees)
 
     def __iter__(self):
-        return iter(self.bars)
+        intervals = map(tuple.__new__, repeat(Interval), zip(self.births, self.deaths))
+        return zip(self.degrees, intervals)
+
+    bars = property(tuple)  # the streamed bars, as a tuple
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Barcode) and self.bars == other.bars
+        return isinstance(other, Barcode) and vars(self) == vars(other)  # the three columns
 
     def __repr__(self) -> str:
-        return f"Barcode({list(self.bars)!r})"
+        return f"Barcode({list(self)!r})"
 
     def in_dim(self, k: int) -> list[Interval]:
-        return [iv for d, iv in self.bars if d == k]
+        at = slice(bisect_left(self.degrees, k), bisect_right(self.degrees, k))
+        return [*map(tuple.__new__, repeat(Interval), zip(self.births[at], self.deaths[at]))]
 
     def dims(self) -> tuple[int, ...]:
-        return tuple(sorted({d for d, _ in self.bars}))
+        return tuple(sorted(set(self.degrees)))
 
     def to_bcx(self) -> str:
         """BCX v1: `<dim> <birth> <death|inf>` lines, sorted."""
-        return "".join(f"{d} {format_value(s)} {format_value(e)}\n" for d, (s, e) in self.bars)
+        return "".join(map("{} {} {}\n".format, self.degrees,
+                           map(format_value, self.births), map(format_value, self.deaths)))
 
 
 def parse_bcx(text: str) -> Barcode:
@@ -90,25 +93,30 @@ def parse_bcx(text: str) -> Barcode:
             raise ValueError(f"line {lineno}: death must be finite or `inf`, got {parts[2]}")
         if not birth < death:
             raise ValueError(f"line {lineno}: need birth < death, got {parts[1]} {parts[2]}")
-        bars.append((d, Interval(birth, death)))
+        bars.append((d, (birth, death)))
     return Barcode(bars)
 
 
-@dataclass(frozen=True)
 class Reduction:
     """Outcome of the column reduction: (birth, death) cell pairs in death
-    order and the unpaired (positive, never-killed) cells in increasing id.
-    `cycles` maps each unpaired cell to the sorted cell ids of a cycle it
-    represents; it is filled only when the reduction was asked for chains,
-    and is empty otherwise.  `column_additions` counts the columns added
-    into others, and `max_column` is the most entries of any nonzero
-    reduced column."""
+    order and the unpaired (positive, never-killed) cells in increasing id,
+    as int64 arrays `pair_ids` and `unpaired_ids` and, built on first read,
+    as int tuples `pairs` and `unpaired`.  `cycles` maps each unpaired cell
+    to the sorted ids of a cycle it represents if chains were kept, else is
+    empty.  `column_additions` counts the columns added into others, and
+    `max_column` is the most entries of any nonzero reduced column."""
 
-    pairs: tuple[tuple[int, int], ...]
-    unpaired: tuple[int, ...]
-    cycles: dict
-    column_additions: int
-    max_column: int
+    def __init__(self, pairs, unpaired, cycles: dict, column_additions: int, max_column: int):
+        self.pair_ids = np.asarray(pairs, np.int64).reshape(-1, 2)
+        self.unpaired_ids = np.asarray(unpaired, np.int64)
+        self.cycles, self.column_additions, self.max_column = cycles, column_additions, max_column
+
+    pairs = cached_property(lambda self: tuple(map(tuple, self.pair_ids.tolist())))
+    unpaired = cached_property(lambda self: tuple(self.unpaired_ids.tolist()))
+
+    def __eq__(self, other) -> bool:
+        key = lambda r: (r.pairs, r.unpaired, r.cycles, r.column_additions, r.max_column)
+        return isinstance(other, Reduction) and key(self) == key(other)
 
 
 def _reduce(ptr: list, flat: list, groups: Iterable[list], chains: bool):
@@ -192,33 +200,31 @@ def reduce_filtration(fc: FilteredComplex, *, chains: bool = False) -> Reduction
     unpaired = np.concatenate([np.fromiter(zeros, np.int64, len(zeros)), np.flatnonzero(free)])
     if not chains:  # back from the anti-transpose
         low, col, unpaired = n - 1 - col, n - 1 - low, n - 1 - unpaired
-    by_death, unpaired = np.argsort(col), np.sort(unpaired).tolist()
-    cycles = {j: z2.rows(zeros[j]) if j in zeros else (j,) for j in unpaired} if chains else {}
-    return Reduction(tuple(zip(low[by_death].tolist(), col[by_death].tolist())),
-                     tuple(unpaired), cycles, additions, longest)
+    by_death, unpaired = np.argsort(col), np.sort(unpaired)
+    cycles = ({j: z2.rows(zeros[j]) if j in zeros else (j,) for j in unpaired.tolist()}
+              if chains else {})
+    return Reduction(np.stack([low, col], 1)[by_death], unpaired, cycles, additions, longest)
 
 
 def barcode(fc: FilteredComplex) -> Barcode:
     """Barcode of the filtration, zero-length pairs dropped: bars are kept and
     sorted on int value ranks and checked on the endpoint arrays at once."""
     red = reduce_filtration(fc)
-    n, values, m = len(fc), fc.values, len(red.pairs)
+    n, values, free = len(fc), fc.values, red.unpaired_ids
     if (values[1:] < values[:-1]).any():
         raise ValueError("cell values decrease: the complex is not in filtration order")
     rank = np.arange(n + 1)  # a value's rank is the first id holding it; +inf's is n
     rank[1:n][values[1:] == values[:-1]] = 0
     rank = np.maximum.accumulate(rank)
-    ids = np.fromiter(chain(chain.from_iterable(red.pairs), red.unpaired), np.int64)
-    births = np.concatenate([ids[:2 * m:2], ids[2 * m:]])
-    deaths = np.concatenate([ids[1:2 * m:2], np.full(len(ids) - 2 * m, n)])
+    births = np.concatenate([red.pair_ids[:, 0], free])
+    deaths = np.concatenate([red.pair_ids[:, 1], np.full(len(free), n)])
     order = np.lexsort((rank[deaths], rank[births], fc.dims[births]))
     order = order[rank[births[order]] < rank[deaths[order]]]
     births, ends = births[order], np.append(values, math.inf)
     lo, hi = ends[births], ends[deaths[order]]
     if not ((lo > -math.inf) & (lo < hi)).all():
         list(map(Interval, lo.tolist(), hi.tolist()))  # raises for the first bad bar
-    bars = map(tuple.__new__, repeat(Interval), zip(lo.tolist(), hi.tolist()))  # ints stay ints
-    return Barcode._ordered(tuple(zip(fc.dims[births].tolist(), bars)))
+    return Barcode(columns=(fc.dims[births].tolist(), lo.tolist(), hi.tolist()))  # ints stay ints
 
 
 def persistent_betti(b: Barcode, k: int, a: float, p: float) -> int:

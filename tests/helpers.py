@@ -11,22 +11,33 @@ line-at-a-time SPX reader, the closure walk for a cell's vertices, the
 first lower-star and cone builders, the four-pass validate and the first
 bar walk serve as ground truth.  (The bar walk and the first extended
 barcode read the library's reduction, which has its own oracles.)
+`simplices_to_complex` is no oracle: it runs the library's closure, for
+tests that build a complex from a dict of simplices.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from z2persist import Barcode, Cell, FilteredComplex, Interval, VertexFunction
-from z2persist.complexes import _MAX_VERTICES, ComplexError, _simplices_to_complex
+from z2persist.complexes import _MAX_VERTICES, ComplexError, _close_simplices
 from z2persist.distances import Matching, _deletion_cost, _match_cost
 from z2persist.extended import BifiltrationSpec
 from z2persist.persistence import Reduction, reduce_filtration
 from z2persist.rips import PointCloud, RipsParams
+
+
+def simplices_to_complex(valued: dict, vertex_values: Optional[dict] = None) -> FilteredComplex:
+    """The library's simplex closure (`_close_simplices`, which `parse_spx`
+    runs) of a dict from increasing label tuples to values."""
+    return _close_simplices(np.fromiter(chain.from_iterable(valued), np.int64),
+                            np.fromiter(map(len, valued), np.int64),
+                            np.fromiter(valued.values(), float), vertex_values)
 
 
 # ---------------------------------------------------------------------------
@@ -976,7 +987,7 @@ def random_skeleton(rng: random.Random, max_cells: int = 30) -> FilteredComplex:
         if len(simplices) >= max_cells:
             break
         simplices[t] = 0.0
-    return _simplices_to_complex(simplices)
+    return simplices_to_complex(simplices)
 
 
 def grid_surface(m: int, twist: bool) -> dict:

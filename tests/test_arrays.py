@@ -24,7 +24,7 @@ from z2persist import (
     torus_height_skeleton,
 )
 from z2persist.cli import main
-from z2persist.complexes import _simplices_to_complex, parse_spx, write_fcx
+from z2persist.complexes import parse_spx, write_fcx
 
 from helpers import (
     grid_surface,
@@ -32,6 +32,7 @@ from helpers import (
     random_vertex_function,
     reference_rips_filtration,
     reference_validate,
+    simplices_to_complex,
 )
 
 
@@ -60,7 +61,7 @@ def fixtures():
     yield klein_height(2.0, 1.0)
     for _ in range(10):
         yield random_skeleton(rng)
-    yield _simplices_to_complex(grid_surface(4, True))
+    yield simplices_to_complex(grid_surface(4, True))
     for pc, params in rips_clouds(rng):
         yield rips_filtration(pc, params)
 

@@ -1,8 +1,10 @@
-"""Bar extraction against the first bar walk.
+"""Bar extraction against the first bar walk, and barcodes held as columns.
 
 `barcode` selects, orders and checks its bars on arrays; `reference_barcode`
 is the per-bar walk it replaced.  Both must give the same bars in the same
 order, with endpoints of the same Python type (an int height stays an int).
+A `Barcode` holds degree, birth and death lists and builds its bars only
+when they are read.
 """
 import math
 from itertools import combinations
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from z2persist import (
+    Barcode,
     BifiltrationSpec,
     Cell,
     FilteredComplex,
@@ -22,13 +25,16 @@ from z2persist import (
     barcode,
     build_cone_filtration,
     extended_barcode,
+    klein_height,
+    klein_height_skeleton,
     lower_star,
+    parse_bcx,
     rips_filtration,
+    torus_height_skeleton,
 )
-from z2persist import VertexFunction
-from z2persist.complexes import _simplices_to_complex
+from z2persist import VertexFunction, persistence
 
-from helpers import reference_barcode
+from helpers import grid_surface, reference_barcode, simplices_to_complex
 
 INF = math.inf
 
@@ -63,7 +69,7 @@ def _skeletons_with_heights(draw):
         for s in combinations(range(nv), k):
             if all(f in simplices for f in combinations(s, k - 1)) and draw(st.booleans()):
                 simplices[s] = draw(value)
-    sk = _simplices_to_complex(simplices)
+    sk = simplices_to_complex(simplices)
     vertices = np.flatnonzero(sk.dims == 0).tolist()
     return sk, {v: draw(st.integers(-2, 2)) for v in vertices}
 
@@ -125,3 +131,43 @@ def test_bars_refuse_values_out_of_filtration_order():
     fc = FilteredComplex([Cell(0, 0, 1.0), Cell(1, 0, 0.0)])
     with pytest.raises(ValueError, match="not in filtration order"):
         barcode(fc)
+
+
+def test_barcodes_build_no_interval_through_its_check(monkeypatch):
+    # bars are read off the columns on demand, without Interval's check
+    pc = PointCloud(tuple((math.cos(t), math.sin(t)) for t in np.linspace(0, 6, 16)))
+    complexes = [klein_height(2.0, 1.0), lower_star(*torus_height_skeleton(2.0, 1.0)),
+                 simplices_to_complex(grid_surface(4, True)),
+                 simplices_to_complex(grid_surface(4, False)),
+                 rips_filtration(pc, RipsParams(max_dim=2, threshold=0.9))]
+    spec = BifiltrationSpec(*klein_height_skeleton(2.0, 1.0))
+    want = [reference_barcode(fc) for fc in complexes]
+    want_extended = _triples(extended_barcode(spec))
+
+    def refuse(cls, birth, death):
+        raise AssertionError("an Interval was built through its check")
+
+    monkeypatch.setattr(persistence.Interval, "__new__", refuse)
+    got = [barcode(fc) for fc in complexes]
+    assert [_triples(b) for b in got] == want
+    assert [_triples(parse_bcx(b.to_bcx())) for b in got] == want
+    assert _triples(extended_barcode(spec)) == want_extended
+    assert all(type(iv) is Interval for b in got for k in b.dims() for iv in b.in_dim(k))
+
+
+def test_a_barcode_of_unsorted_bars_equals_its_column_form():
+    bars = [(1, Interval(0, 2)), (0, Interval(1.5, INF)), (2, Interval(0.25, 0.5)),
+            (0, Interval(-1, 3)), (1, Interval(0, 1))]
+    b = Barcode(bars)
+    columns = Barcode(columns=([0, 0, 1, 1, 2], [-1, 1.5, 0, 0, 0.25], [3, INF, 1, 2, 0.5]))
+    assert b == columns and columns == b and b != Barcode(bars[1:])
+    assert b.bars == tuple(sorted(bars)) == tuple(columns)
+    assert len(b) == 5 and b.dims() == (0, 1, 2)
+    assert b.in_dim(1) == [Interval(0, 1), Interval(0, 2)] and b.in_dim(3) == []
+    assert [type(x) for x in b.births] == [int, float, int, int, float]
+    # int endpoints print as ints
+    text = "0 -1 3\n0 1.5 inf\n1 0 1\n1 0 2\n2 0.25 0.5\n"
+    assert b.to_bcx() == columns.to_bcx() == text
+    assert parse_bcx(text) == b == parse_bcx("".join(reversed(text.splitlines(True))))
+    assert Barcode() == Barcode([]) == Barcode(columns=([], [], [])) and not len(Barcode())
+    assert repr(Barcode(bars[:1])) == "Barcode([(1, Interval(birth=0, death=2))])"

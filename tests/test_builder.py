@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from z2persist import ComplexError, PointCloud, RipsParams, barcode, rips, rips_filtration
-from z2persist.complexes import _MAX_VERTICES, _simplices_to_complex, parse_spx, simplicial_filtration
+from z2persist.complexes import _MAX_VERTICES, parse_spx, simplicial_filtration
 
 from helpers import (
     grid_surface,
@@ -20,6 +20,7 @@ from helpers import (
     reference_parse_spx,
     reference_rips_filtration,
     reference_simplices_to_complex,
+    simplices_to_complex,
 )
 
 
@@ -279,10 +280,10 @@ def test_grid_surfaces_match_oracle():
     for m in (3, 5):
         for twist in (False, True):
             valued = grid_surface(m, twist)
-            assert_same_cells(_simplices_to_complex(valued),
+            assert_same_cells(simplices_to_complex(valued),
                               reference_simplices_to_complex(valued))
             vv = {v: float((v * 7) % 5) - 2.0 for v in range(m * m)}
-            assert_same_cells(_simplices_to_complex(valued, vv),
+            assert_same_cells(simplices_to_complex(valued, vv),
                               reference_simplices_to_complex(valued, vv))
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from z2persist import (
     BifiltrationSpec,
+    FilteredComplex,
     PointCloud,
     RipsParams,
     betti,
@@ -31,8 +32,8 @@ from z2persist import (
 )
 from z2persist import VertexFunction, persistence
 from z2persist.cli import main
-from z2persist.complexes import _simplices_to_complex, write_fcx
-from z2persist.persistence import barcode, reduce_filtration
+from z2persist.complexes import write_fcx
+from z2persist.persistence import Reduction, barcode, reduce_filtration
 
 import helpers
 from helpers import (
@@ -43,13 +44,14 @@ from helpers import (
     random_vertex_function,
     reference_clearing,
     reference_reduction,
+    simplices_to_complex,
 )
 
 
 def _lower_star_surfaces(rng):
     for m in (3, 4, 5):
         for twist in (False, True):
-            sk = _simplices_to_complex(grid_surface(m, twist))
+            sk = simplices_to_complex(grid_surface(m, twist))
             yield lower_star(sk, random_vertex_function(rng, sk))
     yield klein_height(2.0, 1.0)
     yield lower_star(*torus_height_skeleton(2.0, 1.0))
@@ -139,6 +141,29 @@ def test_column_additions_are_the_oracle_column_additions(seed, monkeypatch):
             assert len(calls) == ref.column_additions * (2 if chains else 1)
 
 
+@pytest.mark.parametrize("chains", [False, True])
+def test_a_reduction_made_from_tuples_equals_the_engines(chains):
+    # the engine keeps int64 arrays; its tuple views are built on first read
+    for fc in [FilteredComplex([]), *_complexes(9)]:
+        red = reduce_filtration(fc, chains=chains)
+        ref = reference_clearing(fc, cohomology=not chains)  # made by keyword from tuples
+        assert red == ref and ref == red
+        for r in (red, ref):
+            assert r.pair_ids.dtype == r.unpaired_ids.dtype == np.int64
+            assert r.pair_ids.tolist() == [list(p) for p in r.pairs]
+            assert r.unpaired_ids.tolist() == list(r.unpaired)
+            assert type(r.pairs) is type(r.unpaired) is tuple
+            assert all(type(p) is tuple and len(p) == 2 for p in r.pairs)
+            assert {type(j) for p in r.pairs for j in p} | set(map(type, r.unpaired)) <= {int}
+    red = reduce_filtration(klein_height(2.0, 1.0), chains=chains)
+    fields = dict(pairs=red.pairs, unpaired=red.unpaired, cycles=red.cycles,
+                  column_additions=red.column_additions, max_column=red.max_column)
+    assert Reduction(**fields) == red != red.pairs
+    for key, other in (("pairs", red.pairs[1:]), ("unpaired", red.unpaired[:-1]),
+                       ("column_additions", red.column_additions + 1)):
+        assert Reduction(**{**fields, key: other}) != red
+
+
 @st.composite
 def _valued_skeletons(draw):
     """A simplicial complex on at most six vertices, with entry values and
@@ -150,7 +175,7 @@ def _valued_skeletons(draw):
         for s in combinations(range(nv), k):
             if all(f in simplices for f in combinations(s, k - 1)) and draw(st.booleans()):
                 simplices[s] = draw(value)
-    sk = _simplices_to_complex(simplices)
+    sk = simplices_to_complex(simplices)
     vertices = np.flatnonzero(sk.dims == 0).tolist()
     return sk, VertexFunction({v: float(draw(st.integers(-2, 2))) for v in vertices})
 
@@ -182,7 +207,7 @@ def test_generator_cycles_are_mod2_cycles(seed):
 
 def test_grid_surfaces_have_surface_betti_numbers():
     for twist in (False, True):
-        fc = _simplices_to_complex(grid_surface(4, twist))
+        fc = simplices_to_complex(grid_surface(4, twist))
         assert betti_numbers(fc) == (1, 2, 1)
         assert tuple(dense_betti(fc, k) for k in range(3)) == (1, 2, 1)
 

@@ -19,7 +19,7 @@ from z2persist import (
     torus_height_skeleton,
 )
 from z2persist import extended
-from z2persist.complexes import ComplexError, _simplices_to_complex, parse_fcx, write_fcx
+from z2persist.complexes import ComplexError, parse_fcx, write_fcx
 from z2persist.persistence import Barcode
 
 from helpers import (
@@ -29,6 +29,7 @@ from helpers import (
     reference_build_cone_filtration,
     reference_extended_barcode,
     reference_lower_star,
+    simplices_to_complex,
 )
 
 
@@ -46,7 +47,7 @@ def _cases():
     rng = random.Random(61)
     for m in (4, 8, 12):
         for twist in (False, True):
-            sk = _simplices_to_complex(grid_surface(m, twist))
+            sk = simplices_to_complex(grid_surface(m, twist))
             yield f"grid{m}-{'klein' if twist else 'torus'}", sk, _tied_function(rng, sk)
     for i in range(30):
         sk = random_skeleton(rng)
