@@ -646,10 +646,10 @@ def parse_vertex_values(text: str) -> dict:
     """`<vertex-id> <value>` lines."""
     out: dict[int, float] = {}
     for lineno, line in text_lines(text):
-        parts = line.split()
         try:
-            vertex, value = int(parts[0]), float(parts[1])
-        except (ValueError, IndexError):
+            vertex, value = line.split()  # exactly two fields
+            vertex, value = int(vertex), float(value)
+        except ValueError:
             raise ComplexError(f"line {lineno}: expected `<vertex-id> <value>`") from None
         if not math.isfinite(value):
             raise ComplexError(f"line {lineno}: value must be finite")

@@ -1,7 +1,7 @@
 """Absolute Z/2 homology: Betti numbers, cycle generators, duality check.
 
-Everything here reads one boundary-matrix reduction: the k-th Betti number
-is the number of unpaired k-cells, and their cycles are the generators.
+Betti numbers count the unpaired cells of `persistence.reduce_filtration`,
+and cycles come from boundary passes over its engine, carrying chains.
 """
 from __future__ import annotations
 
@@ -9,17 +9,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import persistence
+from . import persistence, z2
 from .complexes import ComplexError, FilteredComplex
 
 _MAX_DIM = 10_000  # the top degree a Betti table lists
 
 
-def _betti_of(fc: FilteredComplex, red: persistence.Reduction) -> list[int]:
-    """Betti numbers in degrees 0..max_dim: unpaired cells per dimension."""
+def _degrees(fc: FilteredComplex) -> range:
+    """The degrees 0..max_dim of a Betti table."""
     if fc.max_dim > _MAX_DIM:
         raise ComplexError(f"dimension {fc.max_dim} is above {_MAX_DIM}, the top of a Betti table")
-    return np.bincount(fc.dims[red.unpaired_ids], minlength=fc.max_dim + 1).tolist()
+    return range(fc.max_dim + 1)
 
 
 def betti(fc: FilteredComplex, k: int) -> int:
@@ -28,21 +28,30 @@ def betti(fc: FilteredComplex, k: int) -> int:
 
 
 def betti_numbers(fc: FilteredComplex) -> tuple[int, ...]:
-    return tuple(_betti_of(fc, persistence.reduce_filtration(fc)))
+    unpaired = persistence.reduce_filtration(fc).unpaired_ids
+    return tuple(np.bincount(fc.dims[unpaired], minlength=len(_degrees(fc))).tolist())
 
 
-def _generators_of(fc: FilteredComplex, red: persistence.Reduction,
-                   k: int) -> list[frozenset]:
-    return [frozenset(red.cycles[j]) for j in red.unpaired_ids.tolist() if fc.dims[j] == k]
+def _cycles(fc: FilteredComplex, k: int, cleared) -> tuple[list, list]:
+    """Degree k of the twist (Chen & Kerber 2011): the boundary columns of the
+    k-cells not `cleared` are reduced in increasing id, carrying chains.
+    Returns the (k-1)-cells they pair with, which clear degree k-1, and a
+    cycle for each k-cell left unpaired, in increasing id: its chain, or
+    itself if its column is empty."""
+    cells = np.flatnonzero(fc.dims == k)
+    cells = cells[~np.isin(cells, cleared)]
+    full = fc.indptr[cells + 1] > fc.indptr[cells]
+    pivots, zeros, _, _ = persistence._reduce(
+        fc.indptr.tolist(), fc.indices.tolist(), [cells[full].tolist()], True)
+    unpaired = sorted([*zeros, *cells[~full].tolist()])
+    return list(pivots), [frozenset(z2.rows(zeros[j]) if j in zeros else (j,)) for j in unpaired]
 
 
 def generators(fc: FilteredComplex, k: int) -> list[frozenset]:
-    """Cycle representatives for a basis of H_k, as sets of cell ids.
-
-    Representatives come from the boundary-matrix reduction and are not
-    canonical; any basis of cycles modulo boundaries is equally valid.
-    """
-    return _generators_of(fc, persistence.reduce_filtration(fc, chains=True), k)
+    """Cycle representatives for a basis of H_k, as sets of cell ids: degree k
+    alone is reduced, cleared by the births of `reduce_filtration`'s pairs.
+    Any basis of cycles modulo boundaries is equally valid."""
+    return _cycles(fc, k, persistence.reduce_filtration(fc).pair_ids[:, 0])[1]
 
 
 @dataclass(frozen=True)
@@ -52,12 +61,12 @@ class HomologySummary:
 
 
 def summarize(fc: FilteredComplex) -> HomologySummary:
-    red = persistence.reduce_filtration(fc, chains=True)
-    degrees = range(fc.max_dim + 1)
-    return HomologySummary(
-        betti=dict(zip(degrees, _betti_of(fc, red))),
-        generators={k: _generators_of(fc, red, k) for k in degrees},
-    )
+    """Betti numbers and generators by `_cycles` from the top dimension down."""
+    degrees, cleared, found = _degrees(fc), [], {}
+    for k in sorted(set(fc.dims.tolist()), reverse=True):
+        cleared, found[k] = _cycles(fc, k, cleared)
+    gens = {k: found.get(k, []) for k in degrees}
+    return HomologySummary(betti={k: len(g) for k, g in gens.items()}, generators=gens)
 
 
 @dataclass(frozen=True)

@@ -101,21 +101,20 @@ class Reduction:
     """Outcome of the column reduction: (birth, death) cell pairs in death
     order and the unpaired (positive, never-killed) cells in increasing id,
     as int64 arrays `pair_ids` and `unpaired_ids` and, built on first read,
-    as int tuples `pairs` and `unpaired`.  `cycles` maps each unpaired cell
-    to the sorted ids of a cycle it represents if chains were kept, else is
-    empty.  `column_additions` counts the columns added into others, and
-    `max_column` is the most entries of any nonzero reduced column."""
+    as int tuples `pairs` and `unpaired`.  `column_additions` counts the
+    columns added into others, and `max_column` is the most entries of any
+    nonzero reduced column."""
 
-    def __init__(self, pairs, unpaired, cycles: dict, column_additions: int, max_column: int):
+    def __init__(self, pairs, unpaired, column_additions: int, max_column: int):
         self.pair_ids = np.asarray(pairs, np.int64).reshape(-1, 2)
         self.unpaired_ids = np.asarray(unpaired, np.int64)
-        self.cycles, self.column_additions, self.max_column = cycles, column_additions, max_column
+        self.column_additions, self.max_column = column_additions, max_column
 
     pairs = cached_property(lambda self: tuple(map(tuple, self.pair_ids.tolist())))
     unpaired = cached_property(lambda self: tuple(self.unpaired_ids.tolist()))
 
     def __eq__(self, other) -> bool:
-        key = lambda r: (r.pairs, r.unpaired, r.cycles, r.column_additions, r.max_column)
+        key = lambda r: (r.pairs, r.unpaired, r.column_additions, r.max_column)
         return isinstance(other, Reduction) and key(self) == key(other)
 
 
@@ -165,31 +164,25 @@ def _reduce(ptr: list, flat: list, groups: Iterable[list], chains: bool):
     return pivots, zeros, reduced, additions
 
 
-def reduce_filtration(fc: FilteredComplex, *, chains: bool = False) -> Reduction:
-    """Persistence pairs of the filtration, by the one reduction `_reduce`.
+def reduce_filtration(fc: FilteredComplex) -> Reduction:
+    """Persistence pairs of the filtration, by the one reduction `_reduce` of
+    the coboundary matrix, anti-transposed.
 
     Cell ids double as row/column indices since the declaration order is
-    the filtration order.  Without `chains` the coboundary matrix is
-    reduced, anti-transposed: column n-1-i holds the rows n-1-c of the
-    cofaces c of cell i, and dimensions go upward, so a pivot n-1-c pairs
-    cell i with c and clears the column of c (de Silva, Morozov &
-    Vejdemo-Johansson 2011).  With `chains` the boundary matrix is reduced,
-    dimensions downward (the twist), and the chains of the unpaired cells
-    are their `cycles`.  Both sides give the pairs of the standard
-    left-to-right reduction.  A column with no entries vanishes unless it
-    is cleared, which is decided outside the loop.
+    the filtration order.  Column n-1-i holds the rows n-1-c of the cofaces
+    c of cell i, and dimensions go upward, so a pivot n-1-c pairs cell i
+    with c and clears the column of c.  These are the pairs of the standard
+    left-to-right boundary reduction (de Silva, Morozov & Vejdemo-Johansson
+    2011).  A column with no entries vanishes unless it is cleared, which is
+    decided outside the loop.
     """
-    n, dims = len(fc), fc.dims
-    order = sorted(set(dims.tolist()), reverse=chains)
-    if chains:
-        ptr, flat = fc.indptr, fc.indices
-    else:
-        flat = n - 1 - _owners(fc.indptr)[np.argsort(fc.indices, kind="stable")[::-1]]
-        ptr, dims = _indptr(np.bincount(fc.indices, minlength=n)[::-1]), dims[::-1]
+    n = len(fc)
+    flat = n - 1 - _owners(fc.indptr)[np.argsort(fc.indices, kind="stable")[::-1]]
+    ptr, dims = _indptr(np.bincount(fc.indices, minlength=n)[::-1]), fc.dims[::-1]
     full = ptr[1:] > ptr[:-1]
     pivots, zeros, reduced, additions = _reduce(
         ptr.tolist(), flat.tolist(),
-        (np.flatnonzero(full & (dims == k)).tolist() for k in order), chains)
+        (np.flatnonzero(full & (dims == k)).tolist() for k in sorted(set(dims.tolist()))), False)
     low = np.fromiter(pivots, np.int64, len(pivots))
     col = np.fromiter(pivots.values(), np.int64, len(pivots))
     size = np.diff(ptr)  # a kept column's entries: its row count, or its bitset's
@@ -198,12 +191,8 @@ def reduce_filtration(fc: FilteredComplex, *, chains: bool = False) -> Reduction
     free = ~full
     free[low] = False
     unpaired = np.concatenate([np.fromiter(zeros, np.int64, len(zeros)), np.flatnonzero(free)])
-    if not chains:  # back from the anti-transpose
-        low, col, unpaired = n - 1 - col, n - 1 - low, n - 1 - unpaired
-    by_death, unpaired = np.argsort(col), np.sort(unpaired)
-    cycles = ({j: z2.rows(zeros[j]) if j in zeros else (j,) for j in unpaired.tolist()}
-              if chains else {})
-    return Reduction(np.stack([low, col], 1)[by_death], unpaired, cycles, additions, longest)
+    pairs = n - 1 - np.stack([col, low], 1)  # back from the anti-transpose: (birth, death)
+    return Reduction(pairs[np.argsort(pairs[:, 1])], np.sort(n - 1 - unpaired), additions, longest)
 
 
 def barcode(fc: FilteredComplex) -> Barcode:

@@ -531,7 +531,17 @@ def boundary_matrix(fc: FilteredComplex, k: int) -> SparseZ2Matrix:
     return SparseZ2Matrix(len(rows), cols)
 
 
-def reference_reduction(fc: FilteredComplex) -> Reduction:
+class OracleReduction(Reduction):
+    """A `Reduction` that also keeps the oracle's `cycles`: {positive cell:
+    the sorted ids of the cycle its chain gives}.  The library's cycles
+    come from `homology`, not from a `Reduction`."""
+
+    def __init__(self, pairs, unpaired, column_additions, max_column, cycles: dict):
+        super().__init__(pairs, unpaired, column_additions, max_column)
+        self.cycles = cycles
+
+
+def reference_reduction(fc: FilteredComplex) -> OracleReduction:
     """The library's first reduction, kept as an oracle: the same
     left-to-right order and pivot rule on sorted-tuple columns, with a
     chain kept for every column and a cycle for every positive cell.  It
@@ -567,8 +577,8 @@ def reference_reduction(fc: FilteredComplex) -> Reduction:
             cycles[j] = v
     paired_rows = {i for i, _ in pairs}
     unpaired = tuple(j for j in positives if j not in paired_rows)
-    return Reduction(pairs=tuple(pairs), unpaired=unpaired, cycles=cycles,
-                     column_additions=additions, max_column=longest)
+    return OracleReduction(pairs=tuple(pairs), unpaired=unpaired, cycles=cycles,
+                           column_additions=additions, max_column=longest)
 
 
 def reference_clearing(fc: FilteredComplex, cohomology: bool) -> Reduction:
@@ -579,9 +589,10 @@ def reference_clearing(fc: FilteredComplex, cohomology: bool) -> Reduction:
     taken a dimension at a time upward, in decreasing id within one, and a
     column's pivot is its lowest coface: pivot c pairs cell i with c.
     Otherwise the column is the boundary, dimensions go downward, ids
-    increase, the pivot is the highest face and chains are kept (the
-    twist).  A cell that is already a pivot is skipped.  Pairs come back
-    in death order and unpaired cells in increasing id.
+    increase, the pivot is the highest face and chains are added along
+    (the twist; the tests count those additions).  A cell that is already a
+    pivot is skipped.  Pairs come back in death order and unpaired cells in
+    increasing id.
     """
     cells = fc.cells
     if cohomology:
@@ -620,7 +631,6 @@ def reference_clearing(fc: FilteredComplex, cohomology: bool) -> Reduction:
     pairs = [(j, p) if cohomology else (p, j) for p, j in owner.items()]
     unpaired = tuple(sorted(zeros))
     return Reduction(pairs=tuple(sorted(pairs, key=lambda pair: pair[1])), unpaired=unpaired,
-                     cycles={} if cohomology else {j: chain[j] for j in unpaired},
                      column_additions=additions, max_column=longest)
 
 

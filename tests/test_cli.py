@@ -328,7 +328,8 @@ def test_oversize_simplex_is_bad_input(tmp_path, capsys, command):
     ("0 inf", "value must be finite"),
     ("0 -inf", "value must be finite"),
     ("1 2", "repeated vertex id 1"),
-], ids=["0 nan", "0 inf", "0 -inf", "repeated-id"])
+    ("0 1.5 junk", "expected `<vertex-id> <value>`"),
+], ids=["0 nan", "0 inf", "0 -inf", "repeated-id", "extra-field"])
 def test_bad_vertex_value_rejected_at_parser(tmp_path, capsys, line, message):
     spx = tmp_path / "edge.spx"
     spx.write_text("0 1\n")

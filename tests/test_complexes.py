@@ -203,8 +203,9 @@ def test_fcx_comments_and_blanks():
     (parse_fcx, "cell 0 0 0", "cell 1 0", "expected `cell <id> <dim> <value> ...`"),
     (parse_spx, "0.5 1 2", "x 1", "malformed simplex line"),
     (parse_vertex_values, "1 0.5", "1", "expected `<vertex-id> <value>`"),
+    (parse_vertex_values, "1 0.5", "1 0.5 junk", "expected `<vertex-id> <value>`"),
     (PointCloud.from_csv, "0,0", "0,x", "malformed number in `0,x`"),
-], ids=["bcx", "fcx", "spx", "vertex-values", "csv"])
+], ids=["bcx", "fcx", "spx", "vertex-values", "vertex-values-extra-field", "csv"])
 def test_text_formats_skip_comments_and_blank_lines(parse, good, bad, message):
     def same(x):
         return getattr(x, "cells", x)
