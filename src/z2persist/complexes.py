@@ -254,58 +254,28 @@ class FilteredComplex:
 # the simplex builder shared by Rips and SPX
 
 
-def _lookup(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    """Positions of `wanted` in the increasing array `keys`; every one must
-    be present."""
-    pos = np.searchsorted(keys, wanted)
-    if len(wanted) and (pos.max() >= len(keys) or not np.array_equal(keys[pos], wanted)):
-        raise ComplexError("a face of a simplex is not in the complex")
-    return pos
-
-
-def simplicial_filtration(simplices: Sequence[np.ndarray], values: Sequence[np.ndarray],
-                          labels: Sequence[str]) -> FilteredComplex:
+def simplicial_filtration(simplices: Sequence[np.ndarray], faces: Sequence[np.ndarray],
+                          values: Sequence[np.ndarray], labels: Sequence[str]) -> FilteredComplex:
     """The filtered complex of a simplicial complex given by dimension.
 
     simplices[k] is an (m_k, k+1) integer array of vertex indices, each
     row increasing and the rows in lexicographic order; simplices[0] is
-    the column 0..n-1 with n = len(labels), and every face of a row is a
-    row one dimension down.  values[k] holds the rows' entry values, which
-    must not decrease from face to coface.  Cells are numbered by (value,
-    dim, vertex tuple); a cell is named by its vertex labels joined by
-    '-', on first use, and its boundary is its one record of its vertices.
+    the column 0..n-1 with n = len(labels).  faces[k][r, i] is the row in
+    simplices[k-1] of row r's face without its vertex i, as the caller
+    found it; faces[0] is not read.  values[k] holds the rows' entry
+    values, which must not decrease from face to coface.  Cells are
+    numbered by (value, dim, vertex tuple); a cell is named by its vertex
+    labels joined by '-', on first use, and its boundary is its one record
+    of its vertices.
     """
     n = len(labels)
     if len(simplices) and not np.array_equal(simplices[0][:, 0], np.arange(n)):
         raise ValueError("simplices[0] must list the vertices 0..n-1")
-    # A row of dimension k is keyed by (row of its prefix face, last
-    # vertex) as prefix * n + last; rows in lexicographic order give
-    # increasing keys, so a face is found by binary search.  faces[k][r, i]
-    # is the row of row r's face without its vertex i.  The rows are laid
-    # out by (dim, lexicographic row), dimension k's from start[k].
-    start = np.cumsum([0] + [len(s) for s in simplices])
-    keys: list[np.ndarray] = []
-    faces: list[np.ndarray] = []
-    face_rows = [np.empty(0, np.int64)]
     for k, s in enumerate(simplices):
         if s.ndim != 2 or s.shape[1] != k + 1 or len(values[k]) != len(s):
             raise ValueError(f"simplices[{k}] must be an (m, {k + 1}) array with m values")
-        prefix = np.zeros(len(s), dtype=np.int64)
-        for c in range(k):
-            prefix = _lookup(keys[c], prefix * n + s[:, c])
-        key = prefix * n + s[:, k]
-        if np.any(key[1:] <= key[:-1]) or np.any(s[:, 1:] <= s[:, :-1]):
-            raise ValueError(f"rows of simplices[{k}] must increase and be in lexicographic order")
-        keys.append(key)
-        if k == 0:
-            faces.append(np.zeros((len(s), 1), dtype=np.int64))  # the empty face
-            continue
-        face = np.empty_like(s)
-        face[:, k] = prefix
-        for i in range(k):
-            face[:, i] = _lookup(keys[k - 1], faces[k - 1][prefix, i] * n + s[:, k])
-        faces.append(face)
-        face_rows.append(start[k - 1] + face.ravel())
+    # The rows are laid out by (dim, lexicographic row), dimension k's from start[k].
+    start = np.cumsum([0] + [len(s) for s in simplices])
     dims = np.repeat(np.arange(len(simplices), dtype=np.int64), np.diff(start))
     rows = np.repeat(np.arange(start[-1]), np.where(dims > 0, dims + 1, 0))
 
@@ -314,7 +284,9 @@ def simplicial_filtration(simplices: Sequence[np.ndarray], values: Sequence[np.n
         return "-".join(map(labels.__getitem__, simplices[k][r - start[k]].tolist()))
 
     return _reorder(dims, np.concatenate([np.empty(0), *values], dtype=float), rows,
-                    np.concatenate(face_rows), name_of)[0]
+                    np.concatenate([np.empty(0, np.int64)] + [
+                        start[k - 1] + faces[k].ravel() for k in range(1, len(simplices))]),
+                    name_of)[0]
 
 
 def _reorder(dims: np.ndarray, values: np.ndarray, rows: np.ndarray, faces: np.ndarray,
@@ -571,7 +543,7 @@ def _close_simplices(labels: np.ndarray, widths: np.ndarray, values: np.ndarray,
     takes its smallest value over repeats and cofaces, or with
     vertex_values the maximum of the function over its vertices."""
     starts, top = _indptr(widths)[:-1], int(widths.max())
-    rows, vals = [None] * top, [None] * top
+    rows, vals, faces = [None] * top, [None] * top, [None] * top
     for w in range(top, 0, -1):
         sel = np.flatnonzero(widths == w)
         r, v = labels[_gather(starts[sel], widths[sel])].reshape(-1, w), values[sel]
@@ -583,6 +555,10 @@ def _close_simplices(labels: np.ndarray, widths: np.ndarray, values: np.ndarray,
         r, v = r[order], v[order]
         first = np.append(True, (r[1:] != r[:-1]).any(axis=1))
         rows[w - 1], vals[w - 1] = r[first], v[first]
+        if w < top:  # each generated face's row: the run it was sorted into
+            run = np.empty(len(order), dtype=np.int64)
+            run[order] = np.cumsum(first) - 1
+            faces[w] = run[len(sel):].reshape(-1, w + 1)
     # Vertex labels become their ranks 0..n-1, which keeps their order.
     vertices = rows[0][:, 0]
     rows = [np.searchsorted(vertices, r) for r in rows]
@@ -596,7 +572,7 @@ def _close_simplices(labels: np.ndarray, widths: np.ndarray, values: np.ndarray,
         if len(bad):
             raise ComplexError(f"vertex {labels[bad[0]]} has a non-finite function value")
         vals = [f[r].max(axis=1) for r in rows]
-    fc = simplicial_filtration(rows, vals, [str(v) for v in labels])
+    fc = simplicial_filtration(rows, faces, vals, [str(v) for v in labels])
     fc.validate()
     return fc
 

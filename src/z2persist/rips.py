@@ -12,6 +12,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .complexes import FilteredComplex, simplicial_filtration, text_lines
+from .homology import _MAX_DIM
 from .persistence import Barcode, dimension_function
 
 
@@ -126,13 +127,24 @@ def rips_filtration(pc: PointCloud, params: RipsParams) -> FilteredComplex:
     order, so the output is deterministic.
     """
     dist = pc.distance_matrix()
-    n = len(pc)
     limit = params.scale_limit
     if limit == math.inf:
         raise ValueError("need a threshold or steps to bound the scale")
-    adj = np.triu(dist <= limit, 1)
+    n = len(pc) if limit >= 0 else 0  # no cell enters above the limit, not even a vertex
+    adj = np.triu(dist[:n, :n] <= limit, 1)
+    if params.step_size is not None:
+        # Snap the lengths at or under the limit up to the next step
+        # boundary: an edge, and so a clique, enters iff its raw and its
+        # snapped length are both at or under the limit.  `+ 0.0` turns the
+        # -0.0 that np.ceil gives for a zero length into 0.0, as math.ceil does.
+        i, j = np.nonzero(adj)
+        step = params.step_size
+        dist[i, j] = np.ceil(dist[i, j] / step - 1e-12) * step + 0.0
+        adj[i, j] = dist[i, j] <= limit
     simplices = [np.arange(n, dtype=np.int64).reshape(n, 1)]
     values = [np.zeros(n)]
+    faces = [np.zeros((n, 1), dtype=np.int64)]  # the empty face
+    key = np.arange(n)  # each row's (parent row) * n + last vertex, increasing
     for _ in range(params.max_dim):
         parent, last = _cofaces(adj, simplices[-1])
         if not len(parent):  # no clique extends: every higher dimension is empty
@@ -141,21 +153,15 @@ def rips_filtration(pc: PointCloud, params: RipsParams) -> FilteredComplex:
         diam = values[-1][parent]
         for c in range(rows.shape[1] - 1):
             diam = np.maximum(diam, dist[rows[:, c], last])
+        # The face without the last vertex is the parent; the face without
+        # an earlier vertex is the parent's face without it, plus the last.
+        face = np.searchsorted(key, faces[-1][parent] * n + last[:, None])
         simplices.append(rows)
         values.append(diam)
+        faces.append(np.column_stack((face, parent)))
+        key = parent * n + last
     del adj, dist
-    if params.step_size is not None:
-        step = params.step_size
-        # `+ 0.0` turns the -0.0 that np.ceil gives for a zero diameter
-        # into 0.0, as math.ceil does.
-        values[1:] = [np.ceil(v / step - 1e-12) * step + 0.0 for v in values[1:]]
-    # No cell enters above the limit, so a negative one keeps no vertex;
-    # an array kept whole is not copied.
-    keep = [v <= limit for v in values]
-    simplices = [s if k.all() else s[k] for s, k in zip(simplices, keep)]
-    values = [v if k.all() else v[k] for v, k in zip(values, keep)]
-    return simplicial_filtration(
-        simplices, values, [str(v) for v in range(len(simplices[0]))])
+    return simplicial_filtration(simplices, faces, values, [str(v) for v in range(n)])
 
 
 def betti_curve(b: Barcode, k: int, grid: Sequence[float]) -> list[int]:
@@ -169,6 +175,8 @@ def betti_curve_csv(b: Barcode, grid: Sequence[float], max_k: Optional[int] = No
     """CSV with header t,b0,...,bK, one row per grid value."""
     if max_k is None:
         max_k = max(b.dims(), default=0)
+    if max_k > _MAX_DIM:  # a column for every degree up to it
+        raise ValueError(f"degree {max_k} is above {_MAX_DIM}, the top of a Betti curve table")
     curves = [betti_curve(b, k, grid) for k in range(max_k + 1)]
     lines = ["t," + ",".join(f"b{k}" for k in range(max_k + 1))]
     for i, t in enumerate(grid):

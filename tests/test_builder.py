@@ -4,6 +4,7 @@ barcodes must also not change when the points are permuted or the vertex
 ids relabelled."""
 import math
 import random
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -80,6 +81,29 @@ def test_rips_matches_oracle_in_stepped_mode(seed):
             fc = rips_filtration(pc, params)
             assert_same_cells(fc, reference_rips_filtration(pc, params))
             fc.validate()
+
+
+def test_rips_stepped_mode_at_the_snap_boundary():
+    # An edge enters iff its raw and its snapped length are both at or
+    # under the limit, and only those lengths are snapped.
+    cases = [
+        # raw 0.7500000000000002 is above the limit 0.75, snapped 0.75 is not
+        (((0.0, 0.0), (0.7500000000000002, 0.0)), RipsParams(max_dim=1, steps=3, step_size=0.25),
+         0),
+        # raw 0.55 is under the threshold 0.6, snapped 0.75 is not
+        (((0.0, 0.0), (0.55, 0.0)), RipsParams(max_dim=1, steps=3, step_size=0.25, threshold=0.6),
+         0),
+        # a length of 1 divided by a subnormal step would overflow
+        (((0.0, 0.0), (0.0, 0.0), (1.0, 0.0)), RipsParams(max_dim=2, steps=3, step_size=1e-320),
+         1),
+    ]
+    for points, params, edges in cases:
+        pc = PointCloud(points)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fc = rips_filtration(pc, params)
+        assert_same_cells(fc, reference_rips_filtration(pc, params))
+        assert fc.num_cells(1) == edges
 
 
 def test_rips_stops_expanding_at_the_first_empty_dimension():
@@ -287,22 +311,16 @@ def test_grid_surfaces_match_oracle():
                               reference_simplices_to_complex(valued, vv))
 
 
-def test_builder_rejects_missing_faces_and_unsorted_rows():
-    verts = np.arange(3).reshape(3, 1)
-    zeros = np.zeros(3)
-    with pytest.raises(ComplexError, match="face"):
-        simplicial_filtration([verts, np.array([[0, 1]]), np.array([[0, 1, 2]])],
-                              [zeros, [1.0], [2.0]], ["a", "b", "c"])
-    with pytest.raises(ValueError, match="lexicographic"):
-        simplicial_filtration([verts, np.array([[1, 2], [0, 1]])], [zeros, [1.0, 1.0]],
-                              ["a", "b", "c"])
+def test_builder_rejects_nan_values():
     with pytest.raises(ValueError, match="NaN"):
-        simplicial_filtration([verts], [[0.0, math.nan, 1.0]], ["a", "b", "c"])
+        simplicial_filtration([np.arange(3).reshape(3, 1)], [None], [[0.0, math.nan, 1.0]],
+                              ["a", "b", "c"])
 
 
 def test_builder_names_cells_by_labels():
     fc = simplicial_filtration(
         [np.arange(3).reshape(3, 1), np.array([[0, 1], [0, 2], [1, 2]]), np.array([[0, 1, 2]])],
+        [None, np.array([[1, 0], [2, 0], [2, 1]]), np.array([[2, 1, 0]])],
         [[0.0, 0.0, 0.0], [2.0, 1.0, 1.0], [2.0]], ["x", "y", "z"])
     fc.validate()
     assert [c.name for c in fc.cells] == ["x", "y", "z", "x-z", "y-z", "x-y", "x-y-z"]

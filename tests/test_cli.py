@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -305,6 +306,17 @@ def test_huge_dimension_persists_but_has_no_betti_table(tmp_path, capsys):
     code, out, err = run_cli(capsys, "homology", str(path))
     assert code == 0
     assert out.splitlines()[-2:] == ["betti 10000 1", "generator 10000 0"]
+
+
+def test_betti_curve_rejects_a_degree_above_the_table(tmp_path, capsys):
+    # a column for every degree up to 2,000,000 takes more than ten seconds
+    path = tmp_path / "huge.bcx"
+    path.write_text("2000000 0 1\n")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "betti-curve", str(path), "--grid", "0:1:0.5")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: degree 2000000 is above 10000, the top of a Betti curve table\n"
 
 
 @pytest.mark.parametrize("command", ["persist", "homology", "extended"])
