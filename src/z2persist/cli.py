@@ -2,7 +2,8 @@
 Rips, distances, Betti curves, bundled fixtures.
 
 Exit codes: 0 success, 1 usage error, 2 input parse/validation failure.
-Diagnostics go to stderr, data to stdout.
+Diagnostics go to stderr, data to stdout.  Each subcommand imports the
+modules it needs, so `distance` and `betti-curve` never load numpy.
 """
 from __future__ import annotations
 
@@ -12,12 +13,13 @@ import math
 import sys
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
+from .text import ComplexError, format_value, text_lines
 
-from . import complexes, distances, extended, homology, persistence, rips, svg
-from .complexes import ComplexError, FilteredComplex, format_value
+if TYPE_CHECKING:
+    from .complexes import FilteredComplex
+    from .persistence import Barcode
 
 
 class UsageError(Exception):
@@ -38,6 +40,7 @@ def _read(path: str) -> str:
 
 def _load_complex(path: str, fmt: str,
                   vertex_values: Optional[str] = None) -> FilteredComplex:
+    from . import complexes
     text = _read(path)
     if fmt == "fcx":
         return complexes.parse_fcx(text)
@@ -49,8 +52,8 @@ def _load_complex(path: str, fmt: str,
     # parse_spx needs a value for each vertex and takes more; a file pair
     # that gives a value to a vertex the complex lacks does not match.
     if len(vv) > fc.num_cells(0):
-        present = {int(fc.label(j)) for j in np.flatnonzero(fc.dims == 0).tolist()}
-        for (lineno, _), vertex in zip(complexes.text_lines(vv_text), vv):  # a value per line
+        present = {int(fc.label(j)) for j in (fc.dims == 0).nonzero()[0].tolist()}
+        for (lineno, _), vertex in zip(text_lines(vv_text), vv):  # a value per line
             if vertex not in present:
                 raise ComplexError(f"line {lineno}: vertex {vertex} is not in the complex")
     return fc
@@ -63,9 +66,10 @@ def _write(path: str, text: str) -> None:
         raise ComplexError(f"cannot write {path}: {e}") from None
 
 
-def _emit_barcode(b: persistence.Barcode, svg_path: Optional[str]) -> None:
+def _emit_barcode(b: Barcode, svg_path: Optional[str]) -> None:
     sys.stdout.write(b.to_bcx())
     if svg_path:
+        from . import svg
         _write(svg_path, svg.barcode_svg(b))
 
 
@@ -89,20 +93,17 @@ def _parse_grid(spec: str) -> list[float]:
     return out
 
 
+# Each fixture's text, made from the complexes and rips modules `c` and `r`.
 EXAMPLES = {
-    "klein_delta.fcx": lambda: complexes.write_fcx(complexes.klein_delta()),
-    "torus_delta.fcx": lambda: complexes.write_fcx(complexes.torus_delta()),
-    "ng3.fcx": lambda: complexes.write_fcx(complexes.ng_cw(3)),
-    "klein_height.fcx": lambda: complexes.write_fcx(complexes.klein_height(2.0, 1.0)),
-    "circle20.csv": lambda: rips.PointCloud(
-        tuple(
-            (math.cos(2 * math.pi * i / 20), math.sin(2 * math.pi * i / 20))
-            for i in range(20)
-        )
-    ).to_csv(),
-    "sample_points.csv": lambda: resources.files("z2persist").joinpath(
-        "data/sample_points.csv"
-    ).read_text(),
+    "klein_delta.fcx": lambda c, r: c.write_fcx(c.klein_delta()),
+    "torus_delta.fcx": lambda c, r: c.write_fcx(c.torus_delta()),
+    "ng3.fcx": lambda c, r: c.write_fcx(c.ng_cw(3)),
+    "klein_height.fcx": lambda c, r: c.write_fcx(c.klein_height(2.0, 1.0)),
+    "circle20.csv": lambda c, r: r.PointCloud(tuple(
+        (math.cos(2 * math.pi * i / 20), math.sin(2 * math.pi * i / 20)) for i in range(20)
+    )).to_csv(),
+    "sample_points.csv": lambda c, r: resources.files("z2persist").joinpath(
+        "data/sample_points.csv").read_text(),
 }
 
 
@@ -160,6 +161,7 @@ def run(argv: Sequence[str]) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "homology":
+        from . import homology
         fc = _load_complex(args.file, args.format)  # validated by the parser
         summary = homology.summarize(fc)
         for k in sorted(summary.betti):
@@ -171,19 +173,22 @@ def run(argv: Sequence[str]) -> int:
         return 0
 
     if args.command == "persist":
+        from . import persistence
         fc = _load_complex(args.file, args.format)  # validated by the parser
         _emit_barcode(persistence.barcode(fc), args.svg)
         return 0
 
     if args.command == "extended":
+        from . import complexes, extended
         skeleton = _load_complex(args.file, "spx", args.vertex_values)
-        vertices = np.flatnonzero(skeleton.dims == 0).tolist()
+        vertices = (skeleton.dims == 0).nonzero()[0].tolist()
         f = complexes.VertexFunction(dict(zip(vertices, skeleton.values[vertices].tolist())))
         spec = extended.BifiltrationSpec(skeleton, f, M=args.bound, lam=args.spacing)
         _emit_barcode(extended.extended_barcode(spec), args.svg)
         return 0
 
     if args.command == "rips":
+        from . import persistence, rips
         pc = rips.PointCloud.from_csv(_read(args.points))
         params = rips.RipsParams(
             max_dim=args.max_dim, steps=args.steps,
@@ -203,20 +208,23 @@ def run(argv: Sequence[str]) -> int:
     if args.command == "distance":
         if args.dim is not None and args.dim < 0:
             raise UsageError("--dim must be nonnegative")
+        from . import distances, persistence
         b1 = persistence.parse_bcx(_read(args.left))
         b2 = persistence.parse_bcx(_read(args.right))
         print(format_value(distances.bottleneck(b1, b2, args.dim)))
         return 0
 
     if args.command == "betti-curve":
+        from . import persistence
         grid = _parse_grid(args.grid)
         b = persistence.parse_bcx(_read(args.file))
-        sys.stdout.write(rips.betti_curve_csv(b, grid))
+        sys.stdout.write(persistence.betti_curve_csv(b, grid))
         return 0
 
     if args.command == "example":
+        from . import complexes, rips
         out = args.out if args.out else args.name
-        _write(out, EXAMPLES[args.name]())
+        _write(out, EXAMPLES[args.name](complexes, rips))
         print(f"wrote {out}", file=sys.stderr)
         return 0
 

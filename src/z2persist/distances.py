@@ -4,10 +4,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .complexes import FilteredComplex, VertexFunction, lower_star
 from .persistence import Barcode, Interval, barcode
+
+if TYPE_CHECKING:
+    from .complexes import FilteredComplex, VertexFunction
 
 
 def _match_cost(i: Interval, j: Interval) -> float:
@@ -270,6 +272,7 @@ def stability_harness(
     """
     rhs = f.sup_distance(g)
     if mode == "ordinary":
+        from .complexes import lower_star
         lhs = bottleneck(barcode(lower_star(skeleton, f)),
                          barcode(lower_star(skeleton, g)), k)
     elif mode == "extended":

@@ -11,8 +11,7 @@ import numpy as np
 
 from . import persistence, z2
 from .complexes import ComplexError, FilteredComplex
-
-_MAX_DIM = 10_000  # the top degree a Betti table lists
+from .persistence import _MAX_DIM
 
 
 def _degrees(fc: FilteredComplex) -> range:

@@ -1,4 +1,5 @@
-"""Boundary-matrix reduction, barcodes and the finite-type calculus."""
+"""Boundary-matrix reduction, barcodes and the finite-type calculus.  Only
+the functions that reduce a complex import numpy, when they run."""
 from __future__ import annotations
 
 import math
@@ -7,12 +8,15 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from . import z2
-from .complexes import FilteredComplex, _indptr, _owners, format_value, text_lines
+from .text import format_value, text_lines
+
+if TYPE_CHECKING:
+    from .complexes import FilteredComplex
+
+_MAX_DIM = 10_000  # the top degree a Betti table or curve lists
 
 
 class Interval(namedtuple("Interval", "birth death")):
@@ -106,6 +110,7 @@ class Reduction:
     nonzero reduced column."""
 
     def __init__(self, pairs, unpaired, column_additions: int, max_column: int):
+        import numpy as np
         self.pair_ids = np.asarray(pairs, np.int64).reshape(-1, 2)
         self.unpaired_ids = np.asarray(unpaired, np.int64)
         self.column_additions, self.max_column = column_additions, max_column
@@ -176,6 +181,8 @@ def reduce_filtration(fc: FilteredComplex) -> Reduction:
     2011).  A column with no entries vanishes unless it is cleared, which is
     decided outside the loop.
     """
+    import numpy as np
+    from .complexes import _indptr, _owners
     n = len(fc)
     flat = n - 1 - _owners(fc.indptr)[np.argsort(fc.indices, kind="stable")[::-1]]
     ptr, dims = _indptr(np.bincount(fc.indices, minlength=n)[::-1]), fc.dims[::-1]
@@ -198,6 +205,7 @@ def reduce_filtration(fc: FilteredComplex) -> Reduction:
 def barcode(fc: FilteredComplex) -> Barcode:
     """Barcode of the filtration, zero-length pairs dropped: bars are kept and
     sorted on int value ranks and checked on the endpoint arrays at once."""
+    import numpy as np
     red = reduce_filtration(fc)
     n, values, free = len(fc), fc.values, red.unpaired_ids
     if (values[1:] < values[:-1]).any():
@@ -248,6 +256,26 @@ def dimension_function(intervals: Sequence[Interval]) -> DimensionFunction:
     critical = tuple(sorted({*births, *deaths}))
     dims = [bisect_right(births, c) - bisect_right(deaths, c) for c in critical]
     return DimensionFunction(critical, (0, *dims))
+
+
+def betti_curve(b: Barcode, k: int, grid: Sequence[float]) -> list[int]:
+    """Number of degree-k bars alive at each grid value."""
+    if any(grid[i] > grid[i + 1] for i in range(len(grid) - 1)):
+        raise ValueError("grid must be sorted")
+    return list(map(dimension_function(b.in_dim(k)), grid))
+
+
+def betti_curve_csv(b: Barcode, grid: Sequence[float], max_k: Optional[int] = None) -> str:
+    """CSV with header t,b0,...,bK, one row per grid value."""
+    if max_k is None:
+        max_k = max(b.dims(), default=0)
+    if max_k > _MAX_DIM:  # a column for every degree up to it
+        raise ValueError(f"degree {max_k} is above {_MAX_DIM}, the top of a Betti curve table")
+    curves = [betti_curve(b, k, grid) for k in range(max_k + 1)]
+    lines = ["t," + ",".join(f"b{k}" for k in range(max_k + 1))]
+    for i, t in enumerate(grid):
+        lines.append(f"{t!r}," + ",".join(str(c[i]) for c in curves))
+    return "\n".join(lines) + "\n"
 
 
 def barcode_dimension_function(b: Barcode, k: int) -> DimensionFunction:

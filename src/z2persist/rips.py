@@ -1,4 +1,5 @@
-"""Vietoris-Rips filtrations of Euclidean point clouds and Betti curves.
+"""Vietoris-Rips filtrations of Euclidean point clouds (Betti curves are
+re-exported from `persistence`).
 
 Scale is the simplex diameter: two balls of radius r intersect iff the
 centre distance is at most 2r, so a radius step s is a diameter step 2s.
@@ -7,13 +8,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .complexes import FilteredComplex, simplicial_filtration, text_lines
-from .homology import _MAX_DIM
-from .persistence import Barcode, dimension_function
+from .persistence import betti_curve, betti_curve_csv  # re-exported
 
 
 @dataclass(frozen=True)
@@ -98,12 +98,15 @@ class RipsParams:
 
 # Candidate masks are built for this many (row, vertex) entries at a time.
 _MASK_ENTRIES = 1 << 18
+# Most cells a Rips filtration may have: about 2.3 GB at ~0.55 KB a cell.
+_MAX_CELLS = 1 << 22
 
 
-def _cofaces(adj: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cofaces(adj: np.ndarray, rows: np.ndarray, cells: int) -> tuple[np.ndarray, np.ndarray]:
     """Every extension of a row by a larger vertex adjacent to all of its
     vertices, as (row, new vertex) in lexicographic order.  adj is the
-    strictly upper-triangular adjacency of the threshold graph."""
+    strictly upper-triangular adjacency of the threshold graph, and `cells`
+    the count of lower cells: past `_MAX_CELLS` in all, this raises."""
     n = adj.shape[0]
     block = max(1, _MASK_ENTRIES // max(n, 1))
     parents, lasts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
@@ -115,6 +118,10 @@ def _cofaces(adj: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         parent, last = np.nonzero(mask)
         parents.append(parent + lo)
         lasts.append(last)
+        cells += len(parent)
+        if cells > _MAX_CELLS:
+            raise ValueError(f"the Rips complex passes {_MAX_CELLS} cells in dimension "
+                             f"{rows.shape[1]} ({cells} so far)")
     return np.concatenate(parents), np.concatenate(lasts)
 
 
@@ -146,7 +153,7 @@ def rips_filtration(pc: PointCloud, params: RipsParams) -> FilteredComplex:
     faces = [np.zeros((n, 1), dtype=np.int64)]  # the empty face
     key = np.arange(n)  # each row's (parent row) * n + last vertex, increasing
     for _ in range(params.max_dim):
-        parent, last = _cofaces(adj, simplices[-1])
+        parent, last = _cofaces(adj, simplices[-1], sum(map(len, simplices)))
         if not len(parent):  # no clique extends: every higher dimension is empty
             break
         rows = np.column_stack((simplices[-1][parent], last))
@@ -163,22 +170,3 @@ def rips_filtration(pc: PointCloud, params: RipsParams) -> FilteredComplex:
     del adj, dist
     return simplicial_filtration(simplices, faces, values, [str(v) for v in range(n)])
 
-
-def betti_curve(b: Barcode, k: int, grid: Sequence[float]) -> list[int]:
-    """Number of degree-k bars alive at each grid value."""
-    if any(grid[i] > grid[i + 1] for i in range(len(grid) - 1)):
-        raise ValueError("grid must be sorted")
-    return list(map(dimension_function(b.in_dim(k)), grid))
-
-
-def betti_curve_csv(b: Barcode, grid: Sequence[float], max_k: Optional[int] = None) -> str:
-    """CSV with header t,b0,...,bK, one row per grid value."""
-    if max_k is None:
-        max_k = max(b.dims(), default=0)
-    if max_k > _MAX_DIM:  # a column for every degree up to it
-        raise ValueError(f"degree {max_k} is above {_MAX_DIM}, the top of a Betti curve table")
-    curves = [betti_curve(b, k, grid) for k in range(max_k + 1)]
-    lines = ["t," + ",".join(f"b{k}" for k in range(max_k + 1))]
-    for i, t in enumerate(grid):
-        lines.append(f"{t!r}," + ",".join(str(c[i]) for c in curves))
-    return "\n".join(lines) + "\n"

@@ -319,6 +319,18 @@ def test_betti_curve_rejects_a_degree_above_the_table(tmp_path, capsys):
     assert err == "error: degree 2000000 is above 10000, the top of a Betti curve table\n"
 
 
+def test_rips_refuses_a_complex_above_the_cell_cap(tmp_path, capsys):
+    # 300 points all within the threshold have 4,455,100 triangles
+    path = tmp_path / "cloud.csv"
+    path.write_text("".join(f"{i % 17},{i // 17}\n" for i in range(300)))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "rips", str(path), "--max-dim", "2", "--threshold", "100")
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the Rips complex passes 4194304 cells in dimension 2 (")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["persist", "homology", "extended"])
 def test_oversize_simplex_is_bad_input(tmp_path, capsys, command):
     # its closure would have 2^17 - 1 cells, and a line of 30 vertices

@@ -193,3 +193,19 @@ _COORDINATE = st.one_of(
 def test_distance_matrix_equals_the_broadcast_formula(points, repeats):
     pc = PointCloud(tuple(points + points[:repeats]))  # repeated points: zero distances
     assert np.array_equal(pc.distance_matrix(), reference_distance_matrix(pc))
+
+
+def test_cell_cap_counts_every_dimension(monkeypatch):
+    # ten points at pairwise distance <= 2 make 10 + 45 + 120 = 175 cells
+    from z2persist import rips
+
+    cloud = circle_points(10)
+    params = RipsParams(max_dim=2, threshold=2.5)
+    monkeypatch.setattr(rips, "_MAX_CELLS", 175)
+    assert len(rips_filtration(cloud, params)) == 175
+    monkeypatch.setattr(rips, "_MAX_CELLS", 174)
+    with pytest.raises(ValueError, match=r"^the Rips complex passes 174 cells in dimension 2 \(175 so far\)$"):
+        rips_filtration(cloud, params)
+    monkeypatch.setattr(rips, "_MAX_CELLS", 54)
+    with pytest.raises(ValueError, match=r"passes 54 cells in dimension 1 \(55 so far\)$"):
+        rips_filtration(cloud, params)
