@@ -556,42 +556,50 @@ def _close_simplices(labels: np.ndarray, widths: np.ndarray, values: np.ndarray,
 def parse_spx(text: str, vertex_values: Optional[dict] = None) -> FilteredComplex:
     """SPX v1: one `<value> <v1> ... <vk>` top simplex per line; in vertexfn
     mode lines hold bare vertex lists and values come from vertex_values.
-    Array masks look for faults, and a walk from the top names the first."""
+    Array masks name the first faulty line; only a token that fails to
+    convert is looked for line by line."""
     lines = text_lines(text)
     if not lines:
         raise ComplexError("no simplices in input")
-    parts = [line.split() for _, line in lines]
-    lead, n = int(vertex_values is None), len(parts)  # a valued line's value comes first
-    try:  # and is popped off, leaving the vertex list
-        values = np.fromiter(map(float, [p.pop(0) for p in parts]), float, n) if lead \
-            else np.zeros(n)
-        labels = np.fromiter(map(int, chain.from_iterable(parts)), np.int64)
-    except (ValueError, OverflowError):
-        pass
-    else:
-        widths = np.fromiter(map(len, parts), np.int64, n)
-        owner = np.repeat(np.arange(n), widths)
-        labels = labels[np.lexsort((labels, owner))]  # increasing within each line
-        bad = (widths < 1) | (widths > _MAX_VERTICES) | ~np.isfinite(values)
-        bad[owner[1:][(labels[1:] == labels[:-1]) & (owner[1:] == owner[:-1])]] = True
-        if not bad.any():
-            return _close_simplices(labels, widths, values, vertex_values)
-    for lineno, line in lines:
-        parts = line.split()
-        try:
-            value = float(parts[0]) if lead else 0.0
-            verts = sorted(map(int, parts[lead:]))
-        except ValueError:
-            raise ComplexError(f"line {lineno}: malformed simplex line") from None
-        if not verts or len(set(verts)) != len(verts):
-            raise ComplexError(f"line {lineno}: bad vertex list")
-        if verts[0] < _INT64_MIN or verts[-1] > _INT64_MAX:
-            raise ComplexError(f"line {lineno}: vertex id out of range")
-        if len(verts) > _MAX_VERTICES:
-            raise ComplexError(f"line {lineno}: simplex has {len(verts)} vertices, "
-                               f"above the limit of {_MAX_VERTICES}")
-        if not math.isfinite(value):
-            raise ComplexError(f"line {lineno}: value must be finite")
+    lead, f, fault = int(vertex_values is None), len(lines), None
+    while True:  # read the lines above f
+        parts = [line.split() for _, line in lines[:f]]
+        n = len(parts)
+        try:  # a valued line's value comes first and is popped off, leaving the vertex list
+            values = np.fromiter(map(float, [p.pop(0) for p in parts]), float, n) if lead \
+                else np.zeros(n)
+            labels = np.fromiter(map(int, chain.from_iterable(parts)), np.int64)
+            break
+        except (ValueError, OverflowError):  # f becomes the first line with a bad token
+            f, fault = next((f, why) for f, (_, line) in enumerate(lines)
+                            if (why := _token_fault(line.split(), lead)))
+    widths = np.fromiter(map(len, parts), np.int64, n)
+    owner = np.repeat(np.arange(n), widths)
+    labels = labels[np.lexsort((labels, owner))]  # increasing within each line
+    repeats = widths < 1  # no vertex, or one vertex twice
+    repeats[owner[1:][(labels[1:] == labels[:-1]) & (owner[1:] == owner[:-1])]] = True
+    bad = repeats | (widths > _MAX_VERTICES) | ~np.isfinite(values)
+    if bad.any():  # a line above f; its rules go vertex list, then size, then value
+        f = int(bad.argmax())
+        fault = ("bad vertex list" if repeats[f] else "value must be finite"
+                 if widths[f] <= _MAX_VERTICES else
+                 f"simplex has {widths[f]} vertices, above the limit of {_MAX_VERTICES}")
+    if fault:
+        raise ComplexError(f"line {lines[f][0]}: {fault}")
+    return _close_simplices(labels, widths, values, vertex_values)
+
+
+def _token_fault(parts: list[str], lead: int) -> Optional[str]:
+    """The first rule that an SPX line's tokens break in converting, if any."""
+    try:
+        verts = [*map(int, parts[lead:])]
+        if lead:
+            float(parts[0])
+    except ValueError:
+        return "malformed simplex line"
+    if not _INT64_MIN <= min(verts, default=0) <= max(verts, default=0) <= _INT64_MAX:
+        return "bad vertex list" if len(set(verts)) < len(verts) else "vertex id out of range"
+    return None
 
 
 def parse_vertex_values(text: str) -> dict:

@@ -2,9 +2,9 @@
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 from .persistence import Barcode, Interval, barcode
 
@@ -12,24 +12,13 @@ if TYPE_CHECKING:
     from .complexes import FilteredComplex, VertexFunction
 
 
-def _match_cost(i: Interval, j: Interval) -> float:
-    """Sup distance between endpoints; inf - inf counts as 0."""
-    db = abs(i.birth - j.birth)
-    if i.death == math.inf and j.death == math.inf:
-        return db
-    return max(db, abs(i.death - j.death))
-
-
-def _deletion_cost(i: Interval) -> float:
-    """Half the length: the cheapest eps-interleaving that kills a bar
-    collapses it from both ends."""
-    return i.length / 2
-
-
 def interval_distance(i: Interval, j: Interval) -> float:
     """Interleaving distance between two characteristic intervals: match
-    endpoints or delete both, whichever is cheaper."""
-    return min(_match_cost(i, j), max(_deletion_cost(i), _deletion_cost(j)))
+    the endpoints (their sup distance, inf - inf counting as 0) or delete
+    both (half the longer length), whichever is cheaper."""
+    db = abs(i.birth - j.birth)
+    match = db if i.death == j.death == math.inf else max(db, abs(i.death - j.death))
+    return min(match, max(i.length, j.length) / 2)
 
 
 @dataclass(frozen=True)
@@ -41,75 +30,121 @@ class Matching:
     unmatched_right: tuple[int, ...]
 
 
-class _PaddedGraph:
-    """The degree-k matching graph, padded with one diagonal copy per bar.
+class _Side:
+    """One barcode's degree-k bars as matching-graph vertices, read from its
+    columns: the `nf` finite bars, then the infinite ones, each kind in
+    birth order; vertex v is bar `index[v]` of `in_dim(k)`.  An infinite
+    bar's death is kept as 0, so two infinite bars cost their birth gap."""
 
-    Left vertices are the left bars `u < nl`, then the diagonal copies
-    `nl + v` of the right bars; right vertices are the right bars `v < nr`,
-    then the diagonal copies `nr + u` of the left bars.  At tolerance eps
-    bar u meets bar v when their endpoint cost is <= eps, a bar meets its
-    own copy when its half-length is <= eps, and copy `nl + v` meets copy
-    `nr + u` exactly when bars u and v meet.  A perfect matching exists iff
-    the barcodes are eps-matchable: a matched pair (u, v) also pairs the
-    two copies and a deleted bar takes its own copy, so the complete block
-    of free copy-copy edges is never needed.  The bar-bar costs are
-    computed once and serve the candidates and every probe.
-    """
+    def __init__(self, b: Barcode, k: int):
+        at = slice(bisect_left(b.degrees, k), bisect_right(b.degrees, k))
+        births, deaths = b.births[at], b.deaths[at]
+        self.index = sorted(range(len(births)), key=lambda i: deaths[i] == math.inf)
+        self.infinite = deaths.count(math.inf)
+        self.nf = len(births) - self.infinite
+        self.births = [births[i] for i in self.index]
+        self.deaths = [deaths[i] if deaths[i] < math.inf else 0.0 for i in self.index]
+        self.half = [(deaths[i] - births[i]) / 2 for i in self.index]  # inf if infinite
 
-    def __init__(self, left: Sequence[Interval], right: Sequence[Interval]):
-        nl, nr = len(left), len(right)
-        self.nl, self.nr, self.size = nl, nr, nl + nr
-        rb = [j.birth for j in right]
-        rd = [j.death for j in right]
-        self.costs = costs = []  # costs[u][v] == _match_cost(left[u], right[v])
-        for i in left:
-            b, d = i.birth, i.death
-            row = []
-            if d == math.inf:
-                for jb, jd in zip(rb, rd):
-                    row.append(abs(b - jb) if jd == math.inf else math.inf)
-            else:
-                for jb, jd in zip(rb, rd):
-                    x, y = abs(b - jb), abs(d - jd)
-                    row.append(x if x >= y else y)
-            costs.append(row)
-        self.del_left = [_deletion_cost(i) for i in left]
-        self.del_right = [_deletion_cost(j) for j in right]
+    def kin(self, v: int, other: _Side) -> tuple[int, int]:
+        return (0, other.nf) if v < self.nf else (other.nf, len(other.half))
 
-    def candidates(self) -> tuple[list[float], int]:
-        """The finite costs and half-lengths with 0, sorted (the optimum is
-        one of them), and the index of the first one at which every bar
-        has an edge: no smaller value can be feasible."""
-        values = {0.0, *self.del_left, *self.del_right}.union(*self.costs)
-        values.discard(math.inf)
-        row_min = map(min, self.costs) if self.nr else [math.inf] * self.nl
-        col_min = map(min, zip(*self.costs)) if self.nl else [math.inf] * self.nr
-        bound = max([*map(min, self.del_left, row_min), *map(min, self.del_right, col_min)])
-        values = sorted(values)
-        return values, bisect_left(values, bound)
+    def window(self, v: int, other: _Side, eps: float) -> range:
+        """The bars of `other` of v's kind with birth gap at most eps, found by
+        bisecting on the gap as the cost computes it, so exactly."""
+        b, (lo, hi) = self.births[v], self.kin(v, other)
+        gap = lambda x: x - b
+        lo = bisect_left(other.births, -eps, lo, hi, key=gap)
+        return range(lo, bisect_right(other.births, eps, lo, hi, key=gap))
 
-    def adjacency(self, eps: float) -> list[list[int]]:
-        nr = self.nr
-        adj = [[v for v, c in enumerate(row) if c <= eps] for row in self.costs]
-        copies = [[v] if d <= eps else [] for v, d in enumerate(self.del_right)]
-        for u, a in enumerate(adj):
-            for v in a:
-                copies[v].append(nr + u)
-            if self.del_left[u] <= eps:
-                a.append(nr + u)
-        return adj + copies
 
-    def augment(self, eps: float, match_l: list[int], match_r: list[int]) -> bool:
-        """Grow the matching in place to a maximum one at eps; whether it
-        is perfect.  The matching's edges must be present at eps."""
-        return _hopcroft_karp(self.adjacency(eps), match_l, match_r) == 0
+def _lower_bound(a: _Side, b: _Side, bound: float) -> float:
+    """The larger of `bound` and the largest, over a's bars, min(half-length,
+    cheapest edge into b), no smaller eps being feasible.  A sweep outward in
+    birth order stops once the birth gap costs the best edge so far."""
+    births, deaths = b.births, b.deaths
+    for v, best in enumerate(a.half):
+        s, d, (lo, hi) = a.births[v], a.deaths[v], a.kin(v, b)
+        mid = bisect_left(births, s, lo, hi)
+        for side in (range(mid, hi), range(mid - 1, lo - 1, -1)):
+            for w in side:
+                if (gap := abs(s - births[w])) >= best or best <= bound:
+                    break
+                best = min(best, max(gap, abs(d - deaths[w])))
+        bound = max(bound, best)
+    return bound
 
-    def witness(self, match_l: list[int]) -> Matching:
-        nl, nr = self.nl, self.nr
-        pairs = tuple((u, v) for u, v in enumerate(match_l[:nl]) if v < nr)
-        unmatched_left = tuple(u for u in range(nl) if match_l[u] >= nr)
-        unmatched_right = tuple(v for v in range(nr) if match_l[nl + v] == v)
-        return Matching(pairs, unmatched_left, unmatched_right)
+
+def _cover(a: _Side, b: _Side, eps: float) -> Optional[dict[int, int]]:
+    """A matching {a vertex: b vertex} at eps that covers a's long bars, with
+    half-length above eps, or None; short bars may be deleted."""
+    long, deaths = [v for v, h in enumerate(a.half) if h > eps], b.deaths
+    adj = [[w for w in a.window(v, b, eps) if abs(d - deaths[w]) <= eps]
+           for v, d in zip(long, map(a.deaths.__getitem__, long))]
+    mate = [-1] * len(long)
+    return None if _hopcroft_karp(adj, mate, [-1] * len(b.half)) else dict(zip(long, mate))
+
+
+def _probe(a: _Side, b: _Side, eps: float) -> Optional[tuple[dict, dict]]:
+    """Both sides' `_cover`s at eps, or None.  By Mendelsohn-Dulmage, one
+    matching covers the long bars of both sides iff each side's can be."""
+    m1 = _cover(a, b, eps)
+    m2 = None if m1 is None else _cover(b, a, eps)
+    return None if m2 is None else (m1, m2)
+
+
+def _candidates(a: _Side, b: _Side, lo: float, hi: float) -> list[float]:
+    """The half-lengths and the costs of the edges at bars long at lo that
+    lie in (lo, hi], sorted.  Feasibility changes only at one of them: an
+    edge matters at its cost only if one of its bars is long there."""
+    values = {h for s in (a, b) for h in s.half if lo < h <= hi}
+    for s, t in ((a, b), (b, a)):
+        for v in (v for v, h in enumerate(s.half) if h > lo):
+            x, y = s.births[v], s.deaths[v]
+            values.update(max(abs(x - t.births[w]), c) for w in s.window(v, t, hi)
+                          if (c := abs(y - t.deaths[w])) <= hi)
+    values = sorted(values)
+    return values[bisect_right(values, lo):bisect_right(values, hi)]
+
+
+def _search(a: _Side, b: _Side) -> tuple[float, tuple[dict, dict]]:
+    """The least feasible eps and its probe.  Probe the lower bound; if it
+    fails, gallop up from it by 1/16 of it, doubling each time, to `top`,
+    which is feasible: every finite bar deleted and the infinite bars
+    matched in birth order.  Then bisect over the last bracket's candidates."""
+    lo = _lower_bound(b, a, _lower_bound(a, b, 0.0))
+    hit = _probe(a, b, lo)
+    if hit:
+        return lo, hit
+    top = max([*a.half[:a.nf], *b.half[:b.nf],
+               *(abs(x - y) for x, y in zip(a.births[a.nf:], b.births[b.nf:]))])
+    base, step = lo, (lo or top) / 16 or top  # the step underflows for a subnormal lo
+    while base + step < top and not _probe(a, b, base + step):
+        lo, step = base + step, 2 * step
+    values = _candidates(a, b, lo, min(top, base + step))
+    i, j = 0, len(values) - 1
+    while i < j:
+        mid = (i + j) // 2
+        if probe := _probe(a, b, values[mid]):
+            j, hit = mid, probe
+        else:
+            i = mid + 1
+    return values[j], hit or _probe(a, b, values[j])
+
+
+def _witness(a: _Side, b: _Side, m1: dict, m2: dict) -> Matching:
+    """One matching covering both sides' long bars, from m1 (covering a's)
+    and m2 (covering b's) by the constructive Mendelsohn-Dulmage step, in
+    O(m): keep m1 but along each path of m1 + m2 from a b bar that only m2
+    covers, which takes m2's edges; the path ends at a bar neither needs."""
+    mate = [m1.get(u, -1) for u in range(len(a.half))]
+    for v in set(m2).difference(m1.values()):
+        while v >= 0 and v in m2:  # v takes its m2 edge; u's m1 partner is next
+            u = m2[v]
+            mate[u], v = v, mate[u]
+    pairs = sorted((a.index[u], b.index[v]) for u, v in enumerate(mate) if v >= 0)
+    return Matching(tuple(pairs), tuple(sorted(a.index[u] for u, v in enumerate(mate) if v < 0)),
+                    tuple(sorted(set(b.index).difference(v for _, v in pairs))))
 
 
 def _hopcroft_karp(adj: list[list[int]], match_l: list[int], match_r: list[int]) -> int:
@@ -177,52 +212,28 @@ def _hopcroft_karp(adj: list[list[int]], match_l: list[int], match_r: list[int])
                     us.append(w)
 
 
-def _infinite_counts_differ(left: Sequence[Interval], right: Sequence[Interval]) -> bool:
-    return (sum(1 for iv in left if iv.death == math.inf)
-            != sum(1 for iv in right if iv.death == math.inf))
-
-
 def bottleneck_matching(
     b1: Barcode, b2: Barcode, k: int
 ) -> tuple[float, Optional[Matching]]:
     """Bottleneck distance in degree k with an optimal matching witness.
 
-    Exact: the optimum is one of the candidate values (endpoint gaps and
-    half-lengths).  The m^2 bar-bar costs are computed once and give both
-    the candidates and every probe's edges.  No value below the largest
-    cheapest-edge cost of any bar is feasible, so the search starts there
-    and gallops upward (offsets 1, 2, 4, ..., capped by bisection): O(log m)
-    probes, most of them at small eps where the graph is sparse.  Each
-    probe is Hopcroft-Karp on the padded graph (see `_PaddedGraph`),
-    O(m^2.5) at worst, started from the maximum matching of the last
-    infeasible probe, whose edges are all present at any larger eps; the
-    last feasible probe's matching is the witness.  Barcodes with
+    Exact: the value is 0, a half-length or a bar-bar cost, and no table of
+    costs is kept.  At tolerance eps a bar's edges are the bars of its kind
+    in a bisected window of births, within eps in death too.  A bar with
+    half-length above eps is long and must be matched; the rest may be
+    deleted.  A probe is two Hopcroft-Karp matchings from the long bars,
+    one per side: O(E sqrt(m)) time and O(m + E) memory for the E edges at
+    long bars.  `_search` probes a lower bound, then gallops and bisects;
+    `_witness` joins the last feasible probe's matchings.  Barcodes with
     different numbers of infinite bars are at distance infinity.
     """
-    left, right = b1.in_dim(k), b2.in_dim(k)
-    if _infinite_counts_differ(left, right):
+    a, b = _Side(b1, k), _Side(b2, k)
+    if a.infinite != b.infinite:
         return math.inf, None
-    if not left and not right:
-        return 0.0, Matching((), (), ())
-    g = _PaddedGraph(left, right)
-    values, lo = g.candidates()
-    hi = len(values) - 1
-    match_l, match_r = [-1] * g.size, [-1] * g.size
-    best = None
-    step = 1
-    while lo < hi:
-        mid = min(lo + step - 1, (lo + hi) // 2)
-        trial_l, trial_r = match_l[:], match_r[:]
-        if g.augment(values[mid], trial_l, trial_r):
-            hi, best = mid, trial_l
-        else:
-            lo, match_l, match_r = mid + 1, trial_l, trial_r
-            step *= 2
-    if best is None:  # hi was never lowered, so values[hi] is unprobed
-        if not g.augment(values[hi], match_l, match_r):
-            return math.inf, None
-        best = match_l
-    return values[hi], g.witness(best)
+    value, (m1, m2) = _search(a, b)
+    if value == math.inf:  # a half-length overflowed
+        return math.inf, None
+    return value, _witness(a, b, m1, m2)
 
 
 def bottleneck(b1: Barcode, b2: Barcode, k: Optional[int] = None) -> float:
@@ -234,17 +245,16 @@ def bottleneck(b1: Barcode, b2: Barcode, k: Optional[int] = None) -> float:
 
 
 def interleaved(b1: Barcode, b2: Barcode, k: int, eps: float) -> bool:
-    """Whether the degree-k diagrams are eps-interleaved, by one feasibility
-    probe at eps (feasibility is monotone in eps)."""
+    """Whether the degree-k diagrams are eps-interleaved, i.e. at bottleneck
+    distance at most eps, by one probe: every bar with half-length above
+    eps is matched to a bar of its kind with both ends within eps, and the
+    rest are deleted.  At eps = inf every bar may be deleted."""
     if not eps >= 0:
         raise ValueError("eps must be nonnegative")
-    left, right = b1.in_dim(k), b2.in_dim(k)
-    if _infinite_counts_differ(left, right):
+    a, b = _Side(b1, k), _Side(b2, k)
+    if a.infinite != b.infinite:
         return eps == math.inf  # the distance is infinite
-    if not left and not right:
-        return True
-    g = _PaddedGraph(left, right)
-    return g.augment(eps, [-1] * g.size, [-1] * g.size)
+    return _probe(a, b, eps) is not None
 
 
 # Slack for float rounding in the stability bound's two sides.

@@ -79,7 +79,7 @@ class Barcode:
 def parse_bcx(text: str) -> Barcode:
     """Parse BCX v1.  Degrees are nonnegative integers, births finite, and
     deaths finite or the literal `inf`; any other line is rejected with
-    its line number."""
+    its line number.  The columns come from one sort of the bars."""
     bars = []
     for lineno, line in text_lines(text):
         parts = line.split()
@@ -97,8 +97,9 @@ def parse_bcx(text: str) -> Barcode:
             raise ValueError(f"line {lineno}: death must be finite or `inf`, got {parts[2]}")
         if not birth < death:
             raise ValueError(f"line {lineno}: need birth < death, got {parts[1]} {parts[2]}")
-        bars.append((d, (birth, death)))
-    return Barcode(bars)
+        bars.append((d, birth, death))
+    bars.sort()
+    return Barcode(columns=[*map(list, zip(*bars))])
 
 
 class Reduction:

@@ -26,7 +26,7 @@ import numpy as np
 
 from z2persist import Barcode, Cell, FilteredComplex, Interval, VertexFunction
 from z2persist.complexes import _MAX_VERTICES, ComplexError, _close_simplices
-from z2persist.distances import Matching, _deletion_cost, _match_cost
+from z2persist.distances import Matching
 from z2persist.extended import BifiltrationSpec
 from z2persist.persistence import Reduction, reduce_filtration
 from z2persist.rips import PointCloud, RipsParams
@@ -788,6 +788,15 @@ def pair_rank(skeleton: FilteredComplex, f: VertexFunction, M: float,
     return int(gf2_rank(np.concatenate([z_cols, n_cols], axis=1)) - gf2_rank(n_cols))
 
 
+def bar_phase(spec: BifiltrationSpec, birth: float, death: float) -> str:
+    """Which phases of the cone filtration an extended bar's ends fall in:
+    'ord' (both ascending), 'ext' (born ascending, dying descending) or
+    'rel' (both descending).  A cone value x >= M + lambda/2 is descending,
+    where it stands for the f-value 2M + lambda - x."""
+    middle = spec.M + spec.lam / 2
+    return "ord" if death < middle else "ext" if birth < middle else "rel"
+
+
 def composite_rank(intervals: Sequence[Interval], a: float, p: float) -> int:
     """Rank of the composed interval-module maps from parameter a to a+p,
     built as explicit GF(2) step matrices and multiplied."""
@@ -859,12 +868,12 @@ def _reference_feasible(
         out = []
         if u < nl:
             iv = left[u]
-            out += [v for v in range(nr) if _match_cost(iv, right[v]) <= eps]
-            if _deletion_cost(iv) <= eps:
+            out += [v for v in range(nr) if match_cost(iv, right[v]) <= eps]
+            if iv.length / 2 <= eps:
                 out.append(nr + u)
         else:
             sv = u - nl
-            if _deletion_cost(right[sv]) <= eps:
+            if right[sv].length / 2 <= eps:
                 out.append(sv)
             out += [nr + v for v in range(nl)]
         return out
@@ -915,12 +924,12 @@ def reference_bottleneck(
     candidates = {0.0}
     for i in left:
         for j in right:
-            c = _match_cost(i, j)
+            c = match_cost(i, j)
             if c != math.inf:
                 candidates.add(c)
     for iv in left + right:
         if iv.death != math.inf:
-            candidates.add(_deletion_cost(iv))
+            candidates.add(iv.length / 2)
     values = sorted(candidates)
     lo, hi = 0, len(values) - 1
     if _reference_feasible(left, right, values[hi]) is None:

@@ -12,6 +12,7 @@ from z2persist import (
     extended_barcode,
     interleaved,
     interval_distance,
+    Matching,
     klein_height_skeleton,
     stability_harness,
 )
@@ -204,3 +205,123 @@ def test_extended_distance_between_heights():
     b2 = extended_barcode(BifiltrationSpec(sk, g, M=f.sup_distance(g) + 2.0))
     # all bars finite, so every degree yields a finite distance
     assert bottleneck(b1, b2) < INF
+
+
+def lower_bound(left, right):
+    """The search's first probe: the largest, over all bars, of min(half the
+    length, the cheapest edge), by the definition."""
+    def value(iv, others):
+        return min([iv.length / 2] + [match_cost(iv, jv) for jv in others])
+    return max([value(iv, right) for iv in left] + [value(jv, left) for jv in right],
+               default=0.0)
+
+
+def checked(b1, b2, k):
+    """The distance, with its witness checked against both oracles."""
+    d, m = bottleneck_matching(b1, b2, k)
+    assert d == reference_bottleneck(b1, b2, k)[0]
+    if d < INF:
+        check_matching(b1.in_dim(k), b2.in_dim(k), d, m)
+    return d
+
+
+def test_interleaved_at_inf_and_next_to_the_distance():
+    rng = random.Random(36)
+    for _ in range(40):
+        n_inf = rng.randint(0, 2)
+        b1 = Barcode([(0, iv) for iv in tied_intervals(rng, rng.randint(0, 9), n_inf)])
+        b2 = Barcode([(0, iv) for iv in tied_intervals(rng, rng.randint(0, 9), rng.randint(0, 2))])
+        d = bottleneck(b1, b2, 0)
+        assert interleaved(b1, b2, 0, INF)  # every bar may be deleted at inf
+        if d < INF:
+            assert interleaved(b1, b2, 0, d)
+            assert interleaved(b1, b2, 0, math.nextafter(d, INF))
+            assert d == 0 or not interleaved(b1, b2, 0, math.nextafter(d, -INF))
+        else:
+            assert not interleaved(b1, b2, 0, 1e300)
+
+
+def test_infinite_bars_only_match_in_birth_order():
+    rng = random.Random(37)
+    for n in range(6):
+        left = [rng.choice([0.0, 0.5, rng.uniform(-2, 2)]) for _ in range(n)]
+        right = [rng.choice([0.0, 0.5, rng.uniform(-2, 2)]) for _ in range(n)]
+        b1, b2 = bc(2, *[(b, INF) for b in left]), bc(2, *[(b, INF) for b in right])
+        want = max((abs(x - y) for x, y in zip(sorted(left), sorted(right))), default=0.0)
+        assert checked(b1, b2, 2) == want
+    assert bottleneck_matching(bc(2, (0, INF)), bc(2, (0, INF), (1, INF)), 2) == (INF, None)
+
+
+def test_one_empty_side_deletes_every_bar():
+    b1 = bc(1, (0, 3), (1, 2), (1, 2), (-4, 0))
+    d, m = bottleneck_matching(b1, bc(1), 1)
+    assert d == 2.0
+    assert m == Matching((), (0, 1, 2, 3), ())
+    d, m = bottleneck_matching(bc(1), b1, 1)
+    assert d == 2.0 and m == Matching((), (), (0, 1, 2, 3))
+    assert bottleneck_matching(bc(1, (0, INF)), bc(1), 1) == (INF, None)
+    assert bottleneck_matching(bc(1), bc(1), 1) == (0.0, Matching((), (), ()))
+
+
+def test_all_costs_tied():
+    for nl, nr in ((3, 3), (4, 2), (1, 5)):
+        b1, b2 = bc(0, *[(0, 4)] * nl), bc(0, *[(1, 5)] * nr)
+        # every edge costs 1; a bar left over is deleted at half its length, 2
+        assert checked(b1, b2, 0) == (1.0 if nl == nr else 2.0)
+        assert checked(b1, b1, 0) == 0.0
+
+
+def test_an_infeasible_lower_bound_is_searched_past():
+    # both left bars cost 0 to the one right bar, so the bound is 0; but one
+    # of them must be deleted, at half its length
+    b1, b2 = bc(0, (0, 10), (0, 10)), bc(0, (0, 10))
+    assert lower_bound(b1.in_dim(0), b2.in_dim(0)) == 0.0
+    assert not interleaved(b1, b2, 0, 0.0)
+    assert checked(b1, b2, 0) == 5.0
+    # a subnormal bound, so small that a step of 1/16 of it is 0
+    assert checked(b1, bc(0, (5e-324, 10)), 0) == 5.0
+    rng = random.Random(38)
+    searched = 0
+    for _ in range(200):
+        left = tied_intervals(rng, rng.randint(1, 12), 1)
+        right = tied_intervals(rng, rng.randint(1, 12), 1)
+        b1, b2 = Barcode([(1, iv) for iv in left]), Barcode([(1, iv) for iv in right])
+        bound = lower_bound(left, right)
+        d = checked(b1, b2, 1)
+        assert d >= bound and interleaved(b1, b2, 1, bound) == (d == bound)
+        searched += d > bound
+    assert searched >= 4  # the gallop and the bracket's bisection ran
+
+
+def diagram(rng, n, scale):
+    """n bars in one degree, one infinite: seven in ten short, endpoints
+    multiples of 2**-8, as the benchmark's random diagrams."""
+    q = lambda x: round(x * 256) / 256
+    bars = [(q(rng.uniform(0, 0.5)), INF)]
+    for _ in range(n - 1):
+        b = q(rng.uniform(0, 2))
+        mean = (0.04 if rng.random() < 0.7 else 0.5) * scale
+        bars.append((b, b + q(rng.expovariate(1 / mean)) + 1 / 256))
+    return bars
+
+
+def jittered(rng, bars):
+    q = lambda x: round(x * 256) / 256
+    out = []
+    for b, d in bars:
+        nb = q(b + rng.gauss(0, 0.02))
+        out.append((nb, d if d == INF else max(q(d + rng.gauss(0, 0.02)), nb + 1 / 256)))
+    return out
+
+
+def test_large_pairs_keep_the_padded_graph_values():
+    # 3,000 bars a side; the values were computed once by the padded-graph
+    # search, which built all 9 million bar-bar costs
+    rng = random.Random(2017)
+    left = diagram(rng, 3000, 1.0)
+    b1 = bc(1, *left)
+    for right, want in ((jittered(rng, left), 0.06640625), (diagram(rng, 3000, 2.0), 2.54296875)):
+        b2 = bc(1, *right)
+        d, m = bottleneck_matching(b1, b2, 1)
+        assert d == want
+        check_matching(b1.in_dim(1), b2.in_dim(1), d, m)

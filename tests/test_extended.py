@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from z2persist import (
     BifiltrationSpec,
@@ -17,7 +19,15 @@ from z2persist import (
     torus_height_skeleton,
 )
 
-from helpers import pair_rank, random_skeleton, random_vertex_function
+from helpers import (
+    bar_phase,
+    dense_betti,
+    grid_surface,
+    pair_rank,
+    random_skeleton,
+    random_vertex_function,
+    simplices_to_complex,
+)
 
 INF = math.inf
 
@@ -169,3 +179,19 @@ def test_single_interval_rank():
         single_interval_rank(0, INF, 1, 1)
     with pytest.raises(ValueError):
         single_interval_rank(3, 2, 1, 1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(3, 7), st.booleans(), st.booleans(), st.sampled_from([1.0, 0.25]), st.data())
+def test_ext_bars_count_the_betti_numbers_of_a_closed_surface(m, twist, attained, lam, data):
+    # each Z/2 homology class of the surface gives one Ext bar, in its own
+    # degree (Cohen-Steiner, Edelsbrunner & Harer 2009)
+    sk = simplices_to_complex(grid_surface(m, twist))
+    level = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]) | st.floats(-1, 1)
+    values = data.draw(st.lists(level, min_size=m * m, max_size=m * m))
+    f = VertexFunction(dict(zip([c.id for c in sk.cells if c.dim == 0], values)))
+    spec = BifiltrationSpec(sk, f, M=max(map(abs, values)) if attained else None, lam=lam)
+    ext = [d for d, iv in extended_barcode(spec) if bar_phase(spec, *iv) == "ext"]
+    betti = [dense_betti(sk, k) for k in range(3)]
+    assert [ext.count(k) for k in range(3)] == betti
+    assert len(ext) == sum(betti) == 4  # torus and Klein bottle: (1, 2, 1) over Z/2
