@@ -66,6 +66,15 @@ def _owners(indptr: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
 
 
+def _by_major(major: np.ndarray, minor: np.ndarray, n: int) -> np.ndarray:
+    """`minor` sorted by (major, minor), int64 in [0, n): one key sort that overwrites `major`."""
+    major *= n
+    major += minor
+    major.sort()
+    major %= max(n, 1)
+    return major
+
+
 def _gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Positions starts[i], ..., starts[i] + counts[i] - 1, run after run."""
     ends = np.cumsum(counts)
@@ -299,11 +308,7 @@ def _reorder(dims: np.ndarray, values: np.ndarray, rows: np.ndarray, faces: np.n
     n = len(order)
     new_id = np.empty(n, dtype=np.int64)
     new_id[order] = np.arange(n)
-    keys = new_id[rows]  # cell * n + face, sorted in place, then mod n: the faces by cell
-    keys *= n
-    keys += new_id[faces]
-    keys.sort()
-    keys %= max(n, 1)
+    keys = _by_major(new_id[rows], new_id[faces], n)  # the faces by cell
     if vertex_lists is not None:
         remap = new_id.tolist().__getitem__
         vertex_lists = [None if v is None else tuple(sorted(map(remap, v)))

@@ -124,20 +124,21 @@ class Reduction:
         return isinstance(other, Reduction) and key(self) == key(other)
 
 
-def _reduce(ptr: list, flat: list, groups: Iterable[list], chains: bool):
+def _reduce(ptr, flat, groups: Iterable[list], chains: bool):
     """The one column reduction, with clearing (Chen & Kerber 2011).
 
-    Column j holds the increasing rows `flat[ptr[j]:ptr[j + 1]]`, at least
-    one, and its pivot is the last of them.  The groups are reduced in
-    turn, each in its listed order.  A column whose id is already the pivot
-    of an earlier column would vanish, and is skipped.  Any other column
-    gets the earlier column with its pivot added until its pivot is fresh
-    or it vanishes.  A column is made an int bitset (`z2`) only when it
-    takes part in an addition; with `chains`, it carries the bitset of the
-    columns summed into it.  Returns {pivot: column} for the nonzero
-    columns, {column: chain} for the vanished ones, {column: bitset} for
-    the nonzero columns made bitsets, and the number of additions.
+    Column j holds the increasing rows `flat[ptr[j]:ptr[j + 1]]` of two
+    int64 arrays, at least one.  Its pivot, the last, is read from one
+    list, and its rows only when it enters an addition, as an int bitset
+    (`z2`) that with `chains` carries the bitset of the columns summed into
+    it.  The groups are reduced in turn, each in its listed order.  A
+    column whose id is the pivot of an earlier column would vanish, and is
+    skipped; any other gets the earlier column with its pivot added until
+    its pivot is fresh or it vanishes.  Returns {pivot: column} for the
+    nonzero columns, {column: chain} for the vanished ones, {column:
+    bitset} for the nonzero columns made bitsets, and the additions.
     """
+    lows = flat[ptr[1:] - 1].tolist() if len(flat) else []  # garbage for empty columns
     pivots: dict[int, int] = {}   # pivot -> the column with that pivot
     reduced: dict[int, int] = {}  # column -> its reduced bitset, once made
     chain: dict[int, int] = {}    # column -> its chain, unless just itself
@@ -147,15 +148,13 @@ def _reduce(ptr: list, flat: list, groups: Iterable[list], chains: bool):
         for j in group:
             if j in pivots:
                 continue
-            start, end = ptr[j], ptr[j + 1]
-            low = flat[end - 1]
-            other = pivots.get(low)
+            other = pivots.get(low := lows[j])
             if other is not None:
-                col = z2.bitset(flat[start:end])
+                col = z2.bitset(flat[ptr.item(j):ptr.item(j + 1)])
                 v = 1 << j if chains else 0
                 while other is not None:
                     if other not in reduced:
-                        reduced[other] = z2.bitset(flat[ptr[other]:ptr[other + 1]])
+                        reduced[other] = z2.bitset(flat[ptr.item(other):ptr.item(other + 1)])
                     col ^= reduced[other]
                     additions += 1
                     if chains:
@@ -176,21 +175,20 @@ def reduce_filtration(fc: FilteredComplex) -> Reduction:
 
     Cell ids double as row/column indices since the declaration order is
     the filtration order.  Column n-1-i holds the rows n-1-c of the cofaces
-    c of cell i, and dimensions go upward, so a pivot n-1-c pairs cell i
-    with c and clears the column of c.  These are the pairs of the standard
-    left-to-right boundary reduction (de Silva, Morozov & Vejdemo-Johansson
-    2011).  A column with no entries vanishes unless it is cleared, which is
-    decided outside the loop.
+    c of cell i, found by one sort of the keys (n-1-i, n-1-c).  Dimensions
+    go upward, so a pivot n-1-c pairs cell i with c and clears the column
+    of c: the pairs of the standard left-to-right boundary reduction (de
+    Silva, Morozov & Vejdemo-Johansson 2011).  A column with no entries
+    vanishes unless it is cleared, which is decided outside the loop.
     """
     import numpy as np
-    from .complexes import _indptr, _owners
+    from .complexes import _by_major, _indptr, _owners
     n = len(fc)
-    flat = n - 1 - _owners(fc.indptr)[np.argsort(fc.indices, kind="stable")[::-1]]
+    flat = _by_major(n - 1 - fc.indices, n - 1 - _owners(fc.indptr), n)
     ptr, dims = _indptr(np.bincount(fc.indices, minlength=n)[::-1]), fc.dims[::-1]
     full = ptr[1:] > ptr[:-1]
-    pivots, zeros, reduced, additions = _reduce(
-        ptr.tolist(), flat.tolist(),
-        (np.flatnonzero(full & (dims == k)).tolist() for k in sorted(set(dims.tolist()))), False)
+    pivots, zeros, reduced, additions = _reduce(ptr, flat, (
+        np.flatnonzero(full & (dims == k)).tolist() for k in sorted(set(dims.tolist()))), False)
     low = np.fromiter(pivots, np.int64, len(pivots))
     col = np.fromiter(pivots.values(), np.int64, len(pivots))
     size = np.diff(ptr)  # a kept column's entries: its row count, or its bitset's

@@ -8,19 +8,17 @@ reduction in `persistence` works on these directly.
 from __future__ import annotations
 
 import re
-from typing import Iterable
-
-Z2Column = int
 
 
-def bitset(rows: Iterable[int]) -> Z2Column:
-    """Column with a 1 in each row listed an odd number of times."""
+def bitset(rows) -> int:
+    """Column with a 1 in each row listed an odd number of times in the
+    int64 array `rows`, read as Python ints, so that `1 << r` cannot wrap."""
     col = 0
-    for r in rows:
+    for r in rows.tolist():
         col ^= 1 << r
     return col
 
 
-def rows(col: Z2Column) -> tuple[int, ...]:
+def rows(col: int) -> tuple[int, ...]:
     """Increasing row indices holding a 1."""
     return tuple(m.start() for m in re.finditer("1", bin(col)[:1:-1]))

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -195,3 +196,38 @@ def test_ext_bars_count_the_betti_numbers_of_a_closed_surface(m, twist, attained
     betti = [dense_betti(sk, k) for k in range(3)]
     assert [ext.count(k) for k in range(3)] == betti
     assert len(ext) == sum(betti) == 4  # torus and Klein bottle: (1, 2, 1) over Z/2
+
+
+def _read_bars(spec):
+    """The extended bars as a multiset of (phase, degree, birth, death), a
+    cone value x >= M + lambda/2 read as the f-value 2M + lambda - x."""
+    middle, top = spec.M + spec.lam / 2, 2 * spec.M + spec.lam
+    read = lambda x: x if x < middle else top - x
+    return Counter((bar_phase(spec, *iv), d, read(iv.birth), read(iv.death))
+                   for d, iv in extended_barcode(spec))
+
+
+# Cohen-Steiner, Edelsbrunner & Harer 2009, on a closed surface (d = 2):
+# Ord_p(f) <-> Ord_{d-1-p}(-f) and Rel_p(f) <-> Rel_{d+1-p}(-f), each with
+# (b, e) -> (-e, -b), and Ext_p(f) <-> Ext_{d-p}(-f), with (b, e) -> (-b, -e).
+_DUAL = {
+    "ord": lambda p, b, e: ("ord", 1 - p, -e, -b),
+    "rel": lambda p, b, e: ("rel", 3 - p, -e, -b),
+    "ext": lambda p, b, e: ("ext", 2 - p, -b, -e),
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(3, 5), st.booleans(), st.integers(0, 8), st.integers(1, 16), st.data())
+def test_extended_barcodes_of_f_and_minus_f_are_dual(m, twist, slack, lam, data):
+    # values, M and lambda are multiples of 1/8, so that 2M + lambda - x is
+    # exact and the bars compare exactly; slack 0 makes M attained
+    sk = simplices_to_complex(grid_surface(m, twist))
+    vertices = [c.id for c in sk.cells if c.dim == 0]
+    values = [v / 8 for v in data.draw(st.lists(st.integers(-8, 8), min_size=m * m,
+                                                 max_size=m * m))]
+    M = max(map(abs, values)) + slack / 8
+    f, minus_f = (VertexFunction(dict(zip(vertices, [s * v for v in values]))) for s in (1, -1))
+    bars = _read_bars(BifiltrationSpec(sk, f, M=M, lam=lam / 8))
+    dual = Counter({_DUAL[phase](*bar): count for (phase, *bar), count in bars.items()})
+    assert dual == _read_bars(BifiltrationSpec(sk, minus_f, M=M, lam=lam / 8))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from z2persist import (
     BifiltrationSpec,
+    Cell,
     FilteredComplex,
     PointCloud,
     RipsParams,
@@ -33,7 +34,7 @@ from z2persist import (
 )
 from z2persist import VertexFunction, persistence
 from z2persist.cli import main
-from z2persist.complexes import write_fcx
+from z2persist.complexes import _by_major, _owners, write_fcx
 from z2persist.persistence import Reduction, barcode, reduce_filtration
 
 import helpers
@@ -201,6 +202,43 @@ def test_a_reduction_made_from_tuples_equals_the_engines(boundary):
     for key, other in (("pairs", red.pairs[1:]), ("unpaired", red.unpaired[:-1]),
                        ("column_additions", red.column_additions + 1)):
         assert Reduction(**{**fields, key: other}) != red
+
+
+# The coboundary columns come from one sort of the keys (n-1-face, n-1-coface)
+# and a `% n`: complexes with no entries, columns with no entries, one long
+# column, and the tied edge lengths of a square grid.
+@pytest.mark.parametrize("fc", [
+    FilteredComplex([]),
+    FilteredComplex([Cell(0, 0, 0.0)]),
+    FilteredComplex([Cell(0, 0, 0.0), Cell(1, 0, 0.0), Cell(2, 0, 1.0)]),
+    simplices_to_complex({(0, 1): 1.0, (2,): 0.0, (3, 4, 5): 2.0}),
+    simplices_to_complex({(0, 1, v): float(v) for v in range(2, 42)}),
+    simplices_to_complex({(0, v): float(v % 3) for v in range(1, 60)}),
+    rips_filtration(PointCloud(tuple((float(i), float(j)) for i in range(5) for j in range(5))),
+                    RipsParams(max_dim=2, threshold=1.5)),
+], ids=["empty", "one-vertex", "no-edges", "no-cofaces", "edge-of-40-triangles",
+        "vertex-of-59-edges", "square-grid-rips"])
+def test_transpose_edge_cases_reduce_as_the_oracle(fc):
+    fc.validate()
+    # equal pairs, unpaired cells, column_additions and max_column
+    assert reduce_filtration(fc) == reference_clearing(fc, cohomology=True)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_key_sort_is_a_stable_argsort(seed):
+    # the helper sorts `minor` by (major, minor) in major's own buffer; on a
+    # complex's CSR it equals the transpose by a stable argsort of the faces
+    rng = np.random.default_rng(seed)
+    n = [0, 1, 2, 7, 50, 1000][seed]
+    major, minor = rng.integers(0, max(n, 1), (2, 3 * n))
+    by_minor = np.argsort(minor, kind="stable")
+    expected = minor[by_minor[np.argsort(major[by_minor], kind="stable")]]
+    out = _by_major(major, minor, n)
+    assert out is major and out.tolist() == expected.tolist()
+    for fc in _complexes(seed):
+        n, owners = len(fc), _owners(fc.indptr)
+        stable = n - 1 - owners[np.argsort(fc.indices, kind="stable")[::-1]]
+        assert _by_major(n - 1 - fc.indices, n - 1 - owners, n).tolist() == stable.tolist()
 
 
 @st.composite
