@@ -517,38 +517,37 @@ def parse_fcx(text: str) -> FilteredComplex:
     return fc
 
 
-def _close_simplices(labels: np.ndarray, widths: np.ndarray, values: np.ndarray,
-                     vertex_values: Optional[dict] = None) -> FilteredComplex:
-    """The filtered complex of valued simplices and their faces: simplex i
-    is the next widths[i] of `labels`, increasing, at values[i].  A simplex
-    takes its smallest value over repeats and cofaces, or with
-    vertex_values the maximum of the function over its vertices."""
-    starts, top = _indptr(widths)[:-1], int(widths.max())
-    rows, vals, faces = [None] * top, [None] * top, [None] * top
+def _close_simplices(ranks: np.ndarray, widths: np.ndarray, values: np.ndarray,
+                     labels: np.ndarray, vertex_values: Optional[dict] = None) -> FilteredComplex:
+    """The filtered complex of valued simplices and their faces: simplex i is the
+    next widths[i] of `ranks` (increasing indices into the sorted `labels`, each
+    used) at values[i], and takes its smallest value over repeats and cofaces, or
+    with vertex_values the maximum of the function over its vertices."""
+    starts, top, nv = _indptr(widths)[:-1], int(widths.max()), len(labels)
+    rows, vals, faces = [None] * top, [None] * top, [None] * (top + 1)  # faces[top] is empty
     for w in range(top, 0, -1):
         sel = np.flatnonzero(widths == w)
-        r, v = labels[_gather(starts[sel], widths[sel])].reshape(-1, w), values[sel]
+        r, v = ranks[_gather(starts[sel], widths[sel])].reshape(-1, w), values[sel]
         if w < top:  # with the faces of the simplices above, each missing a vertex
             drop = [[j for j in range(w + 1) if j != i] for i in range(w + 1)]
-            r = np.concatenate([r, rows[w][:, drop].reshape(-1, w)])
-            v = np.concatenate([v, np.repeat(vals[w], w + 1)])
-        order = np.lexsort((v, *r.T[::-1]))  # by (row, value): a run's first is its minimum
-        r, v = r[order], v[order]
-        first = np.append(True, (r[1:] != r[:-1]).any(axis=1))
-        rows[w - 1], vals[w - 1] = r[first], v[first]
-        if w < top:  # each generated face's row: the run it was sorted into
-            run = np.empty(len(order), dtype=np.int64)
-            run[order] = np.cumsum(first) - 1
-            faces[w] = run[len(sel):].reshape(-1, w + 1)
-    # Vertex labels become their ranks 0..n-1, which keeps their order.
-    vertices = rows[0][:, 0]
-    rows = [np.searchsorted(vertices, r) for r in rows]
-    labels = vertices.tolist()
+            more = rows[w][:, drop].reshape(-1, w), np.repeat(vals[w], w + 1)
+            r, v = (np.vstack([r, more[0]]), np.append(v, more[1])) if len(sel) else more
+        # One int64 key a row, its vertices as digits in base nv, ranked before a
+        # digit would take it past 2^63; equal rows form a run, each vertex its own.
+        keys = r[:, 0]
+        for column in r.T[1:]:
+            keys = (np.unique(keys, return_inverse=True)[1] if int(keys.max()) >= (1 << 63) // nv
+                    else keys) * nv + column
+        keys, run = np.unique(keys, return_inverse=True) if w > 1 else (np.arange(nv), keys)
+        low = np.full(len(keys), np.inf)
+        np.minimum.at(low, run, v)
+        hit = np.flatnonzero(v == low[run])  # rows at their run's minimum, 0.0 == -0.0
+        pick = np.full(len(keys), len(v))
+        np.minimum.at(pick, run[hit], hit)  # the first of them
+        rows[w - 1], vals[w - 1], faces[w] = r[pick], v[pick], run[len(sel):].reshape(-1, w + 1)
+    labels = labels.tolist()
     if vertex_values is not None:
-        try:
-            f = np.array([vertex_values[v] for v in labels], dtype=float)
-        except KeyError as e:
-            raise ComplexError(f"vertex {e.args[0]} has no function value") from None
+        f = np.array([*map(VertexFunction(vertex_values), labels)], dtype=float)
         bad = np.flatnonzero(~np.isfinite(f))
         if len(bad):
             raise ComplexError(f"vertex {labels[bad[0]]} has a non-finite function value")
@@ -559,30 +558,30 @@ def _close_simplices(labels: np.ndarray, widths: np.ndarray, values: np.ndarray,
 
 
 def parse_spx(text: str, vertex_values: Optional[dict] = None) -> FilteredComplex:
-    """SPX v1: one `<value> <v1> ... <vk>` top simplex per line; in vertexfn
-    mode lines hold bare vertex lists and values come from vertex_values.
-    Array masks name the first faulty line; only a token that fails to
-    convert is looked for line by line."""
-    lines = text_lines(text)
-    if not lines:
+    """SPX v1: one `<value> <v1> ... <vk>` top simplex per line; in vertexfn mode
+    lines hold bare vertex lists and values come from vertex_values.  Tokens
+    convert a kind at a time; only one that fails is looked for line by line."""
+    raw = text.splitlines()
+    if "#" in text:
+        raw = [r.split("#", 1)[0] for r in raw]
+    parts = [*filter(None, map(str.split, raw))]  # the tokens of each line that has any
+    counts = np.fromiter(map(len, parts), np.int64, len(parts))
+    if not len(counts):
         raise ComplexError("no simplices in input")
-    lead, f, fault = int(vertex_values is None), len(lines), None
-    while True:  # read the lines above f
-        parts = [line.split() for _, line in lines[:f]]
-        n = len(parts)
-        try:  # a valued line's value comes first and is popped off, leaving the vertex list
-            values = np.fromiter(map(float, [p.pop(0) for p in parts]), float, n) if lead \
-                else np.zeros(n)
-            labels = np.fromiter(map(int, chain.from_iterable(parts)), np.int64)
+    tokens, lead = np.fromiter(chain.from_iterable(parts), object), int(vertex_values is None)
+    ptr, f, fault = _indptr(counts), len(counts), None
+    while True:  # read the lines above f; a valued line's first token is its value
+        try:
+            values = tokens[ptr[:f]].astype(float) if lead else np.zeros(f)
+            labels = np.delete(tokens[:ptr[f]], ptr[:f * lead]).astype(np.int64)
             break
         except (ValueError, OverflowError):  # f becomes the first line with a bad token
-            f, fault = next((f, why) for f, (_, line) in enumerate(lines)
-                            if (why := _token_fault(line.split(), lead)))
-    widths = np.fromiter(map(len, parts), np.int64, n)
-    owner = np.repeat(np.arange(n), widths)
-    labels = labels[np.lexsort((labels, owner))]  # increasing within each line
+            f, fault = next((f, why) for f, p in enumerate(parts) if (why := _token_fault(p, lead)))
+    widths = counts[:f] - lead
+    labels, rank = np.unique(labels, return_inverse=True)  # ranks, then sorted in each line
+    keys = np.sort(np.repeat(np.arange(f) * len(labels), widths) + rank)
     repeats = widths < 1  # no vertex, or one vertex twice
-    repeats[owner[1:][(labels[1:] == labels[:-1]) & (owner[1:] == owner[:-1])]] = True
+    repeats[keys[1:][keys[1:] == keys[:-1]] // len(labels)] = True
     bad = repeats | (widths > _MAX_VERTICES) | ~np.isfinite(values)
     if bad.any():  # a line above f; its rules go vertex list, then size, then value
         f = int(bad.argmax())
@@ -590,8 +589,8 @@ def parse_spx(text: str, vertex_values: Optional[dict] = None) -> FilteredComple
                  if widths[f] <= _MAX_VERTICES else
                  f"simplex has {widths[f]} vertices, above the limit of {_MAX_VERTICES}")
     if fault:
-        raise ComplexError(f"line {lines[f][0]}: {fault}")
-    return _close_simplices(labels, widths, values, vertex_values)
+        raise ComplexError(f"line {text_lines(text)[f][0]}: {fault}")
+    return _close_simplices(keys % len(labels), widths, values, labels, vertex_values)
 
 
 def _token_fault(parts: list[str], lead: int) -> Optional[str]:

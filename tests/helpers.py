@@ -35,9 +35,10 @@ from z2persist.rips import PointCloud, RipsParams
 def simplices_to_complex(valued: dict, vertex_values: Optional[dict] = None) -> FilteredComplex:
     """The library's simplex closure (`_close_simplices`, which `parse_spx`
     runs) of a dict from increasing label tuples to values."""
-    return _close_simplices(np.fromiter(chain.from_iterable(valued), np.int64),
-                            np.fromiter(map(len, valued), np.int64),
-                            np.fromiter(valued.values(), float), vertex_values)
+    labels, ranks = np.unique(np.fromiter(chain.from_iterable(valued), np.int64),
+                              return_inverse=True)
+    return _close_simplices(ranks, np.fromiter(map(len, valued), np.int64),
+                            np.fromiter(valued.values(), float), labels, vertex_values)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ ids relabelled."""
 import math
 import random
 import warnings
+from itertools import repeat
 from unittest import mock
 
 import numpy as np
@@ -219,13 +220,15 @@ BAD_SPX_LINES = {
     "oversize simplex": "{x} " + " ".join(map(str, range(-8, _MAX_VERTICES - 7))),
 }
 VALUED_ONLY = {"nan value", "inf value", "empty vertex list"}
+# Every string that `str.splitlines` ends a line at.
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
 
 
 @st.composite
 def spx_inputs(draw):
     """A random SPX text in either mode with comments, blank lines, tabs,
-    mixed widths and repeated simplices, sometimes with bad lines, and the
-    vertex values of vertexfn mode."""
+    every line break, mixed widths and repeated simplices, sometimes with
+    bad lines, and the vertex values of vertexfn mode."""
     valued = draw(st.booleans())
     pool = LABEL_POOLS[draw(st.sampled_from(sorted(LABEL_POOLS)))]
     labels = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8, unique=True))
@@ -251,7 +254,10 @@ def spx_inputs(draw):
         lines.insert(draw(st.integers(0, len(lines))), bad.format(x=draw(value), a=a, b=b))
     vertex_values = None if valued else {v: draw(st.sampled_from([-1.0, 0.0, 0.5, 2.0]))
                                          for v in labels + [max(labels) + 1]}
-    return "\n".join(lines), vertex_values
+    # a break after every line but the last, which may also end the text
+    breaks = [draw(st.sampled_from(LINE_BREAKS)) for _ in lines[1:]]
+    breaks.append(draw(st.sampled_from(LINE_BREAKS + [""])))
+    return "".join(map(str.__add__, lines, breaks)), vertex_values
 
 
 @settings(max_examples=200, deadline=None)
@@ -266,6 +272,89 @@ def test_spx_reader_matches_the_line_at_a_time_oracle(case):
         assert str(got.value) == str(e)
     else:
         assert_same_cells(parse_spx(text, vertex_values), expected)
+
+
+@pytest.mark.parametrize("bad", ["{x} 3 1 3", "{x} 3 x", "{x} 3 99999999999999999999"],
+                         ids=["repeated vertex", "malformed vertex", "id past int64"])
+@pytest.mark.parametrize("brk", LINE_BREAKS, ids=repr)
+@pytest.mark.parametrize("end", [True, False], ids=["ended", "unended"])
+def test_spx_names_the_bad_line_after_each_line_break(brk, bad, end):
+    # lines 2 and 3 hold nothing, and line 5, the last, is the first bad one
+    for x, vertex_values in (("1.5", None), ("", dict.fromkeys(range(4), 0.0))):
+        lines = [f"{x} 0 1", "", "# a comment", f"{x} 1 2 # another", bad.format(x=x)]
+        text = brk.join(line.strip() for line in lines) + brk * end
+        with pytest.raises(ComplexError) as expected:
+            reference_parse_spx(text, vertex_values)
+        with pytest.raises(ComplexError, match="^line 5: ") as got:
+            parse_spx(text, vertex_values)
+        assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("a, b", [("0.0", "-0.0"), ("-0.0", "0.0")])
+def test_spx_equal_values_keep_the_first_row(a, b):
+    # 0.0 and -0.0 are equal, so the closure's rule for ties fixes the sign:
+    # a simplex keeps the first of its listed rows and then generated faces
+    # (in the order of their cofaces) that holds its smallest value.
+    fc = parse_spx(f"{a} 0 1\n{b} 1 0\n{b} 0 1 2\n")
+    got = {fc.label(j): repr(v) for j, v in enumerate(fc.values.tolist())}
+    assert got == {"0": a, "1": a, "2": b, "0-1": a, "0-2": b, "1-2": b, "0-1-2": b}
+
+
+# Forty labels of the "large" pool's kind: ids near 10^15 and the extremes.
+WIDE_LABELS = LABEL_POOLS["large"] + [10**15 + 7 * i for i in range(6, 36)]
+
+
+def wide_simplices(top):
+    """The `top` largest of the forty labels, the four smallest with the
+    eight largest, and triangles through the smallest that use the rest.
+    Read in base 40, a row of twelve ranks from 24 up passes 2^63 and one
+    from 0 does not, so a wrapped key would sort the first before the second."""
+    labels = sorted(WIDE_LABELS)
+    simplices = [labels[-top:], labels[:4] + labels[-8:]]
+    rest = labels[4:-top]
+    simplices += [[labels[0], *rest[i:i + 2]] for i in range(0, len(rest), 2)]
+    return [tuple(s) for s in simplices]
+
+
+def spx_text(rng, simplices, values=None):
+    """SPX lines of the simplices, each listing its vertices shuffled."""
+    lines = [" ".join(map(str, rng.sample(s, len(s)))) for s in simplices]
+    return "".join(f"{line}\n" if values is None else f"{x!r} {line}\n"
+                   for x, line in zip(values or repeat(None), lines))
+
+
+@pytest.mark.parametrize("vertex_values", [False, True], ids=["valued", "vertex-values"])
+def test_spx_rows_past_int64_keys_match_oracle(vertex_values):
+    rng = random.Random(80 + vertex_values)
+    simplices = wide_simplices(12)
+    if vertex_values:
+        vv = {v: rng.choice([-1.0, 0.0, 0.5, 2.0]) for v in WIDE_LABELS}
+        fc = parse_spx(spx_text(rng, simplices), vv)
+        ref = reference_simplices_to_complex(dict.fromkeys(simplices, 0.0), vv)
+    else:
+        values = [rng.choice([0.0, 1.0, 2.5, -1.0]) for _ in simplices]
+        values[1] = values[0]  # so the wide rows tie and their keys order them
+        fc = parse_spx(spx_text(rng, simplices, values))
+        ref = reference_simplices_to_complex(dict(zip(simplices, values)))
+    assert_same_cells(fc, ref)
+
+
+def test_spx_sixteen_vertex_line_over_forty_labels_matches_oracle():
+    # With every value 0 the cells are numbered by (dim, vertex tuple)
+    # alone, so a key that wrapped past 2^63 would misnumber them; a
+    # vertex function that is 0 everywhere gives the same complex.  The
+    # oracle's cells are compared by their arrays and names (the vertex
+    # labels), as walking 69,435 closures for their vertex sets would
+    # take minutes.
+    rng = random.Random(90)
+    simplices = wide_simplices(_MAX_VERTICES)
+    ref = reference_simplices_to_complex(dict.fromkeys(simplices, 0.0))
+    for text, vv in ((spx_text(rng, simplices, [0.0] * len(simplices)), None),
+                     (spx_text(rng, simplices), dict.fromkeys(WIDE_LABELS, 0.0))):
+        fc = parse_spx(text, vv)
+        for name in ("dims", "values", "indptr", "indices"):
+            assert np.array_equal(getattr(fc, name), getattr(ref, name)), name
+        assert list(map(fc.label, range(len(fc)))) == list(map(ref.label, range(len(ref))))
 
 
 def test_spx_simplex_size_limit():
