@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
@@ -37,6 +38,8 @@ class _Side:
     bar's death is kept as 0, so two infinite bars cost their birth gap."""
 
     def __init__(self, b: Barcode, k: int):
+        if not hasattr(k, "__index__") or operator.index(k) < 0:
+            raise ValueError(f"degree must be a nonnegative integer, not {k!r}")
         at = slice(bisect_left(b.degrees, k), bisect_right(b.degrees, k))
         births, deaths = b.births[at], b.deaths[at]
         self.index = sorted(range(len(births)), key=lambda i: deaths[i] == math.inf)
@@ -60,10 +63,12 @@ class _Side:
 
 def _lower_bound(a: _Side, b: _Side, bound: float) -> float:
     """The larger of `bound` and the largest, over a's bars, min(half-length,
-    cheapest edge into b), no smaller eps being feasible.  A sweep outward in
-    birth order stops once the birth gap costs the best edge so far."""
+    cheapest edge into b), no smaller eps being feasible.  Longest bars first,
+    up to one no longer than the bound, each swept outward in birth order."""
     births, deaths = b.births, b.deaths
-    for v, best in enumerate(a.half):
+    for v in sorted(range(len(a.half)), key=a.half.__getitem__, reverse=True):
+        if (best := a.half[v]) <= bound:
+            break
         s, d, (lo, hi) = a.births[v], a.deaths[v], a.kin(v, b)
         mid = bisect_left(births, s, lo, hi)
         for side in (range(mid, hi), range(mid - 1, lo - 1, -1)):
@@ -212,6 +217,15 @@ def _hopcroft_karp(adj: list[list[int]], match_l: list[int], match_r: list[int])
                     us.append(w)
 
 
+def _distance(b1: Barcode, b2: Barcode, k: int) -> tuple[float, Optional[tuple]]:
+    """The degree-k distance and, when finite, the `_witness` arguments."""
+    a, b = _Side(b1, k), _Side(b2, k)
+    if a.infinite != b.infinite:
+        return math.inf, None
+    value, probe = _search(a, b)  # inf if a half-length overflowed
+    return (math.inf, None) if value == math.inf else (value, (a, b, *probe))
+
+
 def bottleneck_matching(
     b1: Barcode, b2: Barcode, k: int
 ) -> tuple[float, Optional[Matching]]:
@@ -227,21 +241,15 @@ def bottleneck_matching(
     `_witness` joins the last feasible probe's matchings.  Barcodes with
     different numbers of infinite bars are at distance infinity.
     """
-    a, b = _Side(b1, k), _Side(b2, k)
-    if a.infinite != b.infinite:
-        return math.inf, None
-    value, (m1, m2) = _search(a, b)
-    if value == math.inf:  # a half-length overflowed
-        return math.inf, None
-    return value, _witness(a, b, m1, m2)
+    value, found = _distance(b1, b2, k)
+    return value, found and _witness(*found)
 
 
 def bottleneck(b1: Barcode, b2: Barcode, k: Optional[int] = None) -> float:
-    """Bottleneck distance in degree k, or the max over all degrees."""
-    if k is not None:
-        return bottleneck_matching(b1, b2, k)[0]
-    dims = set(b1.dims()) | set(b2.dims())
-    return max((bottleneck_matching(b1, b2, d)[0] for d in dims), default=0.0)
+    """Bottleneck distance in degree k, or the max over all degrees; no
+    witness is built."""
+    dims = set(b1.dims()) | set(b2.dims()) if k is None else [k]
+    return max((_distance(b1, b2, d)[0] for d in dims), default=0.0)
 
 
 def interleaved(b1: Barcode, b2: Barcode, k: int, eps: float) -> bool:

@@ -879,10 +879,11 @@ def _reference_feasible(
             out += [nr + v for v in range(nl)]
         return out
 
+    adj = [edges(u) for u in range(size)]  # once per probe, not per visit
     match_r = [-1] * size
 
     def augment(u: int, seen: list[bool]) -> bool:
-        for v in edges(u):
+        for v in adj[u]:
             if not seen[v]:
                 seen[v] = True
                 if match_r[v] == -1 or augment(match_r[v], seen):

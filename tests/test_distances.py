@@ -17,6 +17,7 @@ from z2persist import (
     stability_harness,
 )
 
+from z2persist import distances
 from z2persist.cli import main
 
 from helpers import (
@@ -291,6 +292,73 @@ def test_an_infeasible_lower_bound_is_searched_past():
         assert d >= bound and interleaved(b1, b2, 1, bound) == (d == bound)
         searched += d > bound
     assert searched >= 4  # the gallop and the bracket's bisection ran
+
+
+def searched_bound(b1, b2, k):
+    """The library's first probe, as `_search` takes it."""
+    a, b = distances._Side(b1, k), distances._Side(b2, k)
+    return distances._lower_bound(b, a, distances._lower_bound(a, b, 0.0))
+
+
+def test_the_lower_bound_is_the_definitional_one():
+    rng = random.Random(39)
+    for trial in range(300):
+        left, right = (tied_intervals(rng, rng.randint(0, 14), rng.randint(0, 4)) for _ in "ab")
+        if trial % 7 == 0:
+            right = []
+        if trial % 5 == 0:  # every finite bar of one length
+            left, right = ([iv if iv.death == INF else Interval(iv.birth, iv.birth + 1.5)
+                            for iv in side] for side in (left, right))
+        b1, b2 = Barcode([(1, iv) for iv in left]), Barcode([(1, iv) for iv in right])
+        assert searched_bound(b1, b2, 1) == lower_bound(left, right), (trial, left, right)
+
+
+def test_the_lower_bound_stops_at_the_first_bar_no_longer_than_it(monkeypatch):
+    # every bar has half-length 2; the first deletion sets the bound to 2, so
+    # no later bar looks for a partner
+    visits = []
+    kin = distances._Side.kin
+    monkeypatch.setattr(distances._Side, "kin", lambda *args: visits.append(1) or kin(*args))
+    b1, b2 = bc(0, *[(0, 4)] * 5), bc(0, (9, 13))
+    assert searched_bound(b1, b2, 0) == 2.0
+    assert len(visits) == 1
+
+
+def test_the_value_path_equals_the_witness_path():
+    rng = random.Random(40)
+    for trial in range(150):
+        n_inf = rng.randint(0, 3)
+        bars = []
+        for side in range(2):
+            bars.append([(k, iv) for k in range(3) for iv in tied_intervals(
+                rng, rng.randint(0, 10), n_inf if trial % 6 else rng.randint(0, 3))])
+            if trial % 4 == side:  # a half-length that overflows to inf
+                bars[-1].append((rng.randint(0, 2), Interval(-1e308 * rng.uniform(0.9, 1),
+                                                             1e308 * rng.uniform(0.9, 1))))
+        b1, b2 = Barcode(bars[0]), Barcode(bars[1])
+        values = [bottleneck_matching(b1, b2, k)[0] for k in range(3)]
+        assert [bottleneck(b1, b2, k) for k in range(3)] == values, trial
+        assert bottleneck(b1, b2) == max(values), trial
+    assert bottleneck(bc(0, (-1e308, 1e308)), bc(0), 0) == INF
+
+
+@pytest.mark.parametrize("k", [-1, 1.5, "0", None])
+def test_a_degree_must_be_a_nonnegative_integer(k):
+    b = bc(0, (0, 1), (0, INF))
+    with pytest.raises(ValueError, match="degree must be a nonnegative integer"):
+        bottleneck_matching(b, b, k)
+    with pytest.raises(ValueError, match="degree must be a nonnegative integer"):
+        interleaved(b, b, k, 0.0)
+    if k is not None:  # None asks for the max over degrees
+        with pytest.raises(ValueError, match="degree must be a nonnegative integer"):
+            bottleneck(b, b, k)
+
+
+def test_a_numpy_degree_is_accepted():
+    import numpy as np
+    b1, b2 = bc(1, (0, 4)), bc(1, (1, 4))
+    assert bottleneck(b1, b2, np.int64(1)) == bottleneck_matching(b1, b2, np.int32(1))[0] == 1.0
+    assert interleaved(b1, b2, np.int64(1), 1.0)
 
 
 def diagram(rng, n, scale):
