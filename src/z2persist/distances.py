@@ -42,9 +42,10 @@ class _Side:
             raise ValueError(f"degree must be a nonnegative integer, not {k!r}")
         at = slice(bisect_left(b.degrees, k), bisect_right(b.degrees, k))
         births, deaths = b.births[at], b.deaths[at]
-        self.index = sorted(range(len(births)), key=lambda i: deaths[i] == math.inf)
-        self.infinite = deaths.count(math.inf)
-        self.nf = len(births) - self.infinite
+        finite, infinite = [], []  # bar positions in birth order, each kind apart
+        for i, d in enumerate(deaths):
+            (infinite if d == math.inf else finite).append(i)
+        self.index, self.nf, self.infinite = finite + infinite, len(finite), len(infinite)
         self.births = [births[i] for i in self.index]
         self.deaths = [deaths[i] if deaths[i] < math.inf else 0.0 for i in self.index]
         self.half = [(deaths[i] - births[i]) / 2 for i in self.index]  # inf if infinite

@@ -40,7 +40,8 @@ def _cycles(fc: FilteredComplex, k: int, cleared) -> tuple[list, list]:
     cells = np.flatnonzero(fc.dims == k)
     cells = cells[~np.isin(cells, cleared)]
     full = fc.indptr[cells + 1] > fc.indptr[cells]
-    pivots, zeros, _, _ = persistence._reduce(fc.indptr, fc.indices, [cells[full].tolist()], True)
+    pivots, zeros, _, _ = persistence._reduce(fc.indptr, fc.indices, cells[full], True,
+                                              np.full(len(fc), -1))
     unpaired = sorted([*zeros, *cells[~full].tolist()])
     return list(pivots), [frozenset(z2.rows(zeros[j]) if j in zeros else (j,)) for j in unpaired]
 

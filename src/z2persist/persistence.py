@@ -104,11 +104,10 @@ def parse_bcx(text: str) -> Barcode:
 
 class Reduction:
     """Outcome of the column reduction: (birth, death) cell pairs in death
-    order and the unpaired (positive, never-killed) cells in increasing id,
-    as int64 arrays `pair_ids` and `unpaired_ids` and, built on first read,
-    as int tuples `pairs` and `unpaired`.  `column_additions` counts the
-    columns added into others, and `max_column` is the most entries of any
-    nonzero reduced column."""
+    order and the unpaired (never-killed) cells in increasing id, as int64
+    arrays `pair_ids` and `unpaired_ids` and, built on first read, as int
+    tuples `pairs` and `unpaired`.  `column_additions` counts columns added
+    into others, `max_column` the most entries of a column owning a pivot."""
 
     def __init__(self, pairs, unpaired, column_additions: int, max_column: int):
         import numpy as np
@@ -124,49 +123,68 @@ class Reduction:
         return isinstance(other, Reduction) and key(self) == key(other)
 
 
-def _reduce(ptr, flat, groups: Iterable[list], chains: bool):
+def _reduce(ptr, flat, columns, chains: bool, settled):
     """The one column reduction, with clearing (Chen & Kerber 2011).
 
     Column j holds the increasing rows `flat[ptr[j]:ptr[j + 1]]` of two
-    int64 arrays, at least one.  Its pivot, the last, is read from one
-    list, and its rows only when it enters an addition, as an int bitset
-    (`z2`) that with `chains` carries the bitset of the columns summed into
-    it.  The groups are reduced in turn, each in its listed order.  A
-    column whose id is the pivot of an earlier column would vanish, and is
-    skipped; any other gets the earlier column with its pivot added until
-    its pivot is fresh or it vanishes.  Returns {pivot: column} for the
-    nonzero columns, {column: chain} for the vanished ones, {column:
-    bitset} for the nonzero columns made bitsets, and the additions.
+    int64 arrays, at least one.  The int64 `columns` are reduced in order,
+    their pivots (last rows) read at once, their rows only for an addition,
+    as int bitsets (`z2`) that with `chains` carry the bitset of the columns
+    summed in; `settled[r]` is -1 or a column with pivot r settled before.
+    A column whose id is a pivot is skipped; any other gets the column with
+    its pivot added until its pivot is fresh or it vanishes.  Returns {pivot:
+    column} for the loop's nonzero columns, {column: chain} for the vanished
+    ones, {column: bitset} for the nonzero ones made bitsets, and additions.
     """
-    lows = flat[ptr[1:] - 1].tolist() if len(flat) else []  # garbage for empty columns
-    pivots: dict[int, int] = {}   # pivot -> the column with that pivot
+    pivots: dict[int, int] = {}   # pivot -> the loop's column with that pivot
     reduced: dict[int, int] = {}  # column -> its reduced bitset, once made
     chain: dict[int, int] = {}    # column -> its chain, unless just itself
     zeros: dict[int, int] = {}    # vanished column -> its chain
     additions = 0
-    for group in groups:
-        for j in group:
-            if j in pivots:
+    lows = flat[ptr[columns + 1] - 1]
+    for j, low, other in zip(columns.tolist(), lows.tolist(), settled[lows].tolist()):
+        if j in pivots:
+            continue
+        other = pivots.get(low, other)
+        if other >= 0:
+            col = z2.bitset(flat[ptr.item(j):ptr.item(j + 1)])
+            v = 1 << j if chains else 0
+            while other >= 0:
+                if other not in reduced:
+                    reduced[other] = z2.bitset(flat[ptr.item(other):ptr.item(other + 1)])
+                col ^= reduced[other]
+                additions += 1
+                if chains:
+                    v ^= chain.get(other, 1 << other)
+                low = col.bit_length() - 1
+                other = pivots.get(low, settled.item(low)) if col else -1
+            if not col:
+                zeros[j] = v
                 continue
-            other = pivots.get(low := lows[j])
-            if other is not None:
-                col = z2.bitset(flat[ptr.item(j):ptr.item(j + 1)])
-                v = 1 << j if chains else 0
-                while other is not None:
-                    if other not in reduced:
-                        reduced[other] = z2.bitset(flat[ptr.item(other):ptr.item(other + 1)])
-                    col ^= reduced[other]
-                    additions += 1
-                    if chains:
-                        v ^= chain.get(other, 1 << other)
-                    low = col.bit_length() - 1
-                    other = pivots.get(low)
-                if not col:
-                    zeros[j] = v
-                    continue
-                reduced[j], chain[j] = col, v
-            pivots[low] = j
+            reduced[j], chain[j] = col, v
+        pivots[low] = j
     return pivots, zeros, reduced, additions
+
+
+def _components(fc: FilteredComplex):
+    """The (vertex, edge) pairs of degree 0, by union-find and the elder rule."""
+    import numpy as np
+    vertices = np.flatnonzero(fc.dims == 0)
+    rank = np.cumsum(fc.dims == 0) - 1  # a vertex's place among the vertices
+    edges = np.flatnonzero((fc.dims == 1) & (fc.indptr[1:] - fc.indptr[:-1] == 2))
+    ends = rank[fc.indices[fc.indptr[edges] + [[0], [1]]]].tolist()
+    up, pairs, left = list(range(len(vertices))), [], len(vertices)
+    for e, u, v in zip(edges.tolist(), *ends):
+        while u != up[u]:  # path halving
+            up[u] = u = up[up[u]]
+        while v != up[v]:
+            up[v] = v = up[up[v]]
+        if u != v:
+            up[max(u, v)] = min(u, v)
+            pairs += (max(u, v), e)
+            if (left := left - 1) == 1:
+                break
+    return np.stack([vertices[pairs[::2]], np.array(pairs[1::2], np.int64)], 1)
 
 
 def reduce_filtration(fc: FilteredComplex) -> Reduction:
@@ -178,27 +196,34 @@ def reduce_filtration(fc: FilteredComplex) -> Reduction:
     c of cell i, found by one sort of the keys (n-1-i, n-1-c).  Dimensions
     go upward, so a pivot n-1-c pairs cell i with c and clears the column
     of c: the pairs of the standard left-to-right boundary reduction (de
-    Silva, Morozov & Vejdemo-Johansson 2011).  A column with no entries
-    vanishes unless it is cleared, which is decided outside the loop.
+    Silva, Morozov & Vejdemo-Johansson 2011).  Union-find settles degree 0
+    if every 1-cell has 0 or 2 faces, and i pairs with its oldest coface c if
+    i is c's youngest face (apparent, Bauer 2021: no earlier column has n-1-c).
     """
     import numpy as np
     from .complexes import _by_major, _indptr, _owners
     n = len(fc)
     flat = _by_major(n - 1 - fc.indices, n - 1 - _owners(fc.indptr), n)
     ptr, dims = _indptr(np.bincount(fc.indices, minlength=n)[::-1]), fc.dims[::-1]
-    full = ptr[1:] > ptr[:-1]
-    pivots, zeros, reduced, additions = _reduce(ptr, flat, (
-        np.flatnonzero(full & (dims == k)).tolist() for k in sorted(set(dims.tolist()))), False)
-    low = np.fromiter(pivots, np.int64, len(pivots))
-    col = np.fromiter(pivots.values(), np.int64, len(pivots))
+    cols = np.flatnonzero(ptr[1:] > ptr[:-1])
+    lows = flat[ptr[cols + 1] - 1]
+    graph = not ((fc.indptr[1:] - fc.indptr[:-1])[fc.dims == 1] & ~2).any()  # 1-cells: 0, 2 faces
+    merges = _components(fc) if graph else np.empty((0, 2), np.int64)
+    apparent = (fc.indices[fc.indptr[n - lows] - 1] == n - 1 - cols) & (dims[cols] >= graph)
+    done = graph & (dims == 0)  # after union-find no vertex column is apparent or reduced
+    done[cols[apparent]] = done[lows[apparent]] = done[n - 1 - merges] = True
+    todo, owner = cols[~done[cols]], np.full(n, -1)
+    owner[lows[apparent]] = cols[apparent]
+    pivots, _, reduced, additions = _reduce(  # dimensions upward
+        ptr, flat, todo[np.argsort(dims[todo], kind="stable")], False, owner)
+    low = np.concatenate([np.fromiter(pivots, np.int64, len(pivots)), lows[apparent]])
+    col = np.concatenate([np.fromiter(pivots.values(), np.int64, len(pivots)), cols[apparent]])
     size = np.diff(ptr)  # a kept column's entries: its row count, or its bitset's
     size[np.fromiter(reduced, np.int64, len(reduced))] = [*map(int.bit_count, reduced.values())]
     longest = int(size[col].max()) if len(col) else 0
-    free = ~full
-    free[low] = False
-    unpaired = np.concatenate([np.fromiter(zeros, np.int64, len(zeros)), np.flatnonzero(free)])
-    pairs = n - 1 - np.stack([col, low], 1)  # back from the anti-transpose: (birth, death)
-    return Reduction(pairs[np.argsort(pairs[:, 1])], np.sort(n - 1 - unpaired), additions, longest)
+    pairs = np.concatenate([n - 1 - np.stack([col, low], 1), merges])  # (birth, death)
+    unpaired = np.flatnonzero(np.bincount(pairs.ravel(), minlength=n) == 0)
+    return Reduction(pairs[np.argsort(pairs[:, 1])], unpaired, additions, longest)
 
 
 def barcode(fc: FilteredComplex) -> Barcode:

@@ -152,7 +152,7 @@ def rips_filtration(pc: PointCloud, params: RipsParams) -> FilteredComplex:
     values = [np.zeros(n)]
     faces = [np.zeros((n, 1), dtype=np.int64)]  # the empty face
     key = np.arange(n)  # each row's (parent row) * n + last vertex, increasing
-    for _ in range(params.max_dim):
+    for k in range(1, params.max_dim + 1):
         parent, last = _cofaces(adj, simplices[-1], sum(map(len, simplices)))
         if not len(parent):  # no clique extends: every higher dimension is empty
             break
@@ -161,8 +161,11 @@ def rips_filtration(pc: PointCloud, params: RipsParams) -> FilteredComplex:
         for c in range(rows.shape[1] - 1):
             diam = np.maximum(diam, dist[rows[:, c], last])
         # The face without the last vertex is the parent; the face without
-        # an earlier vertex is the parent's face without it, plus the last.
-        face = np.searchsorted(key, faces[-1][parent] * n + last[:, None])
+        # an earlier vertex is the parent's face without it, plus the last:
+        if k == 2:  # an edge, read from an n x n int32 table: edges before it in `adj`
+            face = adj.cumsum(dtype=np.int32).reshape(n, n)[faces[-1][parent], last[:, None]] - 1
+        else:  # a row found by bisecting the keys
+            face = np.searchsorted(key, faces[-1][parent] * n + last[:, None])
         simplices.append(rows)
         values.append(diam)
         faces.append(np.column_stack((face, parent)))

@@ -582,6 +582,12 @@ def reference_reduction(fc: FilteredComplex) -> OracleReduction:
                            column_additions=additions, max_column=longest)
 
 
+def graph_like(fc: FilteredComplex) -> bool:
+    """Whether every 1-cell has no faces or two, as in every simplicial and
+    CW complex: the library then settles degree 0 by union-find."""
+    return all(len(c.boundary) in (0, 2) for c in fc.cells if c.dim == 1)
+
+
 def reference_clearing(fc: FilteredComplex, cohomology: bool) -> Reduction:
     """The library's reduction with clearing, kept as an oracle of its work
     counters, on sorted-tuple columns indexed by cell id.
@@ -593,9 +599,13 @@ def reference_clearing(fc: FilteredComplex, cohomology: bool) -> Reduction:
     increase, the pivot is the highest face and chains are added along
     (the twist; the tests count those additions).  A cell that is already a
     pivot is skipped.  Pairs come back in death order and unpaired cells in
-    increasing id.
+    increasing id.  The counters follow the library's rule: on the
+    coboundary side of a complex whose 1-cells have no faces or two
+    (`graph_like`), the library settles degree 0 by union-find, so the
+    degree-0 columns are reduced here for their pairs but count no work.
     """
     cells = fc.cells
+    uncounted = 0 if cohomology and graph_like(fc) else None  # the degree counting no work
     if cohomology:
         columns: dict[int, tuple] = {c.id: () for c in cells}
         for c in cells:
@@ -616,17 +626,17 @@ def reference_clearing(fc: FilteredComplex, cohomology: bool) -> Reduction:
     for j in order:
         if j in owner:
             continue
-        col, v = columns[j], (j,)
+        col, v, counted = columns[j], (j,), cells[j].dim != uncounted
         while col and col[pivot_at] in owner:
             other = owner[col[pivot_at]]
             col = add_into(col, reduced[other])
             if not cohomology:
                 v = add_into(v, chain[other])
-            additions += 1
+            additions += counted
         reduced[j], chain[j] = col, v
         if col:
             owner[col[pivot_at]] = j
-            longest = max(longest, len(col))
+            longest = max(longest, len(col) * counted)
         else:
             zeros.append(j)
     pairs = [(j, p) if cohomology else (p, j) for p, j in owner.items()]

@@ -294,6 +294,17 @@ def test_an_infeasible_lower_bound_is_searched_past():
     assert searched >= 4  # the gallop and the bracket's bisection ran
 
 
+def test_a_side_lists_finite_then_infinite_bars_in_birth_order():
+    # the one-pass split against a stable sort on "is infinite"
+    rng = random.Random(41)
+    for _ in range(200):
+        bars = tied_intervals(rng, rng.randint(0, 12), rng.randint(0, 4))
+        side = distances._Side(Barcode([(1, iv) for iv in bars] + [(0, Interval(0, 1))]), 1)
+        deaths = [d for _, (_, d) in Barcode([(1, iv) for iv in bars])]
+        assert side.index == sorted(range(len(bars)), key=lambda i: deaths[i] == INF)
+        assert (side.nf, side.infinite) == (len(bars) - deaths.count(INF), deaths.count(INF))
+
+
 def searched_bound(b1, b2, k):
     """The library's first probe, as `_search` takes it."""
     a, b = distances._Side(b1, k), distances._Side(b2, k)
