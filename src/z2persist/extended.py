@@ -24,9 +24,9 @@ from .persistence import Barcode, Interval, barcode, persistent_betti
 class BifiltrationSpec:
     """Skeleton plus vertex function, bound M and spacing lambda.
 
-    M is the one bound of f: it defaults to max|f| + 1, and any finite
-    M >= max|f| is accepted, so it may be attained (M = 0 for f = 0).
-    The spacing separates the ascending phase from the descending one.
+    M is the one bound of f: it defaults to max|f| + 1, and any M >= max|f|
+    (M = 0 for f = 0) with a finite top cone value 2M + lambda - min f is
+    accepted.  The spacing separates the ascending phase from the descending one.
     """
 
     complex: FilteredComplex
@@ -45,6 +45,9 @@ class BifiltrationSpec:
             object.__setattr__(self, "M", sup + 1.0)
         elif not sup <= self.M < math.inf:
             raise ValueError(f"the bound M={self.M} must be finite and at least max|f| = {sup}")
+        if not 2 * self.M + self.lam - min(values) < math.inf:  # the cone's top value
+            raise ValueError(f"the bound M={self.M} and spacing lambda={self.lam} make the "
+                             "cone's top value 2M + lambda - min f not finite")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Absolute Z/2 homology: Betti numbers, cycle generators, duality check.
 
 Betti numbers count the unpaired cells of `persistence.reduce_filtration`,
-and cycles come from boundary passes over its engine, carrying chains.
+and cycles come from boundary passes over its engine, which carries each
+chain as the set of cell ids summed into a column: the form a generator has.
 """
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import persistence, z2
+from . import persistence
 from .complexes import ComplexError, FilteredComplex
 from .persistence import _MAX_DIM
 
@@ -35,15 +36,15 @@ def _cycles(fc: FilteredComplex, k: int, cleared) -> tuple[list, list]:
     """Degree k of the twist (Chen & Kerber 2011): the boundary columns of the
     k-cells not `cleared` are reduced in increasing id, carrying chains.
     Returns the (k-1)-cells they pair with, which clear degree k-1, and a
-    cycle for each k-cell left unpaired, in increasing id: its chain, or
-    itself if its column is empty."""
+    cycle for each k-cell left unpaired, in increasing id: the chain its
+    column vanished with, or itself if its column is empty."""
     cells = np.flatnonzero(fc.dims == k)
     cells = cells[~np.isin(cells, cleared)]
     full = fc.indptr[cells + 1] > fc.indptr[cells]
     pivots, zeros, _, _ = persistence._reduce(fc.indptr, fc.indices, cells[full], True,
                                               np.full(len(fc), -1))
     unpaired = sorted([*zeros, *cells[~full].tolist()])
-    return list(pivots), [frozenset(z2.rows(zeros[j]) if j in zeros else (j,)) for j in unpaired]
+    return list(pivots), [frozenset(zeros.get(j, (j,))) for j in unpaired]
 
 
 def generators(fc: FilteredComplex, k: int) -> list[frozenset]:

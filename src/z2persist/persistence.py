@@ -129,17 +129,17 @@ def _reduce(ptr, flat, columns, chains: bool, settled):
     Column j holds the increasing rows `flat[ptr[j]:ptr[j + 1]]` of two
     int64 arrays, at least one.  The int64 `columns` are reduced in order,
     their pivots (last rows) read at once, their rows only for an addition,
-    as int bitsets (`z2`) that with `chains` carry the bitset of the columns
-    summed in; `settled[r]` is -1 or a column with pivot r settled before.
+    as int bitsets (`z2`); with `chains` each carries the set of column ids
+    summed in.  `settled[r]` is -1 or a column with pivot r settled before.
     A column whose id is a pivot is skipped; any other gets the column with
     its pivot added until its pivot is fresh or it vanishes.  Returns {pivot:
     column} for the loop's nonzero columns, {column: chain} for the vanished
-    ones, {column: bitset} for the nonzero ones made bitsets, and additions.
+    ones, {column: bitset} for the nonzero ones with an addition, and additions.
     """
     pivots: dict[int, int] = {}   # pivot -> the loop's column with that pivot
-    reduced: dict[int, int] = {}  # column -> its reduced bitset, once made
-    chain: dict[int, int] = {}    # column -> its chain, unless just itself
-    zeros: dict[int, int] = {}    # vanished column -> its chain
+    reduced: dict[int, int] = {}  # column -> its bitset, once made
+    chain: dict[int, set] = {}    # nonzero column with an addition -> its chain
+    zeros: dict[int, set] = {}    # vanished column -> its chain
     additions = 0
     lows = flat[ptr[columns + 1] - 1]
     for j, low, other in zip(columns.tolist(), lows.tolist(), settled[lows].tolist()):
@@ -148,22 +148,22 @@ def _reduce(ptr, flat, columns, chains: bool, settled):
         other = pivots.get(low, other)
         if other >= 0:
             col = z2.bitset(flat[ptr.item(j):ptr.item(j + 1)])
-            v = 1 << j if chains else 0
+            v = {j} if chains else None
             while other >= 0:
                 if other not in reduced:
                     reduced[other] = z2.bitset(flat[ptr.item(other):ptr.item(other + 1)])
                 col ^= reduced[other]
                 additions += 1
                 if chains:
-                    v ^= chain.get(other, 1 << other)
+                    v ^= chain.get(other) or {other}
                 low = col.bit_length() - 1
                 other = pivots.get(low, settled.item(low)) if col else -1
             if not col:
                 zeros[j] = v
                 continue
-            reduced[j], chain[j] = col, v
+            reduced[j], chain[j] = col, v  # v is None without `chains`
         pivots[low] = j
-    return pivots, zeros, reduced, additions
+    return pivots, zeros, {j: reduced[j] for j in chain}, additions
 
 
 def _components(fc: FilteredComplex):
@@ -214,12 +214,12 @@ def reduce_filtration(fc: FilteredComplex) -> Reduction:
     done[cols[apparent]] = done[lows[apparent]] = done[n - 1 - merges] = True
     todo, owner = cols[~done[cols]], np.full(n, -1)
     owner[lows[apparent]] = cols[apparent]
-    pivots, _, reduced, additions = _reduce(  # dimensions upward
+    pivots, _, summed, additions = _reduce(  # dimensions upward
         ptr, flat, todo[np.argsort(dims[todo], kind="stable")], False, owner)
     low = np.concatenate([np.fromiter(pivots, np.int64, len(pivots)), lows[apparent]])
     col = np.concatenate([np.fromiter(pivots.values(), np.int64, len(pivots)), cols[apparent]])
-    size = np.diff(ptr)  # a kept column's entries: its row count, or its bitset's
-    size[np.fromiter(reduced, np.int64, len(reduced))] = [*map(int.bit_count, reduced.values())]
+    size = np.diff(ptr)  # a kept column's entries: its row count, or its sum's
+    size[np.fromiter(summed, np.int64, len(summed))] = [*map(int.bit_count, summed.values())]
     longest = int(size[col].max()) if len(col) else 0
     pairs = np.concatenate([n - 1 - np.stack([col, low], 1), merges])  # (birth, death)
     unpaired = np.flatnonzero(np.bincount(pairs.ravel(), minlength=n) == 0)

@@ -3,11 +3,10 @@
 Bit i of a column is set when row i holds a 1, and 0 is the zero column.
 Column addition is `a ^ b`, and the column's low (its largest row index
 holding a 1, the reduction's pivot) is `col.bit_length() - 1`; the
-reduction in `persistence` works on these directly.
+reduction in `persistence` works on these directly.  Chains, the sums of
+columns that homology reads as cycles, are sets of column ids instead.
 """
 from __future__ import annotations
-
-import re
 
 
 def bitset(rows) -> int:
@@ -17,8 +16,3 @@ def bitset(rows) -> int:
     for r in rows.tolist():
         col ^= 1 << r
     return col
-
-
-def rows(col: int) -> tuple[int, ...]:
-    """Increasing row indices holding a 1."""
-    return tuple(m.start() for m in re.finditer("1", bin(col)[:1:-1]))

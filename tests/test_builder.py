@@ -232,7 +232,11 @@ def spx_inputs(draw):
     valued = draw(st.booleans())
     pool = LABEL_POOLS[draw(st.sampled_from(sorted(LABEL_POOLS)))]
     labels = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8, unique=True))
-    value = st.sampled_from(["0", "1.0", "2.5", "-1", "1e0", "+2.50"]) | st.floats(-3, 3).map(repr)
+    # `x + 0.0` turns -0.0 into 0.0: which zero a cell keeps when it gets
+    # both is the tie rule, pinned by test_spx_equal_values_keep_the_first_row;
+    # the oracle does not apply it, so a -0.0 here could fail with no fault
+    value = st.sampled_from(["0", "1.0", "2.5", "-1", "1e0", "+2.50"]) | st.floats(-3, 3).map(
+        lambda x: repr(x + 0.0))
     simplex = st.lists(st.sampled_from(labels), min_size=1, max_size=min(6, len(labels)),
                        unique=True)
     lines, declared = [], []

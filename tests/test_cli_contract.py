@@ -147,6 +147,18 @@ def test_spec_rejects_non_finite_spacing_and_bound(kwargs):
         BifiltrationSpec(sk, f, **kwargs)
 
 
+def test_extended_rejects_a_bound_whose_cone_overflows(tmp_path, capsys):
+    # 2M + lambda - min f is past the floats: the error names the bound,
+    # not a cell of the cone
+    (tmp_path / "t.spx").write_text("0\n1\n0 1\n")
+    (tmp_path / "v.txt").write_text("0 1.0\n1 2.0\n")
+    code, out, err = run_cli(capsys, "extended", tmp_path / "t.spx",
+                             "--vertex-values", tmp_path / "v.txt", "--bound", "1e308")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the bound M=1e+308 and spacing lambda=1.0 ")
+    assert "not finite" in err and "cell" not in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # fuzzing: small random files and flags for every subcommand
 

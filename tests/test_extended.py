@@ -47,6 +47,20 @@ def test_spec_validation():
     assert BifiltrationSpec(sk, f).M == 3.0  # default max|f| + 1
 
 
+@pytest.mark.parametrize("M, lam, values", [
+    (1e308, 1.0, {0: 0.0}),                # 2M overflows
+    (1e307, 1.7e308, {0: 0.0}),            # the spacing does
+    (None, 1.0, {0: -9e307, 1: 9e307}),    # the default M = max|f| + 1 does
+    (8.5e307, 1.0, {0: -8.5e307}),         # 2M is finite, 2M - min f is not
+], ids=["bound", "spacing", "default-bound", "min-f"])
+def test_spec_rejects_a_cone_whose_top_value_overflows(M, lam, values):
+    # The cone's cells go up to 2M + lambda - min f; past the floats the
+    # spec names M and lambda, not a cell of the cone built from them.
+    sk = FilteredComplex([Cell(i, 0, 0.0) for i in range(len(values))])
+    with pytest.raises(ValueError, match=r"^the bound M=.* and spacing lambda=.* not finite$"):
+        BifiltrationSpec(sk, VertexFunction(values), M=M, lam=lam)
+
+
 @pytest.mark.parametrize("values", [{}, {0: INF}, {0: 0.5, 1: -INF}, {0: math.nan, 1: 1.0}],
                          ids=["empty", "inf", "minus-inf", "nan"])
 def test_spec_rejects_an_empty_or_non_finite_f(values):

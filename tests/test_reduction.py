@@ -61,7 +61,9 @@ def _lower_star_surfaces(rng):
 
 
 def _rips_clouds(rng):
-    for n, threshold in ((8, 1.2), (12, 0.9), (16, 0.7)):
+    # the last cloud's truncated skeleton has hundreds of H_2 cycles, the
+    # longest chains tens of triangles
+    for n, threshold in ((8, 1.2), (12, 0.9), (16, 0.7), (30, 1.2)):
         pts = tuple(
             (rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)
         )
