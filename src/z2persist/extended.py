@@ -25,8 +25,8 @@ class BifiltrationSpec:
     """Skeleton plus vertex function, bound M and spacing lambda.
 
     M is the one bound of f: it defaults to max|f| + 1, and any M >= max|f|
-    (M = 0 for f = 0) with a finite top cone value 2M + lambda - min f is
-    accepted.  The spacing separates the ascending phase from the descending one.
+    (M = 0 for f = 0) with 2M + lambda above 2M and a finite top cone value
+    2M + lambda - min f is accepted.  The spacing separates the two phases.
     """
 
     complex: FilteredComplex
@@ -48,6 +48,9 @@ class BifiltrationSpec:
         if not 2 * self.M + self.lam - min(values) < math.inf:  # the cone's top value
             raise ValueError(f"the bound M={self.M} and spacing lambda={self.lam} make the "
                              "cone's top value 2M + lambda - min f not finite")
+        if not 2 * self.M + self.lam > 2 * self.M:  # so 2M + lambda - max f > max f too
+            raise ValueError(f"the bound M={self.M} and spacing lambda={self.lam} round "
+                             "2M + lambda to 2M")
 
 
 @dataclass(frozen=True)

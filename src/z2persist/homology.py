@@ -1,7 +1,7 @@
 """Absolute Z/2 homology: Betti numbers, cycle generators, duality check.
 
 Betti numbers count the unpaired cells of `persistence.reduce_filtration`,
-and cycles come from boundary passes over its engine, which carries each
+and cycles come from one boundary pass over its engine, which carries each
 chain as the set of cell ids summed into a column: the form a generator has.
 """
 from __future__ import annotations
@@ -32,26 +32,27 @@ def betti_numbers(fc: FilteredComplex) -> tuple[int, ...]:
     return tuple(np.bincount(fc.dims[unpaired], minlength=len(_degrees(fc))).tolist())
 
 
-def _cycles(fc: FilteredComplex, k: int, cleared) -> tuple[list, list]:
-    """Degree k of the twist (Chen & Kerber 2011): the boundary columns of the
-    k-cells not `cleared` are reduced in increasing id, carrying chains.
-    Returns the (k-1)-cells they pair with, which clear degree k-1, and a
-    cycle for each k-cell left unpaired, in increasing id: the chain its
-    column vanished with, or itself if its column is empty."""
-    cells = np.flatnonzero(fc.dims == k)
-    cells = cells[~np.isin(cells, cleared)]
+def _cycles(fc: FilteredComplex, cells) -> dict:
+    """The twist (Chen & Kerber 2011) in one engine call: the boundary columns
+    of the int64 `cells`, top dimension first and ids increasing within one,
+    carry chains, and each clears the columns of its pivots.  Returns {cell:
+    cycle} in increasing id for the cells left unpaired: the chain its column
+    vanished with, or the cell itself if its column is empty and no pivot."""
+    cells = cells[np.argsort(-fc.dims[cells], kind="stable")]
     full = fc.indptr[cells + 1] > fc.indptr[cells]
-    pivots, zeros, _, _ = persistence._reduce(fc.indptr, fc.indices, cells[full], True,
-                                              np.full(len(fc), -1))
-    unpaired = sorted([*zeros, *cells[~full].tolist()])
-    return list(pivots), [frozenset(zeros.get(j, (j,))) for j in unpaired]
+    pivots, zeros, _ = persistence._reduce(fc.indptr, fc.indices, cells[full], True,
+                                           np.full(len(fc), -1))
+    empty = [j for j in cells[~full].tolist() if j not in pivots]
+    return {j: frozenset(zeros.get(j, (j,))) for j in sorted([*zeros, *empty])}
 
 
 def generators(fc: FilteredComplex, k: int) -> list[frozenset]:
-    """Cycle representatives for a basis of H_k, as sets of cell ids: degree k
-    alone is reduced, cleared by the births of `reduce_filtration`'s pairs.
+    """Cycle representatives for a basis of H_k, as sets of cell ids: the
+    k-cells alone are reduced, less the births of `reduce_filtration`'s pairs.
     Any basis of cycles modulo boundaries is equally valid."""
-    return _cycles(fc, k, persistence.reduce_filtration(fc).pair_ids[:, 0])[1]
+    cells = fc.dims == k
+    cells[persistence.reduce_filtration(fc).pair_ids[:, 0]] = False
+    return [*_cycles(fc, np.flatnonzero(cells)).values()]
 
 
 @dataclass(frozen=True)
@@ -61,11 +62,10 @@ class HomologySummary:
 
 
 def summarize(fc: FilteredComplex) -> HomologySummary:
-    """Betti numbers and generators by `_cycles` from the top dimension down."""
-    degrees, cleared, found = _degrees(fc), [], {}
-    for k in sorted(set(fc.dims.tolist()), reverse=True):
-        cleared, found[k] = _cycles(fc, k, cleared)
-    gens = {k: found.get(k, []) for k in degrees}
+    """Betti numbers and generators by one `_cycles` call over every cell."""
+    gens = {k: [] for k in _degrees(fc)}
+    for j, cycle in _cycles(fc, np.arange(len(fc))).items():
+        gens[fc.dims.item(j)].append(cycle)
     return HomologySummary(betti={k: len(g) for k, g in gens.items()}, generators=gens)
 
 

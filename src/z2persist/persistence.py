@@ -107,19 +107,18 @@ class Reduction:
     order and the unpaired (never-killed) cells in increasing id, as int64
     arrays `pair_ids` and `unpaired_ids` and, built on first read, as int
     tuples `pairs` and `unpaired`.  `column_additions` counts columns added
-    into others, `max_column` the most entries of a column owning a pivot."""
+    into others."""
 
-    def __init__(self, pairs, unpaired, column_additions: int, max_column: int):
+    def __init__(self, pairs, unpaired, column_additions: int):
         import numpy as np
         self.pair_ids = np.asarray(pairs, np.int64).reshape(-1, 2)
-        self.unpaired_ids = np.asarray(unpaired, np.int64)
-        self.column_additions, self.max_column = column_additions, max_column
+        self.unpaired_ids, self.column_additions = np.asarray(unpaired, np.int64), column_additions
 
     pairs = cached_property(lambda self: tuple(map(tuple, self.pair_ids.tolist())))
     unpaired = cached_property(lambda self: tuple(self.unpaired_ids.tolist()))
 
     def __eq__(self, other) -> bool:
-        key = lambda r: (r.pairs, r.unpaired, r.column_additions, r.max_column)
+        key = lambda r: (r.pairs, r.unpaired, r.column_additions)
         return isinstance(other, Reduction) and key(self) == key(other)
 
 
@@ -131,10 +130,10 @@ def _reduce(ptr, flat, columns, chains: bool, settled):
     their pivots (last rows) read at once, their rows only for an addition,
     as int bitsets (`z2`); with `chains` each carries the set of column ids
     summed in.  `settled[r]` is -1 or a column with pivot r settled before.
-    A column whose id is a pivot is skipped; any other gets the column with
-    its pivot added until its pivot is fresh or it vanishes.  Returns {pivot:
-    column} for the loop's nonzero columns, {column: chain} for the vanished
-    ones, {column: bitset} for the nonzero ones with an addition, and additions.
+    A column whose id is a pivot is skipped (cleared); any other gets the
+    column with its pivot added until its pivot is fresh or it vanishes.
+    Returns {pivot: column} for the nonzero columns, {column: chain} for the
+    vanished ones (None without `chains`), and the column additions.
     """
     pivots: dict[int, int] = {}   # pivot -> the loop's column with that pivot
     reduced: dict[int, int] = {}  # column -> its bitset, once made
@@ -163,7 +162,7 @@ def _reduce(ptr, flat, columns, chains: bool, settled):
                 continue
             reduced[j], chain[j] = col, v  # v is None without `chains`
         pivots[low] = j
-    return pivots, zeros, {j: reduced[j] for j in chain}, additions
+    return pivots, zeros, additions
 
 
 def _components(fc: FilteredComplex):
@@ -214,16 +213,13 @@ def reduce_filtration(fc: FilteredComplex) -> Reduction:
     done[cols[apparent]] = done[lows[apparent]] = done[n - 1 - merges] = True
     todo, owner = cols[~done[cols]], np.full(n, -1)
     owner[lows[apparent]] = cols[apparent]
-    pivots, _, summed, additions = _reduce(  # dimensions upward
+    pivots, _, additions = _reduce(  # dimensions upward
         ptr, flat, todo[np.argsort(dims[todo], kind="stable")], False, owner)
     low = np.concatenate([np.fromiter(pivots, np.int64, len(pivots)), lows[apparent]])
     col = np.concatenate([np.fromiter(pivots.values(), np.int64, len(pivots)), cols[apparent]])
-    size = np.diff(ptr)  # a kept column's entries: its row count, or its sum's
-    size[np.fromiter(summed, np.int64, len(summed))] = [*map(int.bit_count, summed.values())]
-    longest = int(size[col].max()) if len(col) else 0
     pairs = np.concatenate([n - 1 - np.stack([col, low], 1), merges])  # (birth, death)
     unpaired = np.flatnonzero(np.bincount(pairs.ravel(), minlength=n) == 0)
-    return Reduction(pairs[np.argsort(pairs[:, 1])], unpaired, additions, longest)
+    return Reduction(pairs[np.argsort(pairs[:, 1])], unpaired, additions)
 
 
 def barcode(fc: FilteredComplex) -> Barcode:

@@ -537,8 +537,8 @@ class OracleReduction(Reduction):
     the sorted ids of the cycle its chain gives}.  The library's cycles
     come from `homology`, not from a `Reduction`."""
 
-    def __init__(self, pairs, unpaired, column_additions, max_column, cycles: dict):
-        super().__init__(pairs, unpaired, column_additions, max_column)
+    def __init__(self, pairs, unpaired, column_additions, cycles: dict):
+        super().__init__(pairs, unpaired, column_additions)
         self.cycles = cycles
 
 
@@ -546,7 +546,7 @@ def reference_reduction(fc: FilteredComplex) -> OracleReduction:
     """The library's first reduction, kept as an oracle: the same
     left-to-right order and pivot rule on sorted-tuple columns, with a
     chain kept for every column and a cycle for every positive cell.  It
-    counts its column additions and its longest reduced column.
+    counts its column additions.
     """
     n = len(fc.cells)
     reduced: dict[int, tuple] = {}      # column id -> reduced column
@@ -555,7 +555,7 @@ def reference_reduction(fc: FilteredComplex) -> OracleReduction:
     pairs: list[tuple[int, int]] = []
     positives: list[int] = []
     cycles: dict[int, tuple] = {}
-    additions = longest = 0
+    additions = 0
     for j in range(n):
         col = fc.cells[j].boundary
         v = (j,)
@@ -568,7 +568,6 @@ def reference_reduction(fc: FilteredComplex) -> OracleReduction:
             v = add_into(v, chain[other])
             additions += 1
         reduced[j] = col
-        longest = max(longest, len(col))
         chain[j] = v
         if col:
             low_to_col[col[-1]] = j
@@ -579,7 +578,7 @@ def reference_reduction(fc: FilteredComplex) -> OracleReduction:
     paired_rows = {i for i, _ in pairs}
     unpaired = tuple(j for j in positives if j not in paired_rows)
     return OracleReduction(pairs=tuple(pairs), unpaired=unpaired, cycles=cycles,
-                           column_additions=additions, max_column=longest)
+                           column_additions=additions)
 
 
 def graph_like(fc: FilteredComplex) -> bool:
@@ -622,7 +621,7 @@ def reference_clearing(fc: FilteredComplex, cohomology: bool) -> Reduction:
     reduced: dict[int, tuple] = {}
     chain: dict[int, tuple] = {}
     zeros: list[int] = []
-    additions = longest = 0
+    additions = 0
     for j in order:
         if j in owner:
             continue
@@ -636,13 +635,12 @@ def reference_clearing(fc: FilteredComplex, cohomology: bool) -> Reduction:
         reduced[j], chain[j] = col, v
         if col:
             owner[col[pivot_at]] = j
-            longest = max(longest, len(col) * counted)
         else:
             zeros.append(j)
     pairs = [(j, p) if cohomology else (p, j) for p, j in owner.items()]
     unpaired = tuple(sorted(zeros))
     return Reduction(pairs=tuple(sorted(pairs, key=lambda pair: pair[1])), unpaired=unpaired,
-                     column_additions=additions, max_column=longest)
+                     column_additions=additions)
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,19 @@ def test_extended_rejects_a_bound_whose_cone_overflows(tmp_path, capsys):
     assert "not finite" in err and "cell" not in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("bound", [[], ["--bound", "2"]], ids=["default-bound", "bound-max-f"])
+def test_extended_rejects_a_spacing_lost_in_rounding(tmp_path, capsys, bound):
+    # 2M + lambda rounds to 2M; with M = max f = 2 the cone of the vertex at
+    # 2 would enter at 2, with the ascending phase, and a bar would be lost
+    (tmp_path / "t.spx").write_text("0\n1\n0 1\n")
+    (tmp_path / "v.txt").write_text("0 1.0\n1 2.0\n")
+    code, out, err = run_cli(capsys, "extended", tmp_path / "t.spx", "--vertex-values",
+                             tmp_path / "v.txt", "--spacing", "1e-20", *bound)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: the bound M={2.0 if bound else 3.0} and spacing lambda=1e-20 ")
+    assert err.endswith(" round 2M + lambda to 2M\n") and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # fuzzing: small random files and flags for every subcommand
 

@@ -47,17 +47,25 @@ def test_spec_validation():
     assert BifiltrationSpec(sk, f).M == 3.0  # default max|f| + 1
 
 
-@pytest.mark.parametrize("M, lam, values", [
-    (1e308, 1.0, {0: 0.0}),                # 2M overflows
-    (1e307, 1.7e308, {0: 0.0}),            # the spacing does
-    (None, 1.0, {0: -9e307, 1: 9e307}),    # the default M = max|f| + 1 does
-    (8.5e307, 1.0, {0: -8.5e307}),         # 2M is finite, 2M - min f is not
-], ids=["bound", "spacing", "default-bound", "min-f"])
-def test_spec_rejects_a_cone_whose_top_value_overflows(M, lam, values):
-    # The cone's cells go up to 2M + lambda - min f; past the floats the
-    # spec names M and lambda, not a cell of the cone built from them.
+_LOST = "round 2M \\+ lambda to 2M"
+_KLEIN_HEIGHTS = {0: -2.0, 1: -1.0, 2: 2.0}  # klein_height_skeleton(2.0, 1.0)'s f
+
+
+@pytest.mark.parametrize("M, lam, values, tail", [
+    (1e308, 1.0, {0: 0.0}, "not finite"),                # 2M overflows
+    (1e307, 1.7e308, {0: 0.0}, "not finite"),            # the spacing does
+    (None, 1.0, {0: -9e307, 1: 9e307}, "not finite"),    # the default M = max|f| + 1 does
+    (8.5e307, 1.0, {0: -8.5e307}, "not finite"),         # 2M is finite, 2M - min f is not
+    (1e17, 1.0, _KLEIN_HEIGHTS, _LOST),                  # 2M + lambda - f is 2e17 for all f
+    (2.0, 1e-20, _KLEIN_HEIGHTS, _LOST),                 # 2M + lambda - max f is max f
+], ids=["bound", "spacing", "default-bound", "min-f", "huge-bound", "tiny-spacing"])
+def test_spec_rejects_a_cone_whose_top_value_overflows(M, lam, values, tail):
+    # The cone's cells go up to 2M + lambda - min f; past the floats, or
+    # where 2M + lambda rounds to 2M, so that the cone's values tie for
+    # values of f lambda apart or fall to max f, the spec names M and
+    # lambda, not a cell of the cone built from them.
     sk = FilteredComplex([Cell(i, 0, 0.0) for i in range(len(values))])
-    with pytest.raises(ValueError, match=r"^the bound M=.* and spacing lambda=.* not finite$"):
+    with pytest.raises(ValueError, match=rf"^the bound M=.* and spacing lambda=.* {tail}$"):
         BifiltrationSpec(sk, VertexFunction(values), M=M, lam=lam)
 
 

@@ -120,7 +120,7 @@ def engine(monkeypatch):
 
     def counted(ptr, flat, columns, chains, settled):
         out = real(ptr, flat, columns, chains, settled)
-        calls.append((chains, columns.tolist(), out[3]))
+        calls.append((chains, columns.tolist(), out[2]))
         return out
 
     monkeypatch.setattr(persistence, "_reduce", counted)
@@ -131,27 +131,26 @@ def _additions(engine):
     return sum(additions for _, _, additions in engine)
 
 
-# (column additions, longest column) on the coboundary side, then the
-# column additions of summarize's boundary passes (their longest column is
-# not kept).  klein_delta: v; a, b, c with coboundary U+L each; U, L.
+# The column additions on the coboundary side, then those of summarize's
+# boundary pass.  klein_delta: v; a, b, c with coboundary U+L each; U, L.
 # Coboundary side, dimension 1 in decreasing id: c pairs with its lowest
-# coface U, then b and a each add c's column and vanish: (2, 2).  Boundary
+# coface U, then b and a each add c's column and vanish: 2.  Boundary
 # side, dimension 2 first: U = a+b+c pairs with c, L adds U and vanishes;
 # then c is cleared and a, b, v have no entries: 1.
 # klein_height(2, 1) is v0 < v1 < p < a < v2 < q < b < c < U < L, with
 # p = v0+v1, q = c = v1+v2 and U = L = a+q+b+c.  Coboundary side, degree 0
 # by union-find, no column added: p joins v1 to v0, q joins v2 to v0, c
 # joins nothing; dimension 1 in decreasing id: c = U+L pairs with U, b and
-# a each add it and vanish, q and p are cleared: (2, 2).  Boundary side: U
+# a each add it and vanish, q and p are cleared: 2.  Boundary side: U
 # pairs with c, L adds U and vanishes; p pairs with v1, q with v2, c is
 # cleared: 1.
 @pytest.mark.parametrize("fc, cohomology, boundary", [
-    (klein_delta(), (2, 2), 1),
-    (klein_height(2.0, 1.0), (2, 2), 1),
+    (klein_delta(), 2, 1),
+    (klein_height(2.0, 1.0), 2, 1),
 ], ids=["klein_delta", "klein_height"])
 def test_reduction_counters_on_fixtures(fc, cohomology, boundary, engine):
     red = reduce_filtration(fc)
-    assert (red.column_additions, red.max_column) == cohomology
+    assert red.column_additions == cohomology
     engine.clear()
     summarize(fc)
     assert _additions(engine) == boundary
@@ -223,7 +222,7 @@ def test_column_additions_are_the_oracle_column_additions(seed, monkeypatch, eng
     # chain: every call to add_into, or every other, is a column addition,
     # but for the coboundary columns of degree 0 (rows of 1-cells) when the
     # engine settles that degree by union-find.  On the boundary side the
-    # engine's additions are summarize's, summed over its passes.
+    # engine's additions are those of summarize's one pass.
     calls = []
     add_into = helpers.add_into
     monkeypatch.setattr(helpers, "add_into", lambda a, b: calls.append(a) or add_into(a, b))
@@ -261,7 +260,7 @@ def test_a_reduction_made_from_tuples_equals_the_engines(boundary):
             assert {type(j) for p in r.pairs for j in p} | set(map(type, r.unpaired)) <= {int}
     red = reduce_filtration(klein_height(2.0, 1.0))
     fields = dict(pairs=red.pairs, unpaired=red.unpaired,
-                  column_additions=red.column_additions, max_column=red.max_column)
+                  column_additions=red.column_additions)
     assert Reduction(**fields) == red != red.pairs
     for key, other in (("pairs", red.pairs[1:]), ("unpaired", red.unpaired[:-1]),
                        ("column_additions", red.column_additions + 1)):
@@ -284,7 +283,7 @@ def test_a_reduction_made_from_tuples_equals_the_engines(boundary):
         "vertex-of-59-edges", "square-grid-rips"])
 def test_transpose_edge_cases_reduce_as_the_oracle(fc):
     fc.validate()
-    # equal pairs, unpaired cells, column_additions and max_column
+    # equal pairs, unpaired cells and column_additions
     assert reduce_filtration(fc) == reference_clearing(fc, cohomology=True)
 
 
@@ -326,8 +325,8 @@ def _valued_skeletons(draw):
 def test_coboundary_and_boundary_pairs_equal_the_oracle_pairs(skeleton):
     # de Silva, Morozov & Vejdemo-Johansson 2011: cohomology and homology
     # give the same persistence pairs.  The coboundary side's pairs are
-    # read directly; the boundary passes' show in summarize's Betti numbers
-    # and cycles, since each pass is cleared by the one before.
+    # read directly; the boundary pass's show in summarize's Betti numbers
+    # and cycles, since each degree is cleared by the one above.
     sk, f = skeleton
     cone = build_cone_filtration(BifiltrationSpec(sk, f, lam=0.5)).complex
     for fc in (sk, lower_star(sk, f), cone):
@@ -382,31 +381,36 @@ def _chains(engine):
     return [chains for chains, _, _ in engine]
 
 
-@pytest.mark.parametrize("fc", [klein_delta(), ng_cw(4), klein_height(2.0, 1.0)],
-                         ids=["klein_delta", "ng4", "klein_height"])
+# klein_delta's loop c and ng_cw(4)'s loops have no boundary entries; c is
+# killed by U, so it is a pivot and no generator
+@pytest.mark.parametrize("fc", [
+    klein_delta(), ng_cw(4), klein_height(2.0, 1.0),
+    simplices_to_complex(grid_surface(4, False)), simplices_to_complex(grid_surface(4, True)),
+], ids=["klein_delta", "ng4", "klein_height", "torus-grid", "klein-grid"])
 def test_homology_consumers_reduce_once(reductions, engine, fc):
-    # summarize reduces each degree once, on the boundary side only
+    # summarize reduces once, every degree in one pass, on the boundary side only
     summary = summarize(fc)
     assert reductions == []
-    assert _chains(engine) == [True] * len(set(fc.dims.tolist()))
+    assert _chains(engine) == [True]
     for consumer, expected in ((betti_numbers, tuple(summary.betti.values())),
                                (lambda fc: duality_check(fc, 2).ok, True),
                                (lambda fc: betti(fc, 1), summary.betti[1])):
         reductions.clear(), engine.clear()
         assert consumer(fc) == expected
         assert reductions == [fc] and _chains(engine) == [False]
-    reductions.clear(), engine.clear()
-    assert generators(fc, 1) == summary.generators[1]
-    assert reductions == [fc] and _chains(engine) == [False, True]
+    for k, cycles in summary.generators.items():
+        reductions.clear(), engine.clear()
+        assert generators(fc, k) == cycles
+        assert reductions == [fc] and _chains(engine) == [False, True]
 
 
 def test_cli_homology_reduces_once(reductions, engine, tmp_path, capsys):
-    # once a degree: one boundary pass for each of dimensions 2, 1 and 0
+    # one boundary pass for dimensions 2, 1 and 0 together
     path = tmp_path / "ng3.fcx"
     path.write_text(write_fcx(ng_cw(3)))
     assert main(["homology", str(path)]) == 0
     assert "betti 1 3" in capsys.readouterr().out
-    assert reductions == [] and _chains(engine) == [True, True, True]
+    assert reductions == [] and _chains(engine) == [True]
 
 
 def test_barcodes_never_request_chains(reductions, engine):
