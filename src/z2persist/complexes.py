@@ -268,8 +268,8 @@ def simplicial_filtration(simplices: Sequence[np.ndarray], faces: Sequence[np.nd
     found it; faces[0] is not read.  values[k] holds the rows' entry
     values, which must not decrease from face to coface.  Cells are
     numbered by (value, dim, vertex tuple); a cell is named by its vertex
-    labels joined by '-', on first use, and its boundary is its one record
-    of its vertices.
+    labels joined by '-' when first read (a dimension's rows become lists at
+    its first name), and its boundary is its one record of its vertices.
     """
     n = len(labels)
     if len(simplices) and not np.array_equal(simplices[0][:, 0], np.arange(n)):
@@ -281,10 +281,13 @@ def simplicial_filtration(simplices: Sequence[np.ndarray], faces: Sequence[np.nd
     start = np.cumsum([0] + [len(s) for s in simplices])
     dims = np.repeat(np.arange(len(simplices), dtype=np.int64), np.diff(start))
     rows = np.repeat(np.arange(start[-1]), np.where(dims > 0, dims + 1, 0))
+    rows_of = [None] * len(simplices)  # dimension k's vertex rows as lists, once read
 
     def name_of(r):
-        k = dims[r]
-        return "-".join(map(labels.__getitem__, simplices[k][r - start[k]].tolist()))
+        k = dims.item(r)
+        if rows_of[k] is None:
+            rows_of[k] = simplices[k].tolist()
+        return "-".join(map(labels.__getitem__, rows_of[k][r - start.item(k)]))
 
     return _reorder(dims, np.concatenate([np.empty(0), *values], dtype=float), rows,
                     np.concatenate([np.empty(0, np.int64)] + [
@@ -315,7 +318,7 @@ def _reorder(dims: np.ndarray, values: np.ndarray, rows: np.ndarray, faces: np.n
                         for v in map(vertex_lists.__getitem__, order.tolist())]
     fc = FilteredComplex.from_arrays(
         dims[order], values[order], _indptr(np.bincount(rows, minlength=n)[order]), keys,
-        None if name_of is None else (lambda j: name_of(int(order[j]))), vertex_lists)
+        None if name_of is None else (lambda j: name_of(order.item(j))), vertex_lists)
     return fc, new_id
 
 

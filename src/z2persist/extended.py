@@ -25,8 +25,8 @@ class BifiltrationSpec:
     """Skeleton plus vertex function, bound M and spacing lambda.
 
     M is the one bound of f: it defaults to max|f| + 1, and any M >= max|f|
-    (M = 0 for f = 0) with 2M + lambda above 2M and a finite top cone value
-    2M + lambda - min f is accepted.  The spacing separates the two phases.
+    (M = 0 for f = 0) with 2M + lambda above 2M and 2M + lambda - f finite
+    and one to one on f's values is accepted.  The spacing separates the two phases.
     """
 
     complex: FilteredComplex
@@ -45,12 +45,16 @@ class BifiltrationSpec:
             object.__setattr__(self, "M", sup + 1.0)
         elif not sup <= self.M < math.inf:
             raise ValueError(f"the bound M={self.M} must be finite and at least max|f| = {sup}")
-        if not 2 * self.M + self.lam - min(values) < math.inf:  # the cone's top value
+        top = 2 * self.M + self.lam  # the descending phase enters at top - f
+        if not top - min(values) < math.inf:  # the cone's top value
             raise ValueError(f"the bound M={self.M} and spacing lambda={self.lam} make the "
                              "cone's top value 2M + lambda - min f not finite")
-        if not 2 * self.M + self.lam > 2 * self.M:  # so 2M + lambda - max f > max f too
+        if not top > 2 * self.M:  # so 2M + lambda - max f > max f too
             raise ValueError(f"the bound M={self.M} and spacing lambda={self.lam} round "
                              "2M + lambda to 2M")
+        if len({top - v for v in values}) < len(set(values)):
+            raise ValueError(f"the bound M={self.M} and spacing lambda={self.lam} round "
+                             "2M + lambda - f to one value for two values of f")
 
 
 @dataclass(frozen=True)

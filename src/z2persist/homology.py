@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import persistence
-from .complexes import ComplexError, FilteredComplex
+from .complexes import ComplexError, FilteredComplex, _owners
 from .persistence import _MAX_DIM
 
 
@@ -35,14 +35,22 @@ def betti_numbers(fc: FilteredComplex) -> tuple[int, ...]:
 def _cycles(fc: FilteredComplex, cells) -> dict:
     """The twist (Chen & Kerber 2011) in one engine call: the boundary columns
     of the int64 `cells`, top dimension first and ids increasing within one,
-    carry chains, and each clears the columns of its pivots.  Returns {cell:
-    cycle} in increasing id for the cells left unpaired: the chain its column
-    vanished with, or the cell itself if its column is empty and no pivot."""
+    carry chains, and each clears the columns of its pivots.  A cell c that is
+    the oldest coface of its youngest face y (apparent, Bauer 2021) is settled
+    first, as no column left of c holds y: neither enters the loop.  Returns
+    {cell: cycle} in increasing id for the cells left unpaired: the chain its
+    column vanished with, or the cell itself if its column is empty and no pivot."""
     cells = cells[np.argsort(-fc.dims[cells], kind="stable")]
-    full = fc.indptr[cells + 1] > fc.indptr[cells]
-    pivots, zeros, _ = persistence._reduce(fc.indptr, fc.indices, cells[full], True,
-                                           np.full(len(fc), -1))
-    empty = [j for j in cells[~full].tolist() if j not in pivots]
+    n, ptr, flat = len(fc), fc.indptr, fc.indices
+    oldest, settled, done = np.full(n, n), np.full(n, -1, object), np.zeros(n, bool)
+    np.minimum.at(oldest, flat, _owners(ptr))  # each cell's oldest coface
+    full = ptr[cells + 1] > ptr[cells]
+    c = cells[full]
+    y = flat[ptr[c + 1] - 1]  # c's youngest face
+    c, y = c[oldest[y] == c], y[oldest[y] == c]
+    settled[y], done[c], done[y] = c, True, True  # object dtype: chains share one int per c
+    pivots, zeros, _ = persistence._reduce(ptr, flat, cells[full & ~done[cells]], True, settled)
+    empty = [j for j in cells[~(full | done[cells])].tolist() if j not in pivots]
     return {j: frozenset(zeros.get(j, (j,))) for j in sorted([*zeros, *empty])}
 
 

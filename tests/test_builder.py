@@ -422,6 +422,25 @@ def test_builder_names_cells_by_labels():
     assert reference_cell_vertices(fc, 6) == {0, 1, 2}
 
 
+@pytest.mark.parametrize("source", ["rips", "spx"])
+def test_names_read_from_the_top_dimension_down_match_the_oracle(source):
+    # a dimension's rows become lists at the first name read in it; reading
+    # the top dimension first, then each one below, every label must still
+    # be the oracle's name for that cell
+    rng = random.Random(7)
+    if source == "rips":
+        pc, params = random_cloud(rng, 12), RipsParams(max_dim=3, threshold=1.2)
+        fc, ref = rips_filtration(pc, params), reference_rips_filtration(pc, params)
+    else:
+        labels = rng.sample(LABEL_POOLS["negative"], 8)
+        valued = {s: rng.choice([0.0, 1.0, 2.5]) for s in random_simplices(rng, labels, 9)}
+        fc = parse_spx("".join(f"{v!r} {' '.join(map(str, s))}\n" for s, v in valued.items()))
+        ref = reference_simplices_to_complex(valued)
+    order = sorted(range(len(fc)), key=lambda j: -fc.dims[j])
+    assert fc.max_dim >= 2 and fc.dims[order[0]] == fc.max_dim
+    assert [fc.label(j) for j in order] == [ref.cells[j].name for j in order]
+
+
 def test_spx_vertex_values_must_cover_the_complex_and_be_finite():
     with pytest.raises(ComplexError, match="^vertex 2 has no function value$"):
         parse_spx("0 1\n1 2\n", {0: 0.0, 1: 1.0})

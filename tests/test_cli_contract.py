@@ -172,6 +172,18 @@ def test_extended_rejects_a_spacing_lost_in_rounding(tmp_path, capsys, bound):
     assert err.endswith(" round 2M + lambda to 2M\n") and "Traceback" not in err
 
 
+def test_extended_rejects_a_bound_that_ties_two_cone_values(tmp_path, capsys):
+    # at M=1e16 and lambda=100 the cone values of -1.2 and -1.0 both round
+    # to 2M + 100, so the cone would order those vertices by id, not by f
+    (tmp_path / "t.spx").write_text("0 1 2\n")
+    (tmp_path / "v.txt").write_text("0 -2.0\n1 -1.2\n2 -1.0\n")
+    code, out, err = run_cli(capsys, "extended", tmp_path / "t.spx", "--vertex-values",
+                             tmp_path / "v.txt", "--bound", "1e16", "--spacing", "100")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the bound M=1e+16 and spacing lambda=100.0 ")
+    assert "two values of f" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # fuzzing: small random files and flags for every subcommand
 

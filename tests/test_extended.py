@@ -49,6 +49,9 @@ def test_spec_validation():
 
 _LOST = "round 2M \\+ lambda to 2M"
 _KLEIN_HEIGHTS = {0: -2.0, 1: -1.0, 2: 2.0}  # klein_height_skeleton(2.0, 1.0)'s f
+# at M=1e16 and lambda=100 the cone values 2M + 101.2 and 2M + 101 both round to 2M + 100
+_TIED_HEIGHTS = {0: -2.0, 1: -1.2, 2: -1.0}
+_TIED = "round 2M \\+ lambda - f to one value for two values of f"
 
 
 @pytest.mark.parametrize("M, lam, values, tail", [
@@ -58,12 +61,15 @@ _KLEIN_HEIGHTS = {0: -2.0, 1: -1.0, 2: 2.0}  # klein_height_skeleton(2.0, 1.0)'s
     (8.5e307, 1.0, {0: -8.5e307}, "not finite"),         # 2M is finite, 2M - min f is not
     (1e17, 1.0, _KLEIN_HEIGHTS, _LOST),                  # 2M + lambda - f is 2e17 for all f
     (2.0, 1e-20, _KLEIN_HEIGHTS, _LOST),                 # 2M + lambda - max f is max f
-], ids=["bound", "spacing", "default-bound", "min-f", "huge-bound", "tiny-spacing"])
+    (1e16, 100.0, _TIED_HEIGHTS, _TIED),                 # -1.2 and -1.0 both go to 2M + 100
+], ids=["bound", "spacing", "default-bound", "min-f", "huge-bound", "tiny-spacing",
+        "tied-cone-values"])
 def test_spec_rejects_a_cone_whose_top_value_overflows(M, lam, values, tail):
     # The cone's cells go up to 2M + lambda - min f; past the floats, or
     # where 2M + lambda rounds to 2M, so that the cone's values tie for
-    # values of f lambda apart or fall to max f, the spec names M and
-    # lambda, not a cell of the cone built from them.
+    # values of f lambda apart or fall to max f, or where 2M + lambda - f
+    # ties for two values of f, the spec names M and lambda, not a cell of
+    # the cone built from them.
     sk = FilteredComplex([Cell(i, 0, 0.0) for i in range(len(values))])
     with pytest.raises(ValueError, match=rf"^the bound M=.* and spacing lambda=.* {tail}$"):
         BifiltrationSpec(sk, VertexFunction(values), M=M, lam=lam)
@@ -213,7 +219,12 @@ def test_ext_bars_count_the_betti_numbers_of_a_closed_surface(m, twist, attained
     level = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]) | st.floats(-1, 1)
     values = data.draw(st.lists(level, min_size=m * m, max_size=m * m))
     f = VertexFunction(dict(zip([c.id for c in sk.cells if c.dim == 0], values)))
-    spec = BifiltrationSpec(sk, f, M=max(map(abs, values)) if attained else None, lam=lam)
+    M = max(map(abs, values)) + (0.0 if attained else 1.0)
+    if len({2 * M + lam - v for v in values}) < len(set(values)):  # say 0.0 and 6e-81
+        with pytest.raises(ValueError, match="to one value for two values of f$"):
+            BifiltrationSpec(sk, f, M=M, lam=lam)
+        return
+    spec = BifiltrationSpec(sk, f, M=M if attained else None, lam=lam)
     ext = [d for d, iv in extended_barcode(spec) if bar_phase(spec, *iv) == "ext"]
     betti = [dense_betti(sk, k) for k in range(3)]
     assert [ext.count(k) for k in range(3)] == betti

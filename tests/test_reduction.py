@@ -131,29 +131,57 @@ def _additions(engine):
     return sum(additions for _, _, additions in engine)
 
 
+def _apparent_pairs(fc):
+    """(y, c) for each cell c that is the oldest coface of its youngest face y."""
+    cofaces = {c.id: [] for c in fc.cells}
+    for c in fc.cells:
+        for face in c.boundary:
+            cofaces[face].append(c.id)
+    return {(y, c.id) for c in fc.cells if c.boundary
+            for y in c.boundary[-1:] if min(cofaces[y]) == c.id}
+
+
+def _rips_circle():
+    """30 noisy points on the unit circle, Rips to threshold 0.8 with triangles."""
+    rng = np.random.default_rng(0)
+    t = rng.uniform(0.0, 2 * math.pi, 30)
+    pts = np.column_stack([np.cos(t), np.sin(t)]) + rng.normal(0.0, 0.05, (30, 2))
+    return rips_filtration(PointCloud(tuple(map(tuple, pts.tolist()))),
+                           RipsParams(max_dim=2, threshold=0.8))
+
+
 # The column additions on the coboundary side, then those of summarize's
 # boundary pass.  klein_delta: v; a, b, c with coboundary U+L each; U, L.
 # Coboundary side, dimension 1 in decreasing id: c pairs with its lowest
 # coface U, then b and a each add c's column and vanish: 2.  Boundary
-# side, dimension 2 first: U = a+b+c pairs with c, L adds U and vanishes;
-# then c is cleared and a, b, v have no entries: 1.
+# side: U = a+b+c is the oldest coface of c, so (c, U) is apparent and
+# settled before the loop, whose one column L adds U and vanishes; a, b, v
+# have no entries: 1.
 # klein_height(2, 1) is v0 < v1 < p < a < v2 < q < b < c < U < L, with
 # p = v0+v1, q = c = v1+v2 and U = L = a+q+b+c.  Coboundary side, degree 0
 # by union-find, no column added: p joins v1 to v0, q joins v2 to v0, c
 # joins nothing; dimension 1 in decreasing id: c = U+L pairs with U, b and
-# a each add it and vanish, q and p are cleared: 2.  Boundary side: U
-# pairs with c, L adds U and vanishes; p pairs with v1, q with v2, c is
-# cleared: 1.
+# a each add it and vanish, q and p are cleared: 2.  Boundary side: (c, U),
+# (v1, p) and (v2, q) are apparent, and L adds U and vanishes: 1.
+# The grid surfaces and the Rips circle pin the counts of the twist that
+# reduced every column, before apparent pairs were settled.
 @pytest.mark.parametrize("fc, cohomology, boundary", [
     (klein_delta(), 2, 1),
     (klein_height(2.0, 1.0), 2, 1),
-], ids=["klein_delta", "klein_height"])
+    (simplices_to_complex(grid_surface(4, False)), 15, 37),
+    (simplices_to_complex(grid_surface(4, True)), 14, 39),
+    (_rips_circle(), 1, 755),
+], ids=["klein_delta", "klein_height", "torus-grid", "klein-grid", "rips-circle"])
 def test_reduction_counters_on_fixtures(fc, cohomology, boundary, engine):
     red = reduce_filtration(fc)
     assert red.column_additions == cohomology
     engine.clear()
     summarize(fc)
-    assert _additions(engine) == boundary
+    [(chains, columns, additions)] = engine
+    assert chains and additions == boundary
+    # the loop gets neither cell of an apparent pair
+    apparent = {j for pair in _apparent_pairs(fc) for j in pair}
+    assert apparent and not set(columns) & apparent
 
 
 def _constant_lower_star():
@@ -195,23 +223,22 @@ def test_union_find_degree_zero_matches_the_oracle(fc, graph, engine):
 def test_apparent_pairs_do_no_work(seed, engine):
     # (i, c) is apparent if c is i's oldest coface and i is c's youngest
     # face.  Neither column enters the loop, yet the counters equal those
-    # of the oracle that reduces every column
+    # of the oracle that reduces every column.  summarize's twist carries
+    # no chain through either cell of an apparent pair, of any degree
     apparent = 0
     for fc in _complexes(seed):
         engine.clear()
         red = reduce_filtration(fc)
         assert red == reference_clearing(fc, cohomology=True)
-        cofaces = {c.id: [] for c in fc.cells}
-        for c in fc.cells:
-            for face in c.boundary:
-                cofaces[face].append(c.id)
-        pairs = {(i, c.id) for c in fc.cells if c.boundary
-                 for i in c.boundary[-1:] if min(cofaces[i]) == c.id}
-        if graph_like(fc):
-            pairs = {(i, c) for i, c in pairs if fc.dims[i] > 0}
+        every = _apparent_pairs(fc)
+        pairs = {(i, c) for i, c in every if fc.dims[i] > 0} if graph_like(fc) else every
         assert pairs <= set(red.pairs)
         [(_, columns, _)] = engine
         assert not {len(fc) - 1 - j for j in columns} & {j for pair in pairs for j in pair}
+        engine.clear()
+        summarize(fc)
+        [(_, columns, _)] = engine
+        assert not set(columns) & {j for pair in every for j in pair}
         apparent += len(pairs)
     assert apparent > 100
 
@@ -423,11 +450,7 @@ def test_barcodes_never_request_chains(reductions, engine):
 def test_generators_reduce_only_the_degree_asked_for(engine):
     # a noisy Rips circle: generators(fc, 1) carries chains through the
     # edge columns alone; the full twist would reduce every triangle first
-    rng = np.random.default_rng(0)
-    t = rng.uniform(0.0, 2 * math.pi, 30)
-    pts = np.column_stack([np.cos(t), np.sin(t)]) + rng.normal(0.0, 0.05, (30, 2))
-    fc = rips_filtration(PointCloud(tuple(map(tuple, pts.tolist()))),
-                         RipsParams(max_dim=2, threshold=0.8))
+    fc = _rips_circle()
     assert (fc.dims == 2).any()
     gens = generators(fc, 1)
     chained = [columns for chains, columns, _ in engine if chains]
