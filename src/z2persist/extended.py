@@ -52,7 +52,8 @@ class BifiltrationSpec:
         if not top > 2 * self.M:  # so 2M + lambda - max f > max f too
             raise ValueError(f"the bound M={self.M} and spacing lambda={self.lam} round "
                              "2M + lambda to 2M")
-        if len({top - v for v in values}) < len(set(values)):
+        ordered = sorted(values)  # top - v is monotone in v, so a tie shows between neighbours
+        if any(a != b and top - a == top - b for a, b in zip(ordered, ordered[1:])):
             raise ValueError(f"the bound M={self.M} and spacing lambda={self.lam} round "
                              "2M + lambda - f to one value for two values of f")
 

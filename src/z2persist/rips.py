@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -34,10 +35,11 @@ class PointCloud:
         return len(self.points)
 
     def distance_matrix(self) -> np.ndarray:
+        """Euclidean distances, summed a coordinate at a time in place: no n x n x d array."""
         pts = np.asarray(self.points, dtype=float)
-        out = np.zeros((len(pts), len(pts)))
-        for x in pts.T:  # a coordinate at a time: no n x n x d array
-            out += np.square(x[:, None] - x)
+        out, diff = np.zeros((len(pts), len(pts))), np.empty((len(pts), len(pts)))
+        for x in pts.T:  # squared differences go through one scratch array
+            out += np.square(np.subtract(x[:, None], x, out=diff), out=diff)
         return np.sqrt(out, out=out)
 
     @classmethod
@@ -96,33 +98,34 @@ class RipsParams:
         return math.inf
 
 
-# Candidate masks are built for this many (row, vertex) entries at a time.
-_MASK_ENTRIES = 1 << 18
+# Candidates are tested this many at a time, in a few int64 arrays as long.
+_MASK_ENTRIES = 1 << 15
 # Most cells a Rips filtration may have: about 2.3 GB at ~0.55 KB a cell.
 _MAX_CELLS = 1 << 22
 
 
-def _cofaces(adj: np.ndarray, rows: np.ndarray, cells: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every extension of a row by a larger vertex adjacent to all of its
-    vertices, as (row, new vertex) in lexicographic order.  adj is the
-    strictly upper-triangular adjacency of the threshold graph, and `cells`
-    the count of lower cells: past `_MAX_CELLS` in all, this raises."""
-    n = adj.shape[0]
-    block = max(1, _MASK_ENTRIES // max(n, 1))
-    parents, lasts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for lo in range(0, len(rows), block):
-        chunk = rows[lo:lo + block]
-        mask = adj[chunk[:, 0]]
-        for c in range(1, chunk.shape[1]):
-            mask &= adj[chunk[:, c]]
-        parent, last = np.nonzero(mask)
-        parents.append(parent + lo)
-        lasts.append(last)
-        cells += len(parent)
+def _cofaces(adj: np.ndarray, nbrs: np.ndarray, indptr: np.ndarray, rows: np.ndarray,
+             cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's extensions (row, new vertex) in lexicographic order: the upper
+    neighbours nbrs[indptr[v]:indptr[v + 1]] of its last vertex v that adj
+    holds against its other vertices, tested `_MASK_ENTRIES` at a time.  Past
+    `_MAX_CELLS` cells in all, the `cells` of lower dimensions included, this raises."""
+    first, stop = indptr[rows[:, -1]], indptr[rows[:, -1] + 1]
+    ends = np.cumsum(stop - first)  # where each row's candidates end in the walk
+    starts, shift, lead = ends - (stop - first), stop - ends, rows[:, :-1].T * len(adj)
+    found = [(np.empty(0, dtype=np.int64),) * 2]
+    for lo in range(0, int(ends[-1]), _MASK_ENTRIES):
+        hi = min(lo + _MASK_ENTRIES, int(ends[-1]))
+        r = np.arange(np.searchsorted(ends, lo, side="right"), np.searchsorted(starts, hi))
+        parent = np.repeat(r, np.minimum(ends[r], hi) - np.maximum(starts[r], lo))
+        last = nbrs[np.arange(lo, hi) + shift[parent]]
+        keep = np.flatnonzero(reduce(np.logical_and, (adj.ravel()[c[parent] + last] for c in lead)))
+        found.append((parent[keep], last[keep]))
+        cells += len(keep)
         if cells > _MAX_CELLS:
             raise ValueError(f"the Rips complex passes {_MAX_CELLS} cells in dimension "
                              f"{rows.shape[1]} ({cells} so far)")
-    return np.concatenate(parents), np.concatenate(lasts)
+    return tuple(map(np.concatenate, zip(*found)))
 
 
 def rips_filtration(pc: PointCloud, params: RipsParams) -> FilteredComplex:
@@ -133,43 +136,49 @@ def rips_filtration(pc: PointCloud, params: RipsParams) -> FilteredComplex:
     of the threshold graph, expanded a dimension at a time in lexicographic
     order, so the output is deterministic.
     """
-    dist = pc.distance_matrix()
     limit = params.scale_limit
     if limit == math.inf:
         raise ValueError("need a threshold or steps to bound the scale")
     n = len(pc) if limit >= 0 else 0  # no cell enters above the limit, not even a vertex
-    adj = np.triu(dist[:n, :n] <= limit, 1)
-    if params.step_size is not None:
-        # Snap the lengths at or under the limit up to the next step
-        # boundary: an edge, and so a clique, enters iff its raw and its
-        # snapped length are both at or under the limit.  `+ 0.0` turns the
-        # -0.0 that np.ceil gives for a zero length into 0.0, as math.ceil does.
-        i, j = np.nonzero(adj)
-        step = params.step_size
-        dist[i, j] = np.ceil(dist[i, j] / step - 1e-12) * step + 0.0
-        adj[i, j] = dist[i, j] <= limit
     simplices = [np.arange(n, dtype=np.int64).reshape(n, 1)]
     values = [np.zeros(n)]
     faces = [np.zeros((n, 1), dtype=np.int64)]  # the empty face
     key = np.arange(n)  # each row's (parent row) * n + last vertex, increasing
+    if params.max_dim:  # the edges (parent, last) in order, and so each vertex's upper neighbours
+        dist = pc.distance_matrix()[:n, :n]
+        adj = dist <= limit  # the threshold graph; only entries above the diagonal are read
+        i, j = np.divmod(np.flatnonzero(adj), n)
+        parent, last = i[i < j], j[i < j]
+        length = dist[parent, last]
+        del dist
+        if params.step_size is not None:
+            # Snap lengths up to the next step boundary: an edge, and so a clique, enters iff
+            # its raw and snapped lengths are both at or under the limit (`+ 0.0`: no -0.0).
+            length = np.ceil(length / params.step_size - 1e-12) * params.step_size + 0.0
+            adj[parent, last] = keep = length <= limit
+            parent, last, length = parent[keep], last[keep], length[keep]
+        if n + len(last) > _MAX_CELLS:
+            raise ValueError(f"the Rips complex passes {_MAX_CELLS} cells in dimension 1 "
+                             f"({n + len(last)} so far)")
+        nbrs, indptr = last, np.searchsorted(parent, np.arange(n + 1))  # the upper neighbours
     for k in range(1, params.max_dim + 1):
-        parent, last = _cofaces(adj, simplices[-1], sum(map(len, simplices)))
+        if k > 1:
+            parent, last = _cofaces(adj, nbrs, indptr, simplices[-1], sum(map(len, simplices)))
         if not len(parent):  # no clique extends: every higher dimension is empty
             break
-        rows = np.column_stack((simplices[-1][parent], last))
-        diam = values[-1][parent]
-        for c in range(rows.shape[1] - 1):
-            diam = np.maximum(diam, dist[rows[:, c], last])
-        # The face without the last vertex is the parent; the face without
-        # an earlier vertex is the parent's face without it, plus the last:
-        if k == 2:  # an edge, read from an n x n int32 table: edges before it in `adj`
-            face = adj.cumsum(dtype=np.int32).reshape(n, n)[faces[-1][parent], last[:, None]] - 1
+        # The face without the last vertex is the parent; the face without an
+        # earlier vertex is the parent's face without it plus the last, by key:
+        face = np.take(faces[-1], parent, axis=0) * n + last[:, None]
+        if k == 2:  # an edge, read from an n * n table of edge ids (a clique's pairs are edges)
+            table = np.zeros(n * n, dtype=np.int32)
+            table[key] = np.arange(len(key))
+            face = table[face]
         else:  # a row found by bisecting the keys
-            face = np.searchsorted(key, faces[-1][parent] * n + last[:, None])
-        simplices.append(rows)
-        values.append(diam)
+            face = np.searchsorted(key, face)
+        simplices.append(np.column_stack((np.take(simplices[-1], parent, axis=0), last)))
         faces.append(np.column_stack((face, parent)))
+        if k > 1:  # a simplex of two or more edges is as long as its longest facet
+            length = reduce(np.maximum, (values[-1][f] for f in faces[-1].T))
+        values.append(length)
         key = parent * n + last
-    del adj, dist
     return simplicial_filtration(simplices, faces, values, [str(v) for v in range(n)])
-

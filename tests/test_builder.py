@@ -84,6 +84,19 @@ def test_rips_matches_oracle_in_stepped_mode(seed):
             fc.validate()
 
 
+@pytest.mark.parametrize("block", [1, 3])
+def test_rips_matches_oracle_with_candidate_blocks_ending_inside_rows(block, monkeypatch):
+    # Candidates are tested `_MASK_ENTRIES` at a time; at 1 and 3 a row's
+    # candidates straddle block ends, and the oracle tests must still pass.
+    monkeypatch.setattr(rips, "_MASK_ENTRIES", block)
+    for seed in range(6):
+        test_rips_matches_oracle_on_tied_and_duplicate_points(seed)
+    for max_dim in range(5):
+        test_rips_matches_oracle_at_every_max_dim(max_dim)
+    for seed in range(4):
+        test_rips_matches_oracle_in_stepped_mode(seed)
+
+
 def test_rips_stepped_mode_at_the_snap_boundary():
     # An edge enters iff its raw and its snapped length are both at or
     # under the limit, and only those lengths are snapped.

@@ -75,6 +75,14 @@ def test_spec_rejects_a_cone_whose_top_value_overflows(M, lam, values, tail):
         BifiltrationSpec(sk, VertexFunction(values), M=M, lam=lam)
 
 
+def test_spec_accepts_an_f_holding_both_zeros():
+    # 0.0 and -0.0 are one value of f, so their one cone value is no tie
+    sk = FilteredComplex([Cell(i, 0, 0.0) for i in range(3)])
+    for M, lam in ((None, 1.0), (1e16, 100.0)):
+        spec = BifiltrationSpec(sk, VertexFunction({0: 0.0, 1: -0.0, 2: -8.0}), M=M, lam=lam)
+        assert spec.M == (9.0 if M is None else M)
+
+
 @pytest.mark.parametrize("values", [{}, {0: INF}, {0: 0.5, 1: -INF}, {0: math.nan, 1: 1.0}],
                          ids=["empty", "inf", "minus-inf", "nan"])
 def test_spec_rejects_an_empty_or_non_finite_f(values):

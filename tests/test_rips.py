@@ -209,3 +209,15 @@ def test_cell_cap_counts_every_dimension(monkeypatch):
     monkeypatch.setattr(rips, "_MAX_CELLS", 54)
     with pytest.raises(ValueError, match=r"passes 54 cells in dimension 1 \(55 so far\)$"):
         rips_filtration(cloud, params)
+
+
+def test_max_dim_0_lists_no_edges_and_caps_no_dimension_above_the_vertices(monkeypatch):
+    # the 45 pairs of these ten points are all within the threshold, but
+    # with max_dim=0 no edge is listed, so a cap of ten cells is not passed
+    from z2persist import rips
+
+    monkeypatch.setattr(rips, "_MAX_CELLS", 10)
+    fc = rips_filtration(circle_points(10), RipsParams(max_dim=0, threshold=2.5))
+    assert fc.dims.tolist() == [0] * 10 and fc.values.tolist() == [0.0] * 10
+    with pytest.raises(ValueError, match=r"passes 10 cells in dimension 1 \(55 so far\)$"):
+        rips_filtration(circle_points(10), RipsParams(max_dim=1, threshold=2.5))
