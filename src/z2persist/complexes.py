@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .text import ComplexError, format_value, text_lines  # re-exported
+from .text import ComplexError, format_value, text_lines, uncommented  # re-exported
 
 
 @dataclass(frozen=True, slots=True)
@@ -564,10 +564,7 @@ def parse_spx(text: str, vertex_values: Optional[dict] = None) -> FilteredComple
     """SPX v1: one `<value> <v1> ... <vk>` top simplex per line; in vertexfn mode
     lines hold bare vertex lists and values come from vertex_values.  Tokens
     convert a kind at a time; only one that fails is looked for line by line."""
-    raw = text.splitlines()
-    if "#" in text:
-        raw = [r.split("#", 1)[0] for r in raw]
-    parts = [*filter(None, map(str.split, raw))]  # the tokens of each line that has any
+    parts = [*filter(None, map(str.split, uncommented(text)))]  # the tokens of each line with any
     counts = np.fromiter(map(len, parts), np.int64, len(parts))
     if not len(counts):
         raise ComplexError("no simplices in input")

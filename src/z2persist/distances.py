@@ -19,7 +19,8 @@ def interval_distance(i: Interval, j: Interval) -> float:
     both (half the longer length), whichever is cheaper."""
     db = abs(i.birth - j.birth)
     match = db if i.death == j.death == math.inf else max(db, abs(i.death - j.death))
-    return min(match, max(i.length, j.length) / 2)
+    return min(match, max(h if (h := x.length / 2) < math.inf else x.death / 2 - x.birth / 2
+                          for x in (i, j)))
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,8 @@ class _Side:
         self.index, self.nf, self.infinite = finite + infinite, len(finite), len(infinite)
         self.births = [births[i] for i in self.index]
         self.deaths = [deaths[i] if deaths[i] < math.inf else 0.0 for i in self.index]
-        self.half = [(deaths[i] - births[i]) / 2 for i in self.index]  # inf if infinite
+        self.half = [h if (h := (deaths[i] - births[i]) / 2) < math.inf  # inf if infinite
+                     else deaths[i] / 2 - births[i] / 2 for i in self.index]
 
     def kin(self, v: int, other: _Side) -> tuple[int, int]:
         return (0, other.nf) if v < self.nf else (other.nf, len(other.half))
@@ -223,7 +225,7 @@ def _distance(b1: Barcode, b2: Barcode, k: int) -> tuple[float, Optional[tuple]]
     a, b = _Side(b1, k), _Side(b2, k)
     if a.infinite != b.infinite:
         return math.inf, None
-    value, probe = _search(a, b)  # inf if a half-length overflowed
+    value, probe = _search(a, b)  # inf if a birth gap overflowed
     return (math.inf, None) if value == math.inf else (value, (a, b, *probe))
 
 

@@ -22,11 +22,12 @@ def format_value(x: float) -> str:
     return repr(x)
 
 
+def uncommented(text: str) -> list[str]:
+    """The lines of an input text with `#` comments cut off: the one place
+    that decides which lines every text format has."""
+    return [r.split("#", 1)[0] for r in text.splitlines()] if "#" in text else text.splitlines()
+
+
 def text_lines(text: str) -> list[tuple[int, str]]:
-    """(line number, content) of each line of an input text, numbered from
-    1, with `#` comments and surrounding blanks stripped and empty lines
-    skipped; every text format reads its lines through this."""
-    raw = text.splitlines()
-    if "#" in text:
-        raw = [r.split("#", 1)[0] for r in raw]
-    return [(i, line) for i, line in enumerate(map(str.strip, raw), start=1) if line]
+    """(line number, content) of each nonblank `uncommented` line, numbered from 1 and stripped."""
+    return [(i, line) for i, line in enumerate(map(str.strip, uncommented(text)), start=1) if line]

@@ -1036,6 +1036,14 @@ def grid_surface(m: int, twist: bool) -> dict:
     return simplices
 
 
+def noisy_circle(n: int) -> PointCloud:
+    """n points on the unit circle plus Gaussian noise (sigma 0.05), numpy seed 0."""
+    rng = np.random.default_rng(0)
+    t = rng.uniform(0.0, 2 * math.pi, n)
+    pts = np.column_stack([np.cos(t), np.sin(t)]) + rng.normal(0.0, 0.05, (n, 2))
+    return PointCloud(tuple(map(tuple, pts.tolist())))
+
+
 def random_vertex_function(rng: random.Random, fc: FilteredComplex,
                            lo: float = -1.0, hi: float = 1.0) -> VertexFunction:
     vals = {c.id: rng.uniform(lo, hi) for c in fc.cells if c.dim == 0}

@@ -1,0 +1,112 @@
+"""The at-scale figures CI tracks (README, "Tracked figures").  Usage: python tests/scale.py"""
+import contextlib
+import io
+import multiprocessing
+import resource
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.dont_write_bytecode = True  # nothing is written under perfbench/
+
+import numpy as np
+import workloads as w
+from helpers import noisy_circle
+from z2persist import RipsParams, cli, complexes, persistence, rips_filtration, summarize
+
+
+def best(k, run):
+    """The least wall time of k calls of run, and the last call's result."""
+    times = []
+    for _ in range(k):
+        start, out = time.perf_counter(), run()
+        times.append(time.perf_counter() - start)
+    return min(times), out
+
+
+def peak_rss():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # MB
+
+
+def lower_star_spx(surface, m):
+    """Every simplex of the m x m grid with its lower-star value, as the benchmark writes it."""
+    tris, h = w.surface_triangles(surface, m), w.surface_heights(m, np.random.default_rng(0))
+    return "".join(f"{w.fmt(max(h[v] for v in s))} {' '.join(map(str, s))}\n"
+                   for _, cells in sorted(w.closure(tris).items()) for s in sorted(cells))
+
+
+def distance():
+    """A benchmark diagram of 2,000 bars a degree against an unrelated one and against a
+    jittered copy of it: the wall time of one whole `distance` process, run in src/, each."""
+    rng = np.random.default_rng(0)
+    a, b = (w.random_diagram(rng, 2000, 2000, scale) for scale in (1.0, 2.0))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp, f"{name}.bcx") for name in "abj"]
+        for path, bars in zip(paths, (a, b, w.jitter(rng, a))):
+            path.write_text(w.bcx(bars))
+        for name, other in zip(("unrelated", "jittered"), paths[1:]):
+            print(f"{name} pair", flush=True)
+            argv = [sys.executable, "-m", "z2persist.cli", "distance", paths[0], other]
+            wall, _ = best(1, lambda: subprocess.run(argv, cwd=ROOT / "src", check=True))
+            print(f"wall {wall:.3f} s")
+
+
+def spx_reader():
+    text = lower_star_spx("klein", 60)
+    wall, fc = best(5, lambda: complexes.parse_spx(text))
+    print(f"parse_spx klein m=60 lower-star: {len(fc)} cells, best of 5 {wall * 1e3:.1f} ms")
+
+
+def summarized(name):
+    fc = (rips_filtration(noisy_circle(300), RipsParams(max_dim=2, threshold=0.5)) if name == "rips"
+          else complexes.parse_spx(lower_star_spx("klein", 60)))
+    wall, gens = best(1, lambda: summarize(fc).generators)
+    print(f"summarize {name}: {len(fc)} cells, wall {wall:.2f} s, peak RSS {peak_rss():.0f} MB, "
+          f"{sum(map(len, gens.values()))} generators")
+
+
+def cli_homology():
+    """The benchmark's p90 job; each of the five runs prints the same lines."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()) as out:
+        (path := Path(tmp, "torus16.spx")).write_text(lower_star_spx("torus", 16))
+        wall, code = best(5, lambda: cli.main(["homology", str(path), "--format", "spx"]))
+    print(f"cli homology torus m=16 lower-star: exit {code}, "
+          f"{len(out.getvalue().splitlines()) // 5} lines, best of 5 {wall * 1e3:.2f} ms")
+
+
+def rips_600():
+    pc, params = noisy_circle(600), RipsParams(max_dim=2, threshold=0.35)
+    wall, bars = best(1, lambda: persistence.barcode(rips_filtration(pc, params)))
+    print(f"rips n=600 thr 0.35: wall {wall:.2f} s, {len(bars)} bars, peak RSS {peak_rss():.0f} MB")
+    build, fc = best(1, lambda: rips_filtration(pc, params))
+    reduce, red = best(1, lambda: persistence.reduce_filtration(fc))
+    print(f"build {build:.2f} s, reduce_filtration {reduce:.2f} s, "
+          f"column_additions {red.column_additions}")
+
+
+def rips_1000():
+    """The triangle candidates the clique expansion examines (each edge's last vertex's
+    upper neighbours) against the edges x n row-wise adjacency masks would take."""
+    pc = noisy_circle(1000)
+    adj = np.triu(pc.distance_matrix() <= 0.3, 1)
+    edges, candidates = int(adj.sum()), int(adj.sum(axis=1)[np.nonzero(adj)[1]].sum())
+    del adj
+    build, fc = best(1, lambda: rips_filtration(pc, RipsParams(max_dim=2, threshold=0.3)))
+    reduce, red = best(3, lambda: persistence.reduce_filtration(fc))
+    print(f"rips n=1000 thr 0.3: {len(fc)} cells, build {build:.2f} s, {candidates} triangle "
+          f"candidates ({edges} edges x n = {edges * 1000}), reduce_filtration best of 3 "
+          f"{reduce:.2f} s, column_additions {red.column_additions}, peak RSS {peak_rss():.0f} MB")
+
+
+if __name__ == "__main__":
+    spawn, failed = multiprocessing.get_context("spawn"), False  # a fresh interpreter per figure
+    for figure, *args in ((distance,), (spx_reader,), (summarized, "rips"), (summarized, "klein"),
+                          (cli_homology,), (rips_600,), (rips_1000,)):
+        (process := spawn.Process(target=figure, args=args)).start()
+        process.join()
+        failed |= process.exitcode != 0
+    sys.exit(failed)

@@ -144,6 +144,15 @@ def test_distance_with_dim_flag(tmp_path, capsys):
     assert (code, out.strip()) == (0, "0")
 
 
+def test_distance_halves_a_length_that_overflows(tmp_path, capsys):
+    # [-1e308, 1e308) is 2e308 long, past the largest float, but deleting
+    # it costs 1e308; the infinite bars' birth gap, 1.7e308, decides
+    a, b = tmp_path / "a.bcx", tmp_path / "b.bcx"
+    a.write_text("0 -1e308 1e308\n0 0 inf\n")
+    b.write_text("0 1e308 1.7e308\n0 -1.7e308 inf\n")
+    assert run_cli(capsys, "distance", str(a), str(b))[:2] == (0, "1.7e+308\n")
+
+
 def test_rips_and_betti_curve(tmp_path, capsys):
     pts = tmp_path / "circle20.csv"
     main(["example", "circle20.csv", "--out", str(pts)])

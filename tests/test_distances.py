@@ -44,6 +44,8 @@ def test_interval_distance_examples():
     # deleting both short bars is cheaper than matching them
     assert interval_distance(Interval(0, 1), Interval(10, 11)) == 0.5
     assert interval_distance(Interval(0, INF), Interval(2, INF)) == 2.0
+    # a length that overflows to inf, though half of it does not
+    assert interval_distance(Interval(-1e308, 1e308), Interval(1.5e308, 1.6e308)) == 1e308
 
 
 def test_bottleneck_examples():
@@ -343,14 +345,17 @@ def test_the_value_path_equals_the_witness_path():
         for side in range(2):
             bars.append([(k, iv) for k in range(3) for iv in tied_intervals(
                 rng, rng.randint(0, 10), n_inf if trial % 6 else rng.randint(0, 3))])
-            if trial % 4 == side:  # a half-length that overflows to inf
+            if trial % 4 == side:  # a length that overflows to inf, though half of it does not
                 bars[-1].append((rng.randint(0, 2), Interval(-1e308 * rng.uniform(0.9, 1),
                                                              1e308 * rng.uniform(0.9, 1))))
         b1, b2 = Barcode(bars[0]), Barcode(bars[1])
         values = [bottleneck_matching(b1, b2, k)[0] for k in range(3)]
         assert [bottleneck(b1, b2, k) for k in range(3)] == values, trial
         assert bottleneck(b1, b2) == max(values), trial
-    assert bottleneck(bc(0, (-1e308, 1e308)), bc(0), 0) == INF
+    assert bottleneck(bc(0, (-1e308, 1e308)), bc(0), 0) == 1e308
+    # two infinite bars whose birth gap, the only way to match them, overflows
+    b1, b2 = bc(0, (-1e308, INF)), bc(0, (1e308, INF))
+    assert bottleneck(b1, b2, 0) == bottleneck_matching(b1, b2, 0)[0] == INF
 
 
 @pytest.mark.parametrize("k", [-1, 1.5, "0", None])

@@ -103,6 +103,15 @@ def test_cone_single_vertex():
     assert b.bars == ((0, Interval(0.0, 3.0)),)
 
 
+def test_the_apex_leads_a_vertex_tied_with_it_at_minus_M():
+    # f attains -M, so the vertex enters at -M with the apex, and after it
+    sk = FilteredComplex([Cell(0, 0, 0.0)])
+    spec = BifiltrationSpec(sk, VertexFunction({0: -1.0}), M=1.0, lam=1.0)
+    cone = build_cone_filtration(spec)
+    assert cone.apex == 0 and [c.value for c in cone.complex.cells] == [-1.0, -1.0, 4.0]
+    assert extended_barcode(spec).bars == ((0, Interval(-1.0, 4.0)),)
+
+
 def test_cone_filtration_validates_and_spans():
     spec = _klein_spec()
     cone = build_cone_filtration(spec)

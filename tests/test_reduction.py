@@ -1,6 +1,5 @@
 """The bitset reduction against the sorted-tuple oracle, and the number of
 reductions each consumer runs."""
-import math
 import random
 import sys
 from itertools import combinations
@@ -143,11 +142,7 @@ def _apparent_pairs(fc):
 
 def _rips_circle():
     """30 noisy points on the unit circle, Rips to threshold 0.8 with triangles."""
-    rng = np.random.default_rng(0)
-    t = rng.uniform(0.0, 2 * math.pi, 30)
-    pts = np.column_stack([np.cos(t), np.sin(t)]) + rng.normal(0.0, 0.05, (30, 2))
-    return rips_filtration(PointCloud(tuple(map(tuple, pts.tolist()))),
-                           RipsParams(max_dim=2, threshold=0.8))
+    return rips_filtration(helpers.noisy_circle(30), RipsParams(max_dim=2, threshold=0.8))
 
 
 # The column additions on the coboundary side, then those of summarize's
