@@ -143,9 +143,6 @@ class FilteredComplex:
     def __len__(self) -> int:
         return len(self.dims)
 
-    def __iter__(self):
-        return iter(self.cells)
-
     def label(self, j: int) -> str:
         """Cell j's name, or its id when it has none."""
         name = self.name_of(j) if self.name_of else None
@@ -352,7 +349,7 @@ def _star_values(skeleton: FilteredComplex, f: VertexFunction) -> tuple[np.ndarr
         highs.append(max(vals))
     if first < n:
         raise _star_fault(skeleton, first)
-    dtype = float if all(type(x) is float for x in chain(lows, highs)) else object
+    dtype = float if all(isinstance(x, float) for x in chain(lows, highs)) else object
     out = np.empty(n, dtype), np.empty(n, dtype)
     out[0][reads], out[1][reads] = lows, highs
     for k in sorted(set(dims[combine].tolist())):

@@ -223,22 +223,21 @@ def reduce_filtration(fc: FilteredComplex) -> Reduction:
 
 
 def barcode(fc: FilteredComplex) -> Barcode:
-    """Barcode of the filtration, zero-length pairs dropped: bars are kept and
-    sorted on int value ranks and checked on the endpoint arrays at once."""
+    """Barcode of the filtration: a pair is kept when its two values differ,
+    an unpaired cell always, and the kept bars are sorted on (dimension,
+    birth, death) and checked on the endpoint arrays at once."""
     import numpy as np
     red = reduce_filtration(fc)
     n, values, free = len(fc), fc.values, red.unpaired_ids
     if (values[1:] < values[:-1]).any():
         raise ValueError("cell values decrease: the complex is not in filtration order")
-    rank = np.arange(n + 1)  # a value's rank is the first id holding it; +inf's is n
-    rank[1:n][values[1:] == values[:-1]] = 0
-    rank = np.maximum.accumulate(rank)
-    births = np.concatenate([red.pair_ids[:, 0], free])
-    deaths = np.concatenate([red.pair_ids[:, 1], np.full(len(free), n)])
-    order = np.lexsort((rank[deaths], rank[births], fc.dims[births]))
-    order = order[rank[births[order]] < rank[deaths[order]]]
-    births, ends = births[order], np.append(values, math.inf)
-    lo, hi = ends[births], ends[deaths[order]]
+    births = np.append(red.pair_ids[:, 0], free)
+    deaths = np.append(red.pair_ids[:, 1], np.full(len(free), n))  # id n: the value +inf
+    ends = np.append(values, math.inf)
+    lo, hi = ends[births], ends[deaths]
+    keep = np.flatnonzero((lo != hi) | (deaths == n))
+    order = keep[np.lexsort((hi[keep], lo[keep], fc.dims[births[keep]]))]  # objects sort too
+    births, lo, hi = births[order], lo[order], hi[order]
     if not ((lo > -math.inf) & (lo < hi)).all():
         list(map(Interval, lo.tolist(), hi.tolist()))  # raises for the first bad bar
     return Barcode(columns=(fc.dims[births].tolist(), lo.tolist(), hi.tolist()))  # ints stay ints
@@ -248,7 +247,7 @@ def persistent_betti(b: Barcode, k: int, a: float, p: float) -> int:
     """Rank of the map induced by inclusion of level a into level a+p:
     bars born no later than a and still alive at a+p, i.e. the bars
     alive at a among those that outlive a+p."""
-    if p < 0:
+    if not p >= 0:  # also true for nan
         raise ValueError("lifespan p must be nonnegative")
     return dimension_function([iv for iv in b.in_dim(k) if iv.death > a + p])(a)
 

@@ -140,11 +140,12 @@ def rips_filtration(pc: PointCloud, params: RipsParams) -> FilteredComplex:
     if limit == math.inf:
         raise ValueError("need a threshold or steps to bound the scale")
     n = len(pc) if limit >= 0 else 0  # no cell enters above the limit, not even a vertex
+    max_dim = params.max_dim if n else 0  # and with no vertex no distance is read
     simplices = [np.arange(n, dtype=np.int64).reshape(n, 1)]
     values = [np.zeros(n)]
     faces = [np.zeros((n, 1), dtype=np.int64)]  # the empty face
     key = np.arange(n)  # each row's (parent row) * n + last vertex, increasing
-    if params.max_dim:  # the edges (parent, last) in order, and so each vertex's upper neighbours
+    if max_dim:  # the edges (parent, last) in order, and so each vertex's upper neighbours
         dist = pc.distance_matrix()[:n, :n]
         adj = dist <= limit  # the threshold graph; only entries above the diagonal are read
         i, j = np.divmod(np.flatnonzero(adj), n)
@@ -161,7 +162,7 @@ def rips_filtration(pc: PointCloud, params: RipsParams) -> FilteredComplex:
             raise ValueError(f"the Rips complex passes {_MAX_CELLS} cells in dimension 1 "
                              f"({n + len(last)} so far)")
         nbrs, indptr = last, np.searchsorted(parent, np.arange(n + 1))  # the upper neighbours
-    for k in range(1, params.max_dim + 1):
+    for k in range(1, max_dim + 1):
         if k > 1:
             parent, last = _cofaces(adj, nbrs, indptr, simplices[-1], sum(map(len, simplices)))
         if not len(parent):  # no clique extends: every higher dimension is empty

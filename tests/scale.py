@@ -102,10 +102,25 @@ def rips_1000():
           f"{reduce:.2f} s, column_additions {red.column_additions}, peak RSS {peak_rss():.0f} MB")
 
 
+def klein_200(command):
+    """One whole CLI process of the benchmark's `extended` or `homology` job (variant 0) on
+    the Klein m=200 grid, run in src/: its wall time and peak RSS."""
+    spec = w.Spec(f"{command}-klein200", command, w.VARIANTS, (("surface", "klein"), ("m", 200)),
+                  input_key="klein200")
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [sys.executable, "-m", "z2persist.cli", *w.prepare(spec, 0, Path(tmp)).argv]
+        wall, out = best(1, lambda: subprocess.run(argv, cwd=ROOT / "src", check=True,
+                                                   stdout=subprocess.PIPE))
+    rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024  # MB, the CLI's
+    print(f"cli {command} klein m=200: {len(out.stdout.splitlines())} lines, wall {wall:.2f} s, "
+          f"peak RSS {rss:.0f} MB")
+
+
 if __name__ == "__main__":
     spawn, failed = multiprocessing.get_context("spawn"), False  # a fresh interpreter per figure
     for figure, *args in ((distance,), (spx_reader,), (summarized, "rips"), (summarized, "klein"),
-                          (cli_homology,), (rips_600,), (rips_1000,)):
+                          (cli_homology,), (rips_600,), (rips_1000,), (klein_200, "extended"),
+                          (klein_200, "homology")):
         (process := spawn.Process(target=figure, args=args)).start()
         process.join()
         failed |= process.exitcode != 0

@@ -94,6 +94,22 @@ def test_bars_equal_the_bar_walk_on_skeletons_lower_stars_and_cones(skeleton):
             assert _triples(extended_barcode(spec)) == want
 
 
+def test_numpy_float_heights_give_the_python_float_cells_and_bars():
+    # a numpy float is a float: float64 values, and bars whose endpoints are Python floats
+    sk = simplices_to_complex(grid_surface(4, True))
+    vertices = np.flatnonzero(sk.dims == 0).tolist()
+    heights = np.random.default_rng(0).integers(-4, 5, len(vertices)) / 4  # ties among them
+    by_numpy = VertexFunction(dict(zip(vertices, heights)))
+    by_float = VertexFunction(dict(zip(vertices, heights.tolist())))
+    for build in (lambda f: lower_star(sk, f),
+                  lambda f: build_cone_filtration(BifiltrationSpec(sk, f)).complex):
+        fc, want = build(by_numpy), build(by_float)
+        assert fc.values.dtype == want.values.dtype == np.float64
+        b = barcode(fc)
+        assert b == barcode(want) and len(b) > 0
+        assert {type(x) for x in b.births + b.deaths} == {float}
+
+
 _COORD = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5])
 
 

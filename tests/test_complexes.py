@@ -151,8 +151,8 @@ def test_klein_height_fixture():
 def test_sublevel_nesting():
     fc = klein_height(2.0, 1.0)
     for a, b in [(-2.0, -1.0), (-1.5, 0.0), (0.0, 5.0)]:
-        ids_a = {c.name for c in fc.sublevel(a)}
-        ids_b = {c.name for c in fc.sublevel(b)}
+        ids_a = {c.name for c in fc.sublevel(a).cells}
+        ids_b = {c.name for c in fc.sublevel(b).cells}
         assert ids_a <= ids_b
 
 

@@ -139,8 +139,9 @@ def test_persistent_betti_examples():
     b = parse_bcx("1 0 2\n1 1 3\n")
     assert persistent_betti(b, 1, 0.5, 2.0) == 0
     assert composite_rank(b.in_dim(1), 0.5, 2.0) == 0
-    with pytest.raises(ValueError):
-        persistent_betti(b, 1, 0.0, -1.0)
+    for p in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="lifespan p must be nonnegative"):
+            persistent_betti(b, 1, 0.0, p)
 
 
 def test_persistent_betti_p0_is_dimension_function():

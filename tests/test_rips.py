@@ -221,3 +221,14 @@ def test_max_dim_0_lists_no_edges_and_caps_no_dimension_above_the_vertices(monke
     assert fc.dims.tolist() == [0] * 10 and fc.values.tolist() == [0.0] * 10
     with pytest.raises(ValueError, match=r"passes 10 cells in dimension 1 \(55 so far\)$"):
         rips_filtration(circle_points(10), RipsParams(max_dim=1, threshold=2.5))
+
+
+def test_negative_threshold_reads_no_distance(monkeypatch):
+    # no vertex enters below 0, so the build needs no distance at any max_dim
+    def no_distances(self):
+        raise AssertionError("distance_matrix read for a complex with no vertex")
+
+    monkeypatch.setattr(PointCloud, "distance_matrix", no_distances)
+    for max_dim in (1, 2):
+        fc = rips_filtration(circle_points(10), RipsParams(max_dim=max_dim, threshold=-0.5))
+        assert len(fc) == 0 and len(barcode(fc)) == 0
