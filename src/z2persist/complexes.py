@@ -37,10 +37,19 @@ class Cell:
 
 @dataclass(frozen=True)
 class VertexFunction:
-    """Real values on vertex ids; the bound M that extended persistence
-    needs belongs to `extended.BifiltrationSpec`."""
+    """Real values on vertex ids, held as Python floats: f enters here, so every complex
+    built from it is float64.  The bound M belongs to `extended.BifiltrationSpec`."""
 
     values: dict
+
+    def __post_init__(self):
+        values = {}
+        for v, x in self.values.items():
+            try:
+                values[v] = float(x)
+            except OverflowError:  # an int past the floats
+                raise ComplexError(f"vertex {v} has a value beyond the float range") from None
+        object.__setattr__(self, "values", values)
 
     def __call__(self, vertex: int) -> float:
         try:
@@ -89,13 +98,11 @@ class FilteredComplex:
     """Ordered cells forming a filtration: faces precede cofaces, values
     monotone along boundaries, ties broken by (value, dim, id).
 
-    Arrays are the record: `dims` (int64), `values` (float64, or object if
-    a vertex function gave values that are not all floats, so each cell
-    keeps its value) and the boundaries in CSR form, the faces of cell j
-    being `indices[indptr[j]:indptr[j + 1]]`, sorted.  `name_of(j)` is
-    cell j's name or None, and `vertex_lists[j]` a CW cell's own vertex
-    list or None; either is None when no cell has one.  `cells` is built
-    on first use, and a complex made from cells keeps them.
+    Arrays are the record: `dims` (int64), `values` (float64, whatever dtype a
+    constructor is given) and the boundaries in CSR form, the faces of cell j being
+    `indices[indptr[j]:indptr[j + 1]]`, sorted.  `name_of(j)` is cell j's name or None,
+    and `vertex_lists[j]` a CW cell's own vertex list or None; either is None when no
+    cell has one.  `cells` is built on first use, and a complex made from cells keeps them.
     """
 
     def __init__(self, cells: Iterable[Cell]):
@@ -104,11 +111,10 @@ class FilteredComplex:
         n = len(cells)
         counts = np.fromiter(map(len, (c.boundary for c in cells)), np.int64, n)
         dims = np.fromiter((c.dim for c in cells), np.int64, n)
-        values = np.fromiter((c.value for c in cells), float, n)
         indices = np.fromiter(chain.from_iterable(c.boundary for c in cells), np.int64,
                               int(counts.sum()))
         names, vertex_lists = [c.name for c in cells], [c.vertices for c in cells]
-        self._keep(dims, values, _indptr(counts), indices,
+        self._keep(dims, [c.value for c in cells], _indptr(counts), indices,
                    names.__getitem__ if any(x is not None for x in names) else None,
                    vertex_lists if any(v is not None for v in vertex_lists) else None, cells)
 
@@ -116,14 +122,14 @@ class FilteredComplex:
     def from_arrays(cls, dims: np.ndarray, values: np.ndarray, indptr: np.ndarray,
                     indices: np.ndarray, name_of: Optional[Callable] = None,
                     vertex_lists: Optional[list] = None) -> "FilteredComplex":
-        """The complex these arrays describe, kept as they are."""
+        """The complex these arrays describe, kept as they are but for float64 values."""
         fc = cls.__new__(cls)
         fc._keep(dims, values, indptr, indices, name_of, vertex_lists, None)
         return fc
 
     def _keep(self, dims, values, indptr, indices, name_of, vertex_lists, cells):
-        self.dims, self.values, self.indptr, self.indices = dims, values, indptr, indices
-        self.name_of, self.vertex_lists, self._cells = name_of, vertex_lists, cells
+        self.dims, self.indptr, self.indices, self.name_of = dims, indptr, indices, name_of
+        self.values, self.vertex_lists, self._cells = np.asarray(values, float), vertex_lists, cells
         # the first cell whose id is not its position
         self._misnumbered = next((i for i, c in enumerate(cells or ()) if c.id != i), len(dims))
 
@@ -170,7 +176,7 @@ class FilteredComplex:
         dim, last_dim = self.dims[[j, j - 1]].tolist()  # cell j - 1 is read only if j > 0
         if dim < 0:
             return ComplexError("negative dimension", j)
-        value, last = self.values[[j, j - 1]].tolist()  # Python scalars: an int stays an int
+        value, last = self.values[[j, j - 1]].tolist()
         if not -math.inf < value < math.inf:
             return ComplexError(f"value {value} is not finite", j)
         if j and (value, dim) < (last, last_dim):
@@ -202,8 +208,8 @@ class FilteredComplex:
 
     def _first_fault(self) -> int:
         """The lowest id at which an array mask finds a broken rule, or n."""
-        dims, indptr, indices = self.dims, self.indptr, self.indices
-        values, n = np.asarray(self.values, dtype=float), len(dims)
+        dims, values, indptr, indices = self.dims, self.values, self.indptr, self.indices
+        n = len(dims)
         bad = (dims < 0) | ~np.isfinite(values)
         step, tie = values[1:] < values[:-1], values[1:] == values[:-1]
         bad[1:] |= step | (tie & (dims[1:] < dims[:-1]))
@@ -319,16 +325,15 @@ def _reorder(dims: np.ndarray, values: np.ndarray, rows: np.ndarray, faces: np.n
     return fc, new_id
 
 
-def _star_values(skeleton: FilteredComplex, f: VertexFunction) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum and maximum of f over each cell's vertices, by cell id: a
-    cell with its own vertex list reads it, a vertex reads itself, and any
-    other cell combines its faces' entries, a dimension at a time.  So its
-    faces must come before it, one dimension down, and a vertex list may
-    name only 0-cells; the first cell in id order that breaks this, has no
-    vertices or has a vertex without a value is named."""
+def _star_values(skeleton: FilteredComplex, f: VertexFunction) -> np.ndarray:
+    """Min and max of f over each cell's vertices, the rows of a (2, n) array
+    by cell id: a cell with its own vertex list reads it, a vertex reads
+    itself, and any other cell combines its faces' entries, a dimension at
+    a time.  So its faces must come before it, one dimension down, and a
+    vertex list may name only 0-cells; the first cell in id order that
+    breaks this, has no vertices or has a vertex without a value is named."""
     dims, indptr, indices = skeleton.dims, skeleton.indptr, skeleton.indices
-    n = len(dims)
-    counts = np.diff(indptr)
+    n, counts = len(dims), np.diff(indptr)
     own = skeleton.vertex_lists
     combine = dims != 0
     if own is not None:
@@ -342,22 +347,16 @@ def _star_values(skeleton: FilteredComplex, f: VertexFunction) -> tuple[np.ndarr
                               for v in own), bool, n)
     first = int(np.argmax(fault)) if fault.any() else n
     reads = np.flatnonzero(~combine[:first])
-    lows, highs = [], []
-    for j in reads.tolist():
-        vals = [f(v) for v in (own[j] if own and own[j] is not None else (j,))]
-        lows.append(min(vals))
-        highs.append(max(vals))
+    vals = [[*map(f, own[j] if own and own[j] is not None else (j,))] for j in reads.tolist()]
     if first < n:
         raise _star_fault(skeleton, first)
-    dtype = float if all(isinstance(x, float) for x in chain(lows, highs)) else object
-    out = np.empty(n, dtype), np.empty(n, dtype)
-    out[0][reads], out[1][reads] = lows, highs
+    out = np.empty((2, n))
+    out[:, reads] = [*map(min, vals)], [*map(max, vals)]
     for k in sorted(set(dims[combine].tolist())):
         sel = np.flatnonzero(combine & (dims == k))
-        at = indices[_gather(indptr[sel], counts[sel])]
-        starts = _indptr(counts[sel])[:-1]
-        out[0][sel] = np.minimum.reduceat(out[0][at], starts)
-        out[1][sel] = np.maximum.reduceat(out[1][at], starts)
+        at, starts = indices[_gather(indptr[sel], counts[sel])], _indptr(counts[sel])[:-1]
+        out[0, sel] = np.minimum.reduceat(out[0, at], starts)
+        out[1, sel] = np.maximum.reduceat(out[1, at], starts)
     return out
 
 
@@ -490,6 +489,8 @@ def write_fcx(fc: FilteredComplex) -> str:
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 # An SPX simplex of w vertices closes to 2^w - 1 cells, 65,535 at this limit.
 _MAX_VERTICES = 16
+# Most cells a Rips or SPX complex may have: about 2.3 GB at ~0.55 KB a cell.
+_MAX_CELLS = 1 << 22
 
 
 def parse_fcx(text: str) -> FilteredComplex:
@@ -519,16 +520,20 @@ def parse_fcx(text: str) -> FilteredComplex:
 
 def _close_simplices(ranks: np.ndarray, widths: np.ndarray, values: np.ndarray,
                      labels: np.ndarray, vertex_values: Optional[dict] = None) -> FilteredComplex:
-    """The filtered complex of valued simplices and their faces: simplex i is the
-    next widths[i] of `ranks` (increasing indices into the sorted `labels`, each
-    used) at values[i], and takes its smallest value over repeats and cofaces, or
-    with vertex_values the maximum of the function over its vertices."""
+    """The filtered complex of valued simplices and their faces: simplex i is the next
+    widths[i] of `ranks` (increasing indices into the sorted `labels`, each used) at
+    values[i], and takes its smallest value over repeats and cofaces, or with vertex_values
+    the maximum of the function over its vertices.  Before making faces that would pass
+    `_MAX_CELLS` cells, each counted once for each simplex above it, this raises."""
     starts, top, nv = _indptr(widths)[:-1], int(widths.max()), len(labels)
     rows, vals, faces = [None] * top, [None] * top, [None] * (top + 1)  # faces[top] is empty
     for w in range(top, 0, -1):
         sel = np.flatnonzero(widths == w)
         r, v = ranks[_gather(starts[sel], widths[sel])].reshape(-1, w), values[sel]
         if w < top:  # with the faces of the simplices above, each missing a vertex
+            if (made := sum(map(len, rows[w:])) + len(sel) + len(rows[w]) * (w + 1)) > _MAX_CELLS:
+                raise ComplexError(f"the SPX complex passes {_MAX_CELLS} cells in dimension "
+                                   f"{w - 1} ({made} so far)")
             drop = [[j for j in range(w + 1) if j != i] for i in range(w + 1)]
             more = rows[w][:, drop].reshape(-1, w), np.repeat(vals[w], w + 1)
             r, v = (np.vstack([r, more[0]]), np.append(v, more[1])) if len(sel) else more
@@ -547,10 +552,9 @@ def _close_simplices(ranks: np.ndarray, widths: np.ndarray, values: np.ndarray,
         rows[w - 1], vals[w - 1], faces[w] = r[pick], v[pick], run[len(sel):].reshape(-1, w + 1)
     labels = labels.tolist()
     if vertex_values is not None:
-        f = np.array([*map(VertexFunction(vertex_values), labels)], dtype=float)
-        bad = np.flatnonzero(~np.isfinite(f))
-        if len(bad):
-            raise ComplexError(f"vertex {labels[bad[0]]} has a non-finite function value")
+        f = np.array([*map(VertexFunction(vertex_values), labels)])
+        if not (finite := np.isfinite(f)).all():
+            raise ComplexError(f"vertex {labels[finite.argmin()]} has a non-finite function value")
         vals = [f[r].max(axis=1) for r in rows]
     fc = simplicial_filtration(rows, faces, vals, [str(v) for v in labels])
     fc.validate()

@@ -80,9 +80,7 @@ def build_cone_filtration(spec: BifiltrationSpec) -> ConeFiltration:
     Ties are broken by dimension, then by phase (apex, cell, cone), then by
     the skeleton's cell id.
     """
-    skeleton, f = spec.complex, spec.f
-    M, lam = spec.M, spec.lam
-    n = len(skeleton)
+    skeleton, f, M, lam, n = spec.complex, spec.f, spec.M, spec.lam, len(spec.complex)
     if n == 0:
         raise ComplexError("empty complex")
     lows, highs = _star_values(skeleton, f)
@@ -100,7 +98,7 @@ def build_cone_filtration(spec: BifiltrationSpec) -> ConeFiltration:
 
     fc, new_id = _reorder(
         np.concatenate([np.zeros(1, np.int64), dims, dims + 1]),
-        np.concatenate([np.array([-M], highs.dtype), highs, 2 * M + lam - lows]),
+        np.concatenate([np.array([-M], float), highs, 2 * M + lam - lows]),
         np.concatenate([1 + owner, n + cell, n + cell[vertex], 1 + n + owner[up]]),
         np.concatenate([1 + faces, cell, np.zeros(np.count_nonzero(vertex), np.int64),
                         1 + n + faces[up]]),

@@ -236,11 +236,11 @@ def barcode(fc: FilteredComplex) -> Barcode:
     ends = np.append(values, math.inf)
     lo, hi = ends[births], ends[deaths]
     keep = np.flatnonzero((lo != hi) | (deaths == n))
-    order = keep[np.lexsort((hi[keep], lo[keep], fc.dims[births[keep]]))]  # objects sort too
+    order = keep[np.lexsort((hi[keep], lo[keep], fc.dims[births[keep]]))]
     births, lo, hi = births[order], lo[order], hi[order]
     if not ((lo > -math.inf) & (lo < hi)).all():
         list(map(Interval, lo.tolist(), hi.tolist()))  # raises for the first bad bar
-    return Barcode(columns=(fc.dims[births].tolist(), lo.tolist(), hi.tolist()))  # ints stay ints
+    return Barcode(columns=(fc.dims[births].tolist(), lo.tolist(), hi.tolist()))
 
 
 def persistent_betti(b: Barcode, k: int, a: float, p: float) -> int:

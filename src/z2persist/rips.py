@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .complexes import FilteredComplex, simplicial_filtration, text_lines
+from .complexes import _MAX_CELLS, FilteredComplex, simplicial_filtration, text_lines
 from .persistence import betti_curve, betti_curve_csv  # re-exported
 
 
@@ -100,8 +100,6 @@ class RipsParams:
 
 # Candidates are tested this many at a time, in a few int64 arrays as long.
 _MASK_ENTRIES = 1 << 15
-# Most cells a Rips filtration may have: about 2.3 GB at ~0.55 KB a cell.
-_MAX_CELLS = 1 << 22
 
 
 def _cofaces(adj: np.ndarray, nbrs: np.ndarray, indptr: np.ndarray, rows: np.ndarray,

@@ -116,11 +116,28 @@ def klein_200(command):
           f"peak RSS {rss:.0f} MB")
 
 
+def spx_cap():
+    """One whole CLI `persist --format spx` process, run in src/, on 300 lines of 16 distinct
+    vertices each (19,660,500 cells closed): it must stop at the cell cap, with exit 2 and
+    no traceback.  Its exit code, wall time and peak RSS."""
+    text = "".join(f"0 {' '.join(map(str, range(16 * i, 16 * i + 16)))}\n" for i in range(300))
+    with tempfile.TemporaryDirectory() as tmp:
+        (path := Path(tmp, "cap.spx")).write_text(text)
+        argv = [sys.executable, "-m", "z2persist.cli", "persist", str(path), "--format", "spx"]
+        wall, out = best(1, lambda: subprocess.run(argv, cwd=ROOT / "src", capture_output=True,
+                                                   text=True))
+    rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024  # MB, the CLI's
+    if out.returncode != 2 or not out.stderr.startswith("error: the SPX complex passes "):
+        raise RuntimeError(f"the cell cap did not stop the closure: {out}")
+    print(f"cli persist spx 300 lines of 16 vertices: exit {out.returncode}, wall {wall:.2f} s, "
+          f"peak RSS {rss:.0f} MB")
+
+
 if __name__ == "__main__":
     spawn, failed = multiprocessing.get_context("spawn"), False  # a fresh interpreter per figure
     for figure, *args in ((distance,), (spx_reader,), (summarized, "rips"), (summarized, "klein"),
                           (cli_homology,), (rips_600,), (rips_1000,), (klein_200, "extended"),
-                          (klein_200, "homology")):
+                          (klein_200, "homology"), (spx_cap,)):
         (process := spawn.Process(target=figure, args=args)).start()
         process.join()
         failed |= process.exitcode != 0

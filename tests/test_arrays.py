@@ -1,6 +1,7 @@
 """The array record of a FilteredComplex: cells built only on demand,
 a lazy rebuild equal to the cells a complex was made from, and array rows
 that validate names as the reference does."""
+import math
 import random
 
 import numpy as np
@@ -164,13 +165,27 @@ def test_array_built_cells_and_fcx_match_the_cell_oracle():
         assert [c.name for c in fc.cells] == [c.name for c in ref.cells]
 
 
-def test_int_vertex_values_stay_ints():
-    # the values column keeps what f gave, so a lazily built cell does too
+def test_int_vertex_values_become_floats():
+    # f holds floats, so the values column is float64 and a lazily built cell holds a float
     sk, _ = klein_height_skeleton(2.0, 1.0)
     fc = lower_star(sk, VertexFunction({0: -2, 1: -1, 2: 2}))
-    assert fc.values.dtype == object
-    assert [repr(c.value) for c in fc.cells] == ["-2", "-1", "-1", "-1", "2", "2", "2", "2",
-                                                 "2", "2"]
+    assert fc.values.dtype == np.float64
+    assert [repr(c.value) for c in fc.cells] == ["-2.0", "-1.0", "-1.0", "-1.0", "2.0", "2.0",
+                                                 "2.0", "2.0", "2.0", "2.0"]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_from_arrays_holds_float64_values(dtype):
+    # 2**53 + 1 rounds to 2**53 as a float: validate and barcode read the same float64
+    # values, so both take the two vertices as tied, and the edge joins them at 2**53 + 2
+    fc = FilteredComplex.from_arrays(
+        np.array([0, 0, 1]), np.array([2**53 + 1, 2**53, 2**53 + 2], dtype=dtype),
+        np.array([0, 0, 0, 2]), np.array([0, 1]))
+    assert fc.values.dtype == np.float64
+    fc.validate()
+    b = barcode(fc)
+    assert [(d, *iv) for d, iv in b] == [(0, 2.0**53, 2.0**53 + 2), (0, 2.0**53, math.inf)]
+    assert {type(x) for x in b.births + b.deaths} == {float}
 
 
 def corruptions(fc, rng):

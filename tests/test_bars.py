@@ -2,7 +2,7 @@
 
 `barcode` selects, orders and checks its bars on arrays; `reference_barcode`
 is the per-bar walk it replaced.  Both must give the same bars in the same
-order, with endpoints of the same Python type (an int height stays an int).
+order, with endpoints of the same Python type (float, from int heights too).
 A `Barcode` holds degree, birth and death lists and builds its bars only
 when they are read.
 """
@@ -79,11 +79,11 @@ def _skeletons_with_heights(draw):
 def test_bars_equal_the_bar_walk_on_skeletons_lower_stars_and_cones(skeleton):
     sk, heights = skeleton
     assert_same_bars(sk)
-    by_int = VertexFunction(heights)  # int heights: object values
+    by_int = VertexFunction(heights)  # int heights: float64 values, as float heights give
     by_float = VertexFunction({v: h / 2 for v, h in heights.items()})
     for f in (by_int, by_float):
         fc = lower_star(sk, f)
-        assert fc.values.dtype == (object if f is by_int else float)
+        assert fc.values.dtype == float
         assert_same_bars(fc)
         # M = max|f| lets a vertex enter with the apex, at -M, when f attains -M
         sup = max(abs(x) for x in f.values.values())
@@ -95,18 +95,25 @@ def test_bars_equal_the_bar_walk_on_skeletons_lower_stars_and_cones(skeleton):
 
 
 def test_numpy_float_heights_give_the_python_float_cells_and_bars():
-    # a numpy float is a float: float64 values, and bars whose endpoints are Python floats
+    # f holds Python floats whatever it is given (numpy floats, Python or numpy ints):
+    # float64 values, and the Python-float run's bars, whose endpoints are Python floats
     sk = simplices_to_complex(grid_surface(4, True))
     vertices = np.flatnonzero(sk.dims == 0).tolist()
-    heights = np.random.default_rng(0).integers(-4, 5, len(vertices)) / 4  # ties among them
-    by_numpy = VertexFunction(dict(zip(vertices, heights)))
-    by_float = VertexFunction(dict(zip(vertices, heights.tolist())))
-    for build in (lambda f: lower_star(sk, f),
-                  lambda f: build_cone_filtration(BifiltrationSpec(sk, f)).complex):
-        fc, want = build(by_numpy), build(by_float)
-        assert fc.values.dtype == want.values.dtype == np.float64
-        b = barcode(fc)
-        assert b == barcode(want) and len(b) > 0
+    steps = np.random.default_rng(0).integers(-4, 5, len(vertices))  # ties among them
+    quarters = steps / 4
+    for heights, floats in ((quarters, quarters), (quarters.astype(np.float32), quarters),
+                            (steps, steps.astype(float)), (steps.tolist(), steps.astype(float))):
+        given = VertexFunction(dict(zip(vertices, heights)))
+        by_float = VertexFunction(dict(zip(vertices, floats.tolist())))
+        for build in (lambda f: lower_star(sk, f),
+                      lambda f: build_cone_filtration(BifiltrationSpec(sk, f)).complex):
+            fc, want = build(given), build(by_float)
+            assert fc.values.dtype == want.values.dtype == np.float64
+            b = barcode(fc)
+            assert b == barcode(want) and len(b) > 0
+            assert {type(x) for x in b.births + b.deaths} == {float}
+        b = extended_barcode(BifiltrationSpec(sk, given))
+        assert b == extended_barcode(BifiltrationSpec(sk, by_float)) and len(b) > 0
         assert {type(x) for x in b.births + b.deaths} == {float}
 
 

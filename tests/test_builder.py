@@ -385,6 +385,25 @@ def test_spx_simplex_size_limit():
         parse_spx(f"{top} 99\n", dict.fromkeys(range(100), 0.0))
 
 
+@pytest.mark.parametrize("cap, dim, made", [(33, 1, 34), (45, 0, 46)])
+def test_spx_closure_stops_at_the_cell_cap(tmp_path, capsys, monkeypatch, cap, dim, made):
+    # Two disjoint tetrahedra.  Before making a dimension's faces the closure counts the
+    # cells kept above and the faces to make, each once for each simplex above it:
+    # 2 + 2 * 4 triangles = 10, 10 + 8 * 3 edges = 34, 22 + 12 * 2 vertices = 46.
+    # The complex keeps 30 cells.
+    from z2persist import complexes
+    from z2persist.cli import main
+
+    (path := tmp_path / "two.spx").write_text("0 0 1 2 3\n0 4 5 6 7\n")
+    monkeypatch.setattr(complexes, "_MAX_CELLS", 46)
+    assert len(parse_spx(path.read_text())) == 30
+    monkeypatch.setattr(complexes, "_MAX_CELLS", cap)
+    assert main(["persist", str(path), "--format", "spx"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: the SPX complex passes {cap} cells in dimension {dim} "
+                              f"({made} so far)\n")
+
+
 @pytest.mark.parametrize("vertex_values", [False, True], ids=["valued", "vertex-values"])
 def test_spx_barcode_is_unchanged_by_relabelling_the_vertices(vertex_values):
     rng = random.Random(70 + vertex_values)

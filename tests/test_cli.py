@@ -181,6 +181,14 @@ def test_rips_radius_axis_halves_scales(tmp_path, capsys):
     assert "0 0 0.5\n" in rad
 
 
+def test_svg_of_an_empty_barcode():
+    from z2persist.persistence import Barcode
+    from z2persist.svg import barcode_svg
+
+    text = barcode_svg(Barcode())
+    assert text.startswith("<svg") and "empty barcode" in text and text.endswith("</svg>")
+
+
 def test_svg_output(klein_fcx, tmp_path, capsys):
     svg = tmp_path / "bars.svg"
     code, _, _ = run_cli(capsys, "persist", str(klein_fcx), "--svg", str(svg))

@@ -70,6 +70,11 @@ def test_rips_rejects_a_step_product_that_overflows(files, capsys, steps, step_s
         RipsParams(max_dim=1, steps=3, step_size=1e308, threshold=1.0)
 
 
+def test_rips_needs_a_threshold_or_steps(files, capsys):
+    code, out, err = run_cli(capsys, "rips", files / "p.csv", "--max-dim", "1")
+    assert (code, out, err) == (1, "", "usage error: give --threshold or --steps/--step-size\n")
+
+
 def test_rips_negative_threshold_keeps_no_cell(files, capsys):
     # no cell enters above the scale limit, vertices included, in either mode
     pc = PointCloud(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))

@@ -1,15 +1,19 @@
 import random
 import re
 
+import numpy as np
 import pytest
 
 from z2persist import (
+    Barcode,
     BifiltrationSpec,
     Cell,
     ComplexError,
     FilteredComplex,
     PointCloud,
+    RipsParams,
     VertexFunction,
+    betti_curve,
     build_cone_filtration,
     extended_barcode,
     klein_delta,
@@ -21,7 +25,9 @@ from z2persist import (
     torus_delta,
     torus_height_skeleton,
 )
-from z2persist.complexes import _star_values, parse_fcx, parse_spx, parse_vertex_values, write_fcx
+from z2persist.complexes import (
+    _star_values, parse_fcx, parse_spx, parse_vertex_values, simplicial_filtration, write_fcx,
+)
 
 from helpers import (
     random_skeleton,
@@ -201,11 +207,13 @@ def test_fcx_comments_and_blanks():
 @pytest.mark.parametrize("parse, good, bad, message", [
     (parse_bcx, "0 0 1", "0 1", "expected `<dim> <birth> <death>`"),
     (parse_fcx, "cell 0 0 0", "cell 1 0", "expected `cell <id> <dim> <value> ...`"),
+    (parse_fcx, "cell 0 0 0", "cell 1 0 x", "malformed number"),
     (parse_spx, "0.5 1 2", "x 1", "malformed simplex line"),
     (parse_vertex_values, "1 0.5", "1", "expected `<vertex-id> <value>`"),
     (parse_vertex_values, "1 0.5", "1 0.5 junk", "expected `<vertex-id> <value>`"),
     (PointCloud.from_csv, "0,0", "0,x", "malformed number in `0,x`"),
-], ids=["bcx", "fcx", "spx", "vertex-values", "vertex-values-extra-field", "csv"])
+], ids=["bcx", "fcx", "fcx-number", "spx", "vertex-values", "vertex-values-extra-field",
+        "csv"])
 def test_text_formats_skip_comments_and_blank_lines(parse, good, bad, message):
     def same(x):
         return getattr(x, "cells", x)
@@ -214,6 +222,27 @@ def test_text_formats_skip_comments_and_blank_lines(parse, good, bad, message):
     assert same(parse(commented)) == same(parse(good))
     with pytest.raises(ValueError, match=f"^line 6: {re.escape(message)}$"):
         parse(commented + bad)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: VertexFunction({0: 1.0}).sup_distance(VertexFunction({1: 1.0})),
+     "vertex functions defined on different vertex sets"),
+    (lambda: simplicial_filtration([np.array([[1], [0]])], [None], [np.zeros(2)], ["a", "b"]),
+     "simplices[0] must list the vertices 0..n-1"),
+    (lambda: simplicial_filtration([np.array([[0]]), np.array([[0, 0]])], [None, None],
+                                   [np.zeros(1), np.zeros(2)], ["a"]),
+     "simplices[1] must be an (m, 2) array with m values"),
+    (lambda: klein_height_skeleton(1.0, 1.0), "need 0 < A < M"),
+    (lambda: torus_height_skeleton(1.0, 0.0), "need 0 < A < M"),
+    (lambda: build_cone_filtration(BifiltrationSpec(FilteredComplex([]), VertexFunction({0: 0.0}))),
+     "empty complex"),
+    (lambda: betti_curve(Barcode(), 0, [1.0, 0.0]), "grid must be sorted"),
+    (lambda: RipsParams(max_dim=1, steps=0, step_size=1.0), "steps must be >= 1"),
+], ids=["sup-distance", "vertex-rows", "simplex-rows", "klein-heights", "torus-heights",
+        "empty-cone", "unsorted-grid", "zero-steps"])
+def test_argument_checks_name_the_rule(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_spx_closure_completion():

@@ -155,10 +155,18 @@ def test_star_values_name_a_face_fault_as_validate_does():
 
 
 def test_object_values_name_a_non_finite_value():
-    # int heights make the values an object array, read as Python scalars
+    # int heights and an infinite one are held as floats, and the infinite one is named
     edge = FilteredComplex([Cell(0, 0, 0.0), Cell(1, 0, 0.0), Cell(2, 1, 0.0, boundary=(0, 1))])
     with pytest.raises(ComplexError, match=r"^cell 1: value inf is not finite$"):
         lower_star(edge, VertexFunction({0: 0, 1: math.inf}))
+
+
+@pytest.mark.parametrize("height", [10**400, -10**400], ids=["10**400", "-10**400"])
+def test_an_int_height_past_the_floats_names_its_vertex(height):
+    # f converts its values once, when it is made; an int too large for a float has no value
+    edge = FilteredComplex([Cell(0, 0, 0.0), Cell(1, 0, 0.0), Cell(2, 1, 0.0, boundary=(0, 1))])
+    with pytest.raises(ComplexError, match=r"^vertex 1 has a value beyond the float range$"):
+        lower_star(edge, VertexFunction({0: 0, 1: height}))
 
 
 @pytest.mark.parametrize("dims, rows, text", [
