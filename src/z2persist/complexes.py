@@ -8,7 +8,7 @@ them (a loop, a disk glued along loops) carries its own vertex list.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, repeat
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -102,7 +102,8 @@ class FilteredComplex:
     constructor is given) and the boundaries in CSR form, the faces of cell j being
     `indices[indptr[j]:indptr[j + 1]]`, sorted.  `name_of(j)` is cell j's name or None,
     and `vertex_lists[j]` a CW cell's own vertex list or None; either is None when no
-    cell has one.  `cells` is built on first use, and a complex made from cells keeps them.
+    cell has one.  `cells` is built on first use; a complex made from cells keeps
+    them, each with its float64 value.
     """
 
     def __init__(self, cells: Iterable[Cell]):
@@ -117,6 +118,9 @@ class FilteredComplex:
         self._keep(dims, [c.value for c in cells], _indptr(counts), indices,
                    names.__getitem__ if any(x is not None for x in names) else None,
                    vertex_lists if any(v is not None for v in vertex_lists) else None, cells)
+        # the kept cells carry the float64 values, under the ids they were given
+        self._cells = tuple(c if type(c.value) is float else replace(c, value=x)
+                            for c, x in zip(cells, self.values.tolist()))
 
     @classmethod
     def from_arrays(cls, dims: np.ndarray, values: np.ndarray, indptr: np.ndarray,
@@ -128,8 +132,17 @@ class FilteredComplex:
         return fc
 
     def _keep(self, dims, values, indptr, indices, name_of, vertex_lists, cells):
+        try:
+            self.values = np.asarray(values, float)
+        except OverflowError:  # an int past the floats: name the first
+            for j, x in enumerate(values):
+                try:
+                    float(x)
+                except OverflowError:
+                    raise ComplexError("value is beyond the float range", j) from None
+            raise
         self.dims, self.indptr, self.indices, self.name_of = dims, indptr, indices, name_of
-        self.values, self.vertex_lists, self._cells = np.asarray(values, float), vertex_lists, cells
+        self.vertex_lists, self._cells = vertex_lists, cells
         # the first cell whose id is not its position
         self._misnumbered = next((i for i, c in enumerate(cells or ()) if c.id != i), len(dims))
 
@@ -285,12 +298,13 @@ def simplicial_filtration(simplices: Sequence[np.ndarray], faces: Sequence[np.nd
     dims = np.repeat(np.arange(len(simplices), dtype=np.int64), np.diff(start))
     rows = np.repeat(np.arange(start[-1]), np.where(dims > 0, dims + 1, 0))
     rows_of = [None] * len(simplices)  # dimension k's vertex rows as lists, once read
+    dim_of, first = memoryview(dims), start.tolist()
 
     def name_of(r):
-        k = dims.item(r)
+        k = dim_of[r]
         if rows_of[k] is None:
             rows_of[k] = simplices[k].tolist()
-        return "-".join(map(labels.__getitem__, rows_of[k][r - start.item(k)]))
+        return "-".join(map(labels.__getitem__, rows_of[k][r - first[k]]))
 
     return _reorder(dims, np.concatenate([np.empty(0), *values], dtype=float), rows,
                     np.concatenate([np.empty(0, np.int64)] + [
@@ -319,9 +333,10 @@ def _reorder(dims: np.ndarray, values: np.ndarray, rows: np.ndarray, faces: np.n
         remap = new_id.tolist().__getitem__
         vertex_lists = [None if v is None else tuple(sorted(map(remap, v)))
                         for v in map(vertex_lists.__getitem__, order.tolist())]
+    row = memoryview(order)  # the provisional row of each new id
     fc = FilteredComplex.from_arrays(
         dims[order], values[order], _indptr(np.bincount(rows, minlength=n)[order]), keys,
-        None if name_of is None else (lambda j: name_of(order.item(j))), vertex_lists)
+        None if name_of is None else (lambda j: name_of(row[j])), vertex_lists)
     return fc, new_id
 
 

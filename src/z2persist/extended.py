@@ -35,6 +35,11 @@ class BifiltrationSpec:
     lam: float = 1.0
 
     def __post_init__(self):
+        for name, x in (("bound M", self.M), ("spacing lambda", self.lam)):
+            try:
+                math.isfinite(0.0 if x is None else x)  # converts x to a float
+            except OverflowError:  # an int past the floats
+                raise ValueError(f"the {name} is beyond the float range") from None
         if not 0 < self.lam < math.inf:  # also false for nan
             raise ValueError("spacing lambda must be positive and finite")
         values = self.f.values.values()

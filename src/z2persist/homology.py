@@ -41,14 +41,14 @@ def _cycles(fc: FilteredComplex, cells) -> dict:
     {cell: cycle} in increasing id for the cells left unpaired: the chain its
     column vanished with, or the cell itself if its column is empty and no pivot."""
     cells = cells[np.argsort(-fc.dims[cells], kind="stable")]
-    n, ptr, flat = len(fc), fc.indptr, fc.indices
-    oldest, settled, done = np.full(n, n), np.full(n, -1, object), np.zeros(n, bool)
+    n, ptr, flat = len(fc), np.asarray(fc.indptr, np.int64), np.asarray(fc.indices, np.int64)
+    oldest, settled, done = np.full(n, n), np.full(n, -1), np.zeros(n, bool)
     np.minimum.at(oldest, flat, _owners(ptr))  # each cell's oldest coface
     full = ptr[cells + 1] > ptr[cells]
     c = cells[full]
     y = flat[ptr[c + 1] - 1]  # c's youngest face
     c, y = c[oldest[y] == c], y[oldest[y] == c]
-    settled[y], done[c], done[y] = c, True, True  # object dtype: chains share one int per c
+    settled[y], done[c], done[y] = c, True, True
     pivots, zeros, _ = persistence._reduce(ptr, flat, cells[full & ~done[cells]], True, settled)
     empty = [j for j in cells[~(full | done[cells])].tolist() if j not in pivots]
     return {j: frozenset(zeros.get(j, (j,))) for j in sorted([*zeros, *empty])}
@@ -72,8 +72,9 @@ class HomologySummary:
 def summarize(fc: FilteredComplex) -> HomologySummary:
     """Betti numbers and generators by one `_cycles` call over every cell."""
     gens = {k: [] for k in _degrees(fc)}
-    for j, cycle in _cycles(fc, np.arange(len(fc))).items():
-        gens[fc.dims.item(j)].append(cycle)
+    cycles = _cycles(fc, np.arange(len(fc)))
+    for k, cycle in zip(fc.dims[[*cycles]].tolist(), cycles.values()):
+        gens[k].append(cycle)
     return HomologySummary(betti={k: len(g) for k, g in gens.items()}, generators=gens)
 
 

@@ -125,11 +125,16 @@ class Reduction:
 def _reduce(ptr, flat, columns, chains: bool, settled):
     """The one column reduction, with clearing (Chen & Kerber 2011).
 
-    Column j holds the increasing rows `flat[ptr[j]:ptr[j + 1]]` of two
-    int64 arrays, at least one.  The int64 `columns` are reduced in order,
-    their pivots (last rows) read at once, their rows only for an addition,
-    as int bitsets (`z2`); with `chains` each carries the set of column ids
-    summed in.  `settled[r]` is -1 or a column with pivot r settled before.
+    Column j holds the increasing rows `flat[ptr[j]:ptr[j + 1]]`, at least
+    one.  The `columns` are reduced in order, their pivots (last rows) read
+    at once, their rows only for an addition, as int bitsets (`z2`); with
+    `chains` each carries the set of column ids summed in.  `settled[r]` is
+    -1 or a column with pivot r settled before.  The loop reads `ptr`, `flat`
+    and `settled` one entry or row at a time through memoryviews, which give
+    Python ints for any stride, so they must be integer arrays in native byte
+    order, not object ones.  The engine does not normalise them: its callers
+    pass int64 arrays, `reduce_filtration` ones it makes and `_cycles` the
+    complex's through `np.asarray(x, np.int64)`, which copies no int64 array.
     A column whose id is a pivot is skipped (cleared); any other gets the
     column with its pivot added until its pivot is fresh or it vanishes.
     Returns {pivot: column} for the nonzero columns, {column: chain} for the
@@ -141,22 +146,23 @@ def _reduce(ptr, flat, columns, chains: bool, settled):
     zeros: dict[int, set] = {}    # vanished column -> its chain
     additions = 0
     lows = flat[ptr[columns + 1] - 1]
+    at, rows, owner = memoryview(ptr), memoryview(flat), memoryview(settled)
     for j, low, other in zip(columns.tolist(), lows.tolist(), settled[lows].tolist()):
         if j in pivots:
             continue
         other = pivots.get(low, other)
         if other >= 0:
-            col = z2.bitset(flat[ptr.item(j):ptr.item(j + 1)])
+            col = z2.bitset(rows[at[j]:at[j + 1]])
             v = {j} if chains else None
             while other >= 0:
                 if other not in reduced:
-                    reduced[other] = z2.bitset(flat[ptr.item(other):ptr.item(other + 1)])
+                    reduced[other] = z2.bitset(rows[at[other]:at[other + 1]])
                 col ^= reduced[other]
                 additions += 1
                 if chains:
                     v ^= chain.get(other) or {other}
                 low = col.bit_length() - 1
-                other = pivots.get(low, settled.item(low)) if col else -1
+                other = pivots.get(low, owner[low]) if col else -1
             if not col:
                 zeros[j] = v
                 continue
@@ -202,7 +208,7 @@ def reduce_filtration(fc: FilteredComplex) -> Reduction:
     import numpy as np
     from .complexes import _by_major, _indptr, _owners
     n = len(fc)
-    flat = _by_major(n - 1 - fc.indices, n - 1 - _owners(fc.indptr), n)
+    flat = _by_major(np.subtract(n - 1, fc.indices, dtype=np.int64), n - 1 - _owners(fc.indptr), n)
     ptr, dims = _indptr(np.bincount(fc.indices, minlength=n)[::-1]), fc.dims[::-1]
     cols = np.flatnonzero(ptr[1:] > ptr[:-1])
     lows = flat[ptr[cols + 1] - 1]

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 
 def bitset(rows) -> int:
-    """Column with a 1 in each row listed an odd number of times in the
-    int64 array `rows`, read as Python ints, so that `1 << r` cannot wrap."""
+    """Column with a 1 in each row listed an odd number of times in `rows`,
+    an integer array or memoryview read as Python ints, so that `1 << r`
+    cannot wrap."""
     col = 0
     for r in rows.tolist():
         col ^= 1 << r

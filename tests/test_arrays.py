@@ -9,6 +9,7 @@ import pytest
 
 from z2persist import (
     BifiltrationSpec,
+    Cell,
     ComplexError,
     FilteredComplex,
     PointCloud,
@@ -172,6 +173,19 @@ def test_int_vertex_values_become_floats():
     assert fc.values.dtype == np.float64
     assert [repr(c.value) for c in fc.cells] == ["-2.0", "-1.0", "-1.0", "-1.0", "2.0", "2.0",
                                                  "2.0", "2.0", "2.0", "2.0"]
+
+
+def test_int_valued_cells_are_kept_with_their_float64_values():
+    # the kept cells read the values column, and keep the ids they were given
+    cells = [Cell(0, 0, 1), Cell(1, 0, np.float32(1.5)), Cell(2, 1, 2.0, boundary=(0, 1))]
+    fc = FilteredComplex(cells)
+    assert [repr(c.value) for c in fc.cells] == ["1.0", "1.5", "2.0"]
+    assert fc.cells[2] is cells[2] and rows(fc) == rows(rebuilt(fc))
+    assert write_fcx(fc) == "cell 0 0 1\ncell 1 0 1.5\ncell 2 1 2 0 1\n"
+    misnumbered = FilteredComplex([Cell(0, 0, 1), Cell(7, 0, 2)])
+    assert [(c.id, c.value) for c in misnumbered.cells] == [(0, 1.0), (7, 2.0)]
+    with pytest.raises(ComplexError, match="^cell 7: id 7 out of declaration order$"):
+        misnumbered.validate()
 
 
 @pytest.mark.parametrize("dtype", [np.int64, object])

@@ -1,5 +1,6 @@
 """Every committed BENCH_*.json names only the workloads and end-to-end
-metrics that BENCHMARK.json declares."""
+metrics that BENCHMARK.json declares, holds ten runs a side for each
+workload, and claims a gain only on a workload and metric it holds."""
 import json
 from pathlib import Path
 
@@ -25,3 +26,9 @@ def test_bench_file_names_declared_workloads_and_metrics(path):
             medians = runs[side]["median"]
             assert medians and set(medians) <= metrics, (name, side)
             assert all(isinstance(v, (int, float)) for v in medians.values())
+            assert len(runs[side]["runs"]) == 10, (name, side)
+    if bench.get("claim"):  # a file that claims no gain holds null
+        workload, metric = bench["claim"]["workload"], bench["claim"]["metric"]
+        assert workload in workloads and metric in metrics
+        for side in ("parent", "change"):
+            assert metric in bench["workloads"][workload][side]["median"], side

@@ -13,12 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from z2persist import ComplexError, PointCloud, RipsParams, barcode, rips, rips_filtration
+from z2persist import (
+    BifiltrationSpec, ComplexError, PointCloud, RipsParams, barcode, build_cone_filtration,
+    lower_star, rips, rips_filtration,
+)
 from z2persist.complexes import _MAX_VERTICES, parse_spx, simplicial_filtration
 
 from helpers import (
     grid_surface,
+    random_vertex_function,
+    reference_build_cone_filtration,
     reference_cell_vertices,
+    reference_lower_star,
     reference_parse_spx,
     reference_rips_filtration,
     reference_simplices_to_complex,
@@ -454,11 +460,12 @@ def test_builder_names_cells_by_labels():
     assert reference_cell_vertices(fc, 6) == {0, 1, 2}
 
 
-@pytest.mark.parametrize("source", ["rips", "spx"])
+@pytest.mark.parametrize("source", ["rips", "spx", "lower-star", "cone"])
 def test_names_read_from_the_top_dimension_down_match_the_oracle(source):
     # a dimension's rows become lists at the first name read in it; reading
     # the top dimension first, then each one below, every label must still
-    # be the oracle's name for that cell
+    # be the oracle's name for that cell.  A lower star or cone of an SPX
+    # complex names a cell through two renumberings: its own and the SPX's
     rng = random.Random(7)
     if source == "rips":
         pc, params = random_cloud(rng, 12), RipsParams(max_dim=3, threshold=1.2)
@@ -468,6 +475,12 @@ def test_names_read_from_the_top_dimension_down_match_the_oracle(source):
         valued = {s: rng.choice([0.0, 1.0, 2.5]) for s in random_simplices(rng, labels, 9)}
         fc = parse_spx("".join(f"{v!r} {' '.join(map(str, s))}\n" for s, v in valued.items()))
         ref = reference_simplices_to_complex(valued)
+        f = random_vertex_function(rng, ref)
+        if source == "lower-star":
+            fc, ref = lower_star(fc, f), reference_lower_star(ref, f)
+        elif source == "cone":
+            fc = build_cone_filtration(BifiltrationSpec(fc, f)).complex
+            ref = reference_build_cone_filtration(BifiltrationSpec(ref, f)).complex
     order = sorted(range(len(fc)), key=lambda j: -fc.dims[j])
     assert fc.max_dim >= 2 and fc.dims[order[0]] == fc.max_dim
     assert [fc.label(j) for j in order] == [ref.cells[j].name for j in order]

@@ -309,6 +309,70 @@ def test_transpose_edge_cases_reduce_as_the_oracle(fc):
     assert reduce_filtration(fc) == reference_clearing(fc, cohomology=True)
 
 
+def _laid_out(fc, layout):
+    """fc, or its prefix up to its median value, twice: with contiguous int64 CSR arrays,
+    and with `indptr` and `indices` int32, strided, byte-swapped, or the prefix's views
+    into fc's."""
+    if layout == "sublevel":
+        fc = fc.sublevel(float(np.median(fc.values)))
+    ptr, flat = fc.indptr, fc.indices
+    given = {"int32": (ptr.astype(np.int32), flat.astype(np.int32)),
+             "strided": (np.repeat(ptr, 2)[::2], np.repeat(flat, 2)[::2]),
+             "byteswapped": (ptr.astype(">i8"), flat.astype(">i8")),
+             "sublevel": (ptr, flat)}[layout]
+    return [FilteredComplex.from_arrays(fc.dims, fc.values, *arrays, fc.name_of, fc.vertex_lists)
+            for arrays in ((np.array(ptr, np.int64), np.array(flat, np.int64)), given)]
+
+
+@pytest.mark.parametrize("layout", ["int32", "strided", "byteswapped", "sublevel"])
+def test_the_engine_reads_any_integer_layout_as_int64(layout, engine):
+    # the engine reads its arrays through memoryviews, which need native
+    # integers: any layout gives the same pairs, cycles, column additions and
+    # labels as contiguous int64.
+    # The lower stars and cones among the complexes name a cell through two
+    # renumberings
+    for fc in _complexes(10):
+        plain, given = _laid_out(fc, layout)
+        assert layout != "strided" or given.indptr.strides == (16,)
+        engine.clear()
+        red, summary = reduce_filtration(plain), summarize(plain)
+        gens = {k: generators(plain, k) for k in summary.generators}
+        calls = engine[:]  # (chains, columns, column additions) of each engine call
+        engine.clear()
+        assert reduce_filtration(given) == red  # pairs, unpaired and column_additions
+        assert summarize(given) == summary
+        assert {k: generators(given, k) for k in gens} == gens
+        assert engine == calls
+        labels = list(map(plain.label, range(len(plain))))
+        assert list(map(given.label, range(len(given)))) == labels
+        assert labels == list(map(fc.label, range(len(plain))))
+
+
+def test_int32_faces_past_46341_cells_reduce_as_int64():
+    # the coboundary keys (n-1-face) * n + (n-1-coface) pass 2^31 once n passes
+    # 46,341; made in int32 from int32 `indices`, they wrapped and the columns
+    # were sorted wrongly.  A strip of triangles (i-2, i-1, i), entering at i
+    dims, values, faces, vertex, edge = [], [], [], [], {}
+
+    def add(dim, value, cell_faces):
+        dims.append(dim), values.append(float(value)), faces.append(sorted(cell_faces))
+        return len(dims) - 1
+
+    for i in range(12_000):
+        vertex.append(add(0, i, ()))
+        for a in range(max(i - 2, 0), i):
+            edge[a, i] = add(1, i, (vertex[a], vertex[i]))
+        if i >= 2:
+            add(2, i, (edge[i - 2, i - 1], edge[i - 1, i], edge[i - 2, i]))
+    ptr, flat = np.cumsum([0, *map(len, faces)]), np.concatenate(faces).astype(np.int64)
+    wide, narrow = (FilteredComplex.from_arrays(np.array(dims), np.array(values), ptr.astype(t),
+                                                flat.astype(t)) for t in (np.int64, np.int32))
+    wide.validate()
+    red = reduce_filtration(wide)
+    assert len(wide) > 46_341 and red.unpaired == (0,)
+    assert reduce_filtration(narrow) == red
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_key_sort_is_a_stable_argsort(seed):
     # the helper sorts `minor` by (major, minor) in major's own buffer; on a

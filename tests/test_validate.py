@@ -169,6 +169,27 @@ def test_an_int_height_past_the_floats_names_its_vertex(height):
         lower_star(edge, VertexFunction({0: 0, 1: height}))
 
 
+_TWO_VERTICES = FilteredComplex([Cell(0, 0, 0.0), Cell(1, 0, 0.0)])
+
+
+@pytest.mark.parametrize("make, text", [
+    (lambda: FilteredComplex.from_arrays(np.array([0, 0]), np.array([0, 10**400], object),
+                                         np.zeros(3, np.int64), np.empty(0, np.int64)),
+     "cell 1: value is beyond the float range"),
+    (lambda: FilteredComplex([Cell(0, 0, 0.0), Cell(1, 0, -10**400)]),
+     "cell 1: value is beyond the float range"),
+    (lambda: BifiltrationSpec(_TWO_VERTICES, VertexFunction({0: 0.0, 1: 1.0}), M=10**400),
+     "the bound M is beyond the float range"),
+    (lambda: BifiltrationSpec(_TWO_VERTICES, VertexFunction({0: 0.0, 1: 1.0}), lam=10**400),
+     "the spacing lambda is beyond the float range"),
+], ids=["from_arrays", "cells", "bound", "spacing"])
+def test_an_int_past_the_floats_is_named(make, text):
+    # values and the cone's bounds are floats; an int too large for one is
+    # named where it enters, not met as an OverflowError in the arithmetic
+    with pytest.raises(ValueError, match=f"^{text}$"):
+        make()
+
+
 @pytest.mark.parametrize("dims, rows, text", [
     ([0, 0, 0, 1, 1, 1, 2], [[], [], [], [0, 1], [0, 2], [1, 2], [5, 3, 4]],
      "face 3 listed after face 5"),
