@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .text import ComplexError, format_value, text_lines, uncommented  # re-exported
+from .text import ComplexError, as_float, format_value, text_lines, uncommented  # re-exported
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,13 +43,8 @@ class VertexFunction:
     values: dict
 
     def __post_init__(self):
-        values = {}
-        for v, x in self.values.items():
-            try:
-                values[v] = float(x)
-            except OverflowError:  # an int past the floats
-                raise ComplexError(f"vertex {v} has a value beyond the float range") from None
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", {v: x if type(x) is float else as_float(
+            x, f"vertex {v} has a value beyond the float range") for v, x in self.values.items()})
 
     def __call__(self, vertex: int) -> float:
         try:
@@ -98,8 +93,8 @@ class FilteredComplex:
     """Ordered cells forming a filtration: faces precede cofaces, values
     monotone along boundaries, ties broken by (value, dim, id).
 
-    Arrays are the record: `dims` (int64), `values` (float64, whatever dtype a
-    constructor is given) and the boundaries in CSR form, the faces of cell j being
+    Arrays are the record, converted where they enter: `dims` int64, `values` float64
+    and the boundaries in CSR form, int64 `indptr` and `indices`, the faces of cell j being
     `indices[indptr[j]:indptr[j + 1]]`, sorted.  `name_of(j)` is cell j's name or None,
     and `vertex_lists[j]` a CW cell's own vertex list or None; either is None when no
     cell has one.  `cells` is built on first use; a complex made from cells keeps
@@ -126,25 +121,31 @@ class FilteredComplex:
     def from_arrays(cls, dims: np.ndarray, values: np.ndarray, indptr: np.ndarray,
                     indices: np.ndarray, name_of: Optional[Callable] = None,
                     vertex_lists: Optional[list] = None) -> "FilteredComplex":
-        """The complex these arrays describe, kept as they are but for float64 values."""
+        """The complex these arrays describe, kept as they are but for the int64 and
+        float64 dtypes; ComplexError if an integer array is not one or they do not fit."""
         fc = cls.__new__(cls)
         fc._keep(dims, values, indptr, indices, name_of, vertex_lists, None)
         return fc
 
     def _keep(self, dims, values, indptr, indices, name_of, vertex_lists, cells):
-        try:
-            self.values = np.asarray(values, float)
-        except OverflowError:  # an int past the floats: name the first
-            for j, x in enumerate(values):
-                try:
-                    float(x)
-                except OverflowError:
-                    raise ComplexError("value is beyond the float range", j) from None
-            raise
-        self.dims, self.indptr, self.indices, self.name_of = dims, indptr, indices, name_of
-        self.vertex_lists, self._cells = vertex_lists, cells
+        values = np.asarray(values)
+        if values.dtype == object:  # as an int past int64 makes them: name the first past the floats
+            values = [as_float(x, "value is beyond the float range", j)
+                      for j, x in enumerate(values)]
+        try:  # int64 whatever integer dtype, byte order or stride they come in
+            dims, indptr, indices = (np.asarray(a).astype(np.int64, casting="same_kind", copy=False)
+                                     for a in (dims, indptr, indices))
+        except TypeError:
+            raise ComplexError("dims, indptr and indices must be integer arrays") from None
+        values, n = np.asarray(values, float), dims.size
+        if ((dims.ndim, indices.ndim, values.shape, indptr.shape) != (1, 1, (n,), (n + 1,))
+                or indptr[0] or indptr[-1] != indices.size):
+            raise ComplexError(f"the arrays do not fit together: {n} cells need 1-D dims and indices,"
+                               f" {n} values and {n + 1} indptr entries from 0 to len(indices)")
+        self.dims, self.values, self.indptr, self.indices = dims, values, indptr, indices
+        self.name_of, self.vertex_lists, self._cells = name_of, vertex_lists, cells
         # the first cell whose id is not its position
-        self._misnumbered = next((i for i, c in enumerate(cells or ()) if c.id != i), len(dims))
+        self._misnumbered = next((i for i, c in enumerate(cells or ()) if c.id != i), n)
 
     @property
     def cells(self) -> tuple[Cell, ...]:

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .complexes import (
-    ComplexError, FilteredComplex, VertexFunction, _owners, _reorder, _star_values,
+    ComplexError, FilteredComplex, VertexFunction, _owners, _reorder, _star_values, as_float,
 )
 from .persistence import Barcode, Interval, barcode, persistent_betti
 
@@ -36,10 +36,7 @@ class BifiltrationSpec:
 
     def __post_init__(self):
         for name, x in (("bound M", self.M), ("spacing lambda", self.lam)):
-            try:
-                math.isfinite(0.0 if x is None else x)  # converts x to a float
-            except OverflowError:  # an int past the floats
-                raise ValueError(f"the {name} is beyond the float range") from None
+            as_float(0.0 if x is None else x, f"the {name} is beyond the float range")
         if not 0 < self.lam < math.inf:  # also false for nan
             raise ValueError("spacing lambda must be positive and finite")
         values = self.f.values.values()

@@ -41,7 +41,7 @@ def _cycles(fc: FilteredComplex, cells) -> dict:
     {cell: cycle} in increasing id for the cells left unpaired: the chain its
     column vanished with, or the cell itself if its column is empty and no pivot."""
     cells = cells[np.argsort(-fc.dims[cells], kind="stable")]
-    n, ptr, flat = len(fc), np.asarray(fc.indptr, np.int64), np.asarray(fc.indices, np.int64)
+    n, ptr, flat = len(fc), fc.indptr, fc.indices
     oldest, settled, done = np.full(n, n), np.full(n, -1), np.zeros(n, bool)
     np.minimum.at(oldest, flat, _owners(ptr))  # each cell's oldest coface
     full = ptr[cells + 1] > ptr[cells]

@@ -129,12 +129,8 @@ def _reduce(ptr, flat, columns, chains: bool, settled):
     one.  The `columns` are reduced in order, their pivots (last rows) read
     at once, their rows only for an addition, as int bitsets (`z2`); with
     `chains` each carries the set of column ids summed in.  `settled[r]` is
-    -1 or a column with pivot r settled before.  The loop reads `ptr`, `flat`
-    and `settled` one entry or row at a time through memoryviews, which give
-    Python ints for any stride, so they must be integer arrays in native byte
-    order, not object ones.  The engine does not normalise them: its callers
-    pass int64 arrays, `reduce_filtration` ones it makes and `_cycles` the
-    complex's through `np.asarray(x, np.int64)`, which copies no int64 array.
+    -1 or a column with pivot r settled before.  The three are int64 arrays,
+    as a complex holds, read an entry or row at a time through memoryviews.
     A column whose id is a pivot is skipped (cleared); any other gets the
     column with its pivot added until its pivot is fresh or it vanishes.
     Returns {pivot: column} for the nonzero columns, {column: chain} for the
@@ -208,7 +204,7 @@ def reduce_filtration(fc: FilteredComplex) -> Reduction:
     import numpy as np
     from .complexes import _by_major, _indptr, _owners
     n = len(fc)
-    flat = _by_major(np.subtract(n - 1, fc.indices, dtype=np.int64), n - 1 - _owners(fc.indptr), n)
+    flat = _by_major(n - 1 - fc.indices, n - 1 - _owners(fc.indptr), n)
     ptr, dims = _indptr(np.bincount(fc.indices, minlength=n)[::-1]), fc.dims[::-1]
     cols = np.flatnonzero(ptr[1:] > ptr[:-1])
     lows = flat[ptr[cols + 1] - 1]

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .complexes import _MAX_CELLS, FilteredComplex, simplicial_filtration, text_lines
+from .complexes import _MAX_CELLS, FilteredComplex, as_float, simplicial_filtration, text_lines
 from .persistence import betti_curve, betti_curve_csv  # re-exported
 
 
@@ -81,13 +81,9 @@ class RipsParams:
         if (self.steps is None) != (self.step_size is None):
             raise ValueError("steps and step_size go together")
         if self.steps is not None:
-            try:
-                product = self.steps * self.step_size
-            except OverflowError:  # an int steps too large for a float
-                product = math.inf
-            if product == math.inf:
-                raise ValueError(f"steps * step_size = {self.steps} * {self.step_size!r} "
-                                 "is not finite")
+            fault = f"steps * step_size = {self.steps} * {self.step_size!r} is not finite"
+            if as_float(self.steps, fault) * self.step_size == math.inf:
+                raise ValueError(fault)
 
     @property
     def scale_limit(self) -> float:

@@ -1,5 +1,5 @@
 """The text side shared by every format and the CLI, with no numpy: the
-input error type, value formatting and line splitting."""
+input error type, the one float conversion, value formatting and line splitting."""
 from __future__ import annotations
 
 import math
@@ -12,6 +12,14 @@ class ComplexError(ValueError):
     def __init__(self, message: str, cell_id: Optional[int] = None):
         super().__init__(message if cell_id is None else f"cell {cell_id}: {message}")
         self.cell_id = cell_id
+
+
+def as_float(x, fault: str, cell_id: Optional[int] = None) -> float:
+    """float(x), or ComplexError(fault, cell_id) for an int past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise ComplexError(fault, cell_id) from None
 
 
 def format_value(x: float) -> str:

@@ -202,6 +202,37 @@ def test_from_arrays_holds_float64_values(dtype):
     assert {type(x) for x in b.births + b.deaths} == {float}
 
 
+# an edge: two vertices, then the edge with faces 0 and 1
+_EDGE = dict(dims=np.array([0, 0, 1]), values=np.array([0.0, 0.0, 1.0]),
+             indptr=np.array([0, 0, 0, 2]), indices=np.array([0, 1]))
+
+
+@pytest.mark.parametrize("change, text", [
+    (dict(dims=np.array([[0, 0, 1]])), "the arrays do not fit together"),
+    (dict(values=np.array([0.0, 0.0])), "the arrays do not fit together"),
+    (dict(indptr=np.array([0, 0, 2])), "the arrays do not fit together"),
+    (dict(indptr=np.array([1, 1, 1, 2])), "the arrays do not fit together"),
+    (dict(indptr=np.array([0, 0, 0, 1])), "the arrays do not fit together"),
+    (dict(indices=np.array([0.0, 1.0])), "dims, indptr and indices must be integer arrays"),
+    (dict(dims=np.array([0.0, 0.0, 1.0])), "dims, indptr and indices must be integer arrays"),
+], ids=["dims-2d", "values-short", "indptr-short", "indptr-from-1", "indptr-to-1",
+        "float-indices", "float-dims"])
+def test_from_arrays_refuses_arrays_that_do_not_fit(change, text):
+    # refused where they enter, not met later in numpy or answered on
+    with pytest.raises(ComplexError, match=f"^{text}"):
+        FilteredComplex.from_arrays(**{**_EDGE, **change})
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint32, ">i8"])
+def test_from_arrays_holds_native_int64_ids(dtype):
+    ids = {k: a.astype(dtype) for k, a in _EDGE.items() if k != "values"}
+    fc = FilteredComplex.from_arrays(values=_EDGE["values"], **ids)
+    for k in ids:
+        held = getattr(fc, k)
+        assert held.dtype == np.int64 and held.dtype.isnative
+        assert held.tolist() == _EDGE[k].tolist()
+
+
 def corruptions(fc, rng):
     """One corrupted CSR row at a time: (kind, indices).  A negative face
     is left out: the reference reads it from the end of the cells, and
