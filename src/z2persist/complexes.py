@@ -43,8 +43,9 @@ class VertexFunction:
     values: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "values", {v: x if type(x) is float else as_float(
-            x, f"vertex {v} has a value beyond the float range") for v, x in self.values.items()})
+        values = {v: as_float(x, f"vertex {v} has a value beyond the float range")
+                  for v, x in self.values.items()}
+        object.__setattr__(self, "values", values)
 
     def __call__(self, vertex: int) -> float:
         try:
@@ -121,27 +122,28 @@ class FilteredComplex:
     def from_arrays(cls, dims: np.ndarray, values: np.ndarray, indptr: np.ndarray,
                     indices: np.ndarray, name_of: Optional[Callable] = None,
                     vertex_lists: Optional[list] = None) -> "FilteredComplex":
-        """The complex these arrays describe, kept as they are but for the int64 and
-        float64 dtypes; ComplexError if an integer array is not one or they do not fit."""
+        """The complex these arrays describe, kept as they are but for int64 ids and
+        float64 values; ComplexError if an id array is not safely int64 or they do not fit."""
         fc = cls.__new__(cls)
         fc._keep(dims, values, indptr, indices, name_of, vertex_lists, None)
         return fc
 
     def _keep(self, dims, values, indptr, indices, name_of, vertex_lists, cells):
         values = np.asarray(values)
-        if values.dtype == object:  # as an int past int64 makes them: name the first past the floats
-            values = [as_float(x, "value is beyond the float range", j)
-                      for j, x in enumerate(values)]
-        try:  # int64 whatever integer dtype, byte order or stride they come in
-            dims, indptr, indices = (np.asarray(a).astype(np.int64, casting="same_kind", copy=False)
-                                     for a in (dims, indptr, indices))
-        except TypeError:
-            raise ComplexError("dims, indptr and indices must be integer arrays") from None
+        if values.dtype == object:  # as an int past int64 makes them: name one past the floats
+            values = [as_float(x, "value is beyond the float range", j) if isinstance(x, int)
+                      else x for j, x in enumerate(values)]
+        try:  # native int64 whatever integer dtype, byte order or stride they come in
+            dims, indptr, indices = [np.asarray(a).astype(np.int64, casting="safe", copy=False)
+                                     for a in (dims, indptr, indices)]
+        except TypeError:  # a float array, or a uint64 one whose ids could wrap
+            raise ComplexError("dims, indptr and indices must be integer arrays that cast"
+                               " safely to int64") from None
         values, n = np.asarray(values, float), dims.size
         if ((dims.ndim, indices.ndim, values.shape, indptr.shape) != (1, 1, (n,), (n + 1,))
                 or indptr[0] or indptr[-1] != indices.size):
-            raise ComplexError(f"the arrays do not fit together: {n} cells need 1-D dims and indices,"
-                               f" {n} values and {n + 1} indptr entries from 0 to len(indices)")
+            raise ComplexError(f"the arrays do not fit together: 1-D dims and indices, {n} values"
+                               f" and {n + 1} indptr entries from 0 to len(indices) are needed")
         self.dims, self.values, self.indptr, self.indices = dims, values, indptr, indices
         self.name_of, self.vertex_lists, self._cells = name_of, vertex_lists, cells
         # the first cell whose id is not its position

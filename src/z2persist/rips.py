@@ -82,7 +82,7 @@ class RipsParams:
             raise ValueError("steps and step_size go together")
         if self.steps is not None:
             fault = f"steps * step_size = {self.steps} * {self.step_size!r} is not finite"
-            if as_float(self.steps, fault) * self.step_size == math.inf:
+            if as_float(self.steps, fault) * as_float(self.step_size, fault) == math.inf:
                 raise ValueError(fault)
 
     @property

@@ -215,8 +215,11 @@ _EDGE = dict(dims=np.array([0, 0, 1]), values=np.array([0.0, 0.0, 1.0]),
     (dict(indptr=np.array([0, 0, 0, 1])), "the arrays do not fit together"),
     (dict(indices=np.array([0.0, 1.0])), "dims, indptr and indices must be integer arrays"),
     (dict(dims=np.array([0.0, 0.0, 1.0])), "dims, indptr and indices must be integer arrays"),
+    # uint64 ids past int64 would wrap to negative ones, naming faces the input never gave
+    (dict(indices=np.array([0, 2**64 - 1], np.uint64)),
+     "dims, indptr and indices must be integer arrays"),
 ], ids=["dims-2d", "values-short", "indptr-short", "indptr-from-1", "indptr-to-1",
-        "float-indices", "float-dims"])
+        "float-indices", "float-dims", "uint64-indices"])
 def test_from_arrays_refuses_arrays_that_do_not_fit(change, text):
     # refused where they enter, not met later in numpy or answered on
     with pytest.raises(ComplexError, match=f"^{text}"):

@@ -190,6 +190,16 @@ def test_an_int_past_the_floats_is_named(make, text):
         make()
 
 
+def test_a_value_that_is_not_a_number_is_nan_and_named_by_validate():
+    # None is held as nan, as numpy reads it, among ints that are each converted
+    fc = FilteredComplex([Cell(0, 0, 1), Cell(1, 0, None)])
+    assert [repr(c.value) for c in fc.cells] == ["1.0", "nan"]
+    with pytest.raises(ComplexError, match="^cell 1: value nan is not finite$"):
+        fc.validate()
+    with pytest.raises(ComplexError, match="^cell 2: value is beyond the float range$"):
+        FilteredComplex([Cell(0, 0, 1), Cell(1, 0, None), Cell(2, 0, 10**400)])
+
+
 @pytest.mark.parametrize("dims, rows, text", [
     ([0, 0, 0, 1, 1, 1, 2], [[], [], [], [0, 1], [0, 2], [1, 2], [5, 3, 4]],
      "face 3 listed after face 5"),
