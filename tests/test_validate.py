@@ -182,10 +182,13 @@ _TWO_VERTICES = FilteredComplex([Cell(0, 0, 0.0), Cell(1, 0, 0.0)])
      "the bound M is beyond the float range"),
     (lambda: BifiltrationSpec(_TWO_VERTICES, VertexFunction({0: 0.0, 1: 1.0}), lam=10**400),
      "the spacing lambda is beyond the float range"),
-], ids=["from_arrays", "cells", "bound", "spacing"])
+    # 10**400 passes the 0 < step_size < inf check, int/float comparison being exact
+    (lambda: RipsParams(max_dim=1, steps=2, step_size=10**400),
+     r"steps \* step_size = 2 \* 10{400} is not finite"),
+], ids=["from_arrays", "cells", "bound", "spacing", "step-size"])
 def test_an_int_past_the_floats_is_named(make, text):
-    # values and the cone's bounds are floats; an int too large for one is
-    # named where it enters, not met as an OverflowError in the arithmetic
+    # values, the cone's bounds and the Rips scales are floats; an int too large for
+    # one is named where it enters, not met as an OverflowError in the arithmetic
     with pytest.raises(ValueError, match=f"^{text}$"):
         make()
 
