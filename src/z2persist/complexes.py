@@ -130,7 +130,7 @@ class FilteredComplex:
 
     def _keep(self, dims, values, indptr, indices, name_of, vertex_lists, cells):
         values = np.asarray(values)
-        if values.dtype == object:  # as an int past int64 makes them: name one past the floats
+        if values.dtype == object:  # an int past int64 makes them: name the first past the floats
             values = [as_float(x, "value is beyond the float range", j) if isinstance(x, int)
                       else x for j, x in enumerate(values)]
         try:  # native int64 whatever integer dtype, byte order or stride they come in
