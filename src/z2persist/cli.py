@@ -52,7 +52,7 @@ def _load_complex(path: str, fmt: str,
     # parse_spx needs a value for each vertex and takes more; a file pair
     # that gives a value to a vertex the complex lacks does not match.
     if len(vv) > fc.num_cells(0):
-        present = {int(fc.label(j)) for j in (fc.dims == 0).nonzero()[0].tolist()}
+        present = {*map(int, fc.labels((fc.dims == 0).nonzero()[0]))}
         for (lineno, _), vertex in zip(text_lines(vv_text), vv):  # a value per line
             if vertex not in present:
                 raise ComplexError(f"line {lineno}: vertex {vertex} is not in the complex")
@@ -161,6 +161,7 @@ def run(argv: Sequence[str]) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "homology":
+        import numpy as np
         from . import homology
         fc = _load_complex(args.file, args.format)  # validated by the parser
         summary = homology.summarize(fc)
@@ -168,7 +169,7 @@ def run(argv: Sequence[str]) -> int:
             print(f"betti {k} {summary.betti[k]}")
         for k in sorted(summary.generators):
             for cyc in summary.generators[k]:
-                names = "+".join(sorted(map(fc.label, cyc)))
+                names = "+".join(sorted(fc.labels(np.fromiter(cyc, np.int64, len(cyc)))))
                 print(f"generator {k} {names}")
         return 0
 

@@ -96,10 +96,10 @@ class FilteredComplex:
 
     Arrays are the record, converted where they enter: `dims` int64, `values` float64
     and the boundaries in CSR form, int64 `indptr` and `indices`, the faces of cell j being
-    `indices[indptr[j]:indptr[j + 1]]`, sorted.  `name_of(j)` is cell j's name or None,
-    and `vertex_lists[j]` a CW cell's own vertex list or None; either is None when no
-    cell has one.  `cells` is built on first use; a complex made from cells keeps
-    them, each with its float64 value.
+    `indices[indptr[j]:indptr[j + 1]]`, sorted.  `name_of(ids)` lists the names of the
+    cells of an int64 id array, None for a cell without one, and `vertex_lists[j]` is a
+    CW cell's own vertex list or None; either is None when no cell has one.  `cells` is
+    built on first use; a complex made from cells keeps them, each with its float64 value.
     """
 
     def __init__(self, cells: Iterable[Cell]):
@@ -112,7 +112,8 @@ class FilteredComplex:
                               int(counts.sum()))
         names, vertex_lists = [c.name for c in cells], [c.vertices for c in cells]
         self._keep(dims, [c.value for c in cells], _indptr(counts), indices,
-                   names.__getitem__ if any(x is not None for x in names) else None,
+                   (lambda ids: [*map(names.__getitem__, ids.tolist())])
+                   if any(x is not None for x in names) else None,
                    vertex_lists if any(v is not None for v in vertex_lists) else None, cells)
         # the kept cells carry the float64 values, under the ids they were given
         self._cells = tuple(c if type(c.value) is float else replace(c, value=x)
@@ -141,7 +142,7 @@ class FilteredComplex:
                                " safely to int64") from None
         values, n = np.asarray(values, float), dims.size
         if ((dims.ndim, indices.ndim, values.shape, indptr.shape) != (1, 1, (n,), (n + 1,))
-                or indptr[0] or indptr[-1] != indices.size):
+                or indptr[0] or indptr[-1] != indices.size or (indptr[1:] < indptr[:-1]).any()):
             raise ComplexError(f"the arrays do not fit together: 1-D dims and indices, {n} values"
                                f" and {n + 1} indptr entries from 0 to len(indices) are needed")
         self.dims, self.values, self.indptr, self.indices = dims, values, indptr, indices
@@ -160,15 +161,21 @@ class FilteredComplex:
         return tuple(map(Cell, ids, self.dims.tolist(), self.values.tolist(),
                          [tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:])],
                          self.vertex_lists or repeat(None),
-                         map(self.name_of, ids) if self.name_of else repeat(None)))
+                         self.name_of(np.arange(len(self))) if self.name_of else repeat(None)))
 
     def __len__(self) -> int:
         return len(self.dims)
 
+    def labels(self, ids: np.ndarray) -> list[str]:
+        """The name of each cell of an int64 id array, or its id when it has none."""
+        if len(ids) and not 0 <= ids.min() <= ids.max() < len(self):  # numpy would wrap -1
+            raise IndexError(f"cell ids must lie in [0, {len(self)})")
+        names = self.name_of(ids) if self.name_of else repeat(None)
+        return [str(j) if x is None else x for j, x in zip(ids.tolist(), names)]
+
     def label(self, j: int) -> str:
         """Cell j's name, or its id when it has none."""
-        name = self.name_of(j) if self.name_of else None
-        return str(j) if name is None else name
+        return self.labels(np.array([j], np.int64))[0]
 
     @property
     def max_dim(self) -> int:
@@ -287,8 +294,7 @@ def simplicial_filtration(simplices: Sequence[np.ndarray], faces: Sequence[np.nd
     found it; faces[0] is not read.  values[k] holds the rows' entry
     values, which must not decrease from face to coface.  Cells are
     numbered by (value, dim, vertex tuple); a cell is named by its vertex
-    labels joined by '-' when first read (a dimension's rows become lists at
-    its first name), and its boundary is its one record of its vertices.
+    labels joined by '-' when read, and its boundary is its one record of its vertices.
     """
     n = len(labels)
     if len(simplices) and not np.array_equal(simplices[0][:, 0], np.arange(n)):
@@ -300,14 +306,14 @@ def simplicial_filtration(simplices: Sequence[np.ndarray], faces: Sequence[np.nd
     start = np.cumsum([0] + [len(s) for s in simplices])
     dims = np.repeat(np.arange(len(simplices), dtype=np.int64), np.diff(start))
     rows = np.repeat(np.arange(start[-1]), np.where(dims > 0, dims + 1, 0))
-    rows_of = [None] * len(simplices)  # dimension k's vertex rows as lists, once read
-    dim_of, first = memoryview(dims), start.tolist()
+    labels = np.asarray(labels, object)
 
-    def name_of(r):
-        k = dim_of[r]
-        if rows_of[k] is None:
-            rows_of[k] = simplices[k].tolist()
-        return "-".join(map(labels.__getitem__, rows_of[k][r - first[k]]))
+    def name_of(ids):  # a dimension at a time, its rows' labels gathered by numpy
+        of, out = dims[ids], np.empty(len(ids), object)
+        for k in np.flatnonzero(np.bincount(of)).tolist():
+            at = of == k
+            out[at] = [*map("-".join, labels[simplices[k][ids[at] - start[k]]].tolist())]
+        return out.tolist()
 
     return _reorder(dims, np.concatenate([np.empty(0), *values], dtype=float), rows,
                     np.concatenate([np.empty(0, np.int64)] + [
@@ -336,10 +342,9 @@ def _reorder(dims: np.ndarray, values: np.ndarray, rows: np.ndarray, faces: np.n
         remap = new_id.tolist().__getitem__
         vertex_lists = [None if v is None else tuple(sorted(map(remap, v)))
                         for v in map(vertex_lists.__getitem__, order.tolist())]
-    row = memoryview(order)  # the provisional row of each new id
     fc = FilteredComplex.from_arrays(
         dims[order], values[order], _indptr(np.bincount(rows, minlength=n)[order]), keys,
-        None if name_of is None else (lambda j: name_of(row[j])), vertex_lists)
+        None if name_of is None else (lambda ids: name_of(order[ids])), vertex_lists)
     return fc, new_id
 
 

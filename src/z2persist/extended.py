@@ -91,12 +91,11 @@ def build_cone_filtration(spec: BifiltrationSpec) -> ConeFiltration:
     # The cone's faces are c and the apex (c a vertex) or the cones of c's faces.
     cell, vertex = 1 + np.arange(n), dims == 0
     up = ~vertex[owner]  # the entries of the cells that are not vertices
-    label = skeleton.label
 
-    def name_of(r):
-        if r == 0:
-            return "apex"
-        return label(r - 1) if r <= n else f"cone({label(r - 1 - n)})"
+    def name_of(rows):  # row 0 reads the label of cell n - 1 and drops it
+        names = skeleton.labels((rows - 1) % n)
+        return ["apex" if r == 0 else x if r <= n else f"cone({x})"
+                for r, x in zip(rows.tolist(), names)]
 
     fc, new_id = _reorder(
         np.concatenate([np.zeros(1, np.int64), dims, dims + 1]),

@@ -40,7 +40,9 @@ def _cycles(fc: FilteredComplex, cells) -> dict:
     first, as no column left of c holds y: neither enters the loop.  Returns
     {cell: cycle} in increasing id for the cells left unpaired: the chain its
     column vanished with, or the cell itself if its column is empty and no pivot."""
-    cells = cells[np.argsort(-fc.dims[cells], kind="stable")]
+    dims = fc.dims[cells]
+    top, low = dims.max(initial=0), dims.min(initial=0)
+    cells = np.concatenate([cells[dims == k] for k in range(top, low - 1, -1)])
     n, ptr, flat = len(fc), fc.indptr, fc.indices
     oldest, settled, done = np.full(n, n), np.full(n, -1), np.zeros(n, bool)
     np.minimum.at(oldest, flat, _owners(ptr))  # each cell's oldest coface

@@ -28,7 +28,7 @@ class PointCloud:
         for p in self.points:
             if len(p) != d:
                 raise ValueError("points have mixed dimensions")
-            if not all(math.isfinite(x) for x in p):
+            if not all(math.isfinite(as_float(x, "non-finite coordinate")) for x in p):
                 raise ValueError("non-finite coordinate")
 
     def __len__(self) -> int:
@@ -76,7 +76,8 @@ class RipsParams:
             raise ValueError("steps must be >= 1")
         if self.step_size is not None and not 0 < self.step_size < math.inf:
             raise ValueError("step_size must be positive and finite")
-        if self.threshold is not None and not math.isfinite(self.threshold):
+        if self.threshold is not None and not math.isfinite(
+                as_float(self.threshold, "threshold must be finite")):
             raise ValueError("threshold must be finite")
         if (self.steps is None) != (self.step_size is None):
             raise ValueError("steps and step_size go together")

@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from z2persist import (
-    BifiltrationSpec, ComplexError, PointCloud, RipsParams, barcode, build_cone_filtration,
-    lower_star, rips, rips_filtration,
+    BifiltrationSpec, Cell, ComplexError, FilteredComplex, PointCloud, RipsParams, barcode,
+    build_cone_filtration, lower_star, rips, rips_filtration,
 )
 from z2persist.complexes import _MAX_VERTICES, parse_spx, simplicial_filtration
 
@@ -460,12 +460,13 @@ def test_builder_names_cells_by_labels():
     assert reference_cell_vertices(fc, 6) == {0, 1, 2}
 
 
-@pytest.mark.parametrize("source", ["rips", "spx", "lower-star", "cone"])
+@pytest.mark.parametrize("source", ["rips", "spx", "lower-star", "cone", "cells", "sublevel"])
 def test_names_read_from_the_top_dimension_down_match_the_oracle(source):
-    # a dimension's rows become lists at the first name read in it; reading
-    # the top dimension first, then each one below, every label must still
-    # be the oracle's name for that cell.  A lower star or cone of an SPX
-    # complex names a cell through two renumberings: its own and the SPX's
+    # reading the top dimension first, then each one below, every label must
+    # be the oracle's name for that cell, and so must a bulk read of every id
+    # in a shuffled order with repeats.  A lower star or cone of an SPX
+    # complex names a cell through two renumberings: its own and the SPX's;
+    # a sublevel complex keeps its parent's names for its prefix
     rng = random.Random(7)
     if source == "rips":
         pc, params = random_cloud(rng, 12), RipsParams(max_dim=3, threshold=1.2)
@@ -476,14 +477,37 @@ def test_names_read_from_the_top_dimension_down_match_the_oracle(source):
         fc = parse_spx("".join(f"{v!r} {' '.join(map(str, s))}\n" for s, v in valued.items()))
         ref = reference_simplices_to_complex(valued)
         f = random_vertex_function(rng, ref)
-        if source == "lower-star":
+        if source in ("lower-star", "sublevel"):
             fc, ref = lower_star(fc, f), reference_lower_star(ref, f)
         elif source == "cone":
             fc = build_cone_filtration(BifiltrationSpec(fc, f)).complex
             ref = reference_build_cone_filtration(BifiltrationSpec(ref, f)).complex
+        elif source == "cells":
+            fc = FilteredComplex(ref.cells)
+        if source == "sublevel":  # up to the first cell of the top dimension
+            fc = fc.sublevel(fc.values[fc.dims.argmax()])
+            assert len(fc) < len(ref)
     order = sorted(range(len(fc)), key=lambda j: -fc.dims[j])
     assert fc.max_dim >= 2 and fc.dims[order[0]] == fc.max_dim
     assert [fc.label(j) for j in order] == [ref.cells[j].name for j in order]
+    ids = [*range(len(fc)), *rng.choices(range(len(fc)), k=len(fc))]
+    rng.shuffle(ids)
+    assert fc.labels(np.array(ids)) == [ref.cells[j].name for j in ids]
+    assert fc.labels(np.empty(0, np.int64)) == []
+
+
+def test_labels_give_the_id_of_a_cell_without_a_name():
+    # name_of lists None for a cell without a name, and labels its id in its place
+    named = FilteredComplex([Cell(0, 0, 0.0, name="v"), Cell(1, 0, 0.0),
+                             Cell(2, 1, 0.0, boundary=(0, 1), name="e")])
+    assert named.name_of(np.array([1, 2, 1, 0])) == [None, "e", None, "v"]
+    assert named.labels(np.array([1, 2, 1, 0])) == ["1", "e", "1", "v"]
+    assert named.label(1) == "1" and named.label(2) == "e"
+    bare = FilteredComplex([Cell(0, 0, 0.0), Cell(1, 0, 0.0)])
+    assert bare.name_of is None and bare.labels(np.array([1, 0, 1])) == ["1", "0", "1"]
+    for fc, bad in ((named, -1), (named, 3), (bare, 2)):  # not the last cell's name
+        with pytest.raises(IndexError, match=r"^cell ids must lie in \[0, \d\)$"):
+            fc.labels(np.array([0, bad]))
 
 
 def test_spx_vertex_values_must_cover_the_complex_and_be_finite():

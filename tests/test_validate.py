@@ -185,9 +185,11 @@ _TWO_VERTICES = FilteredComplex([Cell(0, 0, 0.0), Cell(1, 0, 0.0)])
     # 10**400 passes the 0 < step_size < inf check, int/float comparison being exact
     (lambda: RipsParams(max_dim=1, steps=2, step_size=10**400),
      r"steps \* step_size = 2 \* 10{400} is not finite"),
-], ids=["from_arrays", "cells", "bound", "spacing", "step-size"])
+    (lambda: RipsParams(max_dim=1, threshold=10**400), "threshold must be finite"),
+    (lambda: PointCloud(((10**400, 0.0),)), "non-finite coordinate"),
+], ids=["from_arrays", "cells", "bound", "spacing", "step-size", "threshold", "coordinate"])
 def test_an_int_past_the_floats_is_named(make, text):
-    # values, the cone's bounds and the Rips scales are floats; an int too large for
+    # values, the cone's bounds, the Rips scales and coordinates are floats; an int too large for
     # one is named where it enters, not met as an OverflowError in the arithmetic
     with pytest.raises(ValueError, match=f"^{text}$"):
         make()
