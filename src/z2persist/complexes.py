@@ -82,12 +82,13 @@ def _by_major(major: np.ndarray, minor: np.ndarray, n: int) -> np.ndarray:
 
 def _gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Positions starts[i], ..., starts[i] + counts[i] - 1, run after run."""
-    ends = np.cumsum(counts)
-    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
+    ends = counts.cumsum()
+    return np.arange(ends[-1] if len(ends) else 0) + (starts - ends + counts).repeat(counts)
 
 
-# The boundary-of-boundary check sorts this many face-of-face entries at a time.
-_BLOCK = 1 << 16
+# `validate` walks blocks of at most this many cells and entries, then face-of-face entries:
+# 64 KiB an int64 array, under glibc's 128 KiB mmap threshold, so none faults in fresh pages.
+_BLOCK = 1 << 13
 
 
 class FilteredComplex:
@@ -173,19 +174,15 @@ class FilteredComplex:
         names = self.name_of(ids) if self.name_of else repeat(None)
         return [str(j) if x is None else x for j, x in zip(ids.tolist(), names)]
 
-    def label(self, j: int) -> str:
-        """Cell j's name, or its id when it has none."""
-        return self.labels(np.array([j], np.int64))[0]
-
     @property
     def max_dim(self) -> int:
         return int(self.dims.max()) if len(self) else -1
 
     def validate(self) -> None:
-        """Raise ComplexError at the first offending cell in id order.  Array
-        masks find it, and `_fault` reads that one cell to name the rule it
-        breaks, so no cell is built.  A face then enters no later than its
-        cell, since values do not decrease."""
+        """Raise ComplexError at the first offending cell in id order.  One walk over
+        blocks of `_BLOCK` entries finds it with array masks, holding a few 64 KiB arrays
+        whatever the complex's size; `_fault` reads that one cell to name the rule it
+        breaks, so no cell is built.  Then faces enter no later than their cells."""
         j = min(self._misnumbered, self._first_fault())
         if j < len(self):
             raise self._fault(j)
@@ -222,45 +219,54 @@ class FilteredComplex:
             prev = f
         return None
 
-    def _misplaced_faces(self) -> tuple[np.ndarray, np.ndarray]:
-        """The cell of each CSR entry, and whether its face is outside [0,
-        cell) or not one dimension down."""
-        dims, indices, owner = self.dims, self.indices, _owners(self.indptr)
+    def _misplaced_faces(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """The cell of each CSR entry of cells [lo, hi), and whether its face is
+        outside [0, cell) or not one dimension down."""
+        dims, indices = self.dims, self.indices[self.indptr[lo]:self.indptr[hi]]
+        owner = np.arange(lo, hi).repeat(self.indptr[lo + 1:hi + 1] - self.indptr[lo:hi])
         wrong = (indices < 0) | (indices >= owner)
         return owner, wrong | (dims[np.where(wrong, 0, indices)] != dims[owner] - 1)
 
     def _first_fault(self) -> int:
-        """The lowest id at which an array mask finds a broken rule, or n."""
+        """The lowest id at which an array mask finds a broken rule, or n, checking each
+        block for the per-cell and face rules, then boundary of boundary below the first fault."""
         dims, values, indptr, indices = self.dims, self.values, self.indptr, self.indices
-        n = len(dims)
-        bad = (dims < 0) | ~np.isfinite(values)
-        step, tie = values[1:] < values[:-1], values[1:] == values[:-1]
-        bad[1:] |= step | (tie & (dims[1:] < dims[:-1]))
-        owner, wrong = self._misplaced_faces()
-        safe = np.where(wrong, 0, indices)
-        # a face repeated, or out of order, within its row
-        wrong[1:] |= (owner[1:] == owner[:-1]) & (indices[1:] <= indices[:-1])
-        bad[owner[wrong]] = True
-        first = int(np.argmax(bad)) if bad.any() else n
-        # Boundary of boundary below `first`, where all faces are in range,
-        # a block of cells at a time: the keys (cell, face of a face) must
-        # pair up once sorted.
-        counts = np.diff(indptr)
-        below = _indptr(counts[safe])[indptr]  # face-of-face entries before each cell
-        lo = 0
-        while lo < first:
-            hi = int(np.searchsorted(below, below[lo] + _BLOCK, "right")) - 1
-            hi = min(first, max(lo + 1, hi))
-            faces = indices[indptr[lo]:indptr[hi]]
-            keys = np.repeat(owner[indptr[lo]:indptr[hi]] - lo, counts[faces]) * n
-            keys = np.sort(keys + indices[_gather(indptr[faces], counts[faces])])
-            if len(keys) % 2:
-                keys = np.append(keys, keys[-1] + 1)
-            odd = np.flatnonzero(keys[0::2] != keys[1::2])
-            if len(odd):
-                return lo + int(keys[2 * odd[0]] // n)
+        n, lo = len(dims), 0
+        while lo < n:
+            hi = int(indptr.searchsorted(indptr[lo] + _BLOCK, "right")) - 1
+            hi = min(n, lo + _BLOCK, max(lo + 1, hi))
+            bad = (dims[lo:hi] < 0) | ~np.isfinite(values[lo:hi])
+            s = lo or 1  # cells s.. against the cells before them
+            step, tie = values[s:hi] < values[s - 1:hi - 1], values[s:hi] == values[s - 1:hi - 1]
+            bad[s - lo:] |= step | (tie & (dims[s:hi] < dims[s - 1:hi - 1]))
+            owner, wrong = self._misplaced_faces(lo, hi)
+            rows = indices[indptr[lo]:indptr[hi]]
+            # a face repeated, or out of order, within its row
+            wrong[1:] |= (owner[1:] == owner[:-1]) & (rows[1:] <= rows[:-1])
+            bad[owner[wrong] - lo] = True
+            first = lo + int(bad.argmax()) if bad.any() else hi
+            # boundary of boundary: (cell, face of a face) keys must pair up once sorted
+            faces = rows[:indptr[first] - indptr[lo]]
+            counts = indptr[faces + 1] - indptr[faces]
+            below = _indptr(counts)[indptr[lo:first + 1] - indptr[lo]]  # before each cell
+            a = lo
+            while a < first:
+                b = lo + int(below.searchsorted(below[a - lo] + _BLOCK, "right")) - 1
+                b = min(first, max(a + 1, b))
+                at = slice(indptr[a] - indptr[lo], indptr[b] - indptr[lo])
+                keys = (owner[at] - a).repeat(counts[at]) * n
+                keys += indices[_gather(indptr[faces[at]], counts[at])]
+                keys.sort()
+                if len(keys) % 2:
+                    keys = np.append(keys, keys[-1] + 1)
+                odd = keys[0::2] != keys[1::2]
+                if odd.any():
+                    return a + int(keys[2 * odd.argmax()] // n)
+                a = b
+            if first < hi:
+                return first
             lo = hi
-        return first
+        return n
 
     def sublevel(self, a: float) -> "FilteredComplex":
         """Subcomplex of cells with value <= a (a prefix, by the ordering)."""
@@ -361,7 +367,7 @@ def _star_values(skeleton: FilteredComplex, f: VertexFunction) -> np.ndarray:
     combine = dims != 0
     if own is not None:
         combine &= np.fromiter((v is None for v in own), bool, n)
-    owner, wrong = skeleton._misplaced_faces()
+    owner, wrong = skeleton._misplaced_faces(0, n)
     fault = combine & (counts == 0)
     fault[owner[wrong & combine[owner]]] = True
     if own is not None:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -14,18 +15,28 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 sys.dont_write_bytecode = True  # nothing is written under perfbench/
 
 import numpy as np
+import speed
 import workloads as w
 from helpers import noisy_circle
 from z2persist import RipsParams, cli, complexes, persistence, rips_filtration, summarize
 
 
 def best(k, run):
-    """The least wall time of k calls of run, and the last call's result."""
-    times = []
+    """The least wall time of k calls of run, with that time at reference speed (scaled by
+    `perfbench/speed.py`'s loop, timed five times on each side of the calls, as the benchmark
+    scales its jobs), and the last call's result."""
+    loops, times = [speed.loop_seconds() for _ in range(5)], []
     for _ in range(k):
         start, out = time.perf_counter(), run()
         times.append(time.perf_counter() - start)
-    return min(times), out
+    loops += [speed.loop_seconds() for _ in range(5)]
+    return (min(times), min(times) * speed.scale(loops, 4)), out
+
+
+def shown(timed, digits=2, unit="s"):
+    """A (wall, reference-speed) time from `best`, in s or ms, so two runs' figures compare."""
+    wall, ref = (t * (1e3 if unit == "ms" else 1) for t in timed)
+    return f"{wall:.{digits}f} {unit} ({ref:.{digits}f} {unit} at reference speed)"
 
 
 def peak_rss():
@@ -52,20 +63,20 @@ def distance():
             print(f"{name} pair", flush=True)
             argv = [sys.executable, "-m", "z2persist.cli", "distance", paths[0], other]
             wall, _ = best(1, lambda: subprocess.run(argv, cwd=ROOT / "src", check=True))
-            print(f"wall {wall:.3f} s")
+            print(f"wall {shown(wall, 3)}")
 
 
 def spx_reader():
     text = lower_star_spx("klein", 60)
     wall, fc = best(5, lambda: complexes.parse_spx(text))
-    print(f"parse_spx klein m=60 lower-star: {len(fc)} cells, best of 5 {wall * 1e3:.1f} ms")
+    print(f"parse_spx klein m=60 lower-star: {len(fc)} cells, best of 5 {shown(wall, 1, 'ms')}")
 
 
 def summarized(name):
     fc = (rips_filtration(noisy_circle(300), RipsParams(max_dim=2, threshold=0.5)) if name == "rips"
           else complexes.parse_spx(lower_star_spx("klein", 60)))
     wall, gens = best(1, lambda: summarize(fc).generators)
-    print(f"summarize {name}: {len(fc)} cells, wall {wall:.2f} s, peak RSS {peak_rss():.0f} MB, "
+    print(f"summarize {name}: {len(fc)} cells, wall {shown(wall)}, peak RSS {peak_rss():.0f} MB, "
           f"{sum(map(len, gens.values()))} generators")
 
 
@@ -75,16 +86,17 @@ def cli_homology():
         (path := Path(tmp, "torus16.spx")).write_text(lower_star_spx("torus", 16))
         wall, code = best(5, lambda: cli.main(["homology", str(path), "--format", "spx"]))
     print(f"cli homology torus m=16 lower-star: exit {code}, "
-          f"{len(out.getvalue().splitlines()) // 5} lines, best of 5 {wall * 1e3:.2f} ms")
+          f"{len(out.getvalue().splitlines()) // 5} lines, best of 5 {shown(wall, 2, 'ms')}")
 
 
 def rips_600():
     pc, params = noisy_circle(600), RipsParams(max_dim=2, threshold=0.35)
     wall, bars = best(1, lambda: persistence.barcode(rips_filtration(pc, params)))
-    print(f"rips n=600 thr 0.35: wall {wall:.2f} s, {len(bars)} bars, peak RSS {peak_rss():.0f} MB")
+    print(f"rips n=600 thr 0.35: wall {shown(wall)}, {len(bars)} bars, "
+          f"peak RSS {peak_rss():.0f} MB")
     build, fc = best(1, lambda: rips_filtration(pc, params))
     reduce, red = best(1, lambda: persistence.reduce_filtration(fc))
-    print(f"build {build:.2f} s, reduce_filtration {reduce:.2f} s, "
+    print(f"build {shown(build)}, reduce_filtration {shown(reduce)}, "
           f"column_additions {red.column_additions}")
 
 
@@ -97,9 +109,16 @@ def rips_1000():
     del adj
     build, fc = best(1, lambda: rips_filtration(pc, RipsParams(max_dim=2, threshold=0.3)))
     reduce, red = best(3, lambda: persistence.reduce_filtration(fc))
-    print(f"rips n=1000 thr 0.3: {len(fc)} cells, build {build:.2f} s, {candidates} triangle "
+    print(f"rips n=1000 thr 0.3: {len(fc)} cells, build {shown(build)}, {candidates} triangle "
           f"candidates ({edges} edges x n = {edges * 1000}), reduce_filtration best of 3 "
-          f"{reduce:.2f} s, column_additions {red.column_additions}, peak RSS {peak_rss():.0f} MB")
+          f"{shown(reduce)}, column_additions {red.column_additions}, "
+          f"peak RSS {peak_rss():.0f} MB", flush=True)
+    check, _ = best(5, fc.validate)
+    tracemalloc.start()  # the complex is not traced, only what validate allocates
+    fc.validate()
+    peak = tracemalloc.get_traced_memory()[1] / 2**20
+    tracemalloc.stop()
+    print(f"validate best of 5 {shown(check, 3)}, tracemalloc peak {peak:.1f} MB above the complex")
 
 
 def klein_200(command):
@@ -112,7 +131,7 @@ def klein_200(command):
         wall, out = best(1, lambda: subprocess.run(argv, cwd=ROOT / "src", check=True,
                                                    stdout=subprocess.PIPE))
     rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024  # MB, the CLI's
-    print(f"cli {command} klein m=200: {len(out.stdout.splitlines())} lines, wall {wall:.2f} s, "
+    print(f"cli {command} klein m=200: {len(out.stdout.splitlines())} lines, wall {shown(wall)}, "
           f"peak RSS {rss:.0f} MB")
 
 
@@ -129,7 +148,7 @@ def spx_cap():
     rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024  # MB, the CLI's
     if out.returncode != 2 or not out.stderr.startswith("error: the SPX complex passes "):
         raise RuntimeError(f"the cell cap did not stop the closure: {out}")
-    print(f"cli persist spx 300 lines of 16 vertices: exit {out.returncode}, wall {wall:.2f} s, "
+    print(f"cli persist spx 300 lines of 16 vertices: exit {out.returncode}, wall {shown(wall)}, "
           f"peak RSS {rss:.0f} MB")
 
 

@@ -319,7 +319,7 @@ def test_spx_equal_values_keep_the_first_row(a, b):
     # a simplex keeps the first of its listed rows and then generated faces
     # (in the order of their cofaces) that holds its smallest value.
     fc = parse_spx(f"{a} 0 1\n{b} 1 0\n{b} 0 1 2\n")
-    got = {fc.label(j): repr(v) for j, v in enumerate(fc.values.tolist())}
+    got = dict(zip(fc.labels(np.arange(len(fc))), map(repr, fc.values.tolist())))
     assert got == {"0": a, "1": a, "2": b, "0-1": a, "0-2": b, "1-2": b, "0-1-2": b}
 
 
@@ -377,7 +377,7 @@ def test_spx_sixteen_vertex_line_over_forty_labels_matches_oracle():
         fc = parse_spx(text, vv)
         for name in ("dims", "values", "indptr", "indices"):
             assert np.array_equal(getattr(fc, name), getattr(ref, name)), name
-        assert list(map(fc.label, range(len(fc)))) == list(map(ref.label, range(len(ref))))
+        assert fc.labels(np.arange(len(fc))) == ref.labels(np.arange(len(ref)))
 
 
 def test_spx_simplex_size_limit():
@@ -489,7 +489,7 @@ def test_names_read_from_the_top_dimension_down_match_the_oracle(source):
             assert len(fc) < len(ref)
     order = sorted(range(len(fc)), key=lambda j: -fc.dims[j])
     assert fc.max_dim >= 2 and fc.dims[order[0]] == fc.max_dim
-    assert [fc.label(j) for j in order] == [ref.cells[j].name for j in order]
+    assert fc.labels(np.array(order)) == [ref.cells[j].name for j in order]
     ids = [*range(len(fc)), *rng.choices(range(len(fc)), k=len(fc))]
     rng.shuffle(ids)
     assert fc.labels(np.array(ids)) == [ref.cells[j].name for j in ids]
@@ -502,7 +502,7 @@ def test_labels_give_the_id_of_a_cell_without_a_name():
                              Cell(2, 1, 0.0, boundary=(0, 1), name="e")])
     assert named.name_of(np.array([1, 2, 1, 0])) == [None, "e", None, "v"]
     assert named.labels(np.array([1, 2, 1, 0])) == ["1", "e", "1", "v"]
-    assert named.label(1) == "1" and named.label(2) == "e"
+    assert named.labels(np.array([1])) == ["1"] and named.labels(np.array([2])) == ["e"]
     bare = FilteredComplex([Cell(0, 0, 0.0), Cell(1, 0, 0.0)])
     assert bare.name_of is None and bare.labels(np.array([1, 0, 1])) == ["1", "0", "1"]
     for fc, bad in ((named, -1), (named, 3), (bare, 2)):  # not the last cell's name

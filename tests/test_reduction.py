@@ -343,9 +343,9 @@ def test_the_engine_reads_any_integer_layout_as_int64(layout, engine):
         assert summarize(given) == summary
         assert {k: generators(given, k) for k in gens} == gens
         assert engine == calls
-        labels = list(map(plain.label, range(len(plain))))
-        assert list(map(given.label, range(len(given)))) == labels
-        assert labels == list(map(fc.label, range(len(plain))))
+        labels = plain.labels(np.arange(len(plain)))
+        assert given.labels(np.arange(len(given))) == labels
+        assert labels == fc.labels(np.arange(len(plain)))
 
 
 def test_int32_faces_past_46341_cells_reduce_as_int64():

@@ -3,6 +3,7 @@
 Rips filtrations and cones, and the checks the reference lacks."""
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,11 +18,12 @@ from z2persist import (
     RipsParams,
     VertexFunction,
     build_cone_filtration,
+    complexes,
     lower_star,
     rips_filtration,
 )
 
-from helpers import random_skeleton, random_vertex_function, reference_validate
+from helpers import noisy_circle, random_skeleton, random_vertex_function, reference_validate
 
 
 def valid_complexes():
@@ -205,11 +207,14 @@ def test_a_value_that_is_not_a_number_is_nan_and_named_by_validate():
         FilteredComplex([Cell(0, 0, 1), Cell(1, 0, None), Cell(2, 0, 10**400)])
 
 
-@pytest.mark.parametrize("dims, rows, text", [
+_ROWS_OUT_OF_ORDER = [
     ([0, 0, 0, 1, 1, 1, 2], [[], [], [], [0, 1], [0, 2], [1, 2], [5, 3, 4]],
      "face 3 listed after face 5"),
     ([0, 0, 1], [[], [], [1, 0]], "face 0 listed after face 1"),
-], ids=["triangle", "edge"])
+]
+
+
+@pytest.mark.parametrize("dims, rows, text", _ROWS_OUT_OF_ORDER, ids=["triangle", "edge"])
 def test_validate_rejects_a_face_row_out_of_order(dims, rows, text):
     # the reduction takes a column's last row as its pivot, so the triangle
     # would be paired with edge 4 instead of edge 5
@@ -220,3 +225,33 @@ def test_validate_rejects_a_face_row_out_of_order(dims, rows, text):
     with pytest.raises(ComplexError, match=f"^cell {cell}: {text}$") as err:
         fc.validate()
     assert err.value.cell_id == cell
+
+
+@pytest.mark.parametrize("check, args", [
+    (test_valid_complexes_validate, ()),
+    (test_single_cell_mutation_raises_the_reference_message, ()),
+    (test_two_broken_cells_name_the_lower_id, ()),
+    (test_star_values_name_a_face_fault_as_validate_does, ()),
+    *((test_validate_rejects_a_face_row_out_of_order, case) for case in _ROWS_OUT_OF_ORDER),
+], ids=["valid", "single-cell", "two-cells", "star-values", "row-order-triangle", "row-order-edge"])
+def test_validate_names_the_same_cell_across_block_edges(check, args, monkeypatch):
+    # validate walks blocks of `_BLOCK` cells and entries and sorts `_BLOCK` face-of-face
+    # entries at a time; at 16, below the 20 to 561 entries of `valid_complexes`, faults land
+    # on a block's first cell, the (value, dim) rule compares cells across a block edge and
+    # the boundary-of-boundary sub-blocks split a cell's neighbours
+    monkeypatch.setattr(complexes, "_BLOCK", 16)
+    check(*args)
+
+
+def test_validate_memory_does_not_grow_with_the_complex():
+    # the walk holds a few 64 KiB blocks at a time, not whole-complex masks: on this
+    # 17,969-cell complex (51,274 entries) those peaked at 3.95 MB
+    fc = rips_filtration(noisy_circle(150), RipsParams(max_dim=2, threshold=0.6))
+    assert (len(fc), len(fc.indices)) == (17969, 51274)
+    tracemalloc.start()
+    try:
+        fc.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
