@@ -72,11 +72,12 @@ def _owners(indptr: np.ndarray) -> np.ndarray:
 
 
 def _by_major(major: np.ndarray, minor: np.ndarray, n: int) -> np.ndarray:
-    """`minor` sorted by (major, minor), int64 in [0, n): one key sort that overwrites `major`."""
-    major *= n
-    major += minor
+    """`minor` sorted by (major, minor), ids in [0, n): one sort of major << b | minor in major."""
+    b = max(n - 1, 0).bit_length()
+    major <<= b
+    major |= minor
     major.sort()
-    major %= max(n, 1)
+    major &= (1 << b) - 1
     return major
 
 
@@ -335,21 +336,23 @@ def _reorder(dims: np.ndarray, values: np.ndarray, rows: np.ndarray, faces: np.n
     Row r has dimension dims[r] and enters at values[r]; entry e makes row
     faces[e] a face of row rows[e].  Rows are numbered by (value, dim, row
     index), faces and vertex lists are remapped and sorted, names are read
-    by row, and the new id of every row is returned with the complex.
+    by row, and the new id of every row is returned with the complex.  `rows`, a fresh
+    int64 array, is counted, then overwritten by new ids that `_by_major` sorts in place
+    into the complex's `indices`; `faces` is only read.
     """
     if (values != values).any():
         raise ComplexError("NaN entry value")
-    order = np.lexsort((dims, values))
-    n = len(order)
-    new_id = np.empty(n, dtype=np.int64)
+    order, n = np.lexsort((dims, values)), len(dims)
+    new_id, counts = np.empty(n, dtype=np.int64), np.bincount(rows, minlength=n)[order]
     new_id[order] = np.arange(n)
-    keys = _by_major(new_id[rows], new_id[faces], n)  # the faces by cell
+    # `clip` (rows are in range) writes in place: `raise` would buffer a copy of the output
+    keys = _by_major(np.take(new_id, rows, out=rows, mode="clip"), new_id[faces], n)
     if vertex_lists is not None:
         remap = new_id.tolist().__getitem__
         vertex_lists = [None if v is None else tuple(sorted(map(remap, v)))
                         for v in map(vertex_lists.__getitem__, order.tolist())]
     fc = FilteredComplex.from_arrays(
-        dims[order], values[order], _indptr(np.bincount(rows, minlength=n)[order]), keys,
+        dims[order], values[order], _indptr(counts), keys,
         None if name_of is None else (lambda ids: name_of(order[ids])), vertex_lists)
     return fc, new_id
 

@@ -167,12 +167,13 @@ def _reduce(ptr, flat, columns, chains: bool, settled):
     return pivots, zeros, additions
 
 
-def _components(fc: FilteredComplex):
-    """The (vertex, edge) pairs of degree 0, by union-find and the elder rule."""
+def _components(fc: FilteredComplex, settled):
+    """The (vertex, edge) pairs of degree 0, by union-find and the elder rule, over the edges
+    that the bool mask `settled` by cell id leaves: those it marks must join no components."""
     import numpy as np
     vertices = np.flatnonzero(fc.dims == 0)
     rank = np.cumsum(fc.dims == 0) - 1  # a vertex's place among the vertices
-    edges = np.flatnonzero((fc.dims == 1) & (fc.indptr[1:] - fc.indptr[:-1] == 2))
+    edges = np.flatnonzero((fc.dims == 1) & (fc.indptr[1:] - fc.indptr[:-1] == 2) & ~settled)
     ends = rank[fc.indices[fc.indptr[edges] + [[0], [1]]]].tolist()
     up, pairs, left = list(range(len(vertices))), [], len(vertices)
     for e, u, v in zip(edges.tolist(), *ends):
@@ -192,27 +193,28 @@ def reduce_filtration(fc: FilteredComplex) -> Reduction:
     """Persistence pairs of the filtration, by the one reduction `_reduce` of
     the coboundary matrix, anti-transposed.
 
-    Cell ids double as row/column indices since the declaration order is
-    the filtration order.  Column n-1-i holds the rows n-1-c of the cofaces
-    c of cell i, found by one sort of the keys (n-1-i, n-1-c).  Dimensions
-    go upward, so a pivot n-1-c pairs cell i with c and clears the column
-    of c: the pairs of the standard left-to-right boundary reduction (de
-    Silva, Morozov & Vejdemo-Johansson 2011).  Union-find settles degree 0
-    if every 1-cell has 0 or 2 faces, and i pairs with its oldest coface c if
-    i is c's youngest face (apparent, Bauer 2021: no earlier column has n-1-c).
+    Cell ids double as row/column indices since the declaration order is the filtration
+    order.  Column n-1-i holds the rows n-1-c of the cofaces c of cell i, found by one
+    `_by_major` sort of the keys (n-1-i, n-1-c) in two fresh arrays.  Dimensions go upward,
+    so a pivot n-1-c pairs cell i with c and clears the column of c: the pairs of the
+    standard left-to-right boundary reduction (de Silva, Morozov & Vejdemo-Johansson 2011).
+    i pairs with its oldest coface c if i is c's youngest face (apparent, Bauer 2021: no
+    earlier column has n-1-c); union-find settles degree 0 over the edges left if every
+    1-cell has 0 or 2 faces.
     """
     import numpy as np
-    from .complexes import _by_major, _indptr, _owners
+    from .complexes import _by_major, _indptr
     n = len(fc)
-    flat = _by_major(n - 1 - fc.indices, n - 1 - _owners(fc.indptr), n)
+    flat = _by_major(n - 1 - fc.indices, np.arange(n - 1, -1, -1).repeat(np.diff(fc.indptr)), n)
     ptr, dims = _indptr(np.bincount(fc.indices, minlength=n)[::-1]), fc.dims[::-1]
     cols = np.flatnonzero(ptr[1:] > ptr[:-1])
     lows = flat[ptr[cols + 1] - 1]
     graph = not ((fc.indptr[1:] - fc.indptr[:-1])[fc.dims == 1] & ~2).any()  # 1-cells: 0, 2 faces
-    merges = _components(fc) if graph else np.empty((0, 2), np.int64)
     apparent = (fc.indices[fc.indptr[n - lows] - 1] == n - 1 - cols) & (dims[cols] >= graph)
     done = graph & (dims == 0)  # after union-find no vertex column is apparent or reduced
-    done[cols[apparent]] = done[lows[apparent]] = done[n - 1 - merges] = True
+    done[cols[apparent]] = done[lows[apparent]] = True
+    merges = _components(fc, done[::-1]) if graph else np.empty((0, 2), np.int64)
+    done[n - 1 - merges] = True
     todo, owner = cols[~done[cols]], np.full(n, -1)
     owner[lows[apparent]] = cols[apparent]
     pivots, _, additions = _reduce(  # dimensions upward
@@ -240,6 +242,7 @@ def barcode(fc: FilteredComplex) -> Barcode:
     keep = np.flatnonzero((lo != hi) | (deaths == n))
     order = keep[np.lexsort((hi[keep], lo[keep], fc.dims[births[keep]]))]
     births, lo, hi = births[order], lo[order], hi[order]
+    del red, free, deaths, ends, keep, order  # only the kept bars' arrays meet the lists
     if not ((lo > -math.inf) & (lo < hi)).all():
         list(map(Interval, lo.tolist(), hi.tolist()))  # raises for the first bad bar
     return Barcode(columns=(fc.dims[births].tolist(), lo.tolist(), hi.tolist()))

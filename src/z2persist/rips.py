@@ -135,9 +135,13 @@ def rips_filtration(pc: PointCloud, params: RipsParams) -> FilteredComplex:
     if limit == math.inf:
         raise ValueError("need a threshold or steps to bound the scale")
     n = len(pc) if limit >= 0 else 0  # no cell enters above the limit, not even a vertex
-    max_dim = params.max_dim if n else 0  # and with no vertex no distance is read
-    simplices = [np.arange(n, dtype=np.int64).reshape(n, 1)]
-    values = [np.zeros(n)]
+    return simplicial_filtration(*_cliques(pc, params, n), [str(v) for v in range(n)])
+
+
+def _cliques(pc: PointCloud, params: RipsParams, n: int) -> tuple[list, list, list]:
+    """The Rips simplices, faces and values; the expansion's temporaries die with this frame."""
+    limit, max_dim = params.scale_limit, params.max_dim if n else 0  # no vertex: no distance
+    simplices, values = [np.arange(n, dtype=np.int64).reshape(n, 1)], [np.zeros(n)]
     faces = [np.zeros((n, 1), dtype=np.int64)]  # the empty face
     key = np.arange(n)  # each row's (parent row) * n + last vertex, increasing
     if max_dim:  # the edges (parent, last) in order, and so each vertex's upper neighbours
@@ -177,4 +181,4 @@ def rips_filtration(pc: PointCloud, params: RipsParams) -> FilteredComplex:
             length = reduce(np.maximum, (values[-1][f] for f in faces[-1].T))
         values.append(length)
         key = parent * n + last
-    return simplicial_filtration(simplices, faces, values, [str(v) for v in range(n)])
+    return simplices, faces, values

@@ -43,6 +43,16 @@ def peak_rss():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # MB
 
 
+def traced_peak(run):
+    """The most memory, in MiB, that run's allocations held at once, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def lower_star_spx(surface, m):
     """Every simplex of the m x m grid with its lower-star value, as the benchmark writes it."""
     tris, h = w.surface_triangles(surface, m), w.surface_heights(m, np.random.default_rng(0))
@@ -107,18 +117,19 @@ def rips_1000():
     adj = np.triu(pc.distance_matrix() <= 0.3, 1)
     edges, candidates = int(adj.sum()), int(adj.sum(axis=1)[np.nonzero(adj)[1]].sum())
     del adj
-    build, fc = best(1, lambda: rips_filtration(pc, RipsParams(max_dim=2, threshold=0.3)))
+    params = RipsParams(max_dim=2, threshold=0.3)
+    build, fc = best(1, lambda: rips_filtration(pc, params))
     reduce, red = best(3, lambda: persistence.reduce_filtration(fc))
-    print(f"rips n=1000 thr 0.3: {len(fc)} cells, build {shown(build)}, {candidates} triangle "
-          f"candidates ({edges} edges x n = {edges * 1000}), reduce_filtration best of 3 "
-          f"{shown(reduce)}, column_additions {red.column_additions}, "
-          f"peak RSS {peak_rss():.0f} MB", flush=True)
+    rss = peak_rss()
+    built = traced_peak(lambda: rips_filtration(pc, params))  # a second complex, traced whole
+    print(f"rips n=1000 thr 0.3: {len(fc)} cells, build {shown(build)}, tracemalloc peak "
+          f"{built:.1f} MiB with the complex, {candidates} triangle candidates ({edges} edges x "
+          f"n = {edges * 1000}), reduce_filtration best of 3 {shown(reduce)}, column_additions "
+          f"{red.column_additions}, peak RSS {rss:.0f} MB", flush=True)
     check, _ = best(5, fc.validate)
-    tracemalloc.start()  # the complex is not traced, only what validate allocates
-    fc.validate()
-    peak = tracemalloc.get_traced_memory()[1] / 2**20
-    tracemalloc.stop()
-    print(f"validate best of 5 {shown(check, 3)}, tracemalloc peak {peak:.1f} MB above the complex")
+    peak = traced_peak(fc.validate)  # the complex is not traced, only what validate allocates
+    print(f"validate best of 5 {shown(check, 3)}, tracemalloc peak {peak:.1f} MiB above the "
+          f"complex")
 
 
 def klein_200(command):

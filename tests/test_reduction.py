@@ -2,7 +2,8 @@
 reductions each consumer runs."""
 import random
 import sys
-from itertools import combinations
+import tracemalloc
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from z2persist import (
     torus_delta,
     torus_height_skeleton,
 )
-from z2persist import VertexFunction, persistence
+from z2persist import VertexFunction, complexes, persistence
 from z2persist.cli import main
 from z2persist.complexes import _by_major, _owners, write_fcx
 from z2persist.persistence import Reduction, barcode, reduce_filtration
@@ -373,21 +374,86 @@ def test_int32_faces_past_46341_cells_reduce_as_int64():
     assert reduce_filtration(narrow) == red
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_key_sort_is_a_stable_argsort(seed):
-    # the helper sorts `minor` by (major, minor) in major's own buffer; on a
-    # complex's CSR it equals the transpose by a stable argsort of the faces
+# the shift width b, the bit length of n - 1, steps between 64 and 65 and between 1024 and 1025
+_KEY_SORT_SIZES = [0, 1, 2, 7, 50, 1000, 63, 64, 65, 1024, 1025]
+
+
+@pytest.mark.parametrize("seed", range(len(_KEY_SORT_SIZES)))
+def test_key_sort_is_a_stable_argsort(seed, monkeypatch):
+    # the helper sorts `minor` by (major, minor) in major's own buffer, the keys packed
+    # major << b | minor; on a complex's CSR it equals the transpose by a stable argsort
+    # of the faces, and so does the two-buffer call reduce_filtration makes
     rng = np.random.default_rng(seed)
-    n = [0, 1, 2, 7, 50, 1000][seed]
+    n = _KEY_SORT_SIZES[seed]
     major, minor = rng.integers(0, max(n, 1), (2, 3 * n))
+    if n:  # the largest ids fill every bit of a key
+        major, minor = np.append(major, [n - 1, n - 1, 0]), np.append(minor, [n - 1, 0, n - 1])
     by_minor = np.argsort(minor, kind="stable")
     expected = minor[by_minor[np.argsort(major[by_minor], kind="stable")]]
     out = _by_major(major, minor, n)
     assert out is major and out.tolist() == expected.tolist()
+    sorts = []
+
+    def recorded(*args):
+        sorts.append(_by_major(*args))
+        return sorts[-1]
+
+    monkeypatch.setattr(complexes, "_by_major", recorded)
     for fc in _complexes(seed):
         n, owners = len(fc), _owners(fc.indptr)
         stable = n - 1 - owners[np.argsort(fc.indices, kind="stable")[::-1]]
         assert _by_major(n - 1 - fc.indices, n - 1 - owners, n).tolist() == stable.tolist()
+        sorts.clear()
+        reduce_filtration(fc)
+        assert [flat.tolist() for flat in sorts] == [stable.tolist()]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_union_find_skips_the_apparent_births_with_the_same_merges(seed, monkeypatch):
+    # the edges reduce_filtration settles as apparent births before union-find are positive:
+    # they join no two components, so skipping them leaves every merge as it was
+    real, skipped = persistence._components, []
+
+    def both(fc, settled):
+        out = real(fc, settled)
+        assert settled.dtype == bool and settled.shape == fc.dims.shape
+        assert np.array_equal(out, real(fc, np.zeros(len(fc), bool)))
+        edges = (fc.dims == 1) & (fc.indptr[1:] - fc.indptr[:-1] == 2)
+        assert not set(out[:, 1].tolist()) & set(np.flatnonzero(settled).tolist())
+        skipped.append((int(np.count_nonzero(edges & settled)), int(np.count_nonzero(edges))))
+        return out
+
+    monkeypatch.setattr(persistence, "_components", both)
+    rng = random.Random(seed)
+    clouds = [helpers.noisy_circle(n) for n in (40, 150)] + [
+        PointCloud(tuple((rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(60)))]
+    for fc in chain(_complexes(seed), (rips_filtration(pc, RipsParams(max_dim=2, threshold=0.6))
+                                       for pc in clouds)):
+        assert reduce_filtration(fc) == reference_clearing(fc, cohomology=True)
+    settled, edges = skipped[-2]  # the 150-point circle: most edges close a triangle
+    assert edges == 2183 and settled == 2183 - 161
+
+
+def test_rips_build_and_barcode_memory():
+    # the renumbering sorts its keys in the buffer of its rows, the transpose in two
+    # fresh arrays, and barcode drops the Reduction before it lists the bars: on this
+    # 17,969-cell complex (51,274 entries) the build peaked at 4.07 MB and barcode at
+    # 1.96 MB above the complex when each held a few more int64 copies of the entries
+    pc, params = helpers.noisy_circle(150), RipsParams(max_dim=2, threshold=0.6)
+    barcode(rips_filtration(pc, params))  # first calls, untraced
+    tracemalloc.start()
+    try:
+        fc = rips_filtration(pc, params)
+        build = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        barcode(fc)
+        bars = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert (len(fc), len(fc.indices)) == (17969, 51274)
+    assert build < 3.4e6, build
+    assert bars < 1.65e6, bars
 
 
 @st.composite

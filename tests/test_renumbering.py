@@ -3,6 +3,7 @@ helpers.py: the same cells (id, dim, value by repr, boundary, vertices,
 name), the same apex, and the same extended barcode."""
 import random
 
+import numpy as np
 import pytest
 
 from z2persist import (
@@ -10,20 +11,25 @@ from z2persist import (
     Cell,
     FilteredComplex,
     Interval,
+    RipsParams,
     VertexFunction,
     build_cone_filtration,
     extended_barcode,
     klein_height_skeleton,
     lower_star,
     ng_cw,
+    rips_filtration,
     torus_height_skeleton,
 )
-from z2persist import extended
-from z2persist.complexes import ComplexError, parse_fcx, write_fcx
+from z2persist import complexes, extended, rips
+from z2persist.complexes import (
+    ComplexError, parse_fcx, parse_spx, simplicial_filtration, write_fcx,
+)
 from z2persist.persistence import Barcode
 
 from helpers import (
     grid_surface,
+    noisy_circle,
     random_skeleton,
     random_vertex_function,
     reference_build_cone_filtration,
@@ -80,6 +86,34 @@ def test_cone_and_extended_barcode_match_reference(name, sk, f):
         assert _cells(cone.complex) == _cells(ref.complex)
         assert cone.apex == ref.apex
         assert extended_barcode(spec) == reference_extended_barcode(spec)
+
+
+def _frozen(arrays):
+    return [(a.dtype, a.shape, a.tobytes()) for a in map(np.asarray, arrays)]
+
+
+def test_the_builders_leave_their_inputs_byte_identical(monkeypatch):
+    # the renumbering overwrites the rows array it is given with new ids and sorts its keys
+    # there, so each builder hands it a fresh one: a skeleton's arrays, and the simplices,
+    # faces and values a caller gives simplicial_filtration, are only read
+    for name, sk, f in CASES:
+        before = _frozen((sk.dims, sk.values, sk.indptr, sk.indices))
+        lower_star(sk, f)
+        build_cone_filtration(BifiltrationSpec(sk, f, lam=0.5))
+        assert _frozen((sk.dims, sk.values, sk.indptr, sk.indices)) == before, name
+    unchanged = []
+
+    def build(simplices, faces, values, labels):
+        before = _frozen([*simplices, *faces[1:], *values])
+        fc = simplicial_filtration(simplices, faces, values, labels)
+        unchanged.append(_frozen([*simplices, *faces[1:], *values]) == before)
+        return fc
+
+    monkeypatch.setattr(rips, "simplicial_filtration", build)
+    monkeypatch.setattr(complexes, "simplicial_filtration", build)
+    rips_filtration(noisy_circle(40), RipsParams(max_dim=3, threshold=0.8))
+    parse_spx("0 0 1 2\n1 1 2 3\n2 0 3\n")
+    assert unchanged == [True, True]
 
 
 def test_derived_filtrations_reject_missing_vertices_and_nan():
