@@ -37,14 +37,18 @@ class Cell:
 
 @dataclass(frozen=True)
 class VertexFunction:
-    """Real values on vertex ids, held as Python floats: f enters here, so every complex
-    built from it is float64.  The bound M belongs to `extended.BifiltrationSpec`."""
+    """Real values on vertex ids, held as Python floats: f enters here, converted by one
+    `map(float, ...)` (an int past the floats names its vertex), so every complex built from
+    it is float64.  The bound M belongs to `extended.BifiltrationSpec`."""
 
     values: dict
 
     def __post_init__(self):
-        values = {v: as_float(x, f"vertex {v} has a value beyond the float range")
-                  for v, x in self.values.items()}
+        try:
+            values = dict(zip(self.values, map(float, self.values.values())))
+        except OverflowError:
+            values = {v: as_float(x, f"vertex {v} has a value beyond the float range")
+                      for v, x in self.values.items()}
         object.__setattr__(self, "values", values)
 
     def __call__(self, vertex: int) -> float:
@@ -359,17 +363,16 @@ def _reorder(dims: np.ndarray, values: np.ndarray, rows: np.ndarray, faces: np.n
 
 def _star_values(skeleton: FilteredComplex, f: VertexFunction) -> np.ndarray:
     """Min and max of f over each cell's vertices, the rows of a (2, n) array
-    by cell id: a cell with its own vertex list reads it, a vertex reads
-    itself, and any other cell combines its faces' entries, a dimension at
-    a time.  So its faces must come before it, one dimension down, and a
-    vertex list may name only 0-cells; the first cell in id order that
-    breaks this, has no vertices or has a vertex without a value is named."""
+    by cell id: a cell with its own vertex list reads it, the other vertices are read at
+    once, each its value in both rows, and any other cell combines its faces' entries, a
+    dimension at a time.  So its faces must come before it, one dimension down, and a vertex
+    list may name only 0-cells; the first cell in id order that breaks this or has no
+    vertices is named, once the vertices before it have been read."""
     dims, indptr, indices = skeleton.dims, skeleton.indptr, skeleton.indices
     n, counts = len(dims), np.diff(indptr)
     own = skeleton.vertex_lists
-    combine = dims != 0
-    if own is not None:
-        combine &= np.fromiter((v is None for v in own), bool, n)
+    listed = np.fromiter((v is not None for v in own), bool, n) if own else np.zeros(n, bool)
+    combine = (dims != 0) & ~listed
     owner, wrong = skeleton._misplaced_faces(0, n)
     fault = combine & (counts == 0)
     fault[owner[wrong & combine[owner]]] = True
@@ -378,11 +381,13 @@ def _star_values(skeleton: FilteredComplex, f: VertexFunction) -> np.ndarray:
         fault |= np.fromiter((v is not None and not (v and vertices.issuperset(v))
                               for v in own), bool, n)
     first = int(np.argmax(fault)) if fault.any() else n
-    reads = np.flatnonzero(~combine[:first])
-    vals = [[*map(f, own[j] if own and own[j] is not None else (j,))] for j in reads.tolist()]
+    plain, reads = (np.flatnonzero(m[:first]) for m in ((dims == 0) & ~listed, listed))
+    values = np.fromiter(map(f, plain.tolist()), float, len(plain))
+    vals = [[*map(f, own[j])] for j in reads.tolist()]
     if first < n:
         raise _star_fault(skeleton, first)
     out = np.empty((2, n))
+    out[:, plain] = values
     out[:, reads] = [*map(min, vals)], [*map(max, vals)]
     for k in sorted(set(dims[combine].tolist())):
         sel = np.flatnonzero(combine & (dims == k))
@@ -521,7 +526,8 @@ def write_fcx(fc: FilteredComplex) -> str:
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 # An SPX simplex of w vertices closes to 2^w - 1 cells, 65,535 at this limit.
 _MAX_VERTICES = 16
-# Most cells a Rips or SPX complex may have: about 2.3 GB at ~0.55 KB a cell.
+# Most cells a Rips complex may have, about 2.3 GB at ~0.55 KB a cell, and most vertex
+# entries an SPX closure may hold, each face counted once for each simplex above it.
 _MAX_CELLS = 1 << 22
 
 
@@ -556,16 +562,16 @@ def _close_simplices(ranks: np.ndarray, widths: np.ndarray, values: np.ndarray,
     widths[i] of `ranks` (increasing indices into the sorted `labels`, each used) at
     values[i], and takes its smallest value over repeats and cofaces, or with vertex_values
     the maximum of the function over its vertices.  Before making faces that would pass
-    `_MAX_CELLS` cells, each counted once for each simplex above it, this raises."""
+    `_MAX_CELLS` vertex entries, rows times width, in the rows kept and made, this raises."""
     starts, top, nv = _indptr(widths)[:-1], int(widths.max()), len(labels)
     rows, vals, faces = [None] * top, [None] * top, [None] * (top + 1)  # faces[top] is empty
     for w in range(top, 0, -1):
         sel = np.flatnonzero(widths == w)
         r, v = ranks[_gather(starts[sel], widths[sel])].reshape(-1, w), values[sel]
         if w < top:  # with the faces of the simplices above, each missing a vertex
-            if (made := sum(map(len, rows[w:])) + len(sel) + len(rows[w]) * (w + 1)) > _MAX_CELLS:
-                raise ComplexError(f"the SPX complex passes {_MAX_CELLS} cells in dimension "
-                                   f"{w - 1} ({made} so far)")
+            if (made := sum(x.size for x in rows[w:]) + (len(sel) + rows[w].size) * w) > _MAX_CELLS:
+                raise ComplexError(f"the SPX complex passes {_MAX_CELLS} vertex entries in "
+                                   f"dimension {w - 1} ({made} so far)")
             drop = [[j for j in range(w + 1) if j != i] for i in range(w + 1)]
             more = rows[w][:, drop].reshape(-1, w), np.repeat(vals[w], w + 1)
             r, v = (np.vstack([r, more[0]]), np.append(v, more[1])) if len(sel) else more
@@ -584,7 +590,7 @@ def _close_simplices(ranks: np.ndarray, widths: np.ndarray, values: np.ndarray,
         rows[w - 1], vals[w - 1], faces[w] = r[pick], v[pick], run[len(sel):].reshape(-1, w + 1)
     labels = labels.tolist()
     if vertex_values is not None:
-        f = np.array([*map(VertexFunction(vertex_values), labels)])
+        f = np.fromiter(map(VertexFunction(vertex_values), labels), float, len(labels))
         if not (finite := np.isfinite(f)).all():
             raise ComplexError(f"vertex {labels[finite.argmin()]} has a non-finite function value")
         vals = [f[r].max(axis=1) for r in rows]

@@ -167,23 +167,30 @@ def _reduce(ptr, flat, columns, chains: bool, settled):
     return pivots, zeros, additions
 
 
-def _components(fc: FilteredComplex, settled):
-    """The (vertex, edge) pairs of degree 0, by union-find and the elder rule, over the edges
-    that the bool mask `settled` by cell id leaves: those it marks must join no components."""
+def _components(fc: FilteredComplex, settled, seeds):
+    """The (vertex, edge) pairs of degree 0, by union-find and the elder rule.  Each edge
+    (u, v) of the int64 array `seeds` is the oldest coface of v > u, so v joins u before the
+    walk and that pair is left out; the walk takes the edges that the bool mask `settled`
+    by cell id leaves, which holds the seeds, and the rest it marks join no components."""
     import numpy as np
     vertices = np.flatnonzero(fc.dims == 0)
     rank = np.cumsum(fc.dims == 0) - 1  # a vertex's place among the vertices
-    edges = np.flatnonzero((fc.dims == 1) & (fc.indptr[1:] - fc.indptr[:-1] == 2) & ~settled)
+    up = np.arange(len(vertices))
+    up[rank[fc.indices[fc.indptr[seeds] + 1]]] = rank[fc.indices[fc.indptr[seeds]]]
+    up, pairs, left = up.tolist(), [], len(vertices) - len(seeds)
+    edges = np.flatnonzero((fc.dims == 1) & (fc.indptr[1:] - fc.indptr[:-1] == 2) & ~settled
+                           & (left > 1))  # no walk once one component is left
     ends = rank[fc.indices[fc.indptr[edges] + [[0], [1]]]].tolist()
-    up, pairs, left = list(range(len(vertices))), [], len(vertices)
     for e, u, v in zip(edges.tolist(), *ends):
         while u != up[u]:  # path halving
             up[u] = u = up[up[u]]
         while v != up[v]:
             up[v] = v = up[up[v]]
         if u != v:
-            up[max(u, v)] = min(u, v)
-            pairs += (max(u, v), e)
+            if u > v:
+                u, v = v, u
+            up[v] = u
+            pairs += (v, e)
             if (left := left - 1) == 1:
                 break
     return np.stack([vertices[pairs[::2]], np.array(pairs[1::2], np.int64)], 1)
@@ -199,8 +206,8 @@ def reduce_filtration(fc: FilteredComplex) -> Reduction:
     so a pivot n-1-c pairs cell i with c and clears the column of c: the pairs of the
     standard left-to-right boundary reduction (de Silva, Morozov & Vejdemo-Johansson 2011).
     i pairs with its oldest coface c if i is c's youngest face (apparent, Bauer 2021: no
-    earlier column has n-1-c); union-find settles degree 0 over the edges left if every
-    1-cell has 0 or 2 faces.
+    earlier column has n-1-c), in every dimension.  If every 1-cell has 0 or 2 faces,
+    union-find seeded with the apparent vertex pairs settles degree 0 over the edges left.
     """
     import numpy as np
     from .complexes import _by_major, _indptr
@@ -210,10 +217,11 @@ def reduce_filtration(fc: FilteredComplex) -> Reduction:
     cols = np.flatnonzero(ptr[1:] > ptr[:-1])
     lows = flat[ptr[cols + 1] - 1]
     graph = not ((fc.indptr[1:] - fc.indptr[:-1])[fc.dims == 1] & ~2).any()  # 1-cells: 0, 2 faces
-    apparent = (fc.indices[fc.indptr[n - lows] - 1] == n - 1 - cols) & (dims[cols] >= graph)
-    done = graph & (dims == 0)  # after union-find no vertex column is apparent or reduced
+    apparent = fc.indices[fc.indptr[n - lows] - 1] == n - 1 - cols
+    done = graph & (dims == 0)  # after union-find no vertex column is reduced
     done[cols[apparent]] = done[lows[apparent]] = True
-    merges = _components(fc, done[::-1]) if graph else np.empty((0, 2), np.int64)
+    merges = (_components(fc, done[::-1], n - 1 - lows[apparent & (dims[cols] == 0)]) if graph
+              else np.empty((0, 2), np.int64))
     done[n - 1 - merges] = True
     todo, owner = cols[~done[cols]], np.full(n, -1)
     owner[lows[apparent]] = cols[apparent]

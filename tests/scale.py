@@ -24,9 +24,10 @@ from z2persist import RipsParams, cli, complexes, persistence, rips_filtration, 
 def best(k, run):
     """The least wall time of k calls of run, with that time at reference speed (scaled by
     `perfbench/speed.py`'s loop, timed five times on each side of the calls, as the benchmark
-    scales its jobs), and the last call's result."""
+    scales its jobs), and the last call's result; each result is dropped before the next call."""
     loops, times = [speed.loop_seconds() for _ in range(5)], []
     for _ in range(k):
+        out = None
         start, out = time.perf_counter(), run()
         times.append(time.perf_counter() - start)
     loops += [speed.loop_seconds() for _ in range(5)]
@@ -51,6 +52,20 @@ def traced_peak(run):
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
+
+
+def union_find_merges(fc):
+    """The degree-0 merges of `reduce_filtration`'s union-find: those it takes from the
+    apparent vertex pairs before its walk, and those the walk finds.  Machine-independent."""
+    real, seen = persistence._components, []
+    persistence._components = lambda fc, settled, seeds: seen.append(
+        (len(seeds), len(out := real(fc, settled, seeds)))) or out
+    try:
+        persistence.reduce_filtration(fc)
+    finally:
+        persistence._components = real
+    [(seeded, walked)] = seen
+    return f"union-find {seeded} merges seeded, {walked} walked"
 
 
 def lower_star_spx(surface, m):
@@ -80,6 +95,11 @@ def spx_reader():
     text = lower_star_spx("klein", 60)
     wall, fc = best(5, lambda: complexes.parse_spx(text))
     print(f"parse_spx klein m=60 lower-star: {len(fc)} cells, best of 5 {shown(wall, 1, 'ms')}")
+
+
+def lower_star_merges():
+    fc = complexes.parse_spx(lower_star_spx("klein", 200))
+    print(f"reduce_filtration klein m=200 lower-star: {len(fc)} cells, {union_find_merges(fc)}")
 
 
 def summarized(name):
@@ -118,14 +138,15 @@ def rips_1000():
     edges, candidates = int(adj.sum()), int(adj.sum(axis=1)[np.nonzero(adj)[1]].sum())
     del adj
     params = RipsParams(max_dim=2, threshold=0.3)
-    build, fc = best(1, lambda: rips_filtration(pc, params))
+    build, fc = best(3, lambda: rips_filtration(pc, params))
     reduce, red = best(3, lambda: persistence.reduce_filtration(fc))
     rss = peak_rss()
     built = traced_peak(lambda: rips_filtration(pc, params))  # a second complex, traced whole
-    print(f"rips n=1000 thr 0.3: {len(fc)} cells, build {shown(build)}, tracemalloc peak "
-          f"{built:.1f} MiB with the complex, {candidates} triangle candidates ({edges} edges x "
-          f"n = {edges * 1000}), reduce_filtration best of 3 {shown(reduce)}, column_additions "
-          f"{red.column_additions}, peak RSS {rss:.0f} MB", flush=True)
+    print(f"rips n=1000 thr 0.3: {len(fc)} cells, build best of 3 {shown(build)}, tracemalloc "
+          f"peak {built:.1f} MiB with the complex, {candidates} triangle candidates ({edges} "
+          f"edges x n = {edges * 1000}), reduce_filtration best of 3 {shown(reduce)}, "
+          f"column_additions {red.column_additions}, {union_find_merges(fc)}, peak RSS "
+          f"{rss:.0f} MB", flush=True)
     check, _ = best(5, fc.validate)
     peak = traced_peak(fc.validate)  # the complex is not traced, only what validate allocates
     print(f"validate best of 5 {shown(check, 3)}, tracemalloc peak {peak:.1f} MiB above the "
@@ -166,8 +187,8 @@ def spx_cap():
 if __name__ == "__main__":
     spawn, failed = multiprocessing.get_context("spawn"), False  # a fresh interpreter per figure
     for figure, *args in ((distance,), (spx_reader,), (summarized, "rips"), (summarized, "klein"),
-                          (cli_homology,), (rips_600,), (rips_1000,), (klein_200, "extended"),
-                          (klein_200, "homology"), (spx_cap,)):
+                          (cli_homology,), (rips_600,), (rips_1000,), (lower_star_merges,),
+                          (klein_200, "extended"), (klein_200, "homology"), (spx_cap,)):
         (process := spawn.Process(target=figure, args=args)).start()
         process.join()
         failed |= process.exitcode != 0

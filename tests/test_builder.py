@@ -391,23 +391,24 @@ def test_spx_simplex_size_limit():
         parse_spx(f"{top} 99\n", dict.fromkeys(range(100), 0.0))
 
 
-@pytest.mark.parametrize("cap, dim, made", [(33, 1, 34), (45, 0, 46)])
+@pytest.mark.parametrize("cap, dim, made", [(31, 2, 32), (81, 1, 82), (83, 0, 84)])
 def test_spx_closure_stops_at_the_cell_cap(tmp_path, capsys, monkeypatch, cap, dim, made):
-    # Two disjoint tetrahedra.  Before making a dimension's faces the closure counts the
-    # cells kept above and the faces to make, each once for each simplex above it:
-    # 2 + 2 * 4 triangles = 10, 10 + 8 * 3 edges = 34, 22 + 12 * 2 vertices = 46.
-    # The complex keeps 30 cells.
+    # Two disjoint tetrahedra and an edge.  Before making a dimension's faces the closure
+    # counts the vertex entries of the rows kept above and of the rows to make, each face
+    # once for each simplex above it: 2 * 4 + 8 * 3 = 32 for the triangles, 32 + (1 + 24) * 2
+    # = 82 for the edges, 8 + 24 + 26 + 26 * 1 = 84 for the vertices.  The complex keeps
+    # 33 cells.
     from z2persist import complexes
     from z2persist.cli import main
 
-    (path := tmp_path / "two.spx").write_text("0 0 1 2 3\n0 4 5 6 7\n")
-    monkeypatch.setattr(complexes, "_MAX_CELLS", 46)
-    assert len(parse_spx(path.read_text())) == 30
+    (path := tmp_path / "two.spx").write_text("0 0 1 2 3\n0 4 5 6 7\n0 8 9\n")
+    monkeypatch.setattr(complexes, "_MAX_CELLS", 84)
+    assert len(parse_spx(path.read_text())) == 33
     monkeypatch.setattr(complexes, "_MAX_CELLS", cap)
     assert main(["persist", str(path), "--format", "spx"]) == 2
     out, err = capsys.readouterr()
-    assert (out, err) == ("", f"error: the SPX complex passes {cap} cells in dimension {dim} "
-                              f"({made} so far)\n")
+    assert (out, err) == ("", f"error: the SPX complex passes {cap} vertex entries in dimension "
+                              f"{dim} ({made} so far)\n")
 
 
 @pytest.mark.parametrize("vertex_values", [False, True], ids=["valued", "vertex-values"])

@@ -30,10 +30,12 @@ from z2persist.complexes import (
 )
 
 from helpers import (
+    grid_surface,
     random_skeleton,
     random_vertex_function,
     reference_cell_vertices,
     reference_lower_star,
+    simplices_to_complex,
 )
 
 
@@ -303,6 +305,52 @@ def test_lower_star_names_a_vertex_with_no_value():
     sk = FilteredComplex([Cell(0, 0, 0.0), Cell(1, 0, 0.0), Cell(2, 1, 0.0, boundary=(0, 1))])
     with pytest.raises(ComplexError, match="^vertex 1 has no function value$"):
         lower_star(sk, VertexFunction({0: 0.0}))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: simplices_to_complex(grid_surface(4, True)),
+    lambda: parse_spx("0 0 1 2\n1 2 3\n2 4\n"),
+    lambda: klein_height_skeleton(2.0, 1.0)[0],
+    lambda: torus_height_skeleton(2.0, 1.0)[0],
+    lambda: ng_cw(3),
+    klein_delta,
+], ids=["spx-grid", "spx-mixed", "klein_height_skeleton", "torus_height_skeleton", "ng_cw",
+        "klein_delta"])
+def test_star_values_read_each_vertex_once(make):
+    # the (2, n) array of f's min and max over each cell's closure: the vertices without a
+    # list of their own are read in one pass, each once, a cell with its own list reads it,
+    # and any other cell combines its faces
+    sk = make()
+    f, calls = random_vertex_function(random.Random(len(sk)), sk), []
+    out = _star_values(sk, lambda v: calls.append(v) or f(v))
+    closures = [[f(v) for v in reference_cell_vertices(sk, j)] for j in range(len(sk))]
+    assert out.dtype == np.float64 and out.shape == (2, len(sk))
+    assert out.tolist() == [[*map(min, closures)], [*map(max, closures)]]
+    lists = [c.vertices or () for c in sk.cells]
+    assert sorted(calls) == sorted([c.id for c in sk.cells if c.dim == 0 and c.vertices is None]
+                                   + [v for vs in lists for v in vs])
+
+
+def test_star_values_name_a_missing_vertex_before_a_later_fault():
+    # the vertices before the first faulty cell are read first, so a missing value is named
+    # from the same call; a vertex after that cell is not read
+    sk, _ = klein_height_skeleton(2.0, 1.0)
+    with pytest.raises(ComplexError, match="^vertex 2 has no function value$"):
+        _star_values(sk, VertexFunction({0: 0.0, 1: 1.0}))
+    broken = FilteredComplex([Cell(0, 0, 0.0), Cell(1, 0, 0.0), Cell(2, 1, 0.0, boundary=(0, 3)),
+                              Cell(3, 0, 0.0)])
+    with pytest.raises(ComplexError, match="^vertex 1 has no function value$"):
+        _star_values(broken, VertexFunction({0: 0.0, 3: 0.0}))
+    with pytest.raises(ComplexError, match="^cell 2: face 3 not previously declared$"):
+        _star_values(broken, VertexFunction({0: 0.0, 1: 0.0}))
+
+
+def test_vertex_function_converts_once_and_names_the_first_vertex_past_the_floats():
+    f = VertexFunction({0: 1, 1: np.float32(0.5), 2: np.int64(-3), 3: True})
+    assert f.values == {0: 1.0, 1: 0.5, 2: -3.0, 3: 1.0}
+    assert {type(x) for x in f.values.values()} == {float}
+    with pytest.raises(ComplexError, match="^vertex 1 has a value beyond the float range$"):
+        VertexFunction({0: 1.0, 1: 10**400, 2: 10**401})
 
 
 @pytest.mark.parametrize("cells, cell, face", [

@@ -34,7 +34,7 @@ from z2persist import (
 )
 from z2persist import VertexFunction, complexes, persistence
 from z2persist.cli import main
-from z2persist.complexes import _by_major, _owners, write_fcx
+from z2persist.complexes import _by_major, _owners, parse_fcx, write_fcx
 from z2persist.persistence import Reduction, barcode, reduce_filtration
 
 import helpers
@@ -215,27 +215,77 @@ def test_union_find_degree_zero_matches_the_oracle(fc, graph, engine):
     assert bool(vertex_columns) == (not graph)  # v0 is no apparent pair in a fallback
 
 
+def _graded_lower_star(m, height):
+    """The lower star of the m x m torus grid, vertex label v at height(v)."""
+    sk = simplices_to_complex(grid_surface(m, False))
+    vertices = np.flatnonzero(sk.dims == 0)
+    return lower_star(sk, VertexFunction(dict(zip(vertices.tolist(), map(
+        height, map(int, sk.labels(vertices)))))))
+
+
+def _falling_path(k):
+    """Vertices 0..k, then the path's edges (i, i + 1) entering from its far end: each
+    vertex's first edge goes to a younger vertex, but for vertex k, which has none."""
+    return FilteredComplex([*(Cell(v, 0, 0.0) for v in range(k + 1)), *(
+        Cell(k + 1 + j, 1, float(j + 1), (k - 1 - j, k - j)) for j in range(k))])
+
+
+# Degree 0 against the clearing oracle, pairs and column additions, with the merges that
+# union-find takes from the apparent vertex pairs (seeded) and finds itself (walked): a
+# lower star with one minimum, where every merge is apparent; a path whose only apparent
+# merge is its youngest vertex's (a component's youngest vertex always is); tied heights;
+# and a 1-cell with three faces, where no union-find runs and the vertex column of 0,
+# which is no apparent pair, is reduced in the loop as the apparent ones are not.
+@pytest.mark.parametrize("fc, seeded, walked", [
+    (_graded_lower_star(5, float), 24, 0),
+    (_falling_path(6), 1, 5),
+    (_graded_lower_star(5, lambda v: float(v * 3 % 4)), 21, 3),
+    (_constant_lower_star(), 15, 0),
+    (parse_fcx("cell 0 0 0\ncell 1 0 0\ncell 2 0 1\ncell 3 1 1 0 1\ncell 4 1 2 0 1 2\n"),
+     None, None),
+], ids=["one-minimum-lower-star", "falling-path", "tied-lower-star", "constant-lower-star",
+        "three-face-fcx"])
+def test_seeded_union_find_matches_the_clearing_oracle(fc, seeded, walked, monkeypatch,
+                                                      engine):
+    fc.validate()
+    real, merges = persistence._components, []
+    monkeypatch.setattr(persistence, "_components", lambda fc, settled, seeds: merges.append(
+        (len(seeds), len(out := real(fc, settled, seeds)))) or out)
+    red, ref = reduce_filtration(fc), reference_reduction(fc)
+    assert red == reference_clearing(fc, cohomology=True)
+    assert (red.pairs, red.unpaired) == (ref.pairs, ref.unpaired)
+    vertices = {c.id for c in fc.cells if c.dim == 0}
+    looped = {len(fc) - 1 - j for _, columns, _ in engine for j in columns} & vertices
+    if seeded is None:
+        apparent = {i for i, _ in _apparent_pairs(fc)} & vertices
+        assert (merges, looped, apparent) == ([], {0}, {1, 2})
+    else:
+        assert merges[0] == (seeded, walked) and not looped
+        components = len(vertices) - sum(1 for d, _ in ref.pairs if fc.dims[d] == 0)
+        assert seeded + walked == len(vertices) - components
+
+
 @pytest.mark.parametrize("seed", [7, 8])
 def test_apparent_pairs_do_no_work(seed, engine):
     # (i, c) is apparent if c is i's oldest coface and i is c's youngest
-    # face.  Neither column enters the loop, yet the counters equal those
-    # of the oracle that reduces every column.  summarize's twist carries
-    # no chain through either cell of an apparent pair, of any degree
+    # face, in any degree.  Neither column enters the loop, yet the counters
+    # equal those of the oracle that reduces every column.  summarize's twist
+    # carries no chain through either cell of an apparent pair either
     apparent = 0
     for fc in _complexes(seed):
         engine.clear()
         red = reduce_filtration(fc)
         assert red == reference_clearing(fc, cohomology=True)
         every = _apparent_pairs(fc)
-        pairs = {(i, c) for i, c in every if fc.dims[i] > 0} if graph_like(fc) else every
-        assert pairs <= set(red.pairs)
+        assert every <= set(red.pairs)
+        cells = {j for pair in every for j in pair}
         [(_, columns, _)] = engine
-        assert not {len(fc) - 1 - j for j in columns} & {j for pair in pairs for j in pair}
+        assert not {len(fc) - 1 - j for j in columns} & cells
         engine.clear()
         summarize(fc)
         [(_, columns, _)] = engine
-        assert not set(columns) & {j for pair in every for j in pair}
-        apparent += len(pairs)
+        assert not set(columns) & cells
+        apparent += len(every)
     assert apparent > 100
 
 
@@ -410,17 +460,26 @@ def test_key_sort_is_a_stable_argsort(seed, monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_union_find_skips_the_apparent_births_with_the_same_merges(seed, monkeypatch):
-    # the edges reduce_filtration settles as apparent births before union-find are positive:
-    # they join no two components, so skipping them leaves every merge as it was
-    real, skipped = persistence._components, []
+    # reduce_filtration seeds union-find with the apparent vertex pairs (v, e), e = (u, v) the
+    # oldest coface of v > u, and walks the edges it leaves: edges born in apparent pairs are
+    # positive and join no components, so the seeded merges plus the apparent vertex pairs
+    # are the merges of a union-find with no seed and no mask
+    real, counts = persistence._components, []
 
-    def both(fc, settled):
-        out = real(fc, settled)
+    def both(fc, settled, seeds):
+        out = real(fc, settled, seeds)
         assert settled.dtype == bool and settled.shape == fc.dims.shape
-        assert np.array_equal(out, real(fc, np.zeros(len(fc), bool)))
-        edges = (fc.dims == 1) & (fc.indptr[1:] - fc.indptr[:-1] == 2)
+        assert seeds.dtype == np.int64 and settled[seeds].all()
+        younger = fc.indices[fc.indptr[seeds] + 1].tolist()
+        vertex_pairs = {(i, c) for i, c in _apparent_pairs(fc) if fc.dims[i] == 0}
+        assert set(zip(younger, seeds.tolist())) == vertex_pairs
+        plain = real(fc, np.zeros(len(fc), bool), np.empty(0, np.int64))
+        assert sorted([*map(tuple, out.tolist()), *vertex_pairs]) == sorted(
+            map(tuple, plain.tolist()))
         assert not set(out[:, 1].tolist()) & set(np.flatnonzero(settled).tolist())
-        skipped.append((int(np.count_nonzero(edges & settled)), int(np.count_nonzero(edges))))
+        edges = (fc.dims == 1) & (fc.indptr[1:] - fc.indptr[:-1] == 2)
+        counts.append((len(seeds), len(out), int(np.count_nonzero(edges & ~settled)),
+                       int(np.count_nonzero(edges))))
         return out
 
     monkeypatch.setattr(persistence, "_components", both)
@@ -430,8 +489,8 @@ def test_union_find_skips_the_apparent_births_with_the_same_merges(seed, monkeyp
     for fc in chain(_complexes(seed), (rips_filtration(pc, RipsParams(max_dim=2, threshold=0.6))
                                        for pc in clouds)):
         assert reduce_filtration(fc) == reference_clearing(fc, cohomology=True)
-    settled, edges = skipped[-2]  # the 150-point circle: most edges close a triangle
-    assert edges == 2183 and settled == 2183 - 161
+    # the 150-point circle: (seeded merges, walked merges, edges left to walk, edges)
+    assert counts[-2] == (80, 69, 81, 2183)
 
 
 def test_rips_build_and_barcode_memory():
