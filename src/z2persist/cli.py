@@ -229,8 +229,6 @@ def run(argv: Sequence[str]) -> int:
         print(f"wrote {out}", file=sys.stderr)
         return 0
 
-    raise UsageError(f"unknown command {args.command}")
-
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:

@@ -8,7 +8,8 @@ them (a loop, a disk glued along loops) carries its own vertex list.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, repeat
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -100,30 +101,30 @@ class FilteredComplex:
     """Ordered cells forming a filtration: faces precede cofaces, values
     monotone along boundaries, ties broken by (value, dim, id).
 
-    Arrays are the record, converted where they enter: `dims` int64, `values` float64
+    A complex is its arrays, converted where they enter: `dims` int64, `values` float64
     and the boundaries in CSR form, int64 `indptr` and `indices`, the faces of cell j being
     `indices[indptr[j]:indptr[j + 1]]`, sorted.  `name_of(ids)` lists the names of the
     cells of an int64 id array, None for a cell without one, and `vertex_lists[j]` is a
-    CW cell's own vertex list or None; either is None when no cell has one.  `cells` is
-    built on first use; a complex made from cells keeps them, each with its float64 value.
+    CW cell's own vertex list or None; either is None when no cell has one.  A cell's id
+    is its position, so `cells` is built from the arrays when first read.
     """
 
     def __init__(self, cells: Iterable[Cell]):
-        """Convert the cells once, checking nothing: `validate` reports them."""
+        """Convert the cells once: ComplexError if a cell's id is not its position, or
+        an id is not safely int64; `validate` reports the other rules."""
         cells = tuple(cells)
-        n = len(cells)
-        counts = np.fromiter(map(len, (c.boundary for c in cells)), np.int64, n)
-        dims = np.fromiter((c.dim for c in cells), np.int64, n)
-        indices = np.fromiter(chain.from_iterable(c.boundary for c in cells), np.int64,
-                              int(counts.sum()))
+        for i, c in enumerate(cells):
+            if c.id != i:
+                raise ComplexError(f"id {c.id} out of declaration order", c.id)
+        counts = np.fromiter(map(len, (c.boundary for c in cells)), np.int64, len(cells))
+        # as numpy reads the ints, so `_keep`'s safe cast names one past int64; [] as int64
+        dims, indices = (np.array(a, None if a else np.int64) for a in (
+            [c.dim for c in cells], [*chain.from_iterable(c.boundary for c in cells)]))
         names, vertex_lists = [c.name for c in cells], [c.vertices for c in cells]
         self._keep(dims, [c.value for c in cells], _indptr(counts), indices,
                    (lambda ids: [*map(names.__getitem__, ids.tolist())])
                    if any(x is not None for x in names) else None,
-                   vertex_lists if any(v is not None for v in vertex_lists) else None, cells)
-        # the kept cells carry the float64 values, under the ids they were given
-        self._cells = tuple(c if type(c.value) is float else replace(c, value=x)
-                            for c, x in zip(cells, self.values.tolist()))
+                   vertex_lists if any(v is not None for v in vertex_lists) else None)
 
     @classmethod
     def from_arrays(cls, dims: np.ndarray, values: np.ndarray, indptr: np.ndarray,
@@ -132,10 +133,10 @@ class FilteredComplex:
         """The complex these arrays describe, kept as they are but for int64 ids and
         float64 values; ComplexError if an id array is not safely int64 or they do not fit."""
         fc = cls.__new__(cls)
-        fc._keep(dims, values, indptr, indices, name_of, vertex_lists, None)
+        fc._keep(dims, values, indptr, indices, name_of, vertex_lists)
         return fc
 
-    def _keep(self, dims, values, indptr, indices, name_of, vertex_lists, cells):
+    def _keep(self, dims, values, indptr, indices, name_of, vertex_lists):
         values = np.asarray(values)
         if values.dtype == object:  # an int past int64 makes them: name the first past the floats
             values = [as_float(x, "value is beyond the float range", j) if isinstance(x, int)
@@ -148,21 +149,16 @@ class FilteredComplex:
                                " safely to int64") from None
         values, n = np.asarray(values, float), dims.size
         if ((dims.ndim, indices.ndim, values.shape, indptr.shape) != (1, 1, (n,), (n + 1,))
-                or indptr[0] or indptr[-1] != indices.size or (indptr[1:] < indptr[:-1]).any()):
+                or indptr[0] or indptr[-1] != indices.size or (indptr[1:] < indptr[:-1]).any()
+                or vertex_lists is not None and len(vertex_lists) != n):
             raise ComplexError(f"the arrays do not fit together: 1-D dims and indices, {n} values"
-                               f" and {n + 1} indptr entries from 0 to len(indices) are needed")
+                               f" and {n + 1} indptr entries from 0 to len(indices) are needed,"
+                               f" and {n} vertex lists if any")
         self.dims, self.values, self.indptr, self.indices = dims, values, indptr, indices
-        self.name_of, self.vertex_lists, self._cells = name_of, vertex_lists, cells
-        # the first cell whose id is not its position
-        self._misnumbered = next((i for i, c in enumerate(cells or ()) if c.id != i), n)
+        self.name_of, self.vertex_lists = name_of, vertex_lists
 
-    @property
+    @cached_property
     def cells(self) -> tuple[Cell, ...]:
-        if self._cells is None:
-            self._cells = self._build_cells()
-        return self._cells
-
-    def _build_cells(self) -> tuple[Cell, ...]:
         ptr, flat, ids = self.indptr.tolist(), self.indices.tolist(), range(len(self))
         return tuple(map(Cell, ids, self.dims.tolist(), self.values.tolist(),
                          [tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:])],
@@ -187,17 +183,15 @@ class FilteredComplex:
         """Raise ComplexError at the first offending cell in id order.  One walk over
         blocks of `_BLOCK` entries finds it with array masks, holding a few 64 KiB arrays
         whatever the complex's size; `_fault` reads that one cell to name the rule it
-        breaks, so no cell is built.  Then faces enter no later than their cells."""
-        j = min(self._misnumbered, self._first_fault())
+        breaks, so no cell is built.  Then faces enter no later than their cells.  Ids
+        are checked where they are written: a cell's id is its position in the arrays."""
+        j = self._first_fault()
         if j < len(self):
             raise self._fault(j)
 
     def _fault(self, j: int) -> ComplexError:
-        """The first rule that cell j, found by the masks, breaks: id, dim,
-        finite value, (value, dim) order, faces, else boundary of boundary."""
-        if j == self._misnumbered:
-            cid = self._cells[j].id
-            return ComplexError(f"id {cid} out of declaration order", cid)
+        """The first rule that cell j, found by the masks, breaks: dim, finite
+        value, (value, dim) order, faces, else boundary of boundary."""
         dim, last_dim = self.dims[[j, j - 1]].tolist()  # cell j - 1 is read only if j > 0
         if dim < 0:
             return ComplexError("negative dimension", j)
@@ -514,12 +508,12 @@ def torus_height_skeleton(M: float, A: float) -> tuple[FilteredComplex, VertexFu
 
 
 def write_fcx(fc: FilteredComplex) -> str:
-    """FCX v1: one `cell <id> <dim> <value> [<face>...]` line per cell."""
-    lines = []
-    for c in fc.cells:
-        parts = ["cell", str(c.id), str(c.dim), format_value(c.value)]
-        parts.extend(str(f) for f in c.boundary)
-        lines.append(" ".join(parts))
+    """FCX v1: one `cell <id> <dim> <value> [<face>...]` line per cell, read from the
+    arrays; FCX carries no names and no vertex lists."""
+    ptr, flat = fc.indptr.tolist(), fc.indices.tolist()
+    lines = [" ".join(["cell", str(j), str(d), format_value(x), *map(str, flat[a:b])])
+             for j, d, x, a, b in zip(range(len(fc)), fc.dims.tolist(), fc.values.tolist(),
+                                      ptr, ptr[1:])]
     return "\n".join(lines) + "\n"
 
 
@@ -546,6 +540,9 @@ def parse_fcx(text: str) -> FilteredComplex:
         if min(cid, dim, *faces) < 0 or max(cid, dim, *faces) > _INT64_MAX:
             raise ComplexError(
                 f"line {lineno}: ids, dimensions and faces must be nonnegative 64-bit integers")
+        if cid != len(cells):
+            raise ComplexError(f"line {lineno}: id {cid} out of declaration order, expected "
+                               f"{len(cells)}")
         if not math.isfinite(value):
             raise ComplexError(f"line {lineno}: value must be finite")
         if len(set(faces)) != len(faces):

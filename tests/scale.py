@@ -167,6 +167,20 @@ def klein_200(command):
           f"peak RSS {rss:.0f} MB")
 
 
+def fcx_homology():
+    """One whole CLI `homology` process, run in src/, on the FCX file, the CLI's default
+    format, that `write_fcx` makes of the Klein m=120 lower star: its wall time and peak RSS."""
+    fc = complexes.parse_spx(lower_star_spx("klein", 120))
+    with tempfile.TemporaryDirectory() as tmp:
+        (path := Path(tmp, "klein120.fcx")).write_text(complexes.write_fcx(fc))
+        argv = [sys.executable, "-m", "z2persist.cli", "homology", str(path)]
+        wall, out = best(1, lambda: subprocess.run(argv, cwd=ROOT / "src", check=True,
+                                                   stdout=subprocess.PIPE))
+    rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024  # MB, the CLI's
+    print(f"cli homology fcx klein m=120 lower-star: {len(fc)} cells, "
+          f"{len(out.stdout.splitlines())} lines, wall {shown(wall)}, peak RSS {rss:.0f} MB")
+
+
 def spx_cap():
     """One whole CLI `persist --format spx` process, run in src/, on 300 lines of 16 distinct
     vertices each (19,660,500 cells closed): it must stop at the cell cap, with exit 2 and
@@ -188,7 +202,8 @@ if __name__ == "__main__":
     spawn, failed = multiprocessing.get_context("spawn"), False  # a fresh interpreter per figure
     for figure, *args in ((distance,), (spx_reader,), (summarized, "rips"), (summarized, "klein"),
                           (cli_homology,), (rips_600,), (rips_1000,), (lower_star_merges,),
-                          (klein_200, "extended"), (klein_200, "homology"), (spx_cap,)):
+                          (fcx_homology,), (klein_200, "extended"), (klein_200, "homology"),
+                          (spx_cap,)):
         (process := spawn.Process(target=figure, args=args)).start()
         process.join()
         failed |= process.exitcode != 0

@@ -72,7 +72,7 @@ def refuse_cells(monkeypatch):
     def refuse(self):
         raise AssertionError("the cells of a complex were built")
 
-    monkeypatch.setattr(FilteredComplex, "_build_cells", refuse)
+    monkeypatch.setattr(FilteredComplex, "cells", property(refuse))
 
 
 def test_rips_validate_and_barcode_build_no_cells(monkeypatch):
@@ -176,16 +176,29 @@ def test_int_vertex_values_become_floats():
 
 
 def test_int_valued_cells_are_kept_with_their_float64_values():
-    # the kept cells read the values column, and keep the ids they were given
+    # the cells are built from the arrays: equal by value to those given, with float64 values
     cells = [Cell(0, 0, 1), Cell(1, 0, np.float32(1.5)), Cell(2, 1, 2.0, boundary=(0, 1))]
     fc = FilteredComplex(cells)
     assert [repr(c.value) for c in fc.cells] == ["1.0", "1.5", "2.0"]
-    assert fc.cells[2] is cells[2] and rows(fc) == rows(rebuilt(fc))
+    assert fc.cells == tuple(cells) and rows(fc) == rows(rebuilt(fc))
     assert write_fcx(fc) == "cell 0 0 1\ncell 1 0 1.5\ncell 2 1 2 0 1\n"
-    misnumbered = FilteredComplex([Cell(0, 0, 1), Cell(7, 0, 2)])
-    assert [(c.id, c.value) for c in misnumbered.cells] == [(0, 1.0), (7, 2.0)]
+    # a cell's id is its position, checked as the list is converted
     with pytest.raises(ComplexError, match="^cell 7: id 7 out of declaration order$"):
-        misnumbered.validate()
+        FilteredComplex([Cell(0, 0, 1), Cell(7, 0, 2)])
+
+
+def test_the_cw_models_read_back_the_cells_they_were_made_from(monkeypatch):
+    # the models keep no cell: the ones built from their arrays equal the given ones
+    given, init = [], FilteredComplex.__init__
+    monkeypatch.setattr(FilteredComplex, "__init__",
+                        lambda self, cells: init(self, given.append(list(cells)) or given[-1]))
+    models = [lambda: ng_cw(3), klein_delta, lambda: klein_height_skeleton(2.0, 1.0)[0],
+              lambda: torus_height_skeleton(2.0, 1.0)[0]]
+    for make in models:
+        fc = make()
+        assert fc.cells == tuple(given.pop()) and not given
+        assert {type(c.value) for c in fc.cells} == {float}
+        assert any(c.vertices for c in fc.cells) and all(c.name for c in fc.cells)
 
 
 @pytest.mark.parametrize("dtype", [np.int64, object])
@@ -219,8 +232,12 @@ _EDGE = dict(dims=np.array([0, 0, 1]), values=np.array([0.0, 0.0, 1.0]),
     # uint64 ids past int64 would wrap to negative ones, naming faces the input never gave
     (dict(indices=np.array([0, 2**64 - 1], np.uint64)),
      "dims, indptr and indices must be integer arrays"),
+    # a vertex list a cell, or none: `cells` and `lower_star` would read past the short list
+    (dict(vertex_lists=[None]),
+     r"the arrays do not fit together: 1-D dims and indices, 3 values and 4 indptr entries "
+     r"from 0 to len\(indices\) are needed, and 3 vertex lists if any$"),
 ], ids=["dims-2d", "values-short", "indptr-short", "indptr-from-1", "indptr-to-1",
-        "indptr-decreasing", "float-indices", "float-dims", "uint64-indices"])
+        "indptr-decreasing", "float-indices", "float-dims", "uint64-indices", "vertex-lists-short"])
 def test_from_arrays_refuses_arrays_that_do_not_fit(change, text):
     # refused where they enter, not met later in numpy or answered on
     with pytest.raises(ComplexError, match=f"^{text}"):

@@ -296,9 +296,13 @@ def test_each_cli_job_validates_each_complex_once(klein_fcx, tmp_path, capsys, m
      "line 1: ids, dimensions and faces must be nonnegative 64-bit integers"),
     ("fcx", "cell 9223372036854775808 0 0\n", "line 1: ids, dimensions and faces"),
     ("fcx", "cell 0 0 0\ncell 1 1 0 0 9223372036854775808\n", "line 2: ids, dimensions and faces"),
+    # an id is checked where it is written, and named by its line in the file
+    ("fcx", "# two vertices, then an edge\ncell 0 0 0\ncell 1 0 0\ncell 3 1 1 0 1\n",
+     "line 4: id 3 out of declaration order, expected 2"),
+    ("fcx", "cell 0 0 0\ncell 0 0 0\n", "line 2: id 0 out of declaration order, expected 1"),
 ], ids=["fcx-nan", "fcx-inf", "fcx-negative-face", "fcx-negative-id", "fcx-negative-dim",
         "spx-nan", "spx-inf", "spx-minus-inf", "spx-huge-vertex", "fcx-huge-dim", "fcx-huge-id",
-        "fcx-huge-face"])
+        "fcx-huge-face", "fcx-id-after-comment", "fcx-repeated-id"])
 def test_bad_complex_rejected_at_parser(tmp_path, capsys, fmt, text, message):
     from z2persist.complexes import ComplexError, parse_fcx, parse_spx
 

@@ -38,12 +38,11 @@ def valid_complexes():
 
 
 def mutations(fc: FilteredComplex, i: int, rng: random.Random) -> dict:
-    """Ways to break cell i and no other cell: its id, which only its own
-    checks read; a lower value, which its successor and its cofaces still
-    accept; and the dim or boundary of a cell that is no cell's face."""
+    """Ways to break cell i and no other cell: a lower value, which its
+    successor and its cofaces still accept; and the dim or boundary of a
+    cell that is no cell's face.  A wrong id is refused as the cells convert."""
     cells = fc.cells
-    c = cells[i]
-    out = {"id": replace(c, id=c.id + rng.choice((1, 2, len(cells))))}
+    c, out = cells[i], {}
     if i:  # before the cell it follows, and still no later than its cofaces
         out["earlier-value"] = replace(c, value=cells[i - 1].value - rng.choice((0.5, 1.0)))
     if i and cells[i - 1].dim > c.dim:  # tied with the cell it follows, at a lower dim
@@ -94,26 +93,44 @@ def test_single_cell_mutation_raises_the_reference_message():
                 assert expected.startswith(f"cell {cell.id}: "), (kind, expected)
                 assert message(broken, FilteredComplex.validate) == expected, kind
                 kinds.add(kind)
-    assert kinds == {"id", "earlier-value", "tied-lower-dim", "negative-dim", "undeclared-face",
+    assert kinds == {"earlier-value", "tied-lower-dim", "negative-dim", "undeclared-face",
                      "repeated-face", "wrong-dim-face", "dropped-face"}
 
 
+def test_a_cell_out_of_declaration_order_is_refused_as_the_cells_convert():
+    # an id is checked where it is written, before any other rule: the misnumbered cell
+    # also enters below the cell it follows, a fault that validate would name
+    rng = random.Random(7)
+    for fc in valid_complexes():
+        cells = fc.cells
+        for i, c in enumerate(cells):
+            cid = c.id + rng.choice((1, 2, len(cells), -1 if i else 1))
+            changed = replace(c, id=cid, value=cells[i - 1].value - 1.0 if i else c.value)
+            with pytest.raises(ComplexError, match=f"^cell {cid}: id {cid} out of declaration"
+                               " order$") as err:
+                FilteredComplex([*cells[:i], changed, *cells[i + 1:]])
+            assert err.value.cell_id == cid
+
+
 def test_two_broken_cells_name_the_lower_id():
-    # the higher cell gets a wrong id, which the reference's first pass
-    # reports wherever the lower cell's fault lies
+    # the higher cell breaks a rule of its own, which the reference's passes may
+    # report before the lower cell's fault when its rule has the earlier pass
     rng = random.Random(11)
     reference_named_the_higher = 0
     for fc in valid_complexes():
         n = len(fc.cells)
         for _ in range(40):
             i, j = sorted(rng.sample(range(n), 2))
-            kind, low = rng.choice(sorted(mutations(fc, i, rng).items()))
-            high = replace(fc.cells[j], id=j + n)
+            low, high = mutations(fc, i, rng), mutations(fc, j, rng)
+            if not low or not high:
+                continue
+            kind, low = rng.choice(sorted(low.items()))
+            high = rng.choice(sorted(high.items()))[1]
             alone = message(mutated(fc, (i, low)), FilteredComplex.validate)
             broken = mutated(fc, (i, low), (j, high))
             assert message(broken, FilteredComplex.validate) == alone, kind
             reference_named_the_higher += message(broken, reference_validate).startswith(
-                f"cell {j + n}: ")
+                f"cell {j}: ")
     assert reference_named_the_higher > 0
 
 
@@ -189,10 +206,16 @@ _TWO_VERTICES = FilteredComplex([Cell(0, 0, 0.0), Cell(1, 0, 0.0)])
      r"steps \* step_size = 2 \* 10{400} is not finite"),
     (lambda: RipsParams(max_dim=1, threshold=10**400), "threshold must be finite"),
     (lambda: PointCloud(((10**400, 0.0),)), "non-finite coordinate"),
-], ids=["from_arrays", "cells", "bound", "spacing", "step-size", "threshold", "coordinate"])
+    (lambda: FilteredComplex([Cell(0, 2**63, 0.0)]),
+     "dims, indptr and indices must be integer arrays that cast safely to int64"),
+    (lambda: FilteredComplex([Cell(0, 0, 0.0), Cell(1, 1, 0.0, boundary=(-(2**63) - 1,))]),
+     "dims, indptr and indices must be integer arrays that cast safely to int64"),
+], ids=["from_arrays", "cells", "bound", "spacing", "step-size", "threshold", "coordinate",
+        "cell-dim-past-int64", "cell-face-past-int64"])
 def test_an_int_past_the_floats_is_named(make, text):
-    # values, the cone's bounds, the Rips scales and coordinates are floats; an int too large for
-    # one is named where it enters, not met as an OverflowError in the arithmetic
+    # values, the cone's bounds, the Rips scales and coordinates are floats, and a cell's dim
+    # and faces int64; an int too large for its type is named where it enters, not met as an
+    # OverflowError in the arithmetic or the conversion
     with pytest.raises(ValueError, match=f"^{text}$"):
         make()
 
