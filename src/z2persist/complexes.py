@@ -110,18 +110,16 @@ class FilteredComplex:
     """
 
     def __init__(self, cells: Iterable[Cell]):
-        """Convert the cells once: ComplexError if a cell's id is not its position, or
-        an id is not safely int64; `validate` reports the other rules."""
+        """Convert the cells once, as lists for `_keep`: ComplexError if a cell's id is not its
+        position, or an id (an int past int64 too) is not safely int64; `validate` does the rest."""
         cells = tuple(cells)
         for i, c in enumerate(cells):
             if c.id != i:
                 raise ComplexError(f"id {c.id} out of declaration order", c.id)
         counts = np.fromiter(map(len, (c.boundary for c in cells)), np.int64, len(cells))
-        # as numpy reads the ints, so `_keep`'s safe cast names one past int64; [] as int64
-        dims, indices = (np.array(a, None if a else np.int64) for a in (
-            [c.dim for c in cells], [*chain.from_iterable(c.boundary for c in cells)]))
         names, vertex_lists = [c.name for c in cells], [c.vertices for c in cells]
-        self._keep(dims, [c.value for c in cells], _indptr(counts), indices,
+        self._keep([c.dim for c in cells], [c.value for c in cells], _indptr(counts),
+                   [*chain.from_iterable(c.boundary for c in cells)],
                    (lambda ids: [*map(names.__getitem__, ids.tolist())])
                    if any(x is not None for x in names) else None,
                    vertex_lists if any(v is not None for v in vertex_lists) else None)
@@ -142,8 +140,9 @@ class FilteredComplex:
             values = [as_float(x, "value is beyond the float range", j) if isinstance(x, int)
                       else x for j, x in enumerate(values)]
         try:  # native int64 whatever integer dtype, byte order or stride they come in
-            dims, indptr, indices = [np.asarray(a).astype(np.int64, casting="safe", copy=False)
-                                     for a in (dims, indptr, indices)]
+            dims, indptr, indices = [  # an empty one holds no id: numpy reads [] as float64
+                a.astype(np.int64, casting="safe" if a.size else "unsafe", copy=False)
+                for a in map(np.asarray, (dims, indptr, indices))]
         except TypeError:  # a float array, or a uint64 one whose ids could wrap
             raise ComplexError("dims, indptr and indices must be integer arrays that cast"
                                " safely to int64") from None
@@ -526,30 +525,34 @@ _MAX_CELLS = 1 << 22
 
 
 def parse_fcx(text: str) -> FilteredComplex:
-    cells = []
+    """FCX v1, line by line into the arrays, each row's faces sorted; every fault names its line."""
+    dims, values, ptr, faces = [], [], [0], []
     for lineno, line in text_lines(text):
         parts = line.split()
         if parts[0] != "cell" or len(parts) < 4:
             raise ComplexError(f"line {lineno}: expected `cell <id> <dim> <value> ...`")
         try:
-            cid, dim = int(parts[1]), int(parts[2])
-            value = float(parts[3])
-            faces = tuple(int(p) for p in parts[4:])
+            cid, dim, value = int(parts[1]), int(parts[2]), float(parts[3])
+            row = sorted(map(int, parts[4:]))
         except ValueError:
             raise ComplexError(f"line {lineno}: malformed number") from None
-        if min(cid, dim, *faces) < 0 or max(cid, dim, *faces) > _INT64_MAX:
+        if min(cid, dim, *row) < 0 or max(cid, dim, *row) > _INT64_MAX:
             raise ComplexError(
                 f"line {lineno}: ids, dimensions and faces must be nonnegative 64-bit integers")
-        if cid != len(cells):
+        if cid != len(dims):
             raise ComplexError(f"line {lineno}: id {cid} out of declaration order, expected "
-                               f"{len(cells)}")
+                               f"{len(dims)}")
         if not math.isfinite(value):
             raise ComplexError(f"line {lineno}: value must be finite")
-        if len(set(faces)) != len(faces):
+        if len(set(row)) != len(row):
             raise ComplexError(f"line {lineno}: repeated face id")
-        cells.append(Cell(cid, dim, value, boundary=faces))
-    fc = FilteredComplex(cells)
-    fc.validate()
+        dims.append(dim), values.append(value), faces.extend(row), ptr.append(ptr[-1] + len(row))
+    fc = FilteredComplex.from_arrays(dims, values, ptr, faces)
+    try:
+        fc.validate()
+    except ComplexError as e:  # cell j is on the j-th line with content; `cell_id` stays j
+        e.args = (f"line {text_lines(text)[e.cell_id][0]}: {e}",)
+        raise
     return fc
 
 

@@ -7,10 +7,11 @@ explicit composite-map matrices, the first sorted-tuple column reduction
 and a sorted-tuple reduction with clearing, exhaustive matching
 enumeration, the first padded-graph bottleneck search, the first
 per-simplex Rips and SPX builders, the first distance matrix, the first
-line-at-a-time SPX reader, the closure walk for a cell's vertices, the
-first lower-star and cone builders, the four-pass validate and the first
-bar walk serve as ground truth.  (The bar walk and the first extended
-barcode read the library's reduction, which has its own oracles.)
+line-at-a-time SPX reader, the first FCX reader (a `Cell` a line), the
+closure walk for a cell's vertices, the first lower-star and cone
+builders, the four-pass validate and the first bar walk serve as ground
+truth.  (The bar walk and the first extended barcode read the library's
+reduction, which has its own oracles.)
 `simplices_to_complex` is no oracle: it runs the library's closure, for
 tests that build a complex from a dict of simplices.
 """
@@ -370,6 +371,21 @@ def reference_parse_spx(text: str, vertex_values: Optional[dict] = None) -> Filt
     if not valued:
         raise ComplexError("no simplices in input")
     return reference_simplices_to_complex(valued, vertex_values)
+
+
+def reference_parse_fcx(text: str) -> FilteredComplex:
+    """The first FCX reader, of a valid file: one `Cell` a line, its faces sorted
+    by `Cell`, then `FilteredComplex(cells)` and `validate`.  The library's reader,
+    which builds no cell, must give the same arrays with the same dtypes."""
+    cells = []
+    for line in text.splitlines():
+        parts = line.split("#", 1)[0].split()
+        if parts:
+            cid, dim, value, faces = int(parts[1]), int(parts[2]), float(parts[3]), parts[4:]
+            cells.append(Cell(cid, dim, value, boundary=tuple(map(int, faces))))
+    fc = FilteredComplex(cells)
+    fc.validate()
+    return fc
 
 
 def reference_snap_up(value: float, step: float) -> float:

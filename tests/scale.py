@@ -97,6 +97,12 @@ def spx_reader():
     print(f"parse_spx klein m=60 lower-star: {len(fc)} cells, best of 5 {shown(wall, 1, 'ms')}")
 
 
+def fcx_reader():
+    text = complexes.write_fcx(complexes.parse_spx(lower_star_spx("klein", 120)))
+    wall, fc = best(5, lambda: complexes.parse_fcx(text))
+    print(f"parse_fcx klein m=120 lower-star: {len(fc)} cells, best of 5 {shown(wall, 1, 'ms')}")
+
+
 def lower_star_merges():
     fc = complexes.parse_spx(lower_star_spx("klein", 200))
     print(f"reduce_filtration klein m=200 lower-star: {len(fc)} cells, {union_find_merges(fc)}")
@@ -200,10 +206,10 @@ def spx_cap():
 
 if __name__ == "__main__":
     spawn, failed = multiprocessing.get_context("spawn"), False  # a fresh interpreter per figure
-    for figure, *args in ((distance,), (spx_reader,), (summarized, "rips"), (summarized, "klein"),
-                          (cli_homology,), (rips_600,), (rips_1000,), (lower_star_merges,),
-                          (fcx_homology,), (klein_200, "extended"), (klein_200, "homology"),
-                          (spx_cap,)):
+    for figure, *args in ((distance,), (spx_reader,), (fcx_reader,), (summarized, "rips"),
+                          (summarized, "klein"), (cli_homology,), (rips_600,), (rips_1000,),
+                          (lower_star_merges,), (fcx_homology,), (klein_200, "extended"),
+                          (klein_200, "homology"), (spx_cap,)):
         (process := spawn.Process(target=figure, args=args)).start()
         process.join()
         failed |= process.exitcode != 0

@@ -26,13 +26,14 @@ from z2persist import (
     torus_height_skeleton,
 )
 from z2persist.cli import main
-from z2persist.complexes import parse_spx, write_fcx
+from z2persist.complexes import parse_fcx, parse_spx, write_fcx
 
 from helpers import (
     grid_surface,
     random_skeleton,
     random_vertex_function,
     reference_rips_filtration,
+    reference_parse_fcx,
     reference_validate,
     simplices_to_complex,
 )
@@ -150,6 +151,52 @@ def test_cli_extended_and_spx_persist_build_no_cells(monkeypatch, tmp_path, caps
         assert capsys.readouterr().out == expected != ""
 
 
+def fcx_complexes():
+    """The CW models, a Klein grid lower star, a cone and a Rips complex, for the FCX reader."""
+    rng = random.Random(21)
+    grid = simplices_to_complex(grid_surface(5, True))
+    yield from (ng_cw(3), klein_delta(), lower_star(grid, random_vertex_function(rng, grid)))
+    yield build_cone_filtration(BifiltrationSpec(grid, random_vertex_function(rng, grid))).complex
+    pc, params = next(rips_clouds(rng))
+    yield rips_filtration(pc, params)
+
+
+# a triangle whose faces are listed in reverse order; the reader sorts each row
+_REVERSED_FACES = ("cell 0 0 0\ncell 1 0 0\ncell 2 0 0\ncell 3 1 0 1 0\ncell 4 1 0 2 0\n"
+                   "cell 5 1 0 2 1\ncell 6 2 0 5 4 3\n")
+
+
+def test_parse_fcx_builds_no_cell(monkeypatch):
+    texts = [write_fcx(fc) for fc in fcx_complexes()]
+
+    def refuse(self):
+        raise AssertionError("a Cell was built")
+
+    monkeypatch.setattr(Cell, "__post_init__", refuse)
+    with pytest.raises(AssertionError, match="^a Cell was built$"):  # the patch holds
+        Cell(0, 0, 0.0)
+    for text in texts:
+        assert write_fcx(parse_fcx(text)) == text
+
+
+def test_parse_fcx_reads_the_arrays_of_the_cell_reader():
+    texts = [*map(write_fcx, fcx_complexes()), _REVERSED_FACES, "cell 0 0 0\ncell 1 0 1\n"]
+    for text in texts:
+        fc, ref = parse_fcx(text), reference_parse_fcx(text)
+        for key, dtype in (("dims", np.int64), ("values", np.float64), ("indptr", np.int64),
+                           ("indices", np.int64)):
+            assert getattr(fc, key).dtype == getattr(ref, key).dtype == dtype, key
+            assert np.array_equal(getattr(fc, key), getattr(ref, key)), key
+    assert parse_fcx(_REVERSED_FACES).indices.tolist() == [0, 1, 0, 2, 1, 2, 3, 4, 5]
+
+
+def test_a_file_of_vertices_only_parses():
+    fc = parse_fcx("# no face anywhere\ncell 0 0 0\ncell 1 0 1\n")
+    assert (len(fc), fc.indptr.tolist(), fc.indices.dtype, fc.indices.size) == (2, [0, 0, 0],
+                                                                                np.int64, 0)
+    assert barcode(fc) == barcode(FilteredComplex([Cell(0, 0, 0.0), Cell(1, 0, 1.0)]))
+
+
 def test_a_lazy_rebuild_gives_the_cells_a_complex_was_made_from():
     for fc in fixtures():
         made = FilteredComplex(fc.cells)
@@ -242,6 +289,16 @@ def test_from_arrays_refuses_arrays_that_do_not_fit(change, text):
     # refused where they enter, not met later in numpy or answered on
     with pytest.raises(ComplexError, match=f"^{text}"):
         FilteredComplex.from_arrays(**{**_EDGE, **change})
+
+
+@pytest.mark.parametrize("arrays", [([0], [0.0], [0, 0], []), ([], [], [0], [])],
+                         ids=["one-vertex", "empty"])
+def test_from_arrays_takes_empty_id_lists(arrays):
+    # numpy reads [] as float64, and an empty array holds no id that could cast unsafely
+    fc = FilteredComplex.from_arrays(*arrays)
+    assert [getattr(fc, k).dtype for k in ("dims", "indptr", "indices")] == [np.int64] * 3
+    assert (len(fc), fc.indices.size, fc.max_dim) == (len(arrays[0]), 0, len(arrays[0]) - 1)
+    fc.validate()
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.uint32, ">i8"])

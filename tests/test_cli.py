@@ -281,6 +281,22 @@ def test_each_cli_job_validates_each_complex_once(klein_fcx, tmp_path, capsys, m
         assert len(calls) == expected, argv
 
 
+# faults that only `validate` finds, each after a comment line: (id, text, message, cell id)
+_FCX_VALIDATE_FAULTS = [
+    ("fcx-undeclared-face",
+     "# two vertices, then an edge\ncell 0 0 0\ncell 1 0 0\ncell 2 1 1 0 5\n",
+     "line 4: cell 2: face 5 not previously declared", 2),
+    ("fcx-wrong-dim-face", "# two vertices and an edge, then an edge on it\n"
+     "cell 0 0 0\ncell 1 0 0\ncell 2 1 1 0 1\ncell 3 1 1 0 2\n",
+     "line 5: cell 3: face 2 has dim 1, expected 0", 3),
+    ("fcx-value-below", "# a vertex, then one below it\ncell 0 0 1\ncell 1 0 0\n",
+     "line 3: cell 1: ordering violation: value 0.0 dim 0 after value 1.0 dim 0", 1),
+    ("fcx-boundary-of-boundary", "# a path of two edges, then a disk on it\ncell 0 0 0\n"
+     "cell 1 0 0\ncell 2 0 0\ncell 3 1 0 0 1\ncell 4 1 0 1 2\ncell 5 2 0 3 4\n",
+     "line 7: cell 5: boundary of boundary is nonzero", 5),
+]
+
+
 @pytest.mark.parametrize("fmt, text, message", [
     ("fcx", "cell 0 0 0\ncell 1 0 nan\n", "line 2: value must be finite"),
     ("fcx", "cell 0 0 0\ncell 1 0 inf\n", "line 2: value must be finite"),
@@ -300,9 +316,12 @@ def test_each_cli_job_validates_each_complex_once(klein_fcx, tmp_path, capsys, m
     ("fcx", "# two vertices, then an edge\ncell 0 0 0\ncell 1 0 0\ncell 3 1 1 0 1\n",
      "line 4: id 3 out of declaration order, expected 2"),
     ("fcx", "cell 0 0 0\ncell 0 0 0\n", "line 2: id 0 out of declaration order, expected 1"),
+    # a fault `validate` finds is named by its cell's line too
+    *[("fcx", text, message) for _, text, message, _ in _FCX_VALIDATE_FAULTS],
 ], ids=["fcx-nan", "fcx-inf", "fcx-negative-face", "fcx-negative-id", "fcx-negative-dim",
         "spx-nan", "spx-inf", "spx-minus-inf", "spx-huge-vertex", "fcx-huge-dim", "fcx-huge-id",
-        "fcx-huge-face", "fcx-id-after-comment", "fcx-repeated-id"])
+        "fcx-huge-face", "fcx-id-after-comment", "fcx-repeated-id",
+        *[name for name, *_ in _FCX_VALIDATE_FAULTS]])
 def test_bad_complex_rejected_at_parser(tmp_path, capsys, fmt, text, message):
     from z2persist.complexes import ComplexError, parse_fcx, parse_spx
 
@@ -313,6 +332,16 @@ def test_bad_complex_rejected_at_parser(tmp_path, capsys, fmt, text, message):
     code, out, err = run_cli(capsys, "persist", str(path), "--format", fmt)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("text, message, cell", [f[1:] for f in _FCX_VALIDATE_FAULTS],
+                         ids=[f[0] for f in _FCX_VALIDATE_FAULTS])
+def test_an_fcx_fault_named_by_its_line_keeps_its_cell_id(text, message, cell):
+    from z2persist.complexes import ComplexError, parse_fcx
+
+    with pytest.raises(ComplexError) as err:
+        parse_fcx(text)
+    assert (str(err.value), err.value.cell_id) == (message, cell)
 
 
 def test_huge_dimension_persists_but_has_no_betti_table(tmp_path, capsys):
