@@ -189,8 +189,9 @@ class FilteredComplex:
             raise self._fault(j)
 
     def _fault(self, j: int) -> ComplexError:
-        """The first rule that cell j, found by the masks, breaks: dim, finite
-        value, (value, dim) order, faces, else boundary of boundary."""
+        """The first rule that cell j, found by the masks, breaks: dim, finite value,
+        (value, dim) order, then each face in row order declared before it, above the
+        face before it and one dimension down, else boundary of boundary."""
         dim, last_dim = self.dims[[j, j - 1]].tolist()  # cell j - 1 is read only if j > 0
         if dim < 0:
             return ComplexError("negative dimension", j)
@@ -200,30 +201,17 @@ class FilteredComplex:
         if j and (value, dim) < (last, last_dim):
             return ComplexError(f"ordering violation: value {value} dim {dim} after "
                                 f"value {last} dim {last_dim}", j)
-        return self._face_fault(j) or ComplexError("boundary of boundary is nonzero", j)
-
-    def _face_fault(self, j: int) -> Optional[ComplexError]:
-        """The first face of cell j, in row order, that is not declared
-        before it, above the face before it and one dimension down, if any."""
-        dims, prev = self.dims, -1
+        prev = -1
         for f in self.indices[self.indptr[j]:self.indptr[j + 1]].tolist():
             if not 0 <= f < j:
                 return ComplexError(f"face {f} not previously declared", j)
             if f <= prev:
                 return ComplexError(f"repeated face {f}" if f == prev else
                                     f"face {f} listed after face {prev}", j)
-            if dims[f] != dims[j] - 1:
-                return ComplexError(f"face {f} has dim {dims[f]}, expected {dims[j] - 1}", j)
+            if self.dims[f] != dim - 1:
+                return ComplexError(f"face {f} has dim {self.dims[f]}, expected {dim - 1}", j)
             prev = f
-        return None
-
-    def _misplaced_faces(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """The cell of each CSR entry of cells [lo, hi), and whether its face is
-        outside [0, cell) or not one dimension down."""
-        dims, indices = self.dims, self.indices[self.indptr[lo]:self.indptr[hi]]
-        owner = np.arange(lo, hi).repeat(self.indptr[lo + 1:hi + 1] - self.indptr[lo:hi])
-        wrong = (indices < 0) | (indices >= owner)
-        return owner, wrong | (dims[np.where(wrong, 0, indices)] != dims[owner] - 1)
+        return ComplexError("boundary of boundary is nonzero", j)
 
     def _first_fault(self) -> int:
         """The lowest id at which an array mask finds a broken rule, or n, checking each
@@ -237,8 +225,11 @@ class FilteredComplex:
             s = lo or 1  # cells s.. against the cells before them
             step, tie = values[s:hi] < values[s - 1:hi - 1], values[s:hi] == values[s - 1:hi - 1]
             bad[s - lo:] |= step | (tie & (dims[s:hi] < dims[s - 1:hi - 1]))
-            owner, wrong = self._misplaced_faces(lo, hi)
+            # a face outside [0, cell) or not one dimension down
             rows = indices[indptr[lo]:indptr[hi]]
+            owner = np.arange(lo, hi).repeat(indptr[lo + 1:hi + 1] - indptr[lo:hi])
+            wrong = (rows < 0) | (rows >= owner)
+            wrong |= dims[np.where(wrong, 0, rows)] != dims[owner] - 1
             # a face repeated, or out of order, within its row
             wrong[1:] |= (owner[1:] == owner[:-1]) & (rows[1:] <= rows[:-1])
             bad[owner[wrong] - lo] = True
@@ -358,17 +349,15 @@ def _star_values(skeleton: FilteredComplex, f: VertexFunction) -> np.ndarray:
     """Min and max of f over each cell's vertices, the rows of a (2, n) array
     by cell id: a cell with its own vertex list reads it, the other vertices are read at
     once, each its value in both rows, and any other cell combines its faces' entries, a
-    dimension at a time.  So its faces must come before it, one dimension down, and a vertex
-    list may name only 0-cells; the first cell in id order that breaks this or has no
-    vertices is named, once the vertices before it have been read."""
+    dimension at a time.  So the skeleton must pass `validate`, which the callers run
+    first; a vertex list may name only 0-cells, and the first cell in id order that breaks
+    this or has no vertices is named, once the vertices before it have been read."""
     dims, indptr, indices = skeleton.dims, skeleton.indptr, skeleton.indices
     n, counts = len(dims), np.diff(indptr)
     own = skeleton.vertex_lists
     listed = np.fromiter((v is not None for v in own), bool, n) if own else np.zeros(n, bool)
     combine = (dims != 0) & ~listed
-    owner, wrong = skeleton._misplaced_faces(0, n)
     fault = combine & (counts == 0)
-    fault[owner[wrong & combine[owner]]] = True
     if own is not None:
         vertices = set(np.flatnonzero(dims == 0).tolist())
         fault |= np.fromiter((v is not None and not (v and vertices.issuperset(v))
@@ -378,7 +367,9 @@ def _star_values(skeleton: FilteredComplex, f: VertexFunction) -> np.ndarray:
     values = np.fromiter(map(f, plain.tolist()), float, len(plain))
     vals = [[*map(f, own[j])] for j in reads.tolist()]
     if first < n:
-        raise _star_fault(skeleton, first)
+        bad = [v for v in own and own[first] or () if not (0 <= v < n and dims[v] == 0)]
+        raise ComplexError(f"vertex {bad[0]} is not a vertex of the complex" if bad
+                           else "cell has no vertices in its closure", first)
     out = np.empty((2, n))
     out[:, plain] = values
     out[:, reads] = [*map(min, vals)], [*map(max, vals)]
@@ -390,25 +381,32 @@ def _star_values(skeleton: FilteredComplex, f: VertexFunction) -> np.ndarray:
     return out
 
 
-def _star_fault(skeleton: FilteredComplex, j: int) -> ComplexError:
-    """Why cell j's star values cannot be read: its vertex list, or `validate`'s face rule."""
-    own = skeleton.vertex_lists[j] if skeleton.vertex_lists else None
-    dims = skeleton.dims
-    if own:
-        v = next(v for v in own if not (0 <= v < len(dims) and dims[v] == 0))
-        return ComplexError(f"vertex {v} is not a vertex of the complex", j)
-    if own is not None or skeleton.indptr[j] == skeleton.indptr[j + 1]:
-        return ComplexError("cell has no vertices in its closure", j)
-    return skeleton._face_fault(j)
+def _skeleton_star(skeleton: FilteredComplex, f: VertexFunction, cone: bool) -> np.ndarray:
+    """`_star_values` of a skeleton that passes `validate`, with the one rule that
+    `_reorder` cannot keep checked in skeleton ids: no face's max of f above its cell's, nor,
+    for the cone, its min below.  Only a cell with its own vertex list can break it."""
+    skeleton.validate()
+    star = _star_values(skeleton, f)
+    if skeleton.vertex_lists is not None:
+        owner, faces = _owners(skeleton.indptr), skeleton.indices
+        above = star[1, faces] > star[1, owner]
+        if (bad := above | cone & (star[0, faces] < star[0, owner])).any():
+            j, face, r = (int(a[bad.argmax()]) for a in (owner, faces, above))
+            raise ComplexError(f"face {face} has {('min', 'max')[r]} f {star[r, face]}, "
+                               f"{('below', 'above')[r]} the cell's {star[r, j]}: its "
+                               "vertex list leaves out a vertex of the face", j)
+    return star
 
 
 def lower_star(skeleton: FilteredComplex, f: VertexFunction) -> FilteredComplex:
-    """Sublevel filtration of a vertex function: each cell enters at the
-    maximum of f over its vertices."""
-    fc, _ = _reorder(skeleton.dims, _star_values(skeleton, f)[1], _owners(skeleton.indptr),
-                     skeleton.indices, skeleton.name_of, skeleton.vertex_lists)
-    fc.validate()
-    return fc
+    """Sublevel filtration of a vertex function: each cell enters at the maximum of f over
+    its vertices.  The skeleton is validated, not the filtration made from it: `_reorder`
+    sorts by (value, dim) and maps faces one to one, and `_skeleton_star` checks the rest."""
+    highs = _skeleton_star(skeleton, f, cone=False)[1]
+    if (inf := np.isinf(highs)).any():  # NaN is named by `_reorder`
+        raise ComplexError(f"value {highs[inf.argmax()]} is not finite", int(inf.argmax()))
+    return _reorder(skeleton.dims, highs, _owners(skeleton.indptr), skeleton.indices,
+                    skeleton.name_of, skeleton.vertex_lists)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -594,15 +592,14 @@ def _close_simplices(ranks: np.ndarray, widths: np.ndarray, values: np.ndarray,
         if not (finite := np.isfinite(f)).all():
             raise ComplexError(f"vertex {labels[finite.argmin()]} has a non-finite function value")
         vals = [f[r].max(axis=1) for r in rows]
-    fc = simplicial_filtration(rows, faces, vals, [str(v) for v in labels])
-    fc.validate()
-    return fc
+    return simplicial_filtration(rows, faces, vals, [str(v) for v in labels])
 
 
 def parse_spx(text: str, vertex_values: Optional[dict] = None) -> FilteredComplex:
     """SPX v1: one `<value> <v1> ... <vk>` top simplex per line; in vertexfn mode
     lines hold bare vertex lists and values come from vertex_values.  Tokens
-    convert a kind at a time; only one that fails is looked for line by line."""
+    convert a kind at a time; only one that fails is looked for line by line.  Every fault
+    is named by its line here, so the closure, valid by construction, is not walked."""
     parts = [*filter(None, map(str.split, uncommented(text)))]  # the tokens of each line with any
     counts = np.fromiter(map(len, parts), np.int64, len(parts))
     if not len(counts):

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .complexes import (
-    ComplexError, FilteredComplex, VertexFunction, _owners, _reorder, _star_values, as_float,
+    ComplexError, FilteredComplex, VertexFunction, _owners, _reorder, _skeleton_star, as_float,
 )
 from .persistence import Barcode, Interval, barcode, persistent_betti
 
@@ -81,11 +81,15 @@ def build_cone_filtration(spec: BifiltrationSpec) -> ConeFiltration:
     superlevel complement, and everything is coned by a = 3M + lambda.
     Ties are broken by dimension, then by phase (apex, cell, cone), then by
     the skeleton's cell id.
+
+    The skeleton is validated, not the cone: `_reorder` keeps each rule of `validate` but
+    faces before cofaces, which |f| <= M keeps between a cell and its cone and
+    `_skeleton_star` checks between two cells and between their cones.
     """
     skeleton, f, M, lam, n = spec.complex, spec.f, spec.M, spec.lam, len(spec.complex)
     if n == 0:
         raise ComplexError("empty complex")
-    lows, highs = _star_values(skeleton, f)
+    lows, highs = _skeleton_star(skeleton, f, cone=True)
     dims, faces, owner = skeleton.dims, skeleton.indices, _owners(skeleton.indptr)
     # Provisional rows: the apex at 0, cell c at 1 + c, its cone at 1 + n + c.
     # The cone's faces are c and the apex (c a vertex) or the cones of c's faces.
@@ -104,7 +108,6 @@ def build_cone_filtration(spec: BifiltrationSpec) -> ConeFiltration:
         np.concatenate([1 + faces, cell, np.zeros(np.count_nonzero(vertex), np.int64),
                         1 + n + faces[up]]),
         name_of)
-    fc.validate()
     return ConeFiltration(complex=fc, apex=int(new_id[0]))
 
 

@@ -25,8 +25,11 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from z2persist import Barcode, Cell, FilteredComplex, Interval, VertexFunction
-from z2persist.complexes import _MAX_VERTICES, ComplexError, _close_simplices
+from z2persist import (
+    Barcode, Cell, FilteredComplex, Interval, VertexFunction, klein_delta, klein_height_skeleton,
+    ng_cw, torus_height_skeleton,
+)
+from z2persist.complexes import _MAX_VERTICES, ComplexError, _close_simplices, parse_spx
 from z2persist.distances import Matching
 from z2persist.extended import BifiltrationSpec
 from z2persist.persistence import Reduction, reduce_filtration
@@ -1050,6 +1053,22 @@ def grid_surface(m: int, twist: bool) -> dict:
             simplices[tuple(sorted((a, b, c)))] = 0.0
             simplices[tuple(sorted((a, d, c)))] = 0.0
     return simplices
+
+
+def builder_skeletons(rng: random.Random) -> list[tuple[FilteredComplex, VertexFunction]]:
+    """The skeletons `lower_star` and the cone are run on, each with random heights on its
+    vertices: `klein_delta`, `ng_cw(1..6)`, both height skeletons, and the torus and Klein
+    grids at m = 8, 12 and 16 read through `parse_spx` with random values and with random
+    vertex values."""
+    skeletons = [klein_delta(), *map(ng_cw, range(1, 7)), klein_height_skeleton(2.0, 1.0)[0],
+                 torus_height_skeleton(2.0, 1.0)[0]]
+    for m in (8, 12, 16):
+        for twist in (False, True):
+            lines = [" ".join(map(str, s)) for s in grid_surface(m, twist)]
+            skeletons.append(parse_spx("".join(f"{rng.uniform(-1, 1)!r} {x}\n" for x in lines)))
+            skeletons.append(parse_spx("".join(f"{x}\n" for x in lines),
+                                       {v: rng.uniform(-1, 1) for v in range(m * m)}))
+    return [(sk, random_vertex_function(rng, sk)) for sk in skeletons]
 
 
 def noisy_circle(n: int) -> PointCloud:

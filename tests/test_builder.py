@@ -28,6 +28,7 @@ from helpers import (
     reference_parse_spx,
     reference_rips_filtration,
     reference_simplices_to_complex,
+    reference_validate,
     simplices_to_complex,
 )
 
@@ -293,8 +294,11 @@ def test_spx_reader_matches_the_line_at_a_time_oracle(case):
         with pytest.raises(ComplexError) as got:
             parse_spx(text, vertex_values)
         assert str(got.value) == str(e)
-    else:
-        assert_same_cells(parse_spx(text, vertex_values), expected)
+    else:  # parse_spx does not walk its closure, so it is walked here, by both checks
+        fc = parse_spx(text, vertex_values)
+        fc.validate()
+        reference_validate(fc)
+        assert_same_cells(fc, expected)
 
 
 @pytest.mark.parametrize("bad", ["{x} 3 1 3", "{x} 3 x", "{x} 3 99999999999999999999"],

@@ -256,29 +256,36 @@ def test_console_script_entry_point(tmp_path):
 
 
 def test_each_cli_job_validates_each_complex_once(klein_fcx, tmp_path, capsys, monkeypatch):
+    # each input is walked once, where it is read: an FCX file by its reader, an SPX file
+    # not at all (its closure is valid by construction), the skeleton of `extended` by the
+    # cone and a Rips complex by the CLI; no complex made from an input is walked again
     from z2persist.complexes import FilteredComplex
 
-    calls = []
-    validate = FilteredComplex.validate
-    monkeypatch.setattr(FilteredComplex, "validate",
-                        lambda self: calls.append(len(self)) or validate(self))
     spx = tmp_path / "square.spx"
     spx.write_text("0 1 2\n0 2 3\n")
     vals = tmp_path / "f.txt"
     vals.write_text("0 0\n1 1\n2 2\n3 1\n")
     valued = tmp_path / "valued.spx"
     valued.write_text("2 0 1 2\n1 0 3\n")
+    points = tmp_path / "p.csv"
+    points.write_text("0,0\n1,0\n0,1\n1,1\n")
+    skeleton = len(parse_spx(spx.read_text(), parse_vertex_values(vals.read_text())))
     jobs = [
-        (("homology", str(klein_fcx)), 1),
-        (("persist", str(klein_fcx)), 1),
-        (("homology", str(valued), "--format", "spx"), 1),
-        (("persist", str(valued), "--format", "spx"), 1),
-        (("extended", str(spx), "--vertex-values", str(vals)), 2),  # skeleton and cone
+        (("homology", str(klein_fcx)), [10]),  # the cells of klein_height
+        (("persist", str(klein_fcx)), [10]),
+        (("homology", str(valued), "--format", "spx"), []),
+        (("persist", str(valued), "--format", "spx"), []),
+        (("extended", str(spx), "--vertex-values", str(vals)), [skeleton]),
+        (("rips", str(points), "--max-dim", "2", "--threshold", "1.5"), [14]),  # 4 + 6 + 4
     ]
+    calls = []
+    validate = FilteredComplex.validate
+    monkeypatch.setattr(FilteredComplex, "validate",
+                        lambda self: calls.append(len(self)) or validate(self))
     for argv, expected in jobs:
         calls.clear()
         assert run_cli(capsys, *argv)[0] == 0
-        assert len(calls) == expected, argv
+        assert calls == expected, argv
 
 
 # faults that only `validate` finds, each after a comment line: (id, text, message, cell id)

@@ -30,11 +30,13 @@ from z2persist.complexes import (
 )
 
 from helpers import (
+    builder_skeletons,
     grid_surface,
     random_skeleton,
     random_vertex_function,
     reference_cell_vertices,
     reference_lower_star,
+    reference_validate,
     simplices_to_complex,
 )
 
@@ -127,10 +129,16 @@ def test_lower_star_missing_vertex_value():
 
 
 def test_lower_star_output_validates():
+    # lower_star walks its skeleton, not its output, so the output is walked here: by
+    # validate and by the four-pass oracle on the skeletons every builder test reads
     rng = random.Random(11)
     for _ in range(25):
         sk = random_skeleton(rng)
         lower_star(sk, random_vertex_function(rng, sk)).validate()
+    for sk, f in builder_skeletons(rng):
+        fc = lower_star(sk, f)
+        fc.validate()
+        reference_validate(fc)
 
 
 def test_ng_cw_shape():
@@ -341,8 +349,42 @@ def test_star_values_name_a_missing_vertex_before_a_later_fault():
                               Cell(3, 0, 0.0)])
     with pytest.raises(ComplexError, match="^vertex 1 has no function value$"):
         _star_values(broken, VertexFunction({0: 0.0, 3: 0.0}))
+    listed = FilteredComplex([Cell(0, 0, 0.0), Cell(1, 0, 0.0), Cell(2, 1, 0.0, vertices=(7,)),
+                              Cell(3, 0, 0.0)])
+    with pytest.raises(ComplexError, match="^vertex 1 has no function value$"):
+        _star_values(listed, VertexFunction({0: 0.0, 3: 0.0}))
+    with pytest.raises(ComplexError, match="^cell 2: vertex 7 is not a vertex of the complex$"):
+        _star_values(listed, VertexFunction({0: 0.0, 1: 0.0}))
+    # a face fault is validate's: lower_star and the cone walk the skeleton before reading f
+    f = VertexFunction({0: 0.0, 1: 0.0})
     with pytest.raises(ComplexError, match="^cell 2: face 3 not previously declared$"):
-        _star_values(broken, VertexFunction({0: 0.0, 1: 0.0}))
+        lower_star(broken, f)
+    with pytest.raises(ComplexError, match="^cell 2: face 3 not previously declared$"):
+        build_cone_filtration(BifiltrationSpec(broken, f))
+
+
+@pytest.mark.parametrize("vertices, face, rule, cone_only", [
+    ((0,), 1, "max f 1.0, above the cell's 0.0", False),
+    ((1,), 0, "min f 0.0, below the cell's 1.0", True),
+], ids=["max-above", "min-below"])
+def test_a_vertex_list_leaving_out_a_face_vertex_is_named_in_skeleton_ids(
+        vertices, face, rule, cone_only):
+    # the edge's own list leaves out a vertex of its faces, so a face would enter after it
+    # (lower star: the max rule) or its cone after the edge's cone (the cone: the min rule);
+    # the fault is named by the skeleton's edge, 2, not a cell of the complex made from it
+    sk = FilteredComplex([Cell(0, 0, 0.0), Cell(1, 0, 0.0),
+                          Cell(2, 1, 0.0, boundary=(0, 1), vertices=vertices)])
+    f = VertexFunction({0: 0.0, 1: 1.0})
+    message = f"^cell 2: face {face} has {rule}: its vertex list leaves out a vertex of the face$"
+    if cone_only:
+        assert lower_star(sk, f).values.tolist() == [0.0, 1.0, 1.0]
+    else:
+        with pytest.raises(ComplexError, match=message) as err:
+            lower_star(sk, f)
+        assert err.value.cell_id == 2
+    with pytest.raises(ComplexError, match=message) as err:
+        build_cone_filtration(BifiltrationSpec(sk, f))
+    assert err.value.cell_id == 2
 
 
 def test_vertex_function_converts_once_and_names_the_first_vertex_past_the_floats():

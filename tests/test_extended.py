@@ -22,11 +22,13 @@ from z2persist import (
 
 from helpers import (
     bar_phase,
+    builder_skeletons,
     dense_betti,
     grid_surface,
     pair_rank,
     random_skeleton,
     random_vertex_function,
+    reference_validate,
     simplices_to_complex,
 )
 
@@ -118,6 +120,16 @@ def test_cone_filtration_validates_and_spans():
     cone.complex.validate()
     assert max(c.value for c in cone.complex.cells) == 7.0  # 3M + lambda
     assert len(cone.complex) == 2 * len(spec.complex) + 1
+    # the cone walks its skeleton, not itself, so each cone is walked here: by validate and
+    # by the four-pass oracle, spanning [-M, 2M + lambda - min f]
+    for sk, f in builder_skeletons(random.Random(41)):
+        spec = BifiltrationSpec(sk, f)
+        fc = build_cone_filtration(spec).complex
+        fc.validate()
+        reference_validate(fc)
+        assert len(fc) == 2 * len(sk) + 1
+        top = 2 * spec.M + spec.lam - min(f.values.values())
+        assert (fc.values[0], fc.values[-1]) == (-spec.M, top)
 
 
 def test_klein_extended_barcode():

@@ -19,9 +19,11 @@ from z2persist import (
     VertexFunction,
     build_cone_filtration,
     complexes,
+    klein_height_skeleton,
     lower_star,
     rips_filtration,
 )
+from z2persist.complexes import parse_spx
 
 from helpers import noisy_circle, random_skeleton, random_vertex_function, reference_validate
 
@@ -152,8 +154,8 @@ def test_validate_rejects_a_negative_face_id():
 
 
 def test_star_values_name_a_face_fault_as_validate_does():
-    # lower_star and the cone read a cell's star values from its faces, and
-    # a face they cannot read is named by validate's own face rule
+    # lower_star and the cone read a cell's star values from its faces, so they
+    # validate their skeleton first, and a face they cannot read is named by validate
     rng = random.Random(19)
     checked = 0
     for fc in valid_complexes():
@@ -171,6 +173,23 @@ def test_star_values_name_a_face_fault_as_validate_does():
                     BifiltrationSpec(sk, f))) == expected, kind
                 checked += 1
     assert checked > 0
+
+
+def test_builders_do_not_walk_the_complex_they_return(monkeypatch):
+    # the SPX closure is valid by construction, and lower_star and the cone walk the
+    # skeleton they are given, once, not the complex they make from it
+    walked = []
+    validate = FilteredComplex.validate
+    monkeypatch.setattr(FilteredComplex, "validate",
+                        lambda self: walked.append(self) or validate(self))
+    made = [parse_spx("0 0 1 2\n1 1 2 3\n2 0 3\n"),
+            parse_spx("0 1 2\n1 2 3\n", {0: 0.0, 1: 2.0, 2: 1.0, 3: -1.0})]
+    assert walked == []
+    sk, f = klein_height_skeleton(2.0, 1.0)
+    made.append(lower_star(sk, f))
+    made.append(build_cone_filtration(BifiltrationSpec(sk, f)).complex)
+    assert [w is sk for w in walked] == [True, True]
+    assert not any(w is fc for w in walked for fc in made)
 
 
 def test_object_values_name_a_non_finite_value():
