@@ -403,8 +403,8 @@ def lower_star(skeleton: FilteredComplex, f: VertexFunction) -> FilteredComplex:
     its vertices.  The skeleton is validated, not the filtration made from it: `_reorder`
     sorts by (value, dim) and maps faces one to one, and `_skeleton_star` checks the rest."""
     highs = _skeleton_star(skeleton, f, cone=False)[1]
-    if (inf := np.isinf(highs)).any():  # NaN is named by `_reorder`
-        raise ComplexError(f"value {highs[inf.argmax()]} is not finite", int(inf.argmax()))
+    if (bad := ~np.isfinite(highs)).any():
+        raise ComplexError(f"value {highs[bad.argmax()]} is not finite", int(bad.argmax()))
     return _reorder(skeleton.dims, highs, _owners(skeleton.indptr), skeleton.indices,
                     skeleton.name_of, skeleton.vertex_lists)[0]
 

@@ -1,8 +1,9 @@
 """Absolute Z/2 homology: Betti numbers, cycle generators, duality check.
 
 Betti numbers count the unpaired cells of `persistence.reduce_filtration`,
-and cycles come from one boundary pass over its engine, which carries each
+and cycles come from one plain twist over its engine, which carries each
 chain as the set of cell ids summed into a column: the form a generator has.
+The apparent-pair rule is `reduce_filtration`'s alone.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import persistence
-from .complexes import ComplexError, FilteredComplex, _owners
+from .complexes import ComplexError, FilteredComplex
 from .persistence import _MAX_DIM
 
 
@@ -35,24 +36,17 @@ def betti_numbers(fc: FilteredComplex) -> tuple[int, ...]:
 def _cycles(fc: FilteredComplex, cells) -> dict:
     """The twist (Chen & Kerber 2011) in one engine call: the boundary columns
     of the int64 `cells`, top dimension first and ids increasing within one,
-    carry chains, and each clears the columns of its pivots.  A cell c that is
-    the oldest coface of its youngest face y (apparent, Bauer 2021) is settled
-    first, as no column left of c holds y: neither enters the loop.  Returns
-    {cell: cycle} in increasing id for the cells left unpaired: the chain its
-    column vanished with, or the cell itself if its column is empty and no pivot."""
+    carry chains, and each clears the columns of its pivots.  Nothing is settled
+    first: an apparent coface's column meets a fresh pivot and adds nothing.
+    Returns {cell: cycle} in increasing id for the cells left unpaired: the chain
+    its column vanished with, or the cell itself if its column is empty and no pivot."""
     dims = fc.dims[cells]
     top, low = dims.max(initial=0), dims.min(initial=0)
     cells = np.concatenate([cells[dims == k] for k in range(top, low - 1, -1)])
-    n, ptr, flat = len(fc), fc.indptr, fc.indices
-    oldest, settled, done = np.full(n, n), np.full(n, -1), np.zeros(n, bool)
-    np.minimum.at(oldest, flat, _owners(ptr))  # each cell's oldest coface
+    ptr, flat = fc.indptr, fc.indices
     full = ptr[cells + 1] > ptr[cells]
-    c = cells[full]
-    y = flat[ptr[c + 1] - 1]  # c's youngest face
-    c, y = c[oldest[y] == c], y[oldest[y] == c]
-    settled[y], done[c], done[y] = c, True, True
-    pivots, zeros, _ = persistence._reduce(ptr, flat, cells[full & ~done[cells]], True, settled)
-    empty = [j for j in cells[~(full | done[cells])].tolist() if j not in pivots]
+    pivots, zeros, _ = persistence._reduce(ptr, flat, cells[full], True, np.full(len(fc), -1))
+    empty = [j for j in cells[~full].tolist() if j not in pivots]
     return {j: frozenset(zeros.get(j, (j,))) for j in sorted([*zeros, *empty])}
 
 

@@ -103,9 +103,15 @@ def fcx_reader():
     print(f"parse_fcx klein m=120 lower-star: {len(fc)} cells, best of 5 {shown(wall, 1, 'ms')}")
 
 
-def lower_star_merges():
+def klein_200_lower_star():
+    """On the Klein m=200 lower star: union-find's merges, then `summarize`'s wall time beside
+    `reduce_filtration`'s, one call each, and the ratio of the two wall times."""
     fc = complexes.parse_spx(lower_star_spx("klein", 200))
     print(f"reduce_filtration klein m=200 lower-star: {len(fc)} cells, {union_find_merges(fc)}")
+    pairs, _ = best(1, lambda: persistence.reduce_filtration(fc))
+    cycles, _ = best(1, lambda: summarize(fc))
+    print(f"summarize {shown(cycles)}, reduce_filtration {shown(pairs)}, "
+          f"ratio {cycles[0] / pairs[0]:.2f}")
 
 
 def summarized(name):
@@ -208,7 +214,7 @@ if __name__ == "__main__":
     spawn, failed = multiprocessing.get_context("spawn"), False  # a fresh interpreter per figure
     for figure, *args in ((distance,), (spx_reader,), (fcx_reader,), (summarized, "rips"),
                           (summarized, "klein"), (cli_homology,), (rips_600,), (rips_1000,),
-                          (lower_star_merges,), (fcx_homology,), (klein_200, "extended"),
+                          (klein_200_lower_star,), (fcx_homology,), (klein_200, "extended"),
                           (klein_200, "homology"), (spx_cap,)):
         (process := spawn.Process(target=figure, args=args)).start()
         process.join()

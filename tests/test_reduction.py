@@ -35,7 +35,7 @@ from z2persist import (
 from z2persist import VertexFunction, complexes, persistence
 from z2persist.cli import main
 from z2persist.complexes import _by_major, _owners, parse_fcx, write_fcx
-from z2persist.persistence import Reduction, barcode, reduce_filtration
+from z2persist.persistence import Reduction, _reduce, barcode, reduce_filtration
 
 import helpers
 from helpers import (
@@ -141,26 +141,33 @@ def _apparent_pairs(fc):
             for y in c.boundary[-1:] if min(cofaces[y]) == c.id}
 
 
+def _twist_order(fc):
+    """The cells with a non-empty boundary, top dimension first, ids increasing within one."""
+    return sorted((c.id for c in fc.cells if c.boundary), key=lambda j: (-fc.dims[j], j))
+
+
 def _rips_circle():
     """30 noisy points on the unit circle, Rips to threshold 0.8 with triangles."""
     return rips_filtration(helpers.noisy_circle(30), RipsParams(max_dim=2, threshold=0.8))
 
 
 # The column additions on the coboundary side, then those of summarize's
-# boundary pass.  klein_delta: v; a, b, c with coboundary U+L each; U, L.
+# boundary pass, the plain twist over every column with entries, apparent
+# or not.  klein_delta: v; a, b, c with coboundary U+L each; U, L.
 # Coboundary side, dimension 1 in decreasing id: c pairs with its lowest
 # coface U, then b and a each add c's column and vanish: 2.  Boundary
-# side: U = a+b+c is the oldest coface of c, so (c, U) is apparent and
-# settled before the loop, whose one column L adds U and vanishes; a, b, v
-# have no entries: 1.
+# side: U = a+b+c takes the fresh pivot c, and L adds U and vanishes;
+# a, b, c, v have no entries: 1.
 # klein_height(2, 1) is v0 < v1 < p < a < v2 < q < b < c < U < L, with
 # p = v0+v1, q = c = v1+v2 and U = L = a+q+b+c.  Coboundary side, degree 0
 # by union-find, no column added: p joins v1 to v0, q joins v2 to v0, c
 # joins nothing; dimension 1 in decreasing id: c = U+L pairs with U, b and
-# a each add it and vanish, q and p are cleared: 2.  Boundary side: (c, U),
-# (v1, p) and (v2, q) are apparent, and L adds U and vanishes: 1.
+# a each add it and vanish, q and p are cleared: 2.  Boundary side: U takes
+# the fresh pivot c and L adds U and vanishes; p and q take v1 and v2, and
+# c, a pivot, is cleared: 1.  (c, U), (v1, p) and (v2, q) are apparent: each
+# coface's column meets a fresh pivot and adds nothing.
 # The grid surfaces and the Rips circle pin the counts of the twist that
-# reduced every column, before apparent pairs were settled.
+# reduces every column.
 @pytest.mark.parametrize("fc, cohomology, boundary", [
     (klein_delta(), 2, 1),
     (klein_height(2.0, 1.0), 2, 1),
@@ -175,9 +182,8 @@ def test_reduction_counters_on_fixtures(fc, cohomology, boundary, engine):
     summarize(fc)
     [(chains, columns, additions)] = engine
     assert chains and additions == boundary
-    # the loop gets neither cell of an apparent pair
-    apparent = {j for pair in _apparent_pairs(fc) for j in pair}
-    assert apparent and not set(columns) & apparent
+    # the one chains call gets every cell with entries, apparent ones too
+    assert _apparent_pairs(fc) and columns == _twist_order(fc)
 
 
 def _constant_lower_star():
@@ -268,9 +274,11 @@ def test_seeded_union_find_matches_the_clearing_oracle(fc, seeded, walked, monke
 @pytest.mark.parametrize("seed", [7, 8])
 def test_apparent_pairs_do_no_work(seed, engine):
     # (i, c) is apparent if c is i's oldest coface and i is c's youngest
-    # face, in any degree.  Neither column enters the loop, yet the counters
-    # equal those of the oracle that reduces every column.  summarize's twist
-    # carries no chain through either cell of an apparent pair either
+    # face, in any degree.  Neither column enters reduce_filtration's loop,
+    # yet the counters equal those of the oracle that reduces every column.
+    # summarize's twist reduces every column with entries and settles nothing
+    # first, with the oracle's additions: settling the apparent pairs first
+    # would save none, as each apparent coface meets a fresh pivot
     apparent = 0
     for fc in _complexes(seed):
         engine.clear()
@@ -283,8 +291,14 @@ def test_apparent_pairs_do_no_work(seed, engine):
         assert not {len(fc) - 1 - j for j in columns} & cells
         engine.clear()
         summarize(fc)
-        [(_, columns, _)] = engine
-        assert not set(columns) & cells
+        [(_, columns, additions)] = engine
+        assert columns == _twist_order(fc)
+        assert additions == reference_clearing(fc, cohomology=False).column_additions
+        settled = np.full(len(fc), -1)
+        for y, c in every:
+            settled[y] = c
+        rest = np.array([j for j in columns if j not in cells], np.int64)
+        assert _reduce(fc.indptr, fc.indices, rest, False, settled)[2] == additions
         apparent += len(every)
     assert apparent > 100
 

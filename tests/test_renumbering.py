@@ -123,9 +123,10 @@ def test_derived_filtrations_reject_missing_vertices_and_nan():
         lower_star(sk, f)
     with pytest.raises(ComplexError, match="^cell 1: cell has no vertices"):
         build_cone_filtration(BifiltrationSpec(sk, f))
-    nan = VertexFunction({0: float("nan")})
-    with pytest.raises(ComplexError, match="NaN entry value"):
+    nan = VertexFunction({0: float("nan")})  # named by its cell, as +-inf is
+    with pytest.raises(ComplexError, match="^cell 0: value nan is not finite$") as err:
         lower_star(ng_cw(1), nan)
+    assert err.value.cell_id == 0
 
 
 @pytest.mark.parametrize("vertices, bad", [((-1,), -1), ((0, 3), 3), ((0, 2), 2)],
