@@ -33,8 +33,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
-    except OSError as e:
+        with open(path) as file:
+            return file.read()
+    except (OSError, UnicodeDecodeError) as e:
         raise ComplexError(f"cannot read {path}: {e}") from None
 
 

@@ -643,8 +643,16 @@ def _token_fault(parts: list[str], lead: int) -> Optional[str]:
 
 
 def parse_vertex_values(text: str) -> dict:
-    """`<vertex-id> <value>` lines."""
-    out: dict[int, float] = {}
+    """`<vertex-id> <value>` lines, converted in one pass; only a text with a fault is
+    read line by line, to name the first line that has it."""
+    parts = [*filter(None, map(str.split, uncommented(text)))]
+    try:  # a line without two fields fails to unpack
+        out = {int(vertex): float(value) for vertex, value in parts}
+        if len(out) == len(parts) and all(map(math.isfinite, out.values())):
+            return out
+    except ValueError:
+        pass
+    out = {}
     for lineno, line in text_lines(text):
         try:
             vertex, value = line.split()  # exactly two fields

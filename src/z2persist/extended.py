@@ -79,8 +79,9 @@ def build_cone_filtration(spec: BifiltrationSpec) -> ConeFiltration:
     single artifact discarded later.  Descending phase: the cone over a
     cell enters at 2M + lambda - min f over its vertices, mirroring the
     superlevel complement, and everything is coned by a = 3M + lambda.
-    Ties are broken by dimension, then by phase (apex, cell, cone), then by
-    the skeleton's cell id.
+    Ties are broken by dimension, phase (apex, cell, cone) and skeleton id, ascending for
+    cells and descending for cones: the descending phase runs the ascending one backwards,
+    so `reduce_filtration`'s apparent-pair rule settles as much of it.
 
     The skeleton is validated, not the cone: `_reorder` keeps each rule of `validate` but
     faces before cofaces, which |f| <= M keeps between a cell and its cone and
@@ -91,22 +92,22 @@ def build_cone_filtration(spec: BifiltrationSpec) -> ConeFiltration:
         raise ComplexError("empty complex")
     lows, highs = _skeleton_star(skeleton, f, cone=True)
     dims, faces, owner = skeleton.dims, skeleton.indices, _owners(skeleton.indptr)
-    # Provisional rows: the apex at 0, cell c at 1 + c, its cone at 1 + n + c.
+    # Provisional rows: the apex at 0, cell c at 1 + c, its cone at 2n - c.
     # The cone's faces are c and the apex (c a vertex) or the cones of c's faces.
-    cell, vertex = 1 + np.arange(n), dims == 0
+    cell, vertex = np.arange(n), dims == 0
     up = ~vertex[owner]  # the entries of the cells that are not vertices
 
     def name_of(rows):  # row 0 reads the label of cell n - 1 and drops it
-        names = skeleton.labels((rows - 1) % n)
+        names = skeleton.labels(np.where(rows <= n, rows - 1, 2 * n - rows) % n)
         return ["apex" if r == 0 else x if r <= n else f"cone({x})"
                 for r, x in zip(rows.tolist(), names)]
 
     fc, new_id = _reorder(
-        np.concatenate([np.zeros(1, np.int64), dims, dims + 1]),
-        np.concatenate([np.array([-M], float), highs, 2 * M + lam - lows]),
-        np.concatenate([1 + owner, n + cell, n + cell[vertex], 1 + n + owner[up]]),
-        np.concatenate([1 + faces, cell, np.zeros(np.count_nonzero(vertex), np.int64),
-                        1 + n + faces[up]]),
+        np.concatenate([np.zeros(1, np.int64), dims, dims[::-1] + 1]),
+        np.concatenate([np.array([-M], float), highs, 2 * M + lam - lows[::-1]]),
+        np.concatenate([1 + owner, 2 * n - cell, 2 * n - cell[vertex], 2 * n - owner[up]]),
+        np.concatenate([1 + faces, 1 + cell, np.zeros(np.count_nonzero(vertex), np.int64),
+                        2 * n - faces[up]]),
         name_of)
     return ConeFiltration(complex=fc, apex=int(new_id[0]))
 

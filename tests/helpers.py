@@ -186,6 +186,8 @@ def reference_build_cone_filtration(spec: BifiltrationSpec) -> ReferenceConeFilt
     single artifact discarded later.  Descending phase: the cone over a
     cell enters at 2M + lambda - min f over its vertices, mirroring the
     superlevel complement, and everything is coned by a = 3M + lambda.
+    Ties go by dimension, then phase (apex, cell, cone), then skeleton id:
+    ascending for cells, descending for cones, the ascending order mirrored.
     """
     skeleton, f = spec.complex, spec.f
     M, lam = spec.M, spec.lam
@@ -200,11 +202,11 @@ def reference_build_cone_filtration(spec: BifiltrationSpec) -> ReferenceConeFilt
             raise ComplexError("cell has no vertices in its closure", c.id)
         asc.append(max(f(v) for v in verts))
         desc.append(2 * M + lam - min(f(v) for v in verts))
-    # sort keys: (value, dim, phase, original id); apex first via seq -1
+    # entries: (value, dim, phase, original id); apex first via phase -1
     entries = [(-M, 0, -1, -1)]
     entries += [(asc[c.id], c.dim, 0, c.id) for c in skeleton.cells]
     entries += [(desc[c.id], c.dim + 1, 1, c.id) for c in skeleton.cells]
-    entries.sort()
+    entries.sort(key=lambda e: (*e[:3], -e[3] if e[2] == 1 else e[3]))
     new_orig: dict[int, int] = {}
     new_cone: dict[int, int] = {}
     apex_id = -1

@@ -18,7 +18,10 @@ import numpy as np
 import speed
 import workloads as w
 from helpers import noisy_circle
-from z2persist import RipsParams, cli, complexes, persistence, rips_filtration, summarize
+from z2persist import (
+    BifiltrationSpec, RipsParams, build_cone_filtration, cli, complexes, persistence,
+    rips_filtration, summarize,
+)
 
 
 def best(k, run):
@@ -165,13 +168,40 @@ def rips_1000():
           f"complex")
 
 
+def klein_argv(command, m, tmp):
+    """The CLI arguments of the benchmark's `extended` or `homology` job (variant 0) on the
+    Klein m x m grid, its input files written under tmp."""
+    spec = w.Spec(f"{command}-klein{m}", command, w.VARIANTS, (("surface", "klein"), ("m", m)),
+                  input_key=f"klein{m}")
+    return w.prepare(spec, 0, Path(tmp)).argv
+
+
+def klein_100_cone():
+    """The columns `reduce_filtration`'s loop gets and the column additions it makes on the
+    cone of the benchmark's `extended` job (variant 0) on the Klein m=100 grid, read as the
+    CLI reads it.  Machine-independent."""
+    with tempfile.TemporaryDirectory() as tmp:
+        _, spx, _, values = klein_argv("extended", 100, tmp)
+        skeleton = cli._load_complex(spx, "spx", values)
+    vertices = np.flatnonzero(skeleton.dims == 0).tolist()
+    f = complexes.VertexFunction(dict(zip(vertices, skeleton.values[vertices].tolist())))
+    cone = build_cone_filtration(BifiltrationSpec(skeleton, f)).complex
+    real, seen = persistence._reduce, []
+    persistence._reduce = lambda ptr, flat, columns, *rest: (
+        seen.append(len(columns)) or real(ptr, flat, columns, *rest))
+    try:
+        red = persistence.reduce_filtration(cone)
+    finally:
+        persistence._reduce = real
+    print(f"reduce_filtration cone of klein m=100 extended: {len(cone)} cells, {seen[0]} loop "
+          f"columns, column_additions {red.column_additions}")
+
+
 def klein_200(command):
     """One whole CLI process of the benchmark's `extended` or `homology` job (variant 0) on
     the Klein m=200 grid, run in src/: its wall time and peak RSS."""
-    spec = w.Spec(f"{command}-klein200", command, w.VARIANTS, (("surface", "klein"), ("m", 200)),
-                  input_key="klein200")
     with tempfile.TemporaryDirectory() as tmp:
-        argv = [sys.executable, "-m", "z2persist.cli", *w.prepare(spec, 0, Path(tmp)).argv]
+        argv = [sys.executable, "-m", "z2persist.cli", *klein_argv(command, 200, tmp)]
         wall, out = best(1, lambda: subprocess.run(argv, cwd=ROOT / "src", check=True,
                                                    stdout=subprocess.PIPE))
     rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024  # MB, the CLI's
@@ -214,8 +244,8 @@ if __name__ == "__main__":
     spawn, failed = multiprocessing.get_context("spawn"), False  # a fresh interpreter per figure
     for figure, *args in ((distance,), (spx_reader,), (fcx_reader,), (summarized, "rips"),
                           (summarized, "klein"), (cli_homology,), (rips_600,), (rips_1000,),
-                          (klein_200_lower_star,), (fcx_homology,), (klein_200, "extended"),
-                          (klein_200, "homology"), (spx_cap,)):
+                          (klein_200_lower_star,), (fcx_homology,), (klein_100_cone,),
+                          (klein_200, "extended"), (klein_200, "homology"), (spx_cap,)):
         (process := spawn.Process(target=figure, args=args)).start()
         process.join()
         failed |= process.exitcode != 0

@@ -47,6 +47,22 @@ def test_unwritable_output_is_bad_input(files, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name, fault", [
+    ("dir.fcx", "Is a directory"),
+    ("bytes.fcx", "codec can't decode byte 0x81"),  # 0x81 is no character in UTF-8 or cp1252
+], ids=["directory", "not-utf8"])
+def test_unreadable_input_is_bad_input(tmp_path, capsys, name, fault):
+    path = tmp_path / name
+    if name == "dir.fcx":
+        path.mkdir()
+    else:
+        path.write_bytes(b"cell 0 0 0\n# \x81\n")
+    code, out, err = run_cli(capsys, "persist", path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: ") and fault in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("flags", [
     ("--threshold", "nan"), ("--threshold", "inf"), ("--threshold=-inf",),
     ("--steps", "3", "--step-size", "nan"), ("--steps", "3", "--step-size", "inf"),

@@ -282,6 +282,21 @@ def test_vertex_values_reject_a_repeated_vertex_id():
         parse_vertex_values("0 1.0\n1 2.0\n# f(0) again\n0 5.0\n")
 
 
+@pytest.mark.parametrize("last, message", [
+    ("2000", "expected `<vertex-id> <value>`"),
+    ("2000 0.5 junk", "expected `<vertex-id> <value>`"),
+    ("2000 x", "expected `<vertex-id> <value>`"),
+    ("2000 1e999", "value must be finite"),
+    ("1999 0.5", "repeated vertex id 1999"),
+], ids=["one-field", "three-fields", "bad-value", "inf", "repeated-id"])
+def test_vertex_values_name_a_fault_on_the_last_line_of_a_long_file(last, message):
+    # the lines convert in one pass; a fault is then found by reading line by line
+    text = "# f\n" + "".join(f"{v} {v / 8}\n" for v in range(2000))
+    assert parse_vertex_values(text) == {v: v / 8 for v in range(2000)}
+    with pytest.raises(ComplexError, match=f"^line 2003: {re.escape(message)}$"):
+        parse_vertex_values(text + "\n" + last)
+
+
 def test_cell_vertices_closure_fallback():
     # no explicit vertex lists: closure is followed through boundaries
     fc = FilteredComplex(

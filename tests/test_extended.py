@@ -2,6 +2,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,9 +17,11 @@ from z2persist import (
     extended_barcode,
     extended_rank,
     klein_height_skeleton,
+    reduce_filtration,
     single_interval_rank,
     torus_height_skeleton,
 )
+from z2persist.complexes import parse_spx
 
 from helpers import (
     bar_phase,
@@ -130,6 +133,20 @@ def test_cone_filtration_validates_and_spans():
         assert len(fc) == 2 * len(sk) + 1
         top = 2 * spec.M + spec.lam - min(f.values.values())
         assert (fc.values[0], fc.values[-1]) == (-spec.M, top)
+
+
+@pytest.mark.parametrize("m, twist, before, after", [(12, True, 215, 161), (16, False, 391, 265)])
+def test_the_mirrored_cone_phase_saves_column_additions(m, twist, before, after):
+    # a standing torus's height plus seeded noise on a Klein or torus grid, read as the CLI
+    # reads it; tied cones taken by ascending skeleton id, not descending, made `before`
+    rng = random.Random(m)
+    heights = {i * m + j: math.cos(2 * math.pi * i / m) * (2 + math.cos(2 * math.pi * j / m))
+               + rng.gauss(0, 0.15) for i in range(m) for j in range(m)}
+    sk = parse_spx("".join(f"{' '.join(map(str, s))}\n" for s in grid_surface(m, twist)), heights)
+    vertices = np.flatnonzero(sk.dims == 0).tolist()
+    f = VertexFunction(dict(zip(vertices, sk.values[vertices].tolist())))
+    cone = build_cone_filtration(BifiltrationSpec(sk, f)).complex
+    assert reduce_filtration(cone).column_additions == after <= 0.8 * before
 
 
 def test_klein_extended_barcode():
