@@ -88,8 +88,9 @@ def _by_major(major: np.ndarray, minor: np.ndarray, n: int) -> np.ndarray:
 
 def _gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Positions starts[i], ..., starts[i] + counts[i] - 1, run after run."""
-    ends = counts.cumsum()
-    return np.arange(ends[-1] if len(ends) else 0) + (starts - ends + counts).repeat(counts)
+    out = (starts - counts.cumsum() + counts).repeat(counts)
+    out += np.arange(len(out))
+    return out
 
 
 # `validate` walks blocks of at most this many cells and entries, then face-of-face entries:
@@ -179,62 +180,35 @@ class FilteredComplex:
         return int(self.dims.max()) if len(self) else -1
 
     def validate(self) -> None:
-        """Raise ComplexError at the first offending cell in id order.  One walk over
-        blocks of `_BLOCK` entries finds it with array masks, holding a few 64 KiB arrays
-        whatever the complex's size; `_fault` reads that one cell to name the rule it
-        breaks, so no cell is built.  Then faces enter no later than their cells.  Ids
-        are checked where they are written: a cell's id is its position in the arrays."""
-        j = self._first_fault()
-        if j < len(self):
-            raise self._fault(j)
-
-    def _fault(self, j: int) -> ComplexError:
-        """The first rule that cell j, found by the masks, breaks: dim, finite value,
-        (value, dim) order, then each face in row order declared before it, above the
-        face before it and one dimension down, else boundary of boundary."""
-        dim, last_dim = self.dims[[j, j - 1]].tolist()  # cell j - 1 is read only if j > 0
-        if dim < 0:
-            return ComplexError("negative dimension", j)
-        value, last = self.values[[j, j - 1]].tolist()
-        if not -math.inf < value < math.inf:
-            return ComplexError(f"value {value} is not finite", j)
-        if j and (value, dim) < (last, last_dim):
-            return ComplexError(f"ordering violation: value {value} dim {dim} after "
-                                f"value {last} dim {last_dim}", j)
-        prev = -1
-        for f in self.indices[self.indptr[j]:self.indptr[j + 1]].tolist():
-            if not 0 <= f < j:
-                return ComplexError(f"face {f} not previously declared", j)
-            if f <= prev:
-                return ComplexError(f"repeated face {f}" if f == prev else
-                                    f"face {f} listed after face {prev}", j)
-            if self.dims[f] != dim - 1:
-                return ComplexError(f"face {f} has dim {self.dims[f]}, expected {dim - 1}", j)
-            prev = f
-        return ComplexError("boundary of boundary is nonzero", j)
-
-    def _first_fault(self) -> int:
-        """The lowest id at which an array mask finds a broken rule, or n, checking each
-        block for the per-cell and face rules, then boundary of boundary below the first fault."""
+        """Raise ComplexError at the first offending cell in id order, naming the first rule
+        it breaks.  One walk over blocks of `_BLOCK` cells and entries, each rule one mask:
+        per cell `negative` dim, `infinite` value and `disorder`, (value, dim) below the cell
+        before; per entry `outside` [0, cell), `unsorted`, not above the entry before it in
+        its row, and a dim not one down.  OR-ed, they find a block's first bad cell, below
+        which sorted (cell, face of a face) keys must pair up (boundary of boundary is zero);
+        then they name its rule, cell rules first, then its row's first faulty entry.  A few
+        64 KiB arrays are held, no cell is built; ids are checked where they are written."""
         dims, values, indptr, indices = self.dims, self.values, self.indptr, self.indices
         n, lo = len(dims), 0
         while lo < n:
             hi = int(indptr.searchsorted(indptr[lo] + _BLOCK, "right")) - 1
             hi = min(n, lo + _BLOCK, max(lo + 1, hi))
-            bad = (dims[lo:hi] < 0) | ~np.isfinite(values[lo:hi])
             s = lo or 1  # cells s.. against the cells before them
-            step, tie = values[s:hi] < values[s - 1:hi - 1], values[s:hi] == values[s - 1:hi - 1]
-            bad[s - lo:] |= step | (tie & (dims[s:hi] < dims[s - 1:hi - 1]))
-            # a face outside [0, cell) or not one dimension down
+            negative, infinite = dims[lo:hi] < 0, ~np.isfinite(values[lo:hi])
+            disorder = values[s:hi] < values[s - 1:hi - 1]
+            disorder |= (values[s:hi] == values[s - 1:hi - 1]) & (dims[s:hi] < dims[s - 1:hi - 1])
+            bad = negative | infinite
+            bad[s - lo:] |= disorder
             rows = indices[indptr[lo]:indptr[hi]]
             owner = np.arange(lo, hi).repeat(indptr[lo + 1:hi + 1] - indptr[lo:hi])
-            wrong = (rows < 0) | (rows >= owner)
-            wrong |= dims[np.where(wrong, 0, rows)] != dims[owner] - 1
-            # a face repeated, or out of order, within its row
-            wrong[1:] |= (owner[1:] == owner[:-1]) & (rows[1:] <= rows[:-1])
+            outside = (rows < 0) | (rows >= owner)
+            unsorted = (owner[1:] == owner[:-1]) & (rows[1:] <= rows[:-1])  # entry e at e - 1
+            wrong = dims[np.where(outside, 0, rows)] != dims[owner] - 1
+            wrong |= outside
+            wrong[1:] |= unsorted
             bad[owner[wrong] - lo] = True
             first = lo + int(bad.argmax()) if bad.any() else hi
-            # boundary of boundary: (cell, face of a face) keys must pair up once sorted
+            # boundary of boundary below the first bad cell: (cell, face of a face) keys pair up
             faces = rows[:indptr[first] - indptr[lo]]
             counts = indptr[faces + 1] - indptr[faces]
             below = _indptr(counts)[indptr[lo:first + 1] - indptr[lo]]  # before each cell
@@ -243,19 +217,34 @@ class FilteredComplex:
                 b = lo + int(below.searchsorted(below[a - lo] + _BLOCK, "right")) - 1
                 b = min(first, max(a + 1, b))
                 at = slice(indptr[a] - indptr[lo], indptr[b] - indptr[lo])
-                keys = (owner[at] - a).repeat(counts[at]) * n
-                keys += indices[_gather(indptr[faces[at]], counts[at])]
+                keys = indices[_gather(indptr[faces[at]], counts[at])]
+                keys += (owner[at] - a).repeat(counts[at]) * n
                 keys.sort()
                 if len(keys) % 2:
                     keys = np.append(keys, keys[-1] + 1)
                 odd = keys[0::2] != keys[1::2]
                 if odd.any():
-                    return a + int(keys[2 * odd.argmax()] // n)
+                    raise ComplexError("boundary of boundary is nonzero",
+                                       a + int(keys[2 * odd.argmax()] // n))
                 a = b
             if first < hi:
-                return first
+                j, dim, value = first, dims[first].item(), values[first].item()
+                if negative[j - lo]:
+                    raise ComplexError("negative dimension", j)
+                if infinite[j - lo]:
+                    raise ComplexError(f"value {value} is not finite", j)
+                if j and disorder[j - s]:
+                    raise ComplexError(f"ordering violation: value {value} dim {dim} after value"
+                                       f" {values[j - 1].item()} dim {dims[j - 1].item()}", j)
+                e = int(wrong.argmax())  # in row j, as no cell before it has a faulty entry
+                f = rows[e].item()
+                if outside[e]:
+                    raise ComplexError(f"face {f} not previously declared", j)
+                if e and unsorted[e - 1]:
+                    raise ComplexError(f"repeated face {f}" if f == rows[e - 1] else
+                                       f"face {f} listed after face {rows[e - 1]}", j)
+                raise ComplexError(f"face {f} has dim {dims[f]}, expected {dim - 1}", j)
             lo = hi
-        return n
 
     def sublevel(self, a: float) -> "FilteredComplex":
         """Subcomplex of cells with value <= a (a prefix, by the ordering)."""

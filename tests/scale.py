@@ -15,7 +15,6 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 sys.dont_write_bytecode = True  # nothing is written under perfbench/
 
 import numpy as np
-import speed
 import workloads as w
 from helpers import noisy_circle
 from z2persist import (
@@ -25,22 +24,19 @@ from z2persist import (
 
 
 def best(k, run):
-    """The least wall time of k calls of run, with that time at reference speed (scaled by
-    `perfbench/speed.py`'s loop, timed five times on each side of the calls, as the benchmark
-    scales its jobs), and the last call's result; each result is dropped before the next call."""
-    loops, times = [speed.loop_seconds() for _ in range(5)], []
+    """The least wall time of k calls of run, and the last call's result; each result is
+    dropped before the next call."""
+    times = []
     for _ in range(k):
         out = None
         start, out = time.perf_counter(), run()
         times.append(time.perf_counter() - start)
-    loops += [speed.loop_seconds() for _ in range(5)]
-    return (min(times), min(times) * speed.scale(loops, 4)), out
+    return min(times), out
 
 
-def shown(timed, digits=2, unit="s"):
-    """A (wall, reference-speed) time from `best`, in s or ms, so two runs' figures compare."""
-    wall, ref = (t * (1e3 if unit == "ms" else 1) for t in timed)
-    return f"{wall:.{digits}f} {unit} ({ref:.{digits}f} {unit} at reference speed)"
+def shown(wall, digits=2, unit="s"):
+    """A wall time from `best`, in s or ms."""
+    return f"{wall * (1e3 if unit == 'ms' else 1):.{digits}f} {unit}"
 
 
 def peak_rss():
@@ -114,7 +110,7 @@ def klein_200_lower_star():
     pairs, _ = best(1, lambda: persistence.reduce_filtration(fc))
     cycles, _ = best(1, lambda: summarize(fc))
     print(f"summarize {shown(cycles)}, reduce_filtration {shown(pairs)}, "
-          f"ratio {cycles[0] / pairs[0]:.2f}")
+          f"ratio {cycles / pairs:.2f}")
 
 
 def summarized(name):
@@ -166,6 +162,16 @@ def rips_1000():
     peak = traced_peak(fc.validate)  # the complex is not traced, only what validate allocates
     print(f"validate best of 5 {shown(check, 3)}, tracemalloc peak {peak:.1f} MiB above the "
           f"complex")
+
+
+def klein_100_validate():
+    """`validate` on the Klein m=100 lower star (60,000 cells): the best of five times and
+    its `tracemalloc` peak above the complex, which is not traced."""
+    fc = complexes.parse_spx(lower_star_spx("klein", 100))
+    check, _ = best(5, fc.validate)
+    peak = traced_peak(fc.validate)
+    print(f"validate klein m=100 lower-star: {len(fc)} cells, best of 5 {shown(check, 2, 'ms')}, "
+          f"tracemalloc peak {peak:.2f} MiB above the complex")
 
 
 def klein_argv(command, m, tmp):
@@ -244,8 +250,9 @@ if __name__ == "__main__":
     spawn, failed = multiprocessing.get_context("spawn"), False  # a fresh interpreter per figure
     for figure, *args in ((distance,), (spx_reader,), (fcx_reader,), (summarized, "rips"),
                           (summarized, "klein"), (cli_homology,), (rips_600,), (rips_1000,),
-                          (klein_200_lower_star,), (fcx_homology,), (klein_100_cone,),
-                          (klein_200, "extended"), (klein_200, "homology"), (spx_cap,)):
+                          (klein_100_validate,), (klein_200_lower_star,), (fcx_homology,),
+                          (klein_100_cone,), (klein_200, "extended"), (klein_200, "homology"),
+                          (spx_cap,)):
         (process := spawn.Process(target=figure, args=args)).start()
         process.join()
         failed |= process.exitcode != 0

@@ -269,6 +269,34 @@ def test_validate_rejects_a_face_row_out_of_order(dims, rows, text):
     assert err.value.cell_id == cell
 
 
+_TRIANGLE_FAULTS = [  # (dim, value, row) of triangle 6 over vertices 0-2 and edges 3-5
+    ((-1, math.nan, [3, 4, 5]), "negative dimension"),
+    ((2, -math.inf, [3, 4, 5]), "value -inf is not finite"),
+    ((2, 0.5, [9, 3]), "ordering violation: value 0.5 dim 2 after value 1.0 dim 1"),
+    ((2, 2.0, [9, 3]), "face 9 not previously declared"),
+    ((2, 2.0, [0, 0, 5]), "face 0 has dim 0, expected 1"),
+    ((2, 2.0, [4, 0]), "face 0 listed after face 4"),
+]
+
+
+@pytest.mark.parametrize("block", [complexes._BLOCK, 4], ids=["default-block", "block-4"])
+@pytest.mark.parametrize("triangle, text", _TRIANGLE_FAULTS,
+                         ids=["dim-and-nan", "inf-and-order", "order-and-undeclared",
+                              "undeclared-first", "entry-before-rule", "after-and-dim"])
+def test_a_cell_breaking_two_rules_is_named_by_the_first(triangle, text, block, monkeypatch):
+    # the cell rules come first (dim, finite value, then (value, dim) order), then the row's
+    # first faulty entry, whichever rule it breaks, before a later entry's
+    monkeypatch.setattr(complexes, "_BLOCK", block)
+    dim, value, row = triangle
+    rows = [[], [], [], [0, 1], [0, 2], [1, 2], row]
+    fc = FilteredComplex.from_arrays(
+        np.array([0, 0, 0, 1, 1, 1, dim]), np.array([0.0] * 3 + [1.0] * 3 + [value]),
+        np.cumsum([0] + [len(r) for r in rows]), np.array(sum(rows, []), dtype=np.int64))
+    with pytest.raises(ComplexError, match=f"^cell 6: {text}$") as err:
+        fc.validate()
+    assert err.value.cell_id == 6
+
+
 @pytest.mark.parametrize("check, args", [
     (test_valid_complexes_validate, ()),
     (test_single_cell_mutation_raises_the_reference_message, ()),
