@@ -51,6 +51,7 @@ class _Side:
         self.deaths = [deaths[i] if deaths[i] < math.inf else 0.0 for i in self.index]
         self.half = [h if (h := (deaths[i] - births[i]) / 2) < math.inf  # inf if infinite
                      else deaths[i] / 2 - births[i] / 2 for i in self.index]
+        self.partner = [-1] * len(self.index)  # set by _lower_bound
 
     def kin(self, v: int, other: _Side) -> tuple[int, int]:
         return (0, other.nf) if v < self.nf else (other.nf, len(other.half))
@@ -67,7 +68,9 @@ class _Side:
 def _lower_bound(a: _Side, b: _Side, bound: float) -> float:
     """The larger of `bound` and the largest, over a's bars, min(half-length,
     cheapest edge into b), no smaller eps being feasible.  Longest bars first,
-    up to one no longer than the bound, each swept outward in birth order."""
+    up to one no longer than the bound, each swept outward in birth order.
+    Records in `a.partner` each bar whose figure an edge set, so a bar long
+    at any eps >= the final bound lo has a partner edge costing <= lo."""
     births, deaths = b.births, b.deaths
     for v in sorted(range(len(a.half)), key=a.half.__getitem__, reverse=True):
         if (best := a.half[v]) <= bound:
@@ -78,26 +81,34 @@ def _lower_bound(a: _Side, b: _Side, bound: float) -> float:
             for w in side:
                 if (gap := abs(s - births[w])) >= best or best <= bound:
                     break
-                best = min(best, max(gap, abs(d - deaths[w])))
+                if (cost := max(gap, abs(d - deaths[w]))) < best:
+                    best, a.partner[v] = cost, w
         bound = max(bound, best)
     return bound
 
 
-def _cover(a: _Side, b: _Side, eps: float) -> Optional[dict[int, int]]:
-    """A matching {a vertex: b vertex} at eps that covers a's long bars, with
-    half-length above eps, or None; short bars may be deleted."""
-    long, deaths = [v for v, h in enumerate(a.half) if h > eps], b.deaths
+def _cover(a: _Side, b: _Side, eps: float, long: list[int]) -> Optional[dict[int, int]]:
+    """A matching {a vertex: b vertex} at eps that covers a's `long` bars,
+    those with half-length above eps, or None; short bars may be deleted."""
+    deaths = b.deaths
     adj = [[w for w in a.window(v, b, eps) if abs(d - deaths[w]) <= eps]
            for v, d in zip(long, map(a.deaths.__getitem__, long))]
     mate = [-1] * len(long)
     return None if _hopcroft_karp(adj, mate, [-1] * len(b.half)) else dict(zip(long, mate))
 
 
+def _matching(a: _Side, b: _Side, eps: float) -> Optional[dict[int, int]]:
+    """a's long bars' partners if each has one and no two share it, else `_cover`'s."""
+    long = [v for v, h in enumerate(a.half) if h > eps]
+    mate = [a.partner[v] for v in long]
+    return dict(zip(long, mate)) if len(set(mate) - {-1}) == len(mate) else _cover(a, b, eps, long)
+
+
 def _probe(a: _Side, b: _Side, eps: float) -> Optional[tuple[dict, dict]]:
-    """Both sides' `_cover`s at eps, or None.  By Mendelsohn-Dulmage, one
+    """Both sides' `_matching`s at eps, or None.  By Mendelsohn-Dulmage, one
     matching covers the long bars of both sides iff each side's can be."""
-    m1 = _cover(a, b, eps)
-    m2 = None if m1 is None else _cover(b, a, eps)
+    m1 = _matching(a, b, eps)
+    m2 = None if m1 is None else _matching(b, a, eps)
     return None if m2 is None else (m1, m2)
 
 
@@ -116,10 +127,11 @@ def _candidates(a: _Side, b: _Side, lo: float, hi: float) -> list[float]:
 
 
 def _search(a: _Side, b: _Side) -> tuple[float, tuple[dict, dict]]:
-    """The least feasible eps and its probe.  Probe the lower bound; if it
+    """The least feasible eps and its probe.  Probe the lower bound lo; if it
     fails, gallop up from it by 1/16 of it, doubling each time, to `top`,
     which is feasible: every finite bar deleted and the infinite bars
-    matched in birth order.  Then bisect over the last bracket's candidates."""
+    matched in birth order.  Then bisect over the last bracket's candidates.
+    Every probe is at eps >= lo, so every partner edge is an edge there."""
     lo = _lower_bound(b, a, _lower_bound(a, b, 0.0))
     hit = _probe(a, b, lo)
     if hit:
@@ -238,11 +250,13 @@ def bottleneck_matching(
     costs is kept.  At tolerance eps a bar's edges are the bars of its kind
     in a bisected window of births, within eps in death too.  A bar with
     half-length above eps is long and must be matched; the rest may be
-    deleted.  A probe is two Hopcroft-Karp matchings from the long bars,
-    one per side: O(E sqrt(m)) time and O(m + E) memory for the E edges at
-    long bars.  `_search` probes a lower bound, then gallops and bisects;
-    `_witness` joins the last feasible probe's matchings.  Barcodes with
-    different numbers of infinite bars are at distance infinity.
+    deleted.  A probe is one matching per side from its long bars: the lower
+    bound's own edges when no two share a bar, else Hopcroft-Karp, in
+    O(E sqrt(m)) time and O(m + E) memory for the E edges at long bars.
+    `_search` probes a lower bound, then gallops and bisects; `_witness`
+    joins the last feasible probe's matchings, so a witness pair may be a
+    partner edge or Hopcroft-Karp's.  Barcodes with different numbers of
+    infinite bars are at distance infinity.
     """
     value, found = _distance(b1, b2, k)
     return value, found and _witness(*found)

@@ -18,8 +18,8 @@ import numpy as np
 import workloads as w
 from helpers import noisy_circle
 from z2persist import (
-    BifiltrationSpec, RipsParams, build_cone_filtration, cli, complexes, persistence,
-    rips_filtration, summarize,
+    BifiltrationSpec, RipsParams, build_cone_filtration, cli, complexes, distances,
+    persistence, rips_filtration, summarize,
 )
 
 
@@ -74,20 +74,37 @@ def lower_star_spx(surface, m):
                    for _, cells in sorted(w.closure(tris).items()) for s in sorted(cells))
 
 
+def probes_and_covers(b1, b2):
+    """The `_probe` and `_cover` calls of one `bottleneck`, over all degrees.
+    Machine-independent."""
+    calls, real = [], {name: getattr(distances, name) for name in ("_probe", "_cover")}
+    for name, f in real.items():
+        setattr(distances, name, lambda *args, name=name, f=f: calls.append(name) or f(*args))
+    try:
+        distances.bottleneck(b1, b2)
+    finally:
+        for name, f in real.items():
+            setattr(distances, name, f)
+    return f"{calls.count('_probe')} probes, {calls.count('_cover')} covers"
+
+
 def distance():
     """A benchmark diagram of 2,000 bars a degree against an unrelated one and against a
-    jittered copy of it: the wall time of one whole `distance` process, run in src/, each."""
+    jittered copy of it: the wall time of one whole `distance` process, run in src/, each,
+    then the probes and covers of `bottleneck` on the same pair, in process."""
     rng = np.random.default_rng(0)
     a, b = (w.random_diagram(rng, 2000, 2000, scale) for scale in (1.0, 2.0))
     with tempfile.TemporaryDirectory() as tmp:
         paths = [Path(tmp, f"{name}.bcx") for name in "abj"]
         for path, bars in zip(paths, (a, b, w.jitter(rng, a))):
             path.write_text(w.bcx(bars))
+        first = persistence.parse_bcx(paths[0].read_text())
         for name, other in zip(("unrelated", "jittered"), paths[1:]):
             print(f"{name} pair", flush=True)
             argv = [sys.executable, "-m", "z2persist.cli", "distance", paths[0], other]
             wall, _ = best(1, lambda: subprocess.run(argv, cwd=ROOT / "src", check=True))
-            print(f"wall {shown(wall, 3)}")
+            counts = probes_and_covers(first, persistence.parse_bcx(other.read_text()))
+            print(f"wall {shown(wall, 3)}, {counts}")
 
 
 def spx_reader():

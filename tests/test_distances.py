@@ -88,7 +88,8 @@ def test_shift_invariance_of_infinite_parts():
     assert bottleneck(b1, b2) == 1.0
 
 
-def test_bottleneck_agrees_with_exhaustive_oracle():
+def test_bottleneck_agrees_with_exhaustive_oracle(monkeypatch):
+    sides, covered = spied(monkeypatch, "_matching"), spied(monkeypatch, "_cover")
     rng = random.Random(31)
     for _ in range(200):
         left = random_intervals(rng, rng.randint(0, 6))
@@ -99,9 +100,12 @@ def test_bottleneck_agrees_with_exhaustive_oracle():
                          Barcode([(0, iv) for iv in right]), k=0)
         want = exhaustive_bottleneck(left, right)
         assert got == pytest.approx(want, abs=1e-12), (left, right)
+    # sides matched by the lower bound's partners, and sides covered
+    assert len(sides) - len(covered) >= 4 and len(covered) >= 4
 
 
-def test_bottleneck_matching_agrees_with_reference_search():
+def test_bottleneck_matching_agrees_with_reference_search(monkeypatch):
+    sides, covered = spied(monkeypatch, "_matching"), spied(monkeypatch, "_cover")
     rng = random.Random(34)
     for trial in range(40):
         n_inf = rng.randint(0, 4)
@@ -118,6 +122,7 @@ def test_bottleneck_matching_agrees_with_reference_search():
             continue
         check_matching(b1.in_dim(1), b2.in_dim(1), got, m)
         check_matching(b1.in_dim(1), b2.in_dim(1), want, m_ref)
+    assert len(sides) - len(covered) >= 4 and len(covered) >= 4
 
 
 def test_deep_chain_needs_no_recursion(tmp_path, capsys):
@@ -226,6 +231,29 @@ def checked(b1, b2, k):
     if d < INF:
         check_matching(b1.in_dim(k), b2.in_dim(k), d, m)
     return d
+
+
+def spied(monkeypatch, name):
+    """The first argument, a `_Side`, of each call to `distances.<name>`."""
+    calls, f = [], getattr(distances, name)
+    monkeypatch.setattr(distances, name, lambda a, *rest: calls.append(a) or f(a, *rest))
+    return calls
+
+
+def test_a_probe_takes_the_lower_bounds_edges_as_its_matching(monkeypatch):
+    covered = spied(monkeypatch, "_cover")
+    # twin bars shifted by 0.5: every long bar's cheapest edge is its twin
+    b1 = bc(0, *[(2 * i, 2 * i + 10) for i in range(4)], (0, INF))
+    b2 = bc(0, *[(2 * i + 0.5, 2 * i + 10.5) for i in range(4)], (0.5, INF))
+    # both left bars' cheapest edge is the right bar born at -1/16, so the
+    # left side is covered; the right bars' cheapest edges are distinct
+    b3, b4 = bc(0, (0, 10), (0.25, 10.25)), bc(0, (-0.0625, 9.9375), (0.75, 10.75))
+    # one probe each in `bottleneck_matching` and `bottleneck`
+    for x, y, want in ((b1, b2, []), (b3, b4, [[0, 0.25]] * 2)):
+        covered.clear()
+        assert checked(x, y, 0) == bottleneck(x, y, 0) == 0.5
+        assert exhaustive_bottleneck(x.in_dim(0), y.in_dim(0)) == 0.5
+        assert [side.births for side in covered] == want
 
 
 def test_interleaved_at_inf_and_next_to_the_distance():
