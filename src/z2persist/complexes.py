@@ -76,12 +76,21 @@ def _owners(indptr: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
 
 
+def _sort_keys(keys: np.ndarray, bound: int) -> np.ndarray:
+    """Sort int64 `keys` in [0, bound) in their buffer, as int32 (faster) if bound <= 2^31."""
+    small = keys.astype(np.int32) if bound <= 1 << 31 else keys
+    small.sort()
+    keys[:] = small  # a no-op when small is keys
+    return keys
+
+
 def _by_major(major: np.ndarray, minor: np.ndarray, n: int) -> np.ndarray:
-    """`minor` sorted by (major, minor), ids in [0, n): one sort of major << b | minor in major."""
+    """`minor` sorted by (major, minor), ids in [0, n): one `_sort_keys` of major << b | minor
+    in major, as int32 while 2b <= 31, that is n <= 32768."""
     b = max(n - 1, 0).bit_length()
     major <<= b
     major |= minor
-    major.sort()
+    _sort_keys(major, 1 << 2 * b)
     major &= (1 << b) - 1
     return major
 
@@ -185,9 +194,10 @@ class FilteredComplex:
         per cell `negative` dim, `infinite` value and `disorder`, (value, dim) below the cell
         before; per entry `outside` [0, cell), `unsorted`, not above the entry before it in
         its row, and a dim not one down.  OR-ed, they find a block's first bad cell, below
-        which sorted (cell, face of a face) keys must pair up (boundary of boundary is zero);
-        then they name its rule, cell rules first, then its row's first faulty entry.  A few
-        64 KiB arrays are held, no cell is built; ids are checked where they are written."""
+        which (cell, face of a face) keys, sorted by `_sort_keys` (as int32 while a sub-block's
+        cells times n fit), must pair up (boundary of boundary is zero); then they name its
+        rule, cell rules first, then its row's first faulty entry.  A few 64 KiB arrays are
+        held, no cell is built; ids are checked where they are written."""
         dims, values, indptr, indices = self.dims, self.values, self.indptr, self.indices
         n, lo = len(dims), 0
         while lo < n:
@@ -219,7 +229,7 @@ class FilteredComplex:
                 at = slice(indptr[a] - indptr[lo], indptr[b] - indptr[lo])
                 keys = indices[_gather(indptr[faces[at]], counts[at])]
                 keys += (owner[at] - a).repeat(counts[at]) * n
-                keys.sort()
+                _sort_keys(keys, (b - a) * n)
                 if len(keys) % 2:
                     keys = np.append(keys, keys[-1] + 1)
                 odd = keys[0::2] != keys[1::2]
@@ -310,17 +320,22 @@ def _reorder(dims: np.ndarray, values: np.ndarray, rows: np.ndarray, faces: np.n
              ) -> tuple[FilteredComplex, np.ndarray]:
     """Number provisional rows as a filtration.
 
-    Row r has dimension dims[r] and enters at values[r]; entry e makes row
-    faces[e] a face of row rows[e].  Rows are numbered by (value, dim, row
-    index), faces and vertex lists are remapped and sorted, names are read
-    by row, and the new id of every row is returned with the complex.  `rows`, a fresh
-    int64 array, is counted, then overwritten by new ids that `_by_major` sorts in place
-    into the complex's `indices`; `faces` is only read.
+    Row r has dimension dims[r] and enters at values[r]; entry e makes row faces[e] a face of
+    row rows[e].  Rows are numbered by (value, dim, row index), `np.lexsort`'s order, from one
+    unstable argsort of the values and one `_sort_keys` of packed (run of equal values, dim,
+    row) keys, dims ranked if one passes n; faces and vertex lists are remapped and sorted,
+    names are read by row, and each row's new id is returned with the complex.  `rows`, a
+    fresh int64 array, is counted, then overwritten by new ids that `_by_major` sorts into
+    `indices`; `faces` is only read.
     """
     if (values != values).any():
         raise ComplexError("NaN entry value")
-    order, n = np.lexsort((dims, values)), len(dims)
-    new_id, counts = np.empty(n, dtype=np.int64), np.bincount(rows, minlength=n)[order]
+    order, n, top = np.argsort(values), len(dims), int(dims.max(initial=0)) + 1
+    tie, top = (dims, top) if top <= n else (np.unique(dims, return_inverse=True)[1], n)
+    keys = tie[order] * n + order  # plus the run of equal values (-0.0 == 0.0, inf == inf):
+    keys[1:] += np.cumsum(values[order[1:]] != values[order[:-1]]) * (top * n)
+    np.remainder(_sort_keys(keys, int(keys.max(initial=0)) + 1), n, out=order)
+    new_id, counts = keys, np.bincount(rows, minlength=n)[order]  # keys' buffer reused
     new_id[order] = np.arange(n)
     # `clip` (rows are in range) writes in place: `raise` would buffer a copy of the output
     keys = _by_major(np.take(new_id, rows, out=rows, mode="clip"), new_id[faces], n)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Optional, Sequence
 
@@ -851,6 +852,14 @@ def composite_rank(intervals: Sequence[Interval], a: float, p: float) -> int:
     return gf2_rank(prod) if prod.size else 0
 
 
+def half_length(iv: Interval) -> float:
+    """Half a bar's length, rounded once from the exact rational value: finite for every
+    finite bar, also one whose length passes the floats, such as [-1.07e307, 1.7e308)."""
+    if iv.death == math.inf:
+        return math.inf
+    return float((Fraction(iv.death) - Fraction(iv.birth)) / 2)
+
+
 def match_cost(i: Interval, j: Interval) -> float:
     if i.death == math.inf and j.death == math.inf:
         return abs(i.birth - j.birth)
@@ -859,7 +868,7 @@ def match_cost(i: Interval, j: Interval) -> float:
 
 def exhaustive_bottleneck(left: Sequence[Interval], right: Sequence[Interval]) -> float:
     """Minimum over all matchings of the max per-bar cost, by recursion."""
-    best = math.inf
+    best, left_half, right_half = math.inf, [*map(half_length, left)], [*map(half_length, right)]
 
     def rec(i: int, used: set, acc: float):
         nonlocal best
@@ -867,12 +876,12 @@ def exhaustive_bottleneck(left: Sequence[Interval], right: Sequence[Interval]) -
             return
         if i == len(left):
             rest = max(
-                (right[j].length / 2 for j in range(len(right)) if j not in used),
+                (right_half[j] for j in range(len(right)) if j not in used),
                 default=0.0,
             )
             best = min(best, max(acc, rest))
             return
-        rec(i + 1, used, max(acc, left[i].length / 2))
+        rec(i + 1, used, max(acc, left_half[i]))
         for j in range(len(right)):
             if j not in used:
                 rec(i + 1, used | {j}, max(acc, match_cost(left[i], right[j])))
@@ -899,11 +908,11 @@ def _reference_feasible(
         if u < nl:
             iv = left[u]
             out += [v for v in range(nr) if match_cost(iv, right[v]) <= eps]
-            if iv.length / 2 <= eps:
+            if half_length(iv) <= eps:
                 out.append(nr + u)
         else:
             sv = u - nl
-            if right[sv].length / 2 <= eps:
+            if half_length(right[sv]) <= eps:
                 out.append(sv)
             out += [nr + v for v in range(nl)]
         return out
@@ -960,7 +969,7 @@ def reference_bottleneck(
                 candidates.add(c)
     for iv in left + right:
         if iv.death != math.inf:
-            candidates.add(iv.length / 2)
+            candidates.add(half_length(iv))
     values = sorted(candidates)
     lo, hi = 0, len(values) - 1
     if _reference_feasible(left, right, values[hi]) is None:
@@ -984,9 +993,9 @@ def check_matching(left: Sequence[Interval], right: Sequence[Interval],
     for u, v in m.pairs:
         assert match_cost(left[u], right[v]) <= d, (left[u], right[v], d)
     for u in m.unmatched_left:
-        assert left[u].length / 2 <= d, (left[u], d)
+        assert half_length(left[u]) <= d, (left[u], d)
     for v in m.unmatched_right:
-        assert right[v].length / 2 <= d, (right[v], d)
+        assert half_length(right[v]) <= d, (right[v], d)
 
 
 def tied_intervals(rng: random.Random, n_finite: int, n_infinite: int) -> list[Interval]:

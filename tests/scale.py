@@ -19,7 +19,7 @@ import workloads as w
 from helpers import noisy_circle
 from z2persist import (
     BifiltrationSpec, RipsParams, build_cone_filtration, cli, complexes, distances,
-    persistence, rips_filtration, summarize,
+    persistence, rips, rips_filtration, summarize,
 )
 
 
@@ -160,7 +160,8 @@ def rips_600():
 
 def rips_1000():
     """The triangle candidates the clique expansion examines (each edge's last vertex's
-    upper neighbours) against the edges x n row-wise adjacency masks would take."""
+    upper neighbours) against the edges x n row-wise adjacency masks would take, and the
+    renumbering alone: `simplicial_filtration` on the clique arrays, without the expansion."""
     pc = noisy_circle(1000)
     adj = np.triu(pc.distance_matrix() <= 0.3, 1)
     edges, candidates = int(adj.sum()), int(adj.sum(axis=1)[np.nonzero(adj)[1]].sum())
@@ -170,11 +171,16 @@ def rips_1000():
     reduce, red = best(3, lambda: persistence.reduce_filtration(fc))
     rss = peak_rss()
     built = traced_peak(lambda: rips_filtration(pc, params))  # a second complex, traced whole
+    cliques = rips._cliques(pc, params, len(pc))  # only read by the renumbering
+    labels = [*map(str, range(len(pc)))]
+    renumber, _ = best(3, lambda: complexes.simplicial_filtration(*cliques, labels))
+    del cliques
     print(f"rips n=1000 thr 0.3: {len(fc)} cells, build best of 3 {shown(build)}, tracemalloc "
           f"peak {built:.1f} MiB with the complex, {candidates} triangle candidates ({edges} "
           f"edges x n = {edges * 1000}), reduce_filtration best of 3 {shown(reduce)}, "
           f"column_additions {red.column_additions}, {union_find_merges(fc)}, peak RSS "
-          f"{rss:.0f} MB", flush=True)
+          f"{rss:.0f} MB, renumbering (simplicial_filtration on the clique arrays) best of 3 "
+          f"{shown(renumber)}", flush=True)
     check, _ = best(5, fc.validate)
     peak = traced_peak(fc.validate)  # the complex is not traced, only what validate allocates
     print(f"validate best of 5 {shown(check, 3)}, tracemalloc peak {peak:.1f} MiB above the "

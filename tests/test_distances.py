@@ -23,6 +23,7 @@ from z2persist.cli import main
 from helpers import (
     check_matching,
     exhaustive_bottleneck,
+    half_length,
     match_cost,
     perturbed,
     random_intervals,
@@ -125,6 +126,34 @@ def test_bottleneck_matching_agrees_with_reference_search(monkeypatch):
     assert len(sides) - len(covered) >= 4 and len(covered) >= 4
 
 
+def test_bars_whose_length_passes_the_floats_agree_with_the_oracles():
+    # a finite bar such as [-1.07e307, 1.7e308) is longer than the largest float, yet half
+    # its length is finite: the library may delete it at that half-length, and the oracles,
+    # halving exactly, must agree on the value and accept the witness
+    rng = random.Random(48)
+    ends = [-1.7e308, -1.07e307, -1.0, 0.0, 0.5, 1e307, 1.7e308]
+    overflowing = 0
+    for trial in range(60):
+        n_inf = rng.randint(0, 2)
+        left, right = ([Interval(*sorted(rng.sample(ends, 2))) for _ in range(rng.randint(0, 5))]
+                       + [Interval(rng.choice(ends), INF) for _ in range(n_inf)]
+                       for _ in range(2))
+        b1, b2 = Barcode([(0, iv) for iv in left]), Barcode([(0, iv) for iv in right])
+        left, right = b1.in_dim(0), b2.in_dim(0)  # in the witness's numbering
+        got, m = bottleneck_matching(b1, b2, 0)
+        assert got == bottleneck(b1, b2, 0) == exhaustive_bottleneck(left, right), trial
+        want, m_ref = reference_bottleneck(b1, b2, 0)
+        assert got == want, trial
+        if got == INF:  # infinite bars whose birth gaps all pass the floats
+            assert m is None and m_ref is None
+            continue
+        check_matching(left, right, got, m)
+        check_matching(left, right, want, m_ref)
+        deleted = [left[u] for u in m.unmatched_left] + [right[v] for v in m.unmatched_right]
+        overflowing += any(iv.length == INF for iv in deleted)
+    assert overflowing >= 10
+
+
 def test_deep_chain_needs_no_recursion(tmp_path, capsys):
     # every bar meets its two neighbours at cost 0.5, so an augmenting path
     # can run the length of the chain
@@ -171,7 +200,7 @@ def test_interleaved_is_bottleneck_at_most_eps():
         b2 = Barcode([(0, iv) for iv in right])
         d = bottleneck(b1, b2, 0)
         candidates = {0.0, INF} | {match_cost(i, j) for i in left for j in right}
-        candidates |= {iv.length / 2 for iv in left + right}
+        candidates |= {half_length(iv) for iv in left + right}
         for c in candidates:
             for eps in (c, math.nextafter(c, -INF)):
                 if eps >= 0:
@@ -219,7 +248,7 @@ def lower_bound(left, right):
     """The search's first probe: the largest, over all bars, of min(half the
     length, the cheapest edge), by the definition."""
     def value(iv, others):
-        return min([iv.length / 2] + [match_cost(iv, jv) for jv in others])
+        return min([half_length(iv)] + [match_cost(iv, jv) for jv in others])
     return max([value(iv, right) for iv in left] + [value(jv, left) for jv in right],
                default=0.0)
 

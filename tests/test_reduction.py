@@ -34,7 +34,7 @@ from z2persist import (
 )
 from z2persist import VertexFunction, complexes, persistence
 from z2persist.cli import main
-from z2persist.complexes import _by_major, _owners, parse_fcx, write_fcx
+from z2persist.complexes import _by_major, _owners, _sort_keys, parse_fcx, write_fcx
 from z2persist.persistence import Reduction, _reduce, barcode, reduce_filtration
 
 import helpers
@@ -438,8 +438,20 @@ def test_int32_faces_past_46341_cells_reduce_as_int64():
     assert reduce_filtration(narrow) == red
 
 
-# the shift width b, the bit length of n - 1, steps between 64 and 65 and between 1024 and 1025
-_KEY_SORT_SIZES = [0, 1, 2, 7, 50, 1000, 63, 64, 65, 1024, 1025]
+# the shift width b, the bit length of n - 1, steps between 64 and 65 and between 1024 and 1025,
+# and between 32768 and 32769, where 2b passes 31 and the keys are sorted as int64, not int32
+_KEY_SORT_SIZES = [0, 1, 2, 7, 50, 1000, 63, 64, 65, 1024, 1025, 32768, 32769]
+
+
+@pytest.mark.parametrize("bound", [1 << 31, (1 << 31) + 1], ids=["2**31", "2**31+1"])
+def test_key_sort_fits_its_width_to_the_bound(bound):
+    # keys below 2**31 are sorted as int32, a key of 2**31 as int64; either way in their
+    # own buffer, as np.sort sorts them
+    rng = np.random.default_rng(bound)
+    keys = np.append(rng.integers(0, bound, 5000), [bound - 1, 0, bound - 1])
+    out = _sort_keys(keys.copy(), bound)
+    assert out.dtype == np.int64 and out.tolist() == np.sort(keys).tolist()
+    assert _sort_keys(keys, bound) is keys
 
 
 @pytest.mark.parametrize("seed", range(len(_KEY_SORT_SIZES)))

@@ -1,6 +1,7 @@
 """lower_star and the cone filtration against their first builders, kept in
 helpers.py: the same cells (id, dim, value by repr, boundary, vertices,
 name), the same apex, and the same extended barcode."""
+import math
 import random
 
 import numpy as np
@@ -86,6 +87,45 @@ def test_cone_and_extended_barcode_match_reference(name, sk, f):
         assert _cells(cone.complex) == _cells(ref.complex)
         assert cone.apex == ref.apex
         assert extended_barcode(spec) == reference_extended_barcode(spec)
+
+
+_TIES = [-math.inf, -1.0, -0.0, 0.0, 0.5, math.inf]
+
+
+def test_the_numbering_is_lexsorts_order(monkeypatch):
+    # cells are numbered by (value, dim, row), each call checked against np.lexsort: seeded
+    # values with long runs of ties, -0.0 beside 0.0 and +-inf, through simplicial_filtration;
+    # lower stars and cones of skeletons whose dims do not increase in id order; 0 to 2 rows
+    sizes, reorder = [], complexes._reorder
+
+    def checked(dims, values, *rest):
+        order = np.lexsort((dims, values))
+        fc, new_id = reorder(dims, values, *rest)
+        assert new_id[order].tolist() == list(range(len(dims)))
+        sizes.append(len(dims))
+        return fc, new_id
+
+    monkeypatch.setattr(complexes, "_reorder", checked)
+    monkeypatch.setattr(extended, "_reorder", checked)
+    rng = np.random.default_rng(48)
+    vertices = [np.arange(n).reshape(n, 1) for n in range(3)]
+    for simplices, faces in [([vertices[0]], [None]), ([vertices[1]], [None]),
+                             ([vertices[2], np.array([[0, 1]])], [None, np.array([[1, 0]])]),
+                             rips._cliques(noisy_circle(80), RipsParams(2, threshold=0.6), 80)[:2]]:
+        f = rng.choice(_TIES, len(simplices[0]))  # a simplex at the max of f over its vertices
+        simplicial_filtration(simplices, faces, [f[s].max(axis=1, initial=-math.inf)
+                                                 for s in simplices], [*map(str, range(len(f)))])
+    skeletons = [FilteredComplex([Cell(i, 0, 0.0) for i in range(n)]) for n in (1, 2)]
+    skeletons += [rips_filtration(noisy_circle(60), RipsParams(2, threshold=0.7))]
+    skeletons += [sk for _, sk, _ in CASES[6:16]]
+    # CW cells of dims past any key width: their ranks are packed instead
+    skeletons += [FilteredComplex([Cell(0, 0, 0.0), Cell(1, 0, 0.0), Cell(2, 5, 0.0, vertices=(0,)),
+                                   *(Cell(3 + i, 2**61 + i, 0.0, vertices=(i,)) for i in (0, 1))])]
+    for sk in skeletons:
+        f = VertexFunction({v: rng.choice(_TIES[1:-1]) for v in range(len(sk)) if sk.dims[v] == 0})
+        lower_star(sk, f)
+        build_cone_filtration(BifiltrationSpec(sk, f))
+    assert {0, 1, 2} <= set(sizes) and max(sizes) > 1000
 
 
 def _frozen(arrays):

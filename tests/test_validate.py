@@ -313,6 +313,31 @@ def test_validate_names_the_same_cell_across_block_edges(check, args, monkeypatc
     check(*args)
 
 
+@pytest.mark.parametrize("n", [1 << 18, 1 << 19], ids=["int32", "int64"])
+def test_a_boundary_of_boundary_fault_is_named_in_either_key_width(n, monkeypatch):
+    # isolated vertices, then a triangle with two edges a-b and b-c as the last cell of the
+    # 16th block, then more vertices up to n cells: the triangle's sub-block is that whole
+    # block, its (cell, face of a face) keys lie below 8192 n, 2**31 (sorted as int32) or
+    # 2**32 (as int64), and its own keys are within 2**18 of that bound
+    last = 16 * complexes._BLOCK - 1
+    dims = np.zeros(n, np.int64)
+    dims[last - 2:last + 1] = 1, 1, 2
+    values = np.where(np.arange(n) > last, 3.0, 0.0)
+    values[last - 2:last + 1] = 1.0, 1.0, 2.0
+    rows = [[last - 5, last - 4], [last - 4, last - 3], [last - 2, last - 1]]
+    indptr = np.zeros(n + 1, np.int64)
+    indptr[last - 1:] = 2
+    indptr[last:] = 4
+    indptr[last + 1:] = 6
+    fc = FilteredComplex.from_arrays(dims, values, indptr, np.array(sum(rows, []), np.int64))
+    bounds, sort_keys = [], complexes._sort_keys
+    monkeypatch.setattr(complexes, "_sort_keys",
+                        lambda keys, bound: bounds.append(bound) or sort_keys(keys, bound))
+    with pytest.raises(ComplexError, match=f"^cell {last}: boundary of boundary is nonzero$"):
+        fc.validate()
+    assert max(bounds) == complexes._BLOCK * n and bounds[-1] == max(bounds)
+
+
 def test_validate_memory_does_not_grow_with_the_complex():
     # the walk holds a few 64 KiB blocks at a time, not whole-complex masks: on this
     # 17,969-cell complex (51,274 entries) those peaked at 3.95 MB
