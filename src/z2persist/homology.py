@@ -52,10 +52,10 @@ def _cycles(fc: FilteredComplex, cells) -> dict:
 
 def generators(fc: FilteredComplex, k: int) -> list[frozenset]:
     """Cycle representatives for a basis of H_k, as sets of cell ids: the
-    k-cells alone are reduced, less the births of `reduce_filtration`'s pairs.
-    Any basis of cycles modulo boundaries is equally valid."""
+    k-cells alone are reduced, less the `births` of `reduce_filtration`'s pairs
+    (in any order).  Any basis of cycles modulo boundaries is equally valid."""
     cells = fc.dims == k
-    cells[persistence.reduce_filtration(fc).pair_ids[:, 0]] = False
+    cells[persistence.reduce_filtration(fc).births] = False
     return [*_cycles(fc, np.flatnonzero(cells)).values()]
 
 

@@ -103,16 +103,22 @@ def parse_bcx(text: str) -> Barcode:
 
 
 class Reduction:
-    """Outcome of the column reduction: (birth, death) cell pairs in death
-    order and the unpaired (never-killed) cells in increasing id, as int64
-    arrays `pair_ids` and `unpaired_ids` and, built on first read, as int
-    tuples `pairs` and `unpaired`.  `column_additions` counts columns added
-    into others."""
+    """Outcome of the column reduction: its (birth, death) cell pairs, taken
+    in any order and kept so as the int64 arrays `births` and `deaths`, and
+    the unpaired (never-killed) cells in increasing id, `unpaired_ids`.  Built
+    on first read, `pair_ids` holds the pairs a row each in death order, and
+    `pairs` and `unpaired` the same as int tuples.  `column_additions` counts
+    columns added into others."""
 
     def __init__(self, pairs, unpaired, column_additions: int):
         import numpy as np
-        self.pair_ids = np.asarray(pairs, np.int64).reshape(-1, 2)
+        self.births, self.deaths = np.asarray(pairs, np.int64).reshape(-1, 2).T
         self.unpaired_ids, self.column_additions = np.asarray(unpaired, np.int64), column_additions
+
+    @cached_property
+    def pair_ids(self):
+        import numpy as np
+        return np.stack([self.births, self.deaths], 1)[self.deaths.argsort()]
 
     pairs = cached_property(lambda self: tuple(map(tuple, self.pair_ids.tolist())))
     unpaired = cached_property(lambda self: tuple(self.unpaired_ids.tolist()))
@@ -171,17 +177,18 @@ def _components(fc: FilteredComplex, settled, seeds):
     """The (vertex, edge) pairs of degree 0, by union-find and the elder rule.  Each edge
     (u, v) of the int64 array `seeds` is the oldest coface of v > u, so v joins u before the
     walk and that pair is left out; the walk takes the edges that the bool mask `settled`
-    by cell id leaves, which holds the seeds, and the rest it marks join no components."""
+    by cell id leaves, which holds the seeds, and the rest it marks join no components.
+    Once the seeds leave one component there is nothing to walk and no edge is read."""
     import numpy as np
     vertices = np.flatnonzero(fc.dims == 0)
-    rank = np.cumsum(fc.dims == 0) - 1  # a vertex's place among the vertices
-    up = np.arange(len(vertices))
-    up[rank[fc.indices[fc.indptr[seeds] + 1]]] = rank[fc.indices[fc.indptr[seeds]]]
+    rank, up = np.empty(len(fc), np.int64), np.arange(len(vertices))
+    rank[vertices] = up  # a vertex's place among the vertices
+    end = lambda edges, i: rank[fc.indices[fc.indptr[edges] + i]]  # end i of each edge, ranked
+    up[end(seeds, 1)] = end(seeds, 0)
     up, pairs, left = up.tolist(), [], len(vertices) - len(seeds)
-    edges = np.flatnonzero((fc.dims == 1) & (fc.indptr[1:] - fc.indptr[:-1] == 2) & ~settled
-                           & (left > 1))  # no walk once one component is left
-    ends = rank[fc.indices[fc.indptr[edges] + [[0], [1]]]].tolist()
-    for e, u, v in zip(edges.tolist(), *ends):
+    edges = (np.flatnonzero((fc.dims == 1) & (fc.indptr[1:] - fc.indptr[:-1] == 2) & ~settled)
+             if left > 1 else vertices[:0])
+    for e, u, v in zip(edges.tolist(), end(edges, 0).tolist(), end(edges, 1).tolist()):
         while u != up[u]:  # path halving
             up[u] = u = up[up[u]]
         while v != up[v]:
@@ -208,49 +215,52 @@ def reduce_filtration(fc: FilteredComplex) -> Reduction:
     i pairs with its oldest coface c if i is c's youngest face (apparent, Bauer 2021: no
     earlier column has n-1-c), in every dimension.  If every 1-cell has 0 or 2 faces,
     union-find seeded with the apparent vertex pairs settles degree 0 over the edges left.
+    The set-up works in cell ids, one bool mask marks paired cells, and pairs leave unsorted.
     """
     import numpy as np
     from .complexes import _by_major, _indptr
-    n = len(fc)
-    flat = _by_major(n - 1 - fc.indices, np.arange(n - 1, -1, -1).repeat(np.diff(fc.indptr)), n)
-    ptr, dims = _indptr(np.bincount(fc.indices, minlength=n)[::-1]), fc.dims[::-1]
-    cols = np.flatnonzero(ptr[1:] > ptr[:-1])
-    lows = flat[ptr[cols + 1] - 1]
-    graph = not ((fc.indptr[1:] - fc.indptr[:-1])[fc.dims == 1] & ~2).any()  # 1-cells: 0, 2 faces
-    apparent = fc.indices[fc.indptr[n - lows] - 1] == n - 1 - cols
-    done = graph & (dims == 0)  # after union-find no vertex column is reduced
-    done[cols[apparent]] = done[lows[apparent]] = True
-    merges = (_components(fc, done[::-1], n - 1 - lows[apparent & (dims[cols] == 0)]) if graph
+    n, dims, faces = len(fc), fc.dims, np.diff(fc.indptr)
+    flat = _by_major(n - 1 - fc.indices, np.arange(n - 1, -1, -1).repeat(faces), n)
+    cofaces = np.bincount(fc.indices, minlength=n)
+    ptr, cells = _indptr(cofaces[::-1]), np.flatnonzero(cofaces)  # the cells with a column
+    oldest = n - 1 - flat[ptr[n - cells] - 1]  # each one's oldest coface: its column's pivot
+    apparent = fc.indices[fc.indptr[oldest + 1] - 1] == cells
+    births, deaths = cells[apparent], oldest[apparent]
+    graph = not (faces[dims == 1] & ~2).any()  # every 1-cell has 0 or 2 faces
+    del faces, cofaces, oldest, apparent  # not held through the loop
+    paired = np.zeros(n, bool)
+    paired[births] = paired[deaths] = True
+    merges = (_components(fc, paired, deaths[dims[births] == 0]) if graph
               else np.empty((0, 2), np.int64))
-    done[n - 1 - merges] = True
-    todo, owner = cols[~done[cols]], np.full(n, -1)
-    owner[lows[apparent]] = cols[apparent]
-    pivots, _, additions = _reduce(  # dimensions upward
-        ptr, flat, todo[np.argsort(dims[todo], kind="stable")], False, owner)
-    low = np.concatenate([np.fromiter(pivots, np.int64, len(pivots)), lows[apparent]])
-    col = np.concatenate([np.fromiter(pivots.values(), np.int64, len(pivots)), cols[apparent]])
-    pairs = np.concatenate([n - 1 - np.stack([col, low], 1), merges])  # (birth, death)
-    unpaired = np.flatnonzero(np.bincount(pairs.ravel(), minlength=n) == 0)
-    return Reduction(pairs[np.argsort(pairs[:, 1])], unpaired, additions)
+    paired[merges] = True
+    todo, owner = cells[~paired[cells] & ~(graph & (dims[cells] == 0))], np.full(n, -1)
+    owner[n - 1 - deaths] = n - 1 - births
+    pivots, _, additions = _reduce(  # dimensions upward, ids decreasing within one
+        ptr, flat, n - 1 - todo[np.argsort(-dims[todo], kind="stable")[::-1]], False, owner)
+    col = n - 1 - np.fromiter(pivots.values(), np.int64, len(pivots))
+    low = n - 1 - np.fromiter(pivots, np.int64, len(pivots))
+    paired[col] = paired[low] = True
+    pairs = np.concatenate([[births, deaths], merges.T, [col, low]], 1).T  # (birth, death) rows
+    return Reduction(pairs, np.flatnonzero(~paired), additions)
 
 
 def barcode(fc: FilteredComplex) -> Barcode:
-    """Barcode of the filtration: a pair is kept when its two values differ,
-    an unpaired cell always, and the kept bars are sorted on (dimension,
-    birth, death) and checked on the endpoint arrays at once."""
+    """Barcode of the filtration: the value order is checked first, then a
+    pair is kept when its two values differ, an unpaired cell always, and
+    the kept bars are sorted on (dimension, birth, death) and checked on the
+    endpoint arrays at once.  The pairs are read in the reduction's order."""
     import numpy as np
-    red = reduce_filtration(fc)
-    n, values, free = len(fc), fc.values, red.unpaired_ids
+    values = fc.values
     if (values[1:] < values[:-1]).any():
         raise ValueError("cell values decrease: the complex is not in filtration order")
-    births = np.append(red.pair_ids[:, 0], free)
-    deaths = np.append(red.pair_ids[:, 1], np.full(len(free), n))  # id n: the value +inf
-    ends = np.append(values, math.inf)
-    lo, hi = ends[births], ends[deaths]
-    keep = np.flatnonzero((lo != hi) | (deaths == n))
-    order = keep[np.lexsort((hi[keep], lo[keep], fc.dims[births[keep]]))]
+    free = (red := reduce_filtration(fc)).unpaired_ids
+    lo, hi = values[red.births], values[red.deaths]
+    keep = np.flatnonzero(lo != hi)  # the pairs kept; the unpaired cells follow, dying at +inf
+    births = np.append(red.births[keep], free)
+    lo, hi = np.append(lo[keep], values[free]), np.append(hi[keep], np.full(len(free), math.inf))
+    order = np.lexsort((hi, lo, fc.dims[births]))
     births, lo, hi = births[order], lo[order], hi[order]
-    del red, free, deaths, ends, keep, order  # only the kept bars' arrays meet the lists
+    del red, free, keep, order  # only the kept bars' arrays meet the lists
     if not ((lo > -math.inf) & (lo < hi)).all():
         list(map(Interval, lo.tolist(), hi.tolist()))  # raises for the first bad bar
     return Barcode(columns=(fc.dims[births].tolist(), lo.tolist(), hi.tolist()))

@@ -143,7 +143,6 @@ def _cliques(pc: PointCloud, params: RipsParams, n: int) -> tuple[list, list, li
     limit, max_dim = params.scale_limit, params.max_dim if n else 0  # no vertex: no distance
     simplices, values = [np.arange(n, dtype=np.int64).reshape(n, 1)], [np.zeros(n)]
     faces = [np.zeros((n, 1), dtype=np.int64)]  # the empty face
-    key = np.arange(n)  # each row's (parent row) * n + last vertex, increasing
     if max_dim:  # the edges (parent, last) in order, and so each vertex's upper neighbours
         dist = pc.distance_matrix()[:n, :n]
         adj = dist <= limit  # the threshold graph; only entries above the diagonal are read
@@ -166,19 +165,19 @@ def _cliques(pc: PointCloud, params: RipsParams, n: int) -> tuple[list, list, li
             parent, last = _cofaces(adj, nbrs, indptr, simplices[-1], sum(map(len, simplices)))
         if not len(parent):  # no clique extends: every higher dimension is empty
             break
-        # The face without the last vertex is the parent; the face without an
-        # earlier vertex is the parent's face without it plus the last, by key:
-        face = np.take(faces[-1], parent, axis=0) * n + last[:, None]
+        # The face without the last vertex is the parent; the face without an earlier
+        # vertex is the parent's face without it plus the last (an edge's: the last), by key:
+        face = np.take(faces[-1], parent, axis=0) * n + last[:, None] if k > 1 else last[:, None]
         if k == 2:  # an edge, read from an n * n table of edge ids (a clique's pairs are edges)
             table = np.zeros(n * n, dtype=np.int32)
             table[key] = np.arange(len(key))
             face = table[face]
-        else:  # a row found by bisecting the keys
+        elif k > 2:  # a row found by bisecting the keys
             face = np.searchsorted(key, face)
         simplices.append(np.column_stack((np.take(simplices[-1], parent, axis=0), last)))
         faces.append(np.column_stack((face, parent)))
         if k > 1:  # a simplex of two or more edges is as long as its longest facet
             length = reduce(np.maximum, (values[-1][f] for f in faces[-1].T))
         values.append(length)
-        key = parent * n + last
+        key = parent * n + last  # each row's (parent row) * n + last vertex, increasing
     return simplices, faces, values

@@ -170,6 +170,7 @@ def rips_1000():
     build, fc = best(3, lambda: rips_filtration(pc, params))
     reduce, red = best(3, lambda: persistence.reduce_filtration(fc))
     rss = peak_rss()
+    bars, _ = best(3, lambda: persistence.barcode(fc))  # after the peak RSS, as it holds lists
     built = traced_peak(lambda: rips_filtration(pc, params))  # a second complex, traced whole
     cliques = rips._cliques(pc, params, len(pc))  # only read by the renumbering
     labels = [*map(str, range(len(pc)))]
@@ -177,10 +178,10 @@ def rips_1000():
     del cliques
     print(f"rips n=1000 thr 0.3: {len(fc)} cells, build best of 3 {shown(build)}, tracemalloc "
           f"peak {built:.1f} MiB with the complex, {candidates} triangle candidates ({edges} "
-          f"edges x n = {edges * 1000}), reduce_filtration best of 3 {shown(reduce)}, "
-          f"column_additions {red.column_additions}, {union_find_merges(fc)}, peak RSS "
-          f"{rss:.0f} MB, renumbering (simplicial_filtration on the clique arrays) best of 3 "
-          f"{shown(renumber)}", flush=True)
+          f"edges x n = {edges * 1000}), reduce_filtration best of 3 {shown(reduce)}, barcode "
+          f"best of 3 {shown(bars)}, column_additions {red.column_additions}, "
+          f"{union_find_merges(fc)}, peak RSS {rss:.0f} MB, renumbering (simplicial_filtration "
+          f"on the clique arrays) best of 3 {shown(renumber)}", flush=True)
     check, _ = best(5, fc.validate)
     peak = traced_peak(fc.validate)  # the complex is not traced, only what validate allocates
     print(f"validate best of 5 {shown(check, 3)}, tracemalloc peak {peak:.1f} MiB above the "

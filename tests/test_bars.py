@@ -150,10 +150,17 @@ def test_bars_name_the_first_bad_bar_in_output_order():
         barcode(fc)
 
 
-def test_bars_refuse_values_out_of_filtration_order():
-    fc = FilteredComplex([Cell(0, 0, 1.0), Cell(1, 0, 0.0)])
-    with pytest.raises(ValueError, match="not in filtration order"):
-        barcode(fc)
+def test_bars_refuse_values_out_of_filtration_order(monkeypatch):
+    # the value order is checked before the reduction runs: no column is reduced
+    engine, real = [], persistence._reduce
+    monkeypatch.setattr(persistence, "_reduce", lambda *args: engine.append(1) or real(*args))
+    edge = FilteredComplex.from_arrays(  # vertex 1 at 2.0, then their edge at 1.0: unvalidated
+        np.array([0, 0, 1]), np.array([0.0, 2.0, 1.0]), np.array([0, 0, 0, 2]), np.array([0, 1]))
+    for fc in (FilteredComplex([Cell(0, 0, 1.0), Cell(1, 0, 0.0)]), edge):
+        with pytest.raises(ValueError, match="^cell values decrease: the complex is not in "
+                                             "filtration order$"):
+            barcode(fc)
+    assert engine == []
 
 
 def test_barcodes_build_no_interval_through_its_check(monkeypatch):

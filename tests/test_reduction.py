@@ -45,6 +45,7 @@ from helpers import (
     grid_surface,
     random_skeleton,
     random_vertex_function,
+    reference_barcode,
     reference_clearing,
     reference_reduction,
     simplices_to_complex,
@@ -352,6 +353,60 @@ def test_a_reduction_made_from_tuples_equals_the_engines(boundary):
     for key, other in (("pairs", red.pairs[1:]), ("unpaired", red.unpaired[:-1]),
                        ("column_additions", red.column_additions + 1)):
         assert Reduction(**{**fields, key: other}) != red
+
+
+def test_a_reduction_takes_its_pairs_in_any_order():
+    # births and deaths keep the order the pairs were given in; pair_ids, built on first
+    # read, are in death order, so a shuffle of the pairs makes an equal Reduction
+    rng = random.Random(49)
+    for fc in [FilteredComplex([]), FilteredComplex([Cell(0, 0, 0.0)]), *_complexes(4)]:
+        red = reduce_filtration(fc)
+        rows = red.pair_ids.tolist()
+        assert [d for _, d in rows] == sorted(d for _, d in rows)
+        assert sorted(zip(red.births.tolist(), red.deaths.tolist())) == sorted(map(tuple, rows))
+        shuffled = rng.sample(rows, len(rows))
+        given = Reduction(shuffled, red.unpaired, red.column_additions)
+        assert (given.births.tolist(), given.deaths.tolist()) == (
+            [b for b, _ in shuffled], [d for _, d in shuffled])
+        assert "pair_ids" not in vars(given)
+        assert given == Reduction(rows, red.unpaired, red.column_additions) == red
+        assert given.pair_ids.tolist() == rows and given.pair_ids.dtype == np.int64
+
+
+# barcode reads the pairs in the engine's order and sorts only the bars it keeps, giving
+# the bars of the death-ordered pairs (`reference_barcode` reads `pairs`): on random
+# complexes; CW complexes with loops; a 1-cell with three faces (no union-find); lower
+# stars and cones; Rips with tied lengths, stepped, up to dimension 3; and a lower star
+# whose apparent vertex pairs join every vertex, so union-find walks no edge
+_BAR_CASES = {
+    **{f"complexes{seed}": lambda seed=seed: [*_complexes(seed)] for seed in range(6)},
+    "cw": lambda: [*map(ng_cw, range(1, 5)), klein_delta(), parse_fcx(
+        "cell 0 0 0\ncell 1 0 0\ncell 2 0 1\ncell 3 1 1 0 1\ncell 4 1 2 0 1 2\n")],
+    "surfaces": lambda: [
+        lower_star(*torus_height_skeleton(2.0, 1.0)), klein_height(2.0, 1.0),
+        *(build_cone_filtration(BifiltrationSpec(*sk)).complex
+          for sk in (torus_height_skeleton(2.0, 1.0), klein_height_skeleton(2.0, 1.0)))],
+    "rips": lambda: [
+        rips_filtration(pc, params)
+        for pc in (PointCloud(tuple((float(i), float(j)) for i in range(4) for j in range(4))),
+                   helpers.noisy_circle(12))
+        for k in range(4) for params in (RipsParams(max_dim=k, threshold=1.5),
+                                         RipsParams(max_dim=k, steps=3, step_size=0.5))],
+    "apparent-joins": lambda: [_graded_lower_star(5, float)],
+}
+
+
+@pytest.mark.parametrize("case", _BAR_CASES)
+def test_bars_equal_those_of_the_death_ordered_pairs(case, monkeypatch):
+    # and the Reduction barcode reads never sorts its pairs: no pair_ids is built
+    real, seen = persistence.reduce_filtration, []
+    monkeypatch.setattr(persistence, "reduce_filtration",
+                        lambda fc: seen.append(real(fc)) or seen[-1])
+    fcs = _BAR_CASES[case]()
+    for fc in fcs:
+        fc.validate()
+        assert [(d, *iv) for d, iv in barcode(fc)] == reference_barcode(fc)
+    assert len(seen) == len(fcs) and not any("pair_ids" in vars(red) for red in seen)
 
 
 # The coboundary columns come from one sort of the keys (n-1-face, n-1-coface)
